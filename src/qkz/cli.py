@@ -1,13 +1,14 @@
 """Command-line front end.
 
     qkz verify <SUITE_ID> [--seed S]... [--points P] [--kmax K] [--lmax L]
-               [--m M] [--n N] [--jet-order J] [--out PATH] [--format json|csv]
+               [--m M --n N] [--N N] [--jet-order J] [--out PATH] [--format json|csv]
     qkz solve   --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
     qkz laumon  --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
     qkz rmatrix --m M --n N --seed S [--lambda p/s] [--fourd]
     qkz jackson --m M --n N --lmax L --seed S [--a2 p/s] [--out FILE]
 
-Exit code 0 iff every check passes.  QKZ_THREADS caps the worker pool.
+Exit code 0 iff every check passes, 2 on an invalid configuration.
+QKZ_THREADS caps the worker pool.
 """
 
 from __future__ import annotations
@@ -26,18 +27,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    # options left out of the command line take SuiteConfig's defaults
+    ver = sub.add_parser("verify", help="run a verification suite",
+                         argument_default=argparse.SUPPRESS)
     ver.add_argument("suite", metavar="SUITE_ID")
-    ver.add_argument("--seed", action="append", type=int, default=None)
-    ver.add_argument("--points", type=int, default=1)
-    ver.add_argument("--kmax", type=int, default=4)
-    ver.add_argument("--lmax", type=int, default=4)
-    ver.add_argument("--m", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--N", type=int, default=None, dest="N")
-    ver.add_argument("--jet-order", type=int, default=2)
-    ver.add_argument("--out", default=None)
-    ver.add_argument("--format", choices=("json", "csv"), default="json")
+    ver.add_argument("--seed", action="append", type=int, dest="seeds", metavar="SEED")
+    for name in ("--points", "--kmax", "--lmax", "--m", "--n", "--N", "--jet-order"):
+        ver.add_argument(name, type=int)
+    ver.add_argument("--out")
+    ver.add_argument("--format", choices=("json", "csv"))
 
     for name in ("solve", "laumon"):
         cmd = sub.add_parser(name, help="dump the series coefficient table")
@@ -75,30 +73,18 @@ def _emit(text: str, path) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        suite=args.suite,
-        seeds=tuple(args.seed) if args.seed else (1, 2, 3),
-        points=args.points,
-        kmax=args.kmax,
-        lmax=args.lmax,
-        m=args.m,
-        n=args.n,
-        N=args.N,
-        jet_order=args.jet_order,
-        out=args.out,
-        format=args.format,
-    )
+    cfg = SuiteConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     report = run_suite(cfg)
-    text = write_report(report, args.out, args.format)
-    if args.out:
+    text = write_report(report, cfg.out, cfg.format)
+    if cfg.out:
         summary = "PASS" if report_passed(report) else "FAIL"
-        print(f"{cfg.suite}: {summary} ({len(report['checks'])} checks) -> {args.out}")
+        print(f"{cfg.suite}: {summary} ({len(report['checks'])} checks) -> {cfg.out}")
     else:
         sys.stdout.write(text)
     return 0 if report_passed(report) else 1
 
 
-def cmd_series_dump(args, use_truncated_overrides: bool) -> int:
+def cmd_series_dump(args, from_partition_sum: bool) -> int:
     from .cone import solve_shakirov
     from .laumon import z_al
 
@@ -107,7 +93,7 @@ def cmd_series_dump(args, use_truncated_overrides: bool) -> int:
         if args.m is None or args.n is None:
             raise ConfigError("--m and --n must be given together")
         p = p.with_overrides(args.m, args.n)
-    series = z_al(p, args.kmax, args.lmax) if use_truncated_overrides \
+    series = z_al(p, args.kmax, args.lmax) if from_partition_sum \
         else solve_shakirov(p, args.kmax, args.lmax)
     _emit(series.dump_csv(), args.out)
     return 0
@@ -176,9 +162,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "solve":
-            return cmd_series_dump(args, use_truncated_overrides=False)
+            return cmd_series_dump(args, from_partition_sum=False)
         if args.command == "laumon":
-            return cmd_series_dump(args, use_truncated_overrides=True)
+            return cmd_series_dump(args, from_partition_sum=True)
         if args.command == "rmatrix":
             return cmd_rmatrix(args)
         if args.command == "jackson":

@@ -187,17 +187,6 @@ class ConeSeries:
     def mul_lambda_series(self, series: LambdaSeries) -> "ConeSeries":
         return self.mul_axis(series.coeffs, AXIS_L)
 
-    def x_slice(self, a: int) -> LambdaSeries:
-        """Coefficients along fixed x-degree a as a series in Lambda.
-
-        The monomial x^a Lambda^b sits at (k, l) = (a + b, b).
-        """
-        out = []
-        for b in range(self.lmax + 1):
-            k = a + b
-            out.append(self.c[k][b] if 0 <= k <= self.kmax else 0)
-        return LambdaSeries(out)
-
     def dump_csv(self) -> str:
         """k, l, numerator, denominator rows (per jet order for jets)."""
         buf = io.StringIO()

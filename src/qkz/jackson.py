@@ -22,6 +22,7 @@ from .qseries import (
     qpoch,
     qpoch_ext,
 )
+from .rmatrix import series_mul_lambda_power, series_shift_lambda
 from .scalars import ONE, ParamPoint, invertible
 
 
@@ -520,14 +521,6 @@ def base_shift_data(jp: JacksonParams, which: int):
     return rho, lam_power
 
 
-def _shift_lambda(series: LambdaSeries, factor) -> LambdaSeries:
-    return series.shift_variable(factor)
-
-
-def _mul_lambda_power(series: LambdaSeries, p: int) -> LambdaSeries:
-    return LambdaSeries((0,) * p + series.coeffs[: series.order + 1 - p])
-
-
 def al_jackson_compare(p: ParamPoint, a2, lmax: int) -> dict:
     """Componentwise comparison of the mass-truncated partition sum with the
     Jackson vector (the content of the AL = Jackson identification).
@@ -602,7 +595,7 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         xi_prod = xi_prod * x
     out = {}
 
-    lhs = [_shift_lambda(c, jp.t) for c in psi]
+    lhs = [series_shift_lambda(c, jp.t) for c in psi]
     out["alpha"] = [
         lhs[j] - sum((psi[i] * K0[i, j] for i in range(N + 1)),
                      LambdaSeries.constant(0, lmax)) / xi_prod
@@ -621,7 +614,7 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         scale = rho * piv2 / piv
         residuals = []
         for j in range(N + 1):
-            lhs_j = _mul_lambda_power(psi2[j], lam_power) * scale
+            lhs_j = series_mul_lambda_power(psi2[j], lam_power) * scale
             rhs_j = sum((psi[i] * K[i, j] for i in range(N + 1)),
                         LambdaSeries.constant(0, lmax))
             residuals.append(lhs_j - rhs_j)

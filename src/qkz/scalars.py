@@ -276,9 +276,6 @@ class ParamPoint:
     def Q(self):
         return self.rQ ** 4
 
-    def d(self, i: int):
-        return getattr(self, f"rd{i}") ** 4
-
     @property
     def d1(self):
         return self.rd1 ** 4

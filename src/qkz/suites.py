@@ -10,57 +10,30 @@ aside).
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DegenerateParameterError,
-    QkzError,
-    SingularMatrixError,
-)
-from .scalars import Rat, sample_generic_point
+from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
+from .scalars import HJet, Rat, exp_jet, sample_generic_point
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al
 from .partitions import partitions_of
 from .linalg import ScalarMatrix
 from .rmatrix import (
-    defining_relation_residuals,
-    dual_qkz_residuals,
-    h4d_matrix,
-    heine_dual_residuals,
-    heine_solution_pair,
-    kz_form_matrix,
-    qkz_residual,
-    r1_fourd,
-    r_closed_form,
-    r_hg_matrix,
-    r_via_linear_system,
-)
+    defining_relation_residuals, dual_qkz_residuals, h4d_matrix, heine_dual_residuals,
+    heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd, r_closed_form,
+    r_hg_matrix, r_via_linear_system)
 from .jackson import (
-    JacksonParams,
-    al_jackson_compare,
-    commutativity_check,
-    ito_A,
-    ito_A_via_R,
-    ito_R,
-    ito_R_alt,
-    ito_qkz_check,
-    matsuo_e,
-    matsuo_e_brute,
-)
-from .scalars import HJet, exp_jet
-
-SUITE_IDS = (
-    "SHAKIROV_EQ", "RMATRIX_3WAY", "QKZ_MATRIX", "DUAL_QKZ", "ITO_QKZ",
-    "COMMUTATIVITY", "AL_EQ_JACKSON", "NEKRASOV_3WAY", "PENTAGON", "BAILEY",
-    "SHUFFLE", "COUPLED", "FOURD_LIMIT", "HEINE_EXAMPLE",
-)
+    JacksonParams, al_jackson_compare, commutativity_check, ito_A, ito_A_via_R, ito_R,
+    ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute)
 
 DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
@@ -83,24 +56,29 @@ class SuiteConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.suite not in SUITE_IDS:
+        spec = SUITES.get(self.suite)
+        if spec is None:
             raise ConfigError(f"unknown suite id {self.suite!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.format!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.points < 1:
+            raise ConfigError(f"--points must be at least 1, got {self.points}")
+        if (self.m is None) != (self.n is None):
+            raise ConfigError("--m and --n must be given together")
+        for opt in ("m", "n", "N"):
+            if getattr(self, opt) is not None and opt not in spec.limits:
+                raise ConfigError(f"{self.suite} does not read --{opt}")
+        for opt, (lo, hi) in spec.limits.items():
+            value = getattr(self, opt)
+            if value is not None and not lo <= value <= hi:
+                flag = "--" + opt.replace("_", "-")
+                raise ConfigError(f"{self.suite} needs {lo} <= {flag} <= {hi}, got {value}")
 
 
-def derived_seeds(cfg: SuiteConfig):
-    return [s + SEED_STRIDE * k for s in cfg.seeds for k in range(cfg.points)]
-
-
-_DEGENERACY_SIGNALS = (DegenerateParameterError, SingularMatrixError,
-                       ZeroDivisionError)
-
-
-def _sample_with_retries(seed: int, guard: int, overrides=None, attempt_fn=None):
+def _sample_with_retries(seed: int, guard: int, attempt_fn, overrides=None):
     """Sample a point; on a degeneracy signal in attempt_fn, retry with
     deterministically derived seeds (sampling guards cover only a finite
     window, so downstream denominators may still collapse at unlucky points)."""
@@ -110,21 +88,11 @@ def _sample_with_retries(seed: int, guard: int, overrides=None, attempt_fn=None)
         p = sample_generic_point(s, guard)
         if overrides is not None:
             p = p.with_overrides(*overrides)
-        if attempt_fn is None:
-            return p, None
         try:
             return p, attempt_fn(p)
-        except _DEGENERACY_SIGNALS as exc:
+        except (DegenerateParameterError, SingularMatrixError, ZeroDivisionError) as exc:
             last = exc
     raise QkzError(f"no usable generic point after retries: {last}")
-
-
-def _pass(point=None, orders=None):
-    return {"status": "pass", "point": point, "orders": orders, "mismatch": None}
-
-
-def _fail(mismatch, point=None, orders=None):
-    return {"status": "fail", "point": point, "orders": orders, "mismatch": mismatch}
 
 
 def _series_zero_through(series_list, order: int):
@@ -136,11 +104,13 @@ def _series_zero_through(series_list, order: int):
     return None
 
 
-def _matrix_mismatch(a: ScalarMatrix, b: ScalarMatrix):
+def _matrix_mismatch(a: ScalarMatrix, b: ScalarMatrix, tags=None):
+    """First differing entry, with ``tags`` appended to the record, or None."""
     for i in range(a.rows):
         for j in range(a.cols):
             if a[i, j] != b[i, j]:
-                return {"i": i, "j": j, "left": str(a[i, j]), "right": str(b[i, j])}
+                return {"i": i, "j": j, "left": str(a[i, j]), "right": str(b[i, j]),
+                        **(tags or {})}
     return None
 
 
@@ -155,6 +125,8 @@ def _rng_rationals(seed: int, count: int, lo=2, hi=61):
 
 
 # -- individual checks ---------------------------------------------------------
+#
+# Each check returns (point, orders, mismatch[, info]); mismatch None is a pass.
 
 
 def chk_shakirov(seed: int, kmax: int, lmax: int):
@@ -165,17 +137,14 @@ def chk_shakirov(seed: int, kmax: int, lmax: int):
         ps = solve_shakirov(p, kmax, lmax)
         return za, ps
 
-    p, (za, ps) = _sample_with_retries(seed, guard, attempt_fn=attempt)
-    orders = {"kmax": kmax, "lmax": lmax}
+    p, (za, ps) = _sample_with_retries(seed, guard, attempt)
     mm = za.first_mismatch(ps)
-    if mm is None:
-        return _pass(point=p.to_json(), orders=orders)
-    k, l, a, b = mm
-    return _fail({"k": k, "l": l, "laumon": str(a), "solver": str(b)},
-                 point=p.to_json(), orders=orders)
+    if mm is not None:
+        k, l, a, b = mm
+        mm = {"k": k, "l": l, "laumon": str(a), "solver": str(b)}
+    return p.to_json(), {"kmax": kmax, "lmax": lmax}, mm
 
 
-_DISPLAY_WINDOWS = ((1, 0), (2, 0))
 _THREEWAY_WINDOWS = ((1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2))
 
 
@@ -207,70 +176,58 @@ def _display_matrix_3x3(d1, d4, lam, q):
 def chk_rmatrix_3way(seed: int):
     lams = _rng_rationals(seed, 3)
 
-    def attempt(pt):
-        return _rmatrix_3way_body(pt, lams)
-
-    p, result = _sample_with_retries(seed, 8, attempt_fn=attempt)
-    return result
+    p, mismatch = _sample_with_retries(seed, 8, lambda pt: _rmatrix_3way_mismatch(pt, lams))
+    return p.to_json(), {"windows": list(_THREEWAY_WINDOWS)}, mismatch
 
 
-def _rmatrix_3way_body(p, lams):
+def _rmatrix_3way_mismatch(p, lams):
     q, d1, d4 = p.q, p.d1, p.d4
-    orders = {"windows": list(_THREEWAY_WINDOWS)}
     for lam in lams:
         for (m, n) in _THREEWAY_WINDOWS:
             a = r_via_linear_system(m, n, d1, d4, lam, q)
             b = r_closed_form(m, n, d1, d4, lam, q)
             c = r_hg_matrix(m, n, d1, d4, lam, q)
             for other, tag in ((b, "closed"), (c, "hypergeometric")):
-                mm = _matrix_mismatch(a, other)
+                mm = _matrix_mismatch(a, other,
+                                      {"window": [m, n], "lambda": str(lam), "vs": tag})
                 if mm is not None:
-                    mm.update({"window": [m, n], "lambda": str(lam), "vs": tag})
-                    return _fail(mm, point=p.to_json(), orders=orders)
+                    return mm
             res = defining_relation_residuals(m, n, d1, d4, lam, q, a)
             for i, poly in enumerate(res):
                 if not poly.is_zero():
-                    return _fail({"window": [m, n], "row": i - n,
-                                  "reason": "defining relation residual"},
-                                 point=p.to_json(), orders=orders)
+                    return {"window": [m, n], "row": i - n,
+                            "reason": "defining relation residual"}
         for builder, (m, n) in ((_display_matrix_2x2, (1, 0)),
                                 (_display_matrix_3x3, (2, 0))):
             got = r_via_linear_system(m, n, d1, d4, lam, q)
-            want = builder(d1, d4, lam, q)
-            mm = _matrix_mismatch(got, want)
+            mm = _matrix_mismatch(got, builder(d1, d4, lam, q),
+                                  {"window": [m, n], "lambda": str(lam), "vs": "display"})
             if mm is not None:
-                mm.update({"window": [m, n], "lambda": str(lam), "vs": "display"})
-                return _fail(mm, point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+                return mm
+    return None
 
 
 def chk_qkz_matrix(seed: int, m: int, n: int, lmax: int):
     def attempt(p):
         return qkz_residual(m, n, p, lmax)
 
-    p, res = _sample_with_retries(seed, 8, overrides=(m, n), attempt_fn=attempt)
-    orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
+    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
     bad = _series_zero_through(res, lmax - 1)
-    if bad is None:
-        return _pass(point=p.to_json(), orders=orders)
-    bad["component"] = bad.pop("index") - n
-    return _fail(bad, point=p.to_json(), orders=orders)
+    if bad is not None:
+        bad["component"] = bad.pop("index") - n
+    return p.to_json(), {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}, bad
 
 
 def chk_dual_qkz(seed: int, m: int, n: int, lmax: int):
     def attempt(p):
         return dual_qkz_residuals(m, n, p, lmax)
 
-    p, res = _sample_with_retries(seed, 8, overrides=(m, n), attempt_fn=attempt)
-    orders = {"m": m, "n": n, "lmax": lmax}
+    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
     bad = _series_zero_through(res, lmax)
-    if bad is None:
-        return _pass(point=p.to_json(), orders=orders)
-    size = m + n + 1
-    idx = bad.pop("index")
-    bad["i"] = idx // size - n
-    bad["k"] = idx % size - n
-    return _fail(bad, point=p.to_json(), orders=orders)
+    if bad is not None:
+        i, k = divmod(bad.pop("index"), m + n + 1)
+        bad.update(i=i - n, k=k - n)
+    return p.to_json(), {"m": m, "n": n, "lmax": lmax}, bad
 
 
 def chk_ito_qkz(seed: int, m: int, n: int, lmax: int):
@@ -280,14 +237,14 @@ def chk_ito_qkz(seed: int, m: int, n: int, lmax: int):
         jp = JacksonParams.from_point(p, a2)
         return ito_qkz_check(jp, lmax)
 
-    p, res = _sample_with_retries(seed, 8, overrides=(m, n), attempt_fn=attempt)
-    orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
+    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
+    bad = None
     for name, series_list in res.items():
         bad = _series_zero_through(series_list, lmax - 1)
         if bad is not None:
             bad["equation"] = name
-            return _fail(bad, point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+            break
+    return p.to_json(), {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}, bad
 
 
 _COMM_WINDOWS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (2, 1), 4: (2, 2)}
@@ -307,22 +264,16 @@ def chk_commutativity(seed: int, N: int):
         direct = ito_A(jp, lam)
         return res, alt, base, via, direct
 
-    p, (res, alt, base, via, direct) = _sample_with_retries(
-        seed, 8, overrides=(m, n), attempt_fn=attempt)
-    orders = {"N": N}
+    p, matrices = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
+    return p.to_json(), {"N": N}, _commutativity_mismatch(*matrices)
+
+
+def _commutativity_mismatch(res, alt, base, via, direct):
     if not res.is_zero():
         i, j, v = res.first_nonzero()
-        return _fail({"i": i, "j": j, "value": str(v), "relation": "R D2 A - A R D2"},
-                     point=p.to_json(), orders=orders)
-    mm = _matrix_mismatch(alt, base)
-    if mm is not None:
-        mm["relation"] = "U'D'L' vs LDU"
-        return _fail(mm, point=p.to_json(), orders=orders)
-    mm = _matrix_mismatch(via, direct)
-    if mm is not None:
-        mm["relation"] = "A vs s T(R) D"
-        return _fail(mm, point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+        return {"i": i, "j": j, "value": str(v), "relation": "R D2 A - A R D2"}
+    return (_matrix_mismatch(alt, base, {"relation": "U'D'L' vs LDU"})
+            or _matrix_mismatch(via, direct, {"relation": "A vs s T(R) D"}))
 
 
 def chk_al_jackson(seed: int, m: int, n: int, lmax: int):
@@ -331,21 +282,24 @@ def chk_al_jackson(seed: int, m: int, n: int, lmax: int):
     def attempt(p):
         return al_jackson_compare(p, a2, lmax)
 
-    p, rec = _sample_with_retries(seed, 8, overrides=(m, n), attempt_fn=attempt)
+    p, rec = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
     orders = {"m": m, "n": n, "lmax": lmax}
-    if rec["ok"]:
-        out = _pass(point=p.to_json(), orders=orders)
-        out["info"] = {"lambda_dictionary": rec["lambda_dictionary"],
-                       "component_constants": rec["component_constants"],
-                       "leading_orders": rec["leading_orders"]}
-        return out
-    return _fail(rec["mismatch"], point=p.to_json(), orders=orders)
+    if not rec["ok"]:
+        return p.to_json(), orders, rec["mismatch"]
+    return p.to_json(), orders, None, {
+        "lambda_dictionary": rec["lambda_dictionary"],
+        "component_constants": rec["component_constants"],
+        "leading_orders": rec["leading_orders"]}
 
 
 def chk_nekrasov_3way(seed: int, pair_count: int = 200, max_size: int = 8):
     p = sample_generic_point(seed, 8)
-    rng = random.Random(seed ^ 0xA11CE)
     orders = {"pairs": pair_count, "max_size": max_size, "orbifold_orders": [2, 3, 4]}
+    rng = random.Random(seed ^ 0xA11CE)
+    return p.to_json(), orders, _nekrasov_mismatch(p, rng, pair_count, max_size)
+
+
+def _nekrasov_mismatch(p, rng, pair_count, max_size):
     for trial in range(pair_count):
         lam = rng.choice(partitions_of(rng.randint(0, max_size)))
         mu = rng.choice(partitions_of(rng.randint(0, max_size - 0)))
@@ -357,23 +311,24 @@ def chk_nekrasov_3way(seed: int, pair_count: int = 200, max_size: int = 8):
                 b = nek_orb_floor(k, order, lam, mu, su, p)
                 b2 = nek_orb_floor(k, order, lam, mu, su, p, extra_bound=2)
                 if a != b or b != b2:
-                    return _fail({"pair": [list(lam.parts), list(mu.parts)],
-                                  "n": order, "k": k,
-                                  "row_form": str(a), "floor_form": str(b)},
-                                 point=p.to_json(), orders=orders)
+                    return {"pair": [list(lam.parts), list(mu.parts)],
+                            "n": order, "k": k,
+                            "row_form": str(a), "floor_form": str(b)}
                 total = total * a
             box = total_nekrasov_bracket(lam, mu, su, p)
             if total != box:
-                return _fail({"pair": [list(lam.parts), list(mu.parts)], "n": order,
-                              "k_product": str(total), "box_product": str(box)},
-                             point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+                return {"pair": [list(lam.parts), list(mu.parts)], "n": order,
+                        "k_product": str(total), "box_product": str(box)}
+    return None
 
 
 def chk_pentagon(seed: int, order: int = 6):
     p = sample_generic_point(seed, 8)
-    q = p.q
     alpha, beta = _rng_rationals(seed + 3, 2)
+    return p.to_json(), {"total_order": order}, _pentagon_mismatch(p.q, alpha, beta, order)
+
+
+def _pentagon_mismatch(q, alpha, beta, order):
     K = L = order
     one = ConeSeries.one(K, L)
     lhs = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
@@ -384,11 +339,9 @@ def chk_pentagon(seed: int, order: int = 6):
         for l in range(L + 1):
             rhs.c[k][l] = alpha ** k * beta ** l * q ** (k * l) \
                 / (qpoch(q, q, k) * qpoch(q, q, l))
-    orders = {"total_order": order}
     if not lhs.agrees_to_total_order(rhs, order):
         mm = lhs.first_mismatch(rhs)
-        return _fail({"k": mm[0], "l": mm[1], "left": str(mm[2]), "right": str(mm[3])},
-                     point=p.to_json(), orders=orders)
+        return {"k": mm[0], "l": mm[1], "left": str(mm[2]), "right": str(mm[3])}
     # Borel identities on x^n-shifted cones, n = -2..2, both directions
     for nn in range(-2, 3):
         lhs1 = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
@@ -398,7 +351,7 @@ def chk_pentagon(seed: int, order: int = 6):
                   .mul_phi(alpha * beta, q, AXIS_L, inverted=True) \
                   .scale(q ** ((nn * (nn + 1)) // 2))
         if not lhs1.agrees_to_total_order(rhs1, order):
-            return _fail({"variant": "borel", "n": nn}, point=p.to_json(), orders=orders)
+            return {"variant": "borel", "n": nn}
         lhs2 = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX) \
                   .borel(q, direction=-1, x_offset=nn)
         rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True) \
@@ -406,30 +359,26 @@ def chk_pentagon(seed: int, order: int = 6):
                   .mul_phi(alpha * beta / q, q, AXIS_L) \
                   .scale(q ** (-(nn * (nn + 1)) // 2))
         if not lhs2.agrees_to_total_order(rhs2, order):
-            return _fail({"variant": "borel inverse", "n": nn},
-                         point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+            return {"variant": "borel inverse", "n": nn}
+    return None
 
 
 def chk_bailey(seed: int, nmax: int = 4):
-    vals = _rng_rationals(seed + 7, 6)
-    a, b, c, d, e, f = vals
+    a, b, c, d, e, f = _rng_rationals(seed + 7, 6)
     q = _rng_rationals(seed + 13, 1)[0]
-    orders = {"nmax": nmax}
+    point = json.dumps({"a": str(a), "b": str(b), "c": str(c), "d": str(d),
+                        "e": str(e), "f": str(f), "q": str(q)})
     for n in range(nmax + 1):
         lhs, rhs = bailey_check(a, b, c, d, e, f, n, q)
         if lhs != rhs:
-            return _fail({"n": n, "lhs": str(lhs), "rhs": str(rhs)},
-                         point=None, orders=orders)
-    return _pass(point=json.dumps({"a": str(a), "b": str(b), "c": str(c),
-                                   "d": str(d), "e": str(e), "f": str(f),
-                                   "q": str(q)}), orders=orders)
+            return point, {"nmax": nmax}, {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
+    return point, {"nmax": nmax}, None
 
 
 def chk_shuffle(seed: int, nmax: int = 4):
     rng = random.Random(seed ^ 0x5FF1E)
     q, a, b = _rng_rationals(seed + 19, 3)
-    orders = {"N_max": nmax}
+    point = json.dumps({"q": str(q), "a": str(a), "b": str(b)})
     for N in range(1, nmax + 1):
         z = []
         while len(z) < N:
@@ -440,10 +389,9 @@ def chk_shuffle(seed: int, nmax: int = 4):
             lhs = matsuo_e(k, a, b, z, q)
             rhs = matsuo_e_brute(k, a, b, z, q)
             if lhs != rhs:
-                return _fail({"N": N, "k": k, "factored": str(lhs),
-                              "antisymmetrized": str(rhs)}, point=None, orders=orders)
-    return _pass(point=json.dumps({"q": str(q), "a": str(a), "b": str(b)}),
-                 orders=orders)
+                return point, {"N_max": nmax}, {"N": N, "k": k, "factored": str(lhs),
+                                                "antisymmetrized": str(rhs)}
+    return point, {"N_max": nmax}, None
 
 
 def chk_coupled(seed: int, order: int = 4):
@@ -451,24 +399,29 @@ def chk_coupled(seed: int, order: int = 4):
         psi = solve_shakirov(p, order, order)
         return coupled_step(p, psi)
 
-    p, (chi, (r1, r2)) = _sample_with_retries(seed, 8, attempt_fn=attempt)
-    orders = {"kmax": order, "lmax": order, "total_order": order}
+    p, (chi, (r1, r2)) = _sample_with_retries(seed, 8, attempt)
+    mm = None
     for tag, res in (("psi = g K chi", r1), ("chi = T(g K chi)", r2)):
         if not res.is_zero():
-            mm = res.first_mismatch(ConeSeries(order, order))
-            return _fail({"relation": tag, "k": mm[0], "l": mm[1], "value": str(mm[2])},
-                         point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+            k, l, value, _ = res.first_mismatch(ConeSeries(order, order))
+            mm = {"relation": tag, "k": k, "l": l, "value": str(value)}
+            break
+    return p.to_json(), {"kmax": order, "lmax": order, "total_order": order}, mm
 
 
 _FOURD_WINDOWS = ((1, 0), (2, 1))
 
 
 def chk_fourd(seed: int, jet_order: int = 2):
-    rng_vals = _rng_rationals(seed + 37, 4)
-    m1, m4, kap, ac = rng_vals
+    m1, m4, kap, ac = _rng_rationals(seed + 37, 4)
     lam = _rng_rationals(seed + 41, 1)[0]
+    point = json.dumps({"m1": str(m1), "m4": str(m4), "kappa": str(kap),
+                        "a": str(ac), "lambda": str(lam)})
     orders = {"jet_order": jet_order, "windows": list(_FOURD_WINDOWS)}
+    return point, orders, _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order)
+
+
+def _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order):
     for (m, n) in _FOURD_WINDOWS:
         qj = exp_jet(1, jet_order)
         d1j = exp_jet(m1, jet_order)
@@ -480,43 +433,36 @@ def chk_fourd(seed: int, jet_order: int = 2):
             for j in range(size):
                 want0 = 1 if i == j else 0
                 if rj[i, j].coeffs[0] != want0:
-                    return _fail({"window": [m, n], "i": i - n, "j": j - n,
-                                  "order": "h^0", "value": str(rj[i, j].coeffs[0])},
-                                 point=None, orders=orders)
+                    return {"window": [m, n], "i": i - n, "j": j - n,
+                            "order": "h^0", "value": str(rj[i, j].coeffs[0])}
                 if rj[i, j].coeffs[1] != r1[i, j]:
-                    return _fail({"window": [m, n], "i": i - n, "j": j - n,
-                                  "order": "h^1", "jet": str(rj[i, j].coeffs[1]),
-                                  "tridiagonal": str(r1[i, j])},
-                                 point=None, orders=orders)
+                    return {"window": [m, n], "i": i - n, "j": j - n,
+                            "order": "h^1", "jet": str(rj[i, j].coeffs[1]),
+                            "tridiagonal": str(r1[i, j])}
         H, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
-        mm = _matrix_mismatch(H, r1)
+        mm = _matrix_mismatch(H, r1, {"relation": "H_4d vs h^1 matrix"})
         if mm is not None:
-            mm["relation"] = "H_4d vs h^1 matrix"
-            return _fail(mm, point=None, orders=orders)
+            return mm
         kz = kz_form_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
         target = A0 + A1.scale(lam / (lam - 1))
-        mm = _matrix_mismatch(kz, target)
+        mm = _matrix_mismatch(kz, target, {"relation": "KZ form vs A0 + L A1/(L-1)"})
         if mm is not None:
-            mm["relation"] = "KZ form vs A0 + L A1/(L-1)"
-            return _fail(mm, point=None, orders=orders)
+            return mm
     # the tabulated 4x4 window (free masses m2, m4): m1 = -2, m3 = -1.
     m2v, m4v = _rng_rationals(seed + 43, 2)
     tab = _fourd_table_m2_n1(m2v, m4v, lam)
     got = r1_fourd((-2, m2v, -1, m4v), 2, 1, lam)
-    mm = _matrix_mismatch(got, tab)
+    mm = _matrix_mismatch(got, tab, {"relation": "4x4 tabulated case"})
     if mm is not None:
-        mm["relation"] = "4x4 tabulated case"
-        return _fail(mm, point=None, orders=orders)
+        return mm
     jq = exp_jet(1, jet_order)
     rj = r_via_linear_system(2, 1, exp_jet(m2v, jet_order), exp_jet(m4v, jet_order),
                              HJet.constant(lam, jet_order), jq)
     for i in range(4):
         for j in range(4):
             if rj[i, j].coeffs[1] != tab[i, j]:
-                return _fail({"relation": "4x4 vs jets", "i": i - 1, "j": j - 1},
-                             point=None, orders=orders)
-    return _pass(point=json.dumps({"m1": str(m1), "m4": str(m4), "kappa": str(kap),
-                                   "a": str(ac), "lambda": str(lam)}), orders=orders)
+                return {"relation": "4x4 vs jets", "i": i - 1, "j": j - 1}
+    return None
 
 
 def _fourd_table_m2_n1(m2, m4, lam):
@@ -541,180 +487,138 @@ def chk_heine(seed: int, lmax: int = 4):
         y0, y1, (a, b, z2, c1) = heine_solution_pair(p, lmax)
         return comps, (y0, y1, c1), heine_dual_residuals(p, lmax)
 
-    p, (comps, (y0, y1, c1), (res1, res2)) = _sample_with_retries(
-        seed, 8, overrides=(1, 0), attempt_fn=attempt)
-    orders = {"lmax": lmax}
+    p, (comps, pair, residuals) = _sample_with_retries(
+        seed, 8, attempt, overrides=(1, 0))
+    return p.to_json(), {"lmax": lmax}, _heine_mismatch(p, comps, pair, residuals, lmax)
+
+
+def _heine_mismatch(p, comps, pair, residuals, lmax):
     # the explicit pair solves the Lambda-shifted form: y_j(L) = psi_j(L / t)
+    y0, y1, c1 = pair
     y0L = y0.shift_variable(c1)
     y1L = y1.shift_variable(c1)
     sh0 = comps[0].shift_variable(1 / p.t)
     sh1 = comps[1].shift_variable(1 / p.t)
     if y0L * sh1 != y1L * sh0:
-        return _fail({"relation": "cross-multiplied pair"}, point=p.to_json(),
-                     orders=orders)
+        return {"relation": "cross-multiplied pair"}
     if y0L != sh0 or y1L != sh1:
-        return _fail({"relation": "componentwise pair"}, point=p.to_json(),
-                     orders=orders)
-    for tag, res in (("z1-shift", res1), ("z2-shift", res2)):
+        return {"relation": "componentwise pair"}
+    for tag, res in zip(("z1-shift", "z2-shift"), residuals):
         bad = _series_zero_through(res, lmax)
         if bad is not None:
             bad["relation"] = tag
-            return _fail(bad, point=p.to_json(), orders=orders)
-    return _pass(point=p.to_json(), orders=orders)
+            return bad
+    return None
 
 
-# -- suite assembly -------------------------------------------------------------
+# -- suite registry -------------------------------------------------------------
+
+class Suite(NamedTuple):
+    """A check, its name template (formatted with the check's arguments), the
+    config -> per-seed argument dicts map, and the (low, high) bounds of each
+    option the suite reads besides seeds and points."""
+    check: Callable
+    name: str
+    args: Callable = lambda cfg: [{}]
+    limits: dict = {}
+
+
+def _windows(default, lmax_cap=math.inf):
+    return lambda cfg: [{"m": m, "n": n, "lmax": min(cfg.lmax, lmax_cap)}
+                        for m, n in (default if cfg.m is None else ((cfg.m, cfg.n),))]
+
 
 _QKZ_WINDOWS = ((1, 0), (1, 1), (2, 1))
 _DUAL_WINDOWS = ((1, 0), (1, 1))
-_ITO_WINDOWS = ((1, 0), (1, 1), (2, 1))
-_ALJ_WINDOWS = tuple(
-    (m, n) for s in range(0, 4) for m in range(s + 1) for n in (s - m,))
+_ALJ_WINDOWS = tuple((m, s - m) for s in range(4) for m in range(s + 1))
+_SERIES_ORDERS = {"kmax": (0, math.inf), "lmax": (0, math.inf)}
+_LAMBDA_ORDER = {"lmax": (1, math.inf)}
+_WINDOWED = {"m": (0, math.inf), "n": (0, math.inf), **_LAMBDA_ORDER}
 
-
-def _tasks_for(cfg: SuiteConfig):
-    tasks = []
-    seeds = derived_seeds(cfg)
-    suite = cfg.suite
-    if suite == "SHAKIROV_EQ":
-        for s in seeds:
-            tasks.append((f"solver = partition sum, seed {s}", "shakirov",
-                          {"seed": s, "kmax": cfg.kmax, "lmax": cfg.lmax}))
-    elif suite == "RMATRIX_3WAY":
-        for s in seeds:
-            tasks.append((f"three realizations agree, seed {s}", "rmatrix3",
-                          {"seed": s}))
-    elif suite == "QKZ_MATRIX":
-        for s in seeds:
-            for (m, n) in (_QKZ_WINDOWS if cfg.m is None else ((cfg.m, cfg.n),)):
-                tasks.append((f"q-KZ window ({m},{n}), seed {s}", "qkz",
-                              {"seed": s, "m": m, "n": n, "lmax": cfg.lmax}))
-    elif suite == "DUAL_QKZ":
-        for s in seeds:
-            for (m, n) in (_DUAL_WINDOWS if cfg.m is None else ((cfg.m, cfg.n),)):
-                tasks.append((f"dual q-KZ window ({m},{n}), seed {s}", "dual",
-                              {"seed": s, "m": m, "n": n, "lmax": min(cfg.lmax, 3)}))
-    elif suite == "ITO_QKZ":
-        for s in seeds:
-            for (m, n) in (_ITO_WINDOWS if cfg.m is None else ((cfg.m, cfg.n),)):
-                tasks.append((f"lattice-sum equations ({m},{n}), seed {s}", "ito",
-                              {"seed": s, "m": m, "n": n, "lmax": min(cfg.lmax, 3)}))
-    elif suite == "COMMUTATIVITY":
-        for s in seeds:
-            for N in (range(5) if cfg.N is None else (cfg.N,)):
-                tasks.append((f"R D2 A = A R D2 at N={N}, seed {s}", "comm",
-                              {"seed": s, "N": N}))
-    elif suite == "AL_EQ_JACKSON":
-        for s in seeds:
-            for (m, n) in (_ALJ_WINDOWS if cfg.m is None else ((cfg.m, cfg.n),)):
-                tasks.append((f"partition sum = lattice sum ({m},{n}), seed {s}",
-                              "alj", {"seed": s, "m": m, "n": n,
-                                      "lmax": min(cfg.lmax, 3)}))
-    elif suite == "NEKRASOV_3WAY":
-        for s in seeds:
-            tasks.append((f"orbifolded factor forms, seed {s}", "nek", {"seed": s}))
-    elif suite == "PENTAGON":
-        for s in seeds:
-            tasks.append((f"dilogarithm expansion, seed {s}", "pentagon", {"seed": s}))
-    elif suite == "BAILEY":
-        for s in seeds:
-            tasks.append((f"10W9 transformation, seed {s}", "bailey", {"seed": s}))
-    elif suite == "SHUFFLE":
-        for s in seeds:
-            tasks.append((f"factorized antisymmetrization, seed {s}", "shuffle",
-                          {"seed": s}))
-    elif suite == "COUPLED":
-        for s in seeds:
-            tasks.append((f"coupled two-step system, seed {s}", "coupled",
-                          {"seed": s, "order": min(cfg.kmax, cfg.lmax)}))
-    elif suite == "FOURD_LIMIT":
-        for s in seeds:
-            tasks.append((f"small-h limit, seed {s}", "fourd",
-                          {"seed": s, "jet_order": cfg.jet_order}))
-    elif suite == "HEINE_EXAMPLE":
-        for s in seeds:
-            tasks.append((f"basic hypergeometric pair, seed {s}", "heine",
-                          {"seed": s, "lmax": cfg.lmax}))
-    else:  # pragma: no cover - guarded by SuiteConfig
-        raise ConfigError(f"unknown suite id {suite!r}")
-    return tasks
-
-
-_CHECKS = {
-    "shakirov": chk_shakirov,
-    "rmatrix3": chk_rmatrix_3way,
-    "qkz": chk_qkz_matrix,
-    "dual": chk_dual_qkz,
-    "ito": chk_ito_qkz,
-    "comm": chk_commutativity,
-    "alj": chk_al_jackson,
-    "nek": chk_nekrasov_3way,
-    "pentagon": chk_pentagon,
-    "bailey": chk_bailey,
-    "shuffle": chk_shuffle,
-    "coupled": chk_coupled,
-    "fourd": chk_fourd,
-    "heine": chk_heine,
+SUITES = {
+    "SHAKIROV_EQ": Suite(chk_shakirov, "solver = partition sum, seed {seed}",
+                         lambda c: [{"kmax": c.kmax, "lmax": c.lmax}], _SERIES_ORDERS),
+    "RMATRIX_3WAY": Suite(chk_rmatrix_3way, "three realizations agree, seed {seed}"),
+    "QKZ_MATRIX": Suite(chk_qkz_matrix, "q-KZ window ({m},{n}), seed {seed}",
+                        _windows(_QKZ_WINDOWS), _WINDOWED),
+    "DUAL_QKZ": Suite(chk_dual_qkz, "dual q-KZ window ({m},{n}), seed {seed}",
+                      _windows(_DUAL_WINDOWS, 3), _WINDOWED),
+    "ITO_QKZ": Suite(chk_ito_qkz, "lattice-sum equations ({m},{n}), seed {seed}",
+                     _windows(_QKZ_WINDOWS, 3), _WINDOWED),
+    "COMMUTATIVITY": Suite(
+        chk_commutativity, "R D2 A = A R D2 at N={N}, seed {seed}",
+        lambda c: [{"N": N} for N in (_COMM_WINDOWS if c.N is None else (c.N,))],
+        {"N": (min(_COMM_WINDOWS), max(_COMM_WINDOWS))}),
+    "AL_EQ_JACKSON": Suite(
+        chk_al_jackson, "partition sum = lattice sum ({m},{n}), seed {seed}",
+        _windows(_ALJ_WINDOWS, 3), _WINDOWED),
+    "NEKRASOV_3WAY": Suite(chk_nekrasov_3way, "orbifolded factor forms, seed {seed}"),
+    "PENTAGON": Suite(chk_pentagon, "dilogarithm expansion, seed {seed}"),
+    "BAILEY": Suite(chk_bailey, "10W9 transformation, seed {seed}"),
+    "SHUFFLE": Suite(chk_shuffle, "factorized antisymmetrization, seed {seed}"),
+    "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}",
+                     lambda c: [{"order": min(c.kmax, c.lmax)}], _SERIES_ORDERS),
+    "FOURD_LIMIT": Suite(
+        chk_fourd, "small-h limit, seed {seed}",
+        lambda c: [{"jet_order": c.jet_order}], {"jet_order": (1, math.inf)}),
+    "HEINE_EXAMPLE": Suite(chk_heine, "basic hypergeometric pair, seed {seed}",
+                           lambda c: [{"lmax": c.lmax}], _LAMBDA_ORDER),
 }
 
 
 def _execute(task):
-    name, key, kwargs = task
+    """Run one check and build its report record.  Any exception other than
+    a QkzError is a fault in the program: it fails this check with status
+    "error" and leaves the other checks running."""
+    suite, kwargs = task
+    spec = SUITES[suite]
     start = time.monotonic()
+    point, orders, info = None, None, []
     try:
-        record = _CHECKS[key](**kwargs)
+        point, orders, mismatch, *info = spec.check(**kwargs)
+        status = "pass" if mismatch is None else "fail"
     except QkzError as exc:
-        record = _fail({"error": str(exc)})
-    record["name"] = name
-    record["time_ms"] = int((time.monotonic() - start) * 1000)
-    return record
+        status, mismatch = "fail", {"error": str(exc)}
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        status, mismatch = "error", {
+            "type": type(exc).__name__, "message": str(exc),
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"}
+    return {"name": spec.name.format(**kwargs), "status": status, "point": point,
+            "orders": orders, "mismatch": mismatch,
+            "time_ms": int((time.monotonic() - start) * 1000),
+            **({"info": info[0]} if info else {})}
 
 
 def worker_count(n_tasks: int) -> int:
     env = os.environ.get("QKZ_THREADS")
-    if env:
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
+    try:
+        cap = max(1, int(env)) if env else os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(f"QKZ_THREADS must be an integer, got {env!r}") from None
     return max(1, min(cap, n_tasks))
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    tasks = _tasks_for(cfg)
+    spec = SUITES[cfg.suite]
+    seeds = [s + SEED_STRIDE * k for s in cfg.seeds for k in range(cfg.points)]
+    tasks = [(cfg.suite, {"seed": s, **kwargs}) for s in seeds for kwargs in spec.args(cfg)]
     workers = worker_count(len(tasks))
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_execute, tasks))
     else:
         records = [_execute(t) for t in tasks]
-    ordered = []
-    for rec in records:
-        ordered.append({
-            "name": rec["name"],
-            "status": rec["status"],
-            "point": rec.get("point"),
-            "orders": rec.get("orders"),
-            "mismatch": rec.get("mismatch"),
-            "time_ms": rec["time_ms"],
-            **({"info": rec["info"]} if "info" in rec else {}),
-        })
-    report = {
+    return {
         "suite": cfg.suite,
         "version": __version__,
-        "config": _config_echo(cfg),
-        "checks": ordered,
+        "config": {**asdict(cfg), "seeds": list(cfg.seeds)},
+        "checks": records,
     }
-    return report
 
 
 def report_passed(report: dict) -> bool:
     return all(c["status"] == "pass" for c in report["checks"])
-
-
-def _config_echo(cfg: SuiteConfig) -> dict:
-    obj = asdict(cfg)
-    obj["seeds"] = list(cfg.seeds)
-    return obj
 
 
 def write_report(report: dict, path: str | None, fmt: str) -> str:
@@ -726,9 +630,7 @@ def write_report(report: dict, path: str | None, fmt: str) -> str:
             cells = [c["name"], c["status"],
                      json.dumps(c.get("point")), json.dumps(c.get("orders")),
                      json.dumps(c.get("mismatch")), str(c["time_ms"])]
-            lines.append(",".join('"' + cell.replace('"', '""') + '"'
-                                  if isinstance(cell, str) else str(cell)
-                                  for cell in cells))
+            lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:

@@ -129,3 +129,59 @@ def test_jackson_dump(tmp_path):
     for rs in obj["equation_residuals"].values():
         for series in rs:
             assert all(c == "0" for c in series)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["BAILEY", "--points", "0"], None),
+    (["BAILEY", "--points", "-1"], None),
+    (["QKZ_MATRIX", "--m", "1"], None),
+    (["DUAL_QKZ", "--n", "1"], None),
+    (["BAILEY", "--m", "1", "--n", "1"], None),
+    (["QKZ_MATRIX", "--m", "-1", "--n", "0"], None),
+    (["QKZ_MATRIX", "--lmax", "0"], None),
+    (["HEINE_EXAMPLE", "--lmax", "0"], None),
+    (["ITO_QKZ", "--lmax", "0"], None),
+    (["DUAL_QKZ", "--lmax", "0"], None),
+    (["AL_EQ_JACKSON", "--lmax", "0"], None),
+    (["SHAKIROV_EQ", "--kmax", "-1"], None),
+    (["COUPLED", "--lmax", "-1"], None),
+    (["COMMUTATIVITY", "--N", "7"], None),
+    (["BAILEY", "--N", "1"], None),
+    (["FOURD_LIMIT", "--jet-order", "0"], None),
+    (["BAILEY"], "abc"),
+])
+def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, env):
+    from qkz import suites
+
+    def no_check(task):
+        raise AssertionError(f"check ran: {task}")
+
+    monkeypatch.setattr(suites, "_execute", no_check)
+    if env is None:
+        monkeypatch.delenv("QKZ_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QKZ_THREADS", env)
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_unexpected_exception_is_an_error_check(monkeypatch, tmp_path):
+    from qkz.suites import SUITES
+
+    spec = SUITES["COMMUTATIVITY"]
+
+    def flaky(seed, N):
+        if N == 2:
+            raise RuntimeError("injected fault")
+        return spec.check(seed=seed, N=N)
+
+    monkeypatch.setitem(SUITES, "COMMUTATIVITY", spec._replace(check=flaky))
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    out = tmp_path / "report.json"
+    assert main(["verify", "COMMUTATIVITY", "--seed", "1", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass", "error", "pass", "pass"]
+    mismatch = checks[2]["mismatch"]
+    assert (mismatch["type"], mismatch["message"]) == ("RuntimeError", "injected fault")
+    assert checks[2]["name"] == "R D2 A = A R D2 at N=2, seed 1"

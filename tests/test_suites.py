@@ -1,0 +1,84 @@
+"""The suite registry's expansion of a config into checks, pinned without
+running any check: every check is replaced by a stub that echoes its
+arguments as the report's ``orders``."""
+
+import pytest
+
+from qkz.suites import SUITES, SuiteConfig, run_suite
+
+ALJ = "partition sum = lattice sum"
+
+# check names per suite at the default config, seed 1
+NAMES = {
+    "SHAKIROV_EQ": ["solver = partition sum, seed 1"],
+    "RMATRIX_3WAY": ["three realizations agree, seed 1"],
+    "QKZ_MATRIX": ["q-KZ window (1,0), seed 1", "q-KZ window (1,1), seed 1",
+                   "q-KZ window (2,1), seed 1"],
+    "DUAL_QKZ": ["dual q-KZ window (1,0), seed 1", "dual q-KZ window (1,1), seed 1"],
+    "ITO_QKZ": ["lattice-sum equations (1,0), seed 1",
+                "lattice-sum equations (1,1), seed 1",
+                "lattice-sum equations (2,1), seed 1"],
+    "COMMUTATIVITY": ["R D2 A = A R D2 at N=0, seed 1", "R D2 A = A R D2 at N=1, seed 1",
+                      "R D2 A = A R D2 at N=2, seed 1", "R D2 A = A R D2 at N=3, seed 1",
+                      "R D2 A = A R D2 at N=4, seed 1"],
+    "AL_EQ_JACKSON": [f"{ALJ} (0,0), seed 1", f"{ALJ} (0,1), seed 1",
+                      f"{ALJ} (1,0), seed 1", f"{ALJ} (0,2), seed 1",
+                      f"{ALJ} (1,1), seed 1", f"{ALJ} (2,0), seed 1",
+                      f"{ALJ} (0,3), seed 1", f"{ALJ} (1,2), seed 1",
+                      f"{ALJ} (2,1), seed 1", f"{ALJ} (3,0), seed 1"],
+    "NEKRASOV_3WAY": ["orbifolded factor forms, seed 1"],
+    "PENTAGON": ["dilogarithm expansion, seed 1"],
+    "BAILEY": ["10W9 transformation, seed 1"],
+    "SHUFFLE": ["factorized antisymmetrization, seed 1"],
+    "COUPLED": ["coupled two-step system, seed 1"],
+    "FOURD_LIMIT": ["small-h limit, seed 1"],
+    "HEINE_EXAMPLE": ["basic hypergeometric pair, seed 1"],
+}
+
+# arguments of the first check at kmax=5, lmax=6, seed 1
+FIRST_ARGS = {
+    "SHAKIROV_EQ": {"seed": 1, "kmax": 5, "lmax": 6},
+    "RMATRIX_3WAY": {"seed": 1},
+    "QKZ_MATRIX": {"seed": 1, "m": 1, "n": 0, "lmax": 6},
+    "DUAL_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 3},
+    "ITO_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 3},
+    "COMMUTATIVITY": {"seed": 1, "N": 0},
+    "AL_EQ_JACKSON": {"seed": 1, "m": 0, "n": 0, "lmax": 3},
+    "NEKRASOV_3WAY": {"seed": 1},
+    "PENTAGON": {"seed": 1},
+    "BAILEY": {"seed": 1},
+    "SHUFFLE": {"seed": 1},
+    "COUPLED": {"seed": 1, "order": 5},
+    "FOURD_LIMIT": {"seed": 1, "jet_order": 2},
+    "HEINE_EXAMPLE": {"seed": 1, "lmax": 6},
+}
+
+
+@pytest.fixture
+def expand(monkeypatch):
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    for sid, spec in SUITES.items():
+        monkeypatch.setitem(SUITES, sid, spec._replace(check=lambda **kw: (None, kw, None)))
+    return lambda **cfg: [(c["name"], c["orders"])
+                          for c in run_suite(SuiteConfig(**cfg))["checks"]]
+
+
+def test_registry_covers_every_suite():
+    assert set(SUITES) == set(NAMES) == set(FIRST_ARGS)
+
+
+@pytest.mark.parametrize("suite", sorted(NAMES))
+def test_registry_expansion_matches_reference(expand, suite):
+    assert [name for name, _ in expand(suite=suite, seeds=(1,))] == NAMES[suite]
+    assert expand(suite=suite, seeds=(1,), kmax=5, lmax=6)[0][1] == FIRST_ARGS[suite]
+
+
+def test_registry_window_and_N_overrides(expand):
+    assert expand(suite="AL_EQ_JACKSON", seeds=(1,), points=2, m=2, n=1) == [
+        (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 3}),
+        (f"{ALJ} (2,1), seed 1000004", {"seed": 1000004, "m": 2, "n": 1, "lmax": 3}),
+    ]
+    assert expand(suite="COMMUTATIVITY", seeds=(1, 5), N=3) == [
+        ("R D2 A = A R D2 at N=3, seed 1", {"seed": 1, "N": 3}),
+        ("R D2 A = A R D2 at N=3, seed 5", {"seed": 5, "N": 3}),
+    ]
