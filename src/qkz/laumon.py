@@ -59,7 +59,7 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
     k = k % n
     sqrt_q = p.sqrt_q          # rq^2
     rq, rt = p.rq, p.rt
-    out = 1
+    out = ONE
     for j in range(1, len(lam) + 1):
         cnt = lam.part(j) - lam.part(j + 1)
         if cnt == 0:
@@ -108,7 +108,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
     mv = mu.transpose()
     rq, rt = p.rq, p.rt
     sqrt_base = rt ** (-n)     # sqrt(kappa^n)
-    out = 1
+    out = ONE
     jmax1 = len(lv) + extra_bound
     for j in range(1, jmax1 + 1):
         hi, lo = lv.part(j), lv.part(j + 1)
@@ -147,7 +147,7 @@ def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint)
     rq, rt = p.rq, p.rt
     lv = lam.transpose()
     mv = mu.transpose()
-    out = 1
+    out = ONE
     for i, j in lam.boxes():
         sqrt_w = sqrt_u * rq ** (2 * (lam.part(i) - j)) * rt ** (-(-mv.part(j) + i - 1))
         out = out * (1 / sqrt_w - sqrt_w)
@@ -172,31 +172,60 @@ def _spectral_vectors():
     return (u1, u2), (v1, v2), (w1, w2)
 
 
-def pair_weight(p: ParamPoint, pair):
+def _sqrt_table(p: ParamPoint, left, right):
+    """sqrt(left_i / right_j) for i, j in {0, 1}."""
+    return [[sqrt_of_monomial(p, _vsub(left[i], right[j])) for j in range(2)]
+            for i in range(2)]
+
+
+class PairFactors:
+    """What the weights of one partition sum share at its point p: the 12
+    square-root monomials, and for each (slot, partition) the 10 factors
+    that depend on that partition alone (4 matter factors on each side and
+    the diagonal vector factor).  Build one per sum; it keeps every
+    partition the sum visits."""
+
+    def __init__(self, p: ParamPoint):
+        u, v, w = _spectral_vectors()
+        self.p = p
+        self.uv = _sqrt_table(p, u, v)
+        self.vw = _sqrt_table(p, v, w)
+        self.vv = _sqrt_table(p, v, v)
+        self._single = {}
+
+    def single(self, slot: int, lam: Partition):
+        """(matter, diagonal vector) factor of `lam` as lambda_(slot+1)."""
+        key = (slot, lam)
+        got = self._single.get(key)
+        if got is None:
+            p, empty = self.p, Partition()
+            matter = ONE
+            for i in range(2):
+                matter = matter * nek_orb((slot - i) % 2, 2, empty, lam, self.uv[i][slot], p)
+                matter = matter * nek_orb((i - slot) % 2, 2, lam, empty, self.vw[slot][i], p)
+            diag = nek_orb(0, 2, lam, lam, self.vv[slot][slot], p)
+            got = self._single[key] = (matter, diag)
+        return got
+
+
+def pair_weight(p: ParamPoint, pair, factors: PairFactors | None = None):
     """Weight of one fixed point (lambda1, lambda2) in the localization sum:
-    matter factors over vector-multiplet factors, order-2 orbifold."""
+    matter factors over vector-multiplet factors, order-2 orbifold.
+
+    `factors` must be built at p; a sum passes one to all its calls so the
+    single-partition factors are computed once.  Only the two off-diagonal
+    vector factors depend on the pair."""
+    if factors is None:
+        factors = PairFactors(p)
     lam1, lam2 = pair
-    lams = (lam1, lam2)
-    empty = Partition()
-    (u, v, w) = _spectral_vectors()
-    num = ONE
-    for i in range(2):
-        for j in range(2):
-            k = (j - i) % 2
-            su = sqrt_of_monomial(p, _vsub(u[i], v[j]))
-            num = num * nek_orb(k, 2, empty, lams[j], su, p)
-            sv = sqrt_of_monomial(p, _vsub(v[i], w[j]))
-            num = num * nek_orb(k, 2, lams[i], empty, sv, p)
-    den = 1
-    for i in range(2):
-        for j in range(2):
-            k = (j - i) % 2
-            sv = sqrt_of_monomial(p, _vsub(v[i], v[j]))
-            den = den * nek_orb(k, 2, lams[i], lams[j], sv, p)
+    (num1, den1), (num2, den2) = factors.single(0, lam1), factors.single(1, lam2)
+    den = (den1 * den2
+           * nek_orb(1, 2, lam1, lam2, factors.vv[0][1], p)
+           * nek_orb(1, 2, lam2, lam1, factors.vv[1][0], p))
     if den == 0:
         raise DegenerateParameterError(
             "vector multiplet factor vanishes; non-generic point")
-    return num / den
+    return num1 * num2 / den
 
 
 def _expansion_monomials(p: ParamPoint):
@@ -215,6 +244,7 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
     covers the whole rectangle.
     """
     m1, m2 = _expansion_monomials(p)
+    factors = PairFactors(p)
     out = ConeSeries(kmax, lmax)
     for total in range(kmax + lmax + 1):
         for pair in enumerate_pairs(total):
@@ -223,7 +253,7 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
             b = lam1.even_row_sum + lam2.odd_row_sum
             if a > kmax or b > lmax:
                 continue
-            wgt = pair_weight(p, pair)
+            wgt = pair_weight(p, pair, factors)
             out.c[a][b] = out.c[a][b] + wgt * (-m1) ** a * (-m2) ** b
     return out
 
@@ -232,27 +262,27 @@ def z_al_truncated(m: int, n: int, p: ParamPoint, lmax: int):
     """Mass-truncated partition function as components psi_s(Lambda),
     s in [-n, m]; requires overrides d2 = q^-m, d3 = q^-n on the point.
 
-    Any pair with a nonzero weight outside the x-window is a hard failure.
-    Returns a list of LambdaSeries indexed by s + n.
+    Only pairs with width(lambda1) <= m and width(lambda2) <= n are summed;
+    every other weight is zero.  With v1/w1 = d2 = q^-m the matter factor
+    nek_orb(0, 2, lambda1, {}, sqrt(v1/w1)) holds the bracket
+    [q^(l_(j+1) - m); q]_(l_j - l_(j+1)), l = lambda1, which meets [1] = 0
+    at the last row j longer than m; u1/v2 = q^(n+1) kappa does the same to
+    lambda2 beyond n columns.  A summed pair has x-degree a - b in
+    [-width(lambda2), width(lambda1)], inside the window.  Returns a list
+    of LambdaSeries indexed by s + n.
     """
     if p.m != m or p.n != n:
         raise QkzError("point must carry overrides matching (m, n)")
     m1, m2 = _expansion_monomials(p)
+    factors = PairFactors(p)
     comps = [[0] * (lmax + 1) for _ in range(m + n + 1)]
     for total in range(m + 2 * lmax + 1):
-        for pair in enumerate_pairs(total):
+        for pair in enumerate_pairs(total, (m, n)):
             lam1, lam2 = pair
             a = lam1.odd_row_sum + lam2.even_row_sum
             b = lam1.even_row_sum + lam2.odd_row_sum
             if b > lmax:
                 continue
-            wgt = pair_weight(p, pair)
-            if wgt == 0:
-                continue
-            s = a - b
-            if not -n <= s <= m:
-                raise QkzError(
-                    f"nonzero weight at x-degree {s} outside [{-n}, {m}] "
-                    f"for pair {pair}")
-            comps[s + n][b] = comps[s + n][b] + wgt * (-m1) ** a * (-m2) ** b
+            wgt = pair_weight(p, pair, factors)
+            comps[a - b + n][b] = comps[a - b + n][b] + wgt * (-m1) ** a * (-m2) ** b
     return [LambdaSeries(c) for c in comps]

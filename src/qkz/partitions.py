@@ -75,8 +75,9 @@ class Partition:
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple:
-    """All partitions of n in lexicographically decreasing part order."""
+def partitions_of(n: int, width: int | None = None) -> tuple:
+    """All partitions of n in lexicographically decreasing part order; with
+    `width`, only those with at most that many columns."""
     if n < 0:
         raise ValueError("n must be >= 0")
 
@@ -88,7 +89,7 @@ def partitions_of(n: int) -> tuple:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(Partition(p) for p in gen(n, n))
+    return tuple(Partition(p) for p in gen(n, n if width is None else width))
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +97,14 @@ def partition_count(n: int) -> int:
     return len(partitions_of(n))
 
 
-def enumerate_pairs(total_size: int) -> list:
-    """All ordered pairs (lambda1, lambda2) with |lambda1| + |lambda2| = total,
-    in deterministic lexicographic order."""
+def enumerate_pairs(total_size: int, widths=(None, None)) -> list:
+    """All ordered pairs (lambda1, lambda2) with |lambda1| + |lambda2| = total
+    and width(lambda_i) <= widths[i] (None: no bound), in deterministic
+    lexicographic order."""
+    w1, w2 = widths
     out = []
     for a in range(total_size + 1):
-        for lam1 in partitions_of(a):
-            for lam2 in partitions_of(total_size - a):
+        for lam1 in partitions_of(a, w1):
+            for lam2 in partitions_of(total_size - a, w2):
                 out.append((lam1, lam2))
     return out

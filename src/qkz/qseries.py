@@ -19,7 +19,7 @@ def qpoch(a, q, n: int):
     """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0."""
     if n < 0:
         raise ValueError("qpoch needs n >= 0; use qpoch_ext for negative n")
-    out = 1
+    out = ONE
     aq = a
     for _ in range(n):
         out = out * (1 - aq)
@@ -40,7 +40,7 @@ def qpoch_ext(a, q, n: int):
 
 def qpoch_multi(bases, q, n: int):
     """(a1, a2, ..., ak; q)_n."""
-    out = 1
+    out = ONE
     for a in bases:
         out = out * qpoch(a, q, n)
     return out
@@ -65,7 +65,7 @@ def qbinom(n: int, k: int, q):
     """Gaussian binomial coefficient, by the product-of-ratios form."""
     if not 0 <= k <= n:
         raise ValueError(f"qbinom out of range: n={n}, k={k}")
-    out = 1
+    out = ONE
     for i in range(1, k + 1):
         num = 1 - q ** (n - k + i)
         den = 1 - q ** i
@@ -77,7 +77,7 @@ def qbinom(n: int, k: int, q):
 
 def qfactorial(n: int, q):
     """[n]_q! with [k]_q = (1 - q^k)/(1 - q)."""
-    out = 1
+    out = ONE
     den = 1 - q
     if n > 0 and not invertible(den):
         raise DegenerateParameterError("q = 1 in qfactorial")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegenerateParameterError, SamplingError
 
@@ -382,8 +383,12 @@ def shakirov_eigenvalue(p: ParamPoint, k: int, ell: int):
 MAX_RESAMPLES = 10_000
 
 
+@lru_cache(maxsize=256)
 def sample_generic_point(seed: int, guard: int = 8) -> ParamPoint:
     """Deterministically sample a generic ParamPoint.
+
+    Memoized: the result depends on (seed, guard) alone and ParamPoint is
+    frozen, so the callers of one (seed, guard) share one point.
 
     Fourth roots are reduced fractions p/s with 2 <= p, s <= 97.  The point
     is resampled until the degeneracy guards pass: q^j != 1 and t^j != 1

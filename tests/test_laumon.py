@@ -1,15 +1,20 @@
 import random
 
+import pytest
+
+from qkz import laumon
 from qkz.cone import solve_shakirov
 from qkz.laumon import (
+    PairFactors,
     nek_orb,
     nek_orb_floor,
     pair_weight,
+    sqrt_of_monomial,
     total_nekrasov_bracket,
     z_al,
     z_al_truncated,
 )
-from qkz.partitions import Partition, partitions_of
+from qkz.partitions import Partition, enumerate_pairs, partitions_of
 from qkz.qseries import qbracket_poch
 from qkz.scalars import Rat, rat, sample_generic_point
 
@@ -147,3 +152,93 @@ def test_z_al_coefficients_polynomial_in_d1():
     assert degree_bound + 1 <= 5
     predicted = lagrange_eval(xs[:5], ys[:5], xs[5])
     assert predicted == ys[5]
+
+
+# -- slow forms of the partition sum, kept as oracles ---------------------------
+
+def _weight_12(p, pair):
+    """pair_weight as twelve nek_orb calls with nothing shared: eight matter
+    factors over four vector factors."""
+    u, v, w = laumon._spectral_vectors()
+    lams = pair
+    num = 1
+    den = 1
+    for i in range(2):
+        for j in range(2):
+            k = (j - i) % 2
+            su = sqrt_of_monomial(p, laumon._vsub(u[i], v[j]))
+            num = num * nek_orb(k, 2, EMPTY, lams[j], su, p)
+            sv = sqrt_of_monomial(p, laumon._vsub(v[i], w[j]))
+            num = num * nek_orb(k, 2, lams[i], EMPTY, sv, p)
+            svv = sqrt_of_monomial(p, laumon._vsub(v[i], v[j]))
+            den = den * nek_orb(k, 2, lams[i], lams[j], svv, p)
+    return num / den
+
+
+def _reference_truncated(m, n, p, lmax):
+    """z_al_truncated over every pair up to size m + 2 lmax, with the width
+    support unused; returns the components and the weight of each pair."""
+    m1, m2 = laumon._expansion_monomials(p)
+    comps = [[0] * (lmax + 1) for _ in range(m + n + 1)]
+    weights = {}
+    for total in range(m + 2 * lmax + 1):
+        for pair in enumerate_pairs(total):
+            lam1, lam2 = pair
+            a = lam1.odd_row_sum + lam2.even_row_sum
+            b = lam1.even_row_sum + lam2.odd_row_sum
+            if b > lmax:
+                continue
+            wgt = weights[pair] = _weight_12(p, pair)
+            if wgt != 0:
+                comps[a - b + n][b] += wgt * (-m1) ** a * (-m2) ** b
+    return comps, weights
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m,n", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+def test_truncated_sum_equals_full_enumeration(seed, m, n):
+    # lmax = 3 visits every pair that lmax = 1 and 2 visit
+    lmax = 3
+    p = sample_generic_point(seed, guard=8).with_overrides(m, n)
+    comps, weights = _reference_truncated(m, n, p, lmax)
+    outside = [pair for pair in weights if pair[0].width > m or pair[1].width > n]
+    assert outside
+    assert all(weights[pair] == 0 for pair in outside)
+    pruned = z_al_truncated(m, n, p, lmax)
+    assert [list(c.coeffs) for c in pruned] == comps
+
+
+@pytest.mark.parametrize("overrides", [None, (2, 1)])
+def test_shared_factors_equal_twelve_factor_product(overrides):
+    p = P if overrides is None else P.with_overrides(*overrides)
+    factors = PairFactors(p)
+    for total in range(7):
+        for pair in enumerate_pairs(total):
+            assert pair_weight(p, pair, factors) == _weight_12(p, pair)
+
+
+# -- work counts: a return to full enumeration or per-pair recomputation fails --
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"pair_weight": 0, "nek_orb": 0}
+    for name in counts:
+        fn = getattr(laumon, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(laumon, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("lmax,pairs", [(3, 70), (4, 125)])
+def test_truncated_sum_work_count(calls, lmax, pairs):
+    p = sample_generic_point(1, guard=8).with_overrides(2, 1)
+    z_al_truncated(2, 1, p, lmax)
+    assert calls["pair_weight"] == pairs
+
+
+def test_full_sum_work_count(calls):
+    z_al(sample_generic_point(1, guard=8), 4, 4)
+    assert calls["nek_orb"] <= 916

@@ -78,7 +78,8 @@ def test_exp_jet_derivative_property(c):
 
 def test_sampling_determinism_and_guards():
     p1 = sample_generic_point(1, guard=8)
-    p2 = sample_generic_point(1, guard=8)
+    # a fresh draw, past the memo
+    p2 = sample_generic_point.__wrapped__(1, guard=8)
     assert p1 == p2
     assert p1.q != 1 and p1.t != 1
     # exact non-degeneracy checked during sampling
@@ -86,6 +87,16 @@ def test_sampling_determinism_and_guards():
         for ell in range(4):
             if (k, ell) != (0, 0):
                 assert shakirov_eigenvalue(p1, k, ell) != 1
+
+
+def test_sampling_is_memoized_and_overrides_leave_the_shared_point():
+    p = sample_generic_point(4, guard=8)
+    assert sample_generic_point(4, guard=8) is p
+    before = p.to_json()
+    p.with_overrides(2, 1)
+    assert sample_generic_point(4, guard=8) is p
+    assert p.to_json() == before
+    assert p.m is None and p.n is None
 
 
 def test_point_monomial_guard():

@@ -1,10 +1,12 @@
 """The suite registry's expansion of a config into checks, pinned without
 running any check: every check is replaced by a stub that echoes its
-arguments as the report's ``orders``."""
+arguments as the report's ``orders``.  Then a few checks run for real
+beyond the acceptance configs: the empty window and higher orders."""
 
 import pytest
 
-from qkz.suites import SUITES, SuiteConfig, run_suite
+from qkz.suites import (
+    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_qkz_matrix, run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -82,3 +84,23 @@ def test_registry_window_and_N_overrides(expand):
         ("R D2 A = A R D2 at N=3, seed 1", {"seed": 1, "N": 3}),
         ("R D2 A = A R D2 at N=3, seed 5", {"seed": 5, "N": 3}),
     ]
+
+
+# -- real checks outside the acceptance configs -------------------------------
+
+@pytest.mark.parametrize("suite", ["DUAL_QKZ", "ITO_QKZ"])
+def test_empty_window_passes(monkeypatch, suite):
+    # m + n = 0 makes every Pochhammer product empty; none may turn float
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    report = run_suite(SuiteConfig(suite=suite, seeds=(1, 2), m=0, n=0, lmax=2))
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("check", [chk_qkz_matrix, chk_al_jackson])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 1)])
+def test_lambda_order_5(check, m, n):
+    assert check(seed=1, m=m, n=n, lmax=5)[2] is None
+
+
+def test_dual_qkz_window_2_2_at_order_4():
+    assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
