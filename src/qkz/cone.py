@@ -17,9 +17,10 @@ from .errors import ResonanceError
 from .qseries import LambdaSeries, dbl_qt_poch_series, phi_coeffs
 from .scalars import HJet, ParamPoint, is_plain, shakirov_eigenvalue
 
-AXIS_X = "x"
-AXIS_LX = "lambda/x"
-AXIS_L = "lambda"
+# Each axis monomial x, Lambda/x, Lambda as its (k, l) step on the grid.
+AXIS_X = (1, 0)
+AXIS_LX = (0, 1)
+AXIS_L = (1, 1)
 
 
 class ConeSeries:
@@ -49,9 +50,6 @@ class ConeSeries:
 
     def copy(self) -> "ConeSeries":
         return ConeSeries(self.kmax, self.lmax, self.c)
-
-    def get(self, k: int, ell: int):
-        return self.c[k][ell]
 
     def __add__(self, other: "ConeSeries") -> "ConeSeries":
         self._check(other)
@@ -142,47 +140,31 @@ class ConeSeries:
                 out.c[k][l] = v * p_x ** (k - l) * p_lambda ** l
         return out
 
-    def mul_axis(self, coeffs, axis: str) -> "ConeSeries":
+    def _reach(self, axis) -> int:
+        """Highest power of the axis monomial that stays on the rectangle."""
+        return min(top for top, step in zip((self.kmax, self.lmax), axis) if step)
+
+    def mul_axis(self, coeffs, axis) -> "ConeSeries":
         """Multiply by sum_j coeffs[j] m^j with m in {x, Lambda/x, Lambda}."""
+        dk, dl = axis
         out = ConeSeries(self.kmax, self.lmax)
-        for j, cj in enumerate(coeffs):
+        for j, cj in enumerate(coeffs[: self._reach(axis) + 1]):
             if cj == 0:
                 continue
-            if axis == AXIS_X:
-                if j > self.kmax:
-                    break
-                for k in range(self.kmax + 1 - j):
-                    for l in range(self.lmax + 1):
-                        v = self.c[k][l]
-                        if v != 0:
-                            out.c[k + j][l] = out.c[k + j][l] + cj * v
-            elif axis == AXIS_LX:
-                if j > self.lmax:
-                    break
-                for k in range(self.kmax + 1):
-                    for l in range(self.lmax + 1 - j):
-                        v = self.c[k][l]
-                        if v != 0:
-                            out.c[k][l + j] = out.c[k][l + j] + cj * v
-            elif axis == AXIS_L:
-                if j > min(self.kmax, self.lmax):
-                    break
-                for k in range(self.kmax + 1 - j):
-                    for l in range(self.lmax + 1 - j):
-                        v = self.c[k][l]
-                        if v != 0:
-                            out.c[k + j][l + j] = out.c[k + j][l + j] + cj * v
-            else:
-                raise ValueError(f"unknown axis {axis!r}")
+            sk, sl = j * dk, j * dl
+            for k in range(self.kmax + 1 - sk):
+                src, dst = self.c[k], out.c[k + sk]
+                for l in range(self.lmax + 1 - sl):
+                    v = src[l]
+                    if v != 0:
+                        dst[l + sl] = dst[l + sl] + cj * v
         return out
 
-    def mul_phi(self, c, q, axis: str, inverted: bool = False) -> "ConeSeries":
+    def mul_phi(self, c, q, axis, inverted: bool = False) -> "ConeSeries":
         """Multiply by phi(c*m) or 1/phi(c*m) truncated on the rectangle."""
         if c == 0:
             return self.copy()
-        order = {AXIS_X: self.kmax, AXIS_LX: self.lmax,
-                 AXIS_L: min(self.kmax, self.lmax)}[axis]
-        return self.mul_axis(phi_coeffs(c, q, order, inverted=inverted), axis)
+        return self.mul_axis(phi_coeffs(c, q, self._reach(axis), inverted=inverted), axis)
 
     def mul_lambda_series(self, series: LambdaSeries) -> "ConeSeries":
         return self.mul_axis(series.coeffs, AXIS_L)
@@ -341,13 +323,7 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     p2 = coupled_transform_point(p)
     chi_raw = solve_shakirov(p2, kmax, lmax)
     fx = -p.d2 / p.q
-    fl = -p.d4
-    chi = ConeSeries(kmax, lmax)
-    for k in range(kmax + 1):
-        for l in range(lmax + 1):
-            v = chi_raw.c[k][l]
-            if v != 0:
-                chi.c[k][l] = v * fx ** k * fl ** l
+    chi = chi_raw.shift(fx, fx * -p.d4)
     order = min(kmax, lmax)
     g = coupling_series(p, order)
     residual1 = psi - apply_K(chi, p).mul_lambda_series(g)

@@ -22,7 +22,6 @@ from .qseries import (
     qpoch,
     qpoch_ext,
 )
-from .rmatrix import series_mul_lambda_power, series_shift_lambda
 from .scalars import ONE, ParamPoint, invertible
 
 
@@ -455,27 +454,22 @@ def d1_matrix(jp: JacksonParams, lam) -> ScalarMatrix:
                                   for i in range(jp.N + 1)])
 
 
-def commutativity_check(jp: JacksonParams, lam) -> ScalarMatrix:
-    """R D2 A - A R D2, expected to vanish identically."""
-    R = ito_R(jp)
-    A = ito_A(jp, lam)
-    D2 = d2_matrix(jp, lam)
+def commutativity_check(R: ScalarMatrix, A: ScalarMatrix, D2: ScalarMatrix) -> ScalarMatrix:
+    """R D2 A - A R D2 for R = ito_R(jp), A = ito_A(jp, lam) and
+    D2 = d2_matrix(jp, lam), expected to vanish identically."""
     return (R @ D2 @ A) - (A @ R @ D2)
 
 
 # -- the three difference equations on the Jackson vector ---------------------
 
-def _poch_inf_ratio(c_new, c_old, t):
-    """(c_new; t)_inf / (c_old; t)_inf where c_new = c_old t^k, |k| small."""
-    for k in range(-6, 7):
-        if c_new == c_old * t ** k:
-            if k >= 0:
-                den = qpoch(c_old, t, k)
-                if den == 0:
-                    raise DegenerateParameterError("infinite-product ratio pole")
-                return ONE / den
-            return ONE * qpoch(c_new, t, -k)
-    raise QkzError("arguments do not differ by a small power of t")
+def _poch_inf_ratio(c, k: int, t):
+    """(c t^k; t)_inf / (c; t)_inf."""
+    if k >= 0:
+        den = qpoch(c, t, k)
+        if den == 0:
+            raise DegenerateParameterError("infinite-product ratio pole")
+        return ONE / den
+    return ONE * qpoch(c * t ** k, t, -k)
 
 
 def base_shift_data(jp: JacksonParams, which: int):
@@ -493,25 +487,28 @@ def base_shift_data(jp: JacksonParams, which: int):
     xi_new = jp2.cycle()
     N = jp.N
     scaled = [ONE * xn / xo for xn, xo in zip(xi_new, xi_old)]
-    lam_power = sum(1 for s in scaled if s == t)
     if any(s != 1 and s != t for s in scaled):
         raise QkzError("unexpected cycle rescaling pattern")
+    # e[i] = 1 where the cycle point is scaled by t.  Each infinite-product
+    # argument then moves by t^e[i], and by one more 1/t when it carries the
+    # shifted a_which (as 1/a) or b_which (as b).
+    e = [1 if s == t else 0 for s in scaled]
+    lam_power = sum(e)
+    ka1, ka2 = (-1, 0) if which == 1 else (0, -1)
     rho = ONE
     for i in range(N):
         # numerator products (t z/a1)(t z/a2); denominators (b1 z)(b2 z)
-        rho = rho * _poch_inf_ratio(t * xi_new[i] / jp2.a1, t * xi_old[i] / jp.a1, t)
-        rho = rho * _poch_inf_ratio(t * xi_new[i] / jp2.a2, t * xi_old[i] / jp.a2, t)
-        rho = rho / _poch_inf_ratio(jp2.b1 * xi_new[i], jp.b1 * xi_old[i], t)
-        rho = rho / _poch_inf_ratio(jp2.b2 * xi_new[i], jp.b2 * xi_old[i], t)
+        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a1, e[i] + ka1, t)
+        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a2, e[i] + ka2, t)
+        rho = rho / _poch_inf_ratio(jp.b1 * xi_old[i], e[i] + ka1, t)
+        rho = rho / _poch_inf_ratio(jp.b2 * xi_old[i], e[i] + ka2, t)
     for i in range(N):
         for j in range(i + 1, N):
-            rn = xi_new[j] / xi_new[i]
             ro = xi_old[j] / xi_old[i]
-            rho = rho * _poch_inf_ratio(t * rn / q, t * ro / q, t)
-            rho = rho / _poch_inf_ratio(q * rn, q * ro, t)
+            rho = rho * _poch_inf_ratio(t * ro / q, e[j] - e[i], t)
+            rho = rho / _poch_inf_ratio(q * ro, e[j] - e[i], t)
             # z_i^(2 tau - 1) factors: (xi'_i/xi_i)^(2 tau - 1), t^tau = q
-            si = scaled[i]
-            if si == t:
+            if e[i]:
                 rho = rho * q * q / t
             # Vandermonde
             db = xi_old[i] - xi_old[j]
@@ -581,7 +578,9 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
 
     where rho_i Lambda^(block) are the exact base-point ratios and h0 the
     pivot constants -- no fitted quantities anywhere.  Returns a dict of
-    residual lists, each expected zero through order lmax - 1.
+    residual lists, each expected zero through order lmax - 1; under
+    "Lambda^0" the computed constant terms minus their closed forms
+    (matsuo_pivot_constant, then matsuo_leading_constant for k = 0..m).
     """
     N = jp.N
     lam = LambdaSeries.variable(lmax)
@@ -595,7 +594,7 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         xi_prod = xi_prod * x
     out = {}
 
-    lhs = [series_shift_lambda(c, jp.t) for c in psi]
+    lhs = [c.shift_variable(jp.t) for c in psi]
     out["alpha"] = [
         lhs[j] - sum((psi[i] * K0[i, j] for i in range(N + 1)),
                      LambdaSeries.constant(0, lmax)) / xi_prod
@@ -614,9 +613,16 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         scale = rho * piv2 / piv
         residuals = []
         for j in range(N + 1):
-            lhs_j = series_mul_lambda_power(psi2[j], lam_power) * scale
+            lhs_j = psi2[j].mul_variable_power(lam_power) * scale
             rhs_j = sum((psi[i] * K[i, j] for i in range(N + 1)),
                         LambdaSeries.constant(0, lmax))
             residuals.append(lhs_j - rhs_j)
         out[f"T{which}"] = residuals
+
+    # the Matsuo closed forms of the Lambda^0 constants: the pivot <e_hat_n>,
+    # and <e_k> = <e_hat_(N-k)> for k <= m (psi is divided by the pivot)
+    computed = [piv] + [psi[N - k].coeffs[0] * piv for k in range(jp.m + 1)]
+    closed = [matsuo_pivot_constant(jp)] + [
+        matsuo_leading_constant(jp, k) for k in range(jp.m + 1)]
+    out["Lambda^0"] = [LambdaSeries.constant(a - b, lmax) for a, b in zip(computed, closed)]
     return out

@@ -56,9 +56,6 @@ class ScalarMatrix:
         i, j = key
         self.entries[i * self.cols + j] = value
 
-    def row(self, i: int) -> list:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def copy(self) -> "ScalarMatrix":
         return ScalarMatrix(self.rows, self.cols, list(self.entries))
 
@@ -66,9 +63,6 @@ class ScalarMatrix:
         return ScalarMatrix(
             self.cols, self.rows,
             [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
-    def map(self, fn) -> "ScalarMatrix":
-        return ScalarMatrix(self.rows, self.cols, [fn(x) for x in self.entries])
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         self._check_shape(other)
@@ -98,7 +92,7 @@ class ScalarMatrix:
         return out
 
     def scale(self, c) -> "ScalarMatrix":
-        return self.map(lambda x: x * c)
+        return ScalarMatrix(self.rows, self.cols, [x * c for x in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):

@@ -53,10 +53,6 @@ class Partition:
         cols = [sum(1 for x in self.parts if x >= j) for j in range(1, self.parts[0] + 1)]
         return Partition(cols)
 
-    def column(self, j: int) -> int:
-        """Column length lambda^T_j, 1-based; zero beyond the diagram."""
-        return sum(1 for x in self.parts if x >= j)
-
     @property
     def odd_row_sum(self) -> int:
         """|lambda|_o = lambda_1 + lambda_3 + ..."""
@@ -90,11 +86,6 @@ def partitions_of(n: int, width: int | None = None) -> tuple:
                 yield (first,) + rest
 
     return tuple(Partition(p) for p in gen(n, n if width is None else width))
-
-
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
 
 
 def enumerate_pairs(total_size: int, widths=(None, None)) -> list:

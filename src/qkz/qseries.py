@@ -8,7 +8,7 @@ truncated Lambda-series, as long as the required divisions exist.
 from __future__ import annotations
 
 from .errors import DegenerateParameterError
-from .scalars import ONE, TruncatedSeries, invertible
+from .scalars import ONE, TruncatedSeries, invertible, series_exp
 
 
 class LambdaSeries(TruncatedSeries):
@@ -36,14 +36,6 @@ def qpoch_ext(a, q, n: int):
     if not invertible(denom):
         raise DegenerateParameterError("vanishing Pochhammer in negative index")
     return ONE / denom
-
-
-def qpoch_multi(bases, q, n: int):
-    """(a1, a2, ..., ak; q)_n."""
-    out = ONE
-    for a in bases:
-        out = out * qpoch(a, q, n)
-    return out
 
 
 def qbracket_poch(sqrt_u, sqrt_q, n: int):
@@ -110,18 +102,6 @@ def phi_coeffs(c, q, order: int, inverted: bool = False):
             prefix = prefix * (-1) * q ** (j - 1)
             coeffs.append(prefix * cj / qq)
     return coeffs
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a truncated series with vanishing constant term."""
-    if s.coeffs[0] != 0:
-        raise ValueError("series_exp needs zero constant term")
-    out = type(s).constant(1, s.order)
-    term = type(s).constant(1, s.order)
-    for k in range(1, s.order + 1):
-        term = term * s / k
-        out = out + term
-    return out
 
 
 def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:

@@ -37,21 +37,6 @@ class LaurentPolyX:
             return self.coeffs[p - self.lo]
         return 0
 
-    def mul_linear(self, c0, c1, deg: int) -> "LaurentPolyX":
-        """Multiply by (c0 + c1 * x^deg), deg in {+1, -1}."""
-        if deg not in (1, -1):
-            raise ValueError("deg must be +1 or -1")
-        new_lo = min(self.lo, self.lo + deg)
-        new_hi = max(self.hi, self.hi + deg)
-        out = [0] * (new_hi - new_lo + 1)
-        for p in range(self.lo, self.hi + 1):
-            v = self.coeff(p)
-            if v == 0:
-                continue
-            out[p - new_lo] += c0 * v
-            out[p + deg - new_lo] += c1 * v
-        return LaurentPolyX(new_lo, out)
-
     def scale(self, c) -> "LaurentPolyX":
         return LaurentPolyX(self.lo, [c * v for v in self.coeffs])
 
@@ -63,52 +48,42 @@ class LaurentPolyX:
         hi = max(self.hi, other.hi)
         return LaurentPolyX(lo, [self.coeff(p) - other.coeff(p) for p in range(lo, hi + 1)])
 
-    def __add__(self, other: "LaurentPolyX") -> "LaurentPolyX":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return LaurentPolyX(lo, [self.coeff(p) + other.coeff(p) for p in range(lo, hi + 1)])
+    def __mul__(self, other: "LaurentPolyX") -> "LaurentPolyX":
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for p, v in enumerate(self.coeffs):
+            if v == 0:
+                continue
+            for s, w in enumerate(other.coeffs):
+                if w != 0:
+                    out[p + s] += v * w
+        return LaurentPolyX(self.lo + other.lo, out)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
 
-def _neg_qpoch_poly(base, q, count: int, deg: int, start=ONE) -> LaurentPolyX:
+def _neg_qpoch_poly(base, q, count: int, deg: int) -> LaurentPolyX:
     """(-base * x^deg; q)_count as a LaurentPolyX: prod (1 + base q^s x^deg)."""
-    poly = LaurentPolyX.constant(start)
+    poly = LaurentPolyX.constant(ONE)
     c = base
     for _ in range(count):
-        poly = poly.mul_linear(1, c, deg)
+        poly = poly * (LaurentPolyX(0, [1, c]) if deg > 0 else LaurentPolyX(-1, [c, 1]))
         c = c * q
     return poly
 
 
 def source_poly(i: int, m: int, n: int, d1, d4, lam, q) -> LaurentPolyX:
     """q^(i(i+1)/2) x^i (-d1 q^(i-m) x; q)_(m-i) (-d4 q^(-i-n) L/x; q)_(i+n)."""
-    poly = _neg_qpoch_poly(d1 * q ** (i - m), q, m - i, +1)
-    poly = _mul_poly(poly, _neg_qpoch_poly(d4 * q ** (-i - n) * lam, q, i + n, -1))
+    poly = _neg_qpoch_poly(d1 * q ** (i - m), q, m - i, +1) \
+        * _neg_qpoch_poly(d4 * q ** (-i - n) * lam, q, i + n, -1)
     return poly.shift_degree(i).scale(q ** (i * (i + 1) // 2))
 
 
 def target_poly(j: int, m: int, n: int, lam, q) -> LaurentPolyX:
     """q^(-j(j+1)/2) x^j (-q^-m x; q)_(m-j) (-q^-n L/x; q)_(j+n)."""
-    poly = _neg_qpoch_poly(q ** (-m), q, m - j, +1)
-    poly = _mul_poly(poly, _neg_qpoch_poly(q ** (-n) * lam, q, j + n, -1))
+    poly = _neg_qpoch_poly(q ** (-m), q, m - j, +1) \
+        * _neg_qpoch_poly(q ** (-n) * lam, q, j + n, -1)
     return poly.shift_degree(j).scale(ONE * q ** (-(j * (j + 1)) // 2))
-
-
-def _mul_poly(a: LaurentPolyX, b: LaurentPolyX) -> LaurentPolyX:
-    lo = a.lo + b.lo
-    hi = a.hi + b.hi
-    out = [0] * (hi - lo + 1)
-    for p in range(a.lo, a.hi + 1):
-        v = a.coeff(p)
-        if v == 0:
-            continue
-        for s in range(b.lo, b.hi + 1):
-            w = b.coeff(s)
-            if w != 0:
-                out[p + s - lo] += v * w
-    return LaurentPolyX(lo, out)
 
 
 def r_via_linear_system(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
@@ -210,29 +185,6 @@ def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
     return out
 
 
-def binomial_kernel(N: int, r: int, a, b, c, q):
-    """C_{N,r} in the expansion (a x)_N = sum_r C_{N,r} (b x)_{N-r} (c q^-r x)_r."""
-    if not 0 <= r <= N:
-        return ONE * 0
-    num = (
-        q ** ((r * (r + 1)) // 2) * (-b / c) ** r
-        * qpoch(q, q, N)
-        * qpoch(a / b, q, r)
-        * qpoch(q ** (r + 1) * a / c, q, N - r)
-    )
-    den = qpoch(q, q, r) * qpoch(q, q, N - r) * qpoch(b * q / c, q, N)
-    if not invertible(den):
-        raise DegenerateParameterError("vanishing denominator in C_{N,r}")
-    return num / den
-
-
-def pascal_coefficients(N: int, r: int, a, b, c, q):
-    """A_r and B_r of the two-term recursion for the binomial kernel."""
-    A = (c - a * q ** (N + 1 + r)) / (c - b * q ** (N + 1))
-    B = (b - a * q ** r) / (b - c * q ** (-N - 1))
-    return A, B
-
-
 def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
     """r_{i,j} = d1^(m-i) q^((m+1)i) R^HG_{i+n, j+n} at
     N = m+n, z = Lambda/q, alpha = q^n/d1, beta = q^m/d4."""
@@ -251,18 +203,6 @@ def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
 
 
 # -- q-KZ residual on the partition-sum components ----------------------------
-
-def series_shift_lambda(s: LambdaSeries, factor) -> LambdaSeries:
-    """Lambda -> factor * Lambda."""
-    return s.shift_variable(factor)
-
-
-def series_mul_lambda_power(s: LambdaSeries, power: int) -> LambdaSeries:
-    """Multiply by Lambda^power (power >= 0), truncating at the same order."""
-    if power < 0:
-        raise ValueError("negative Lambda powers are not representable")
-    return LambdaSeries((0,) * power + s.coeffs[: s.order + 1 - power])
-
 
 def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     """Residuals of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i).
@@ -283,7 +223,7 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
         acc = LambdaSeries.constant(0, lmax)
         for ii in range(m + n + 1):
             i = ii - n
-            shifted = series_shift_lambda(comps[ii], 1 / p.t)
+            shifted = comps[ii].shift_variable(1 / p.t)
             acc = acc + shifted * r[ii, jj] * qtQ ** (-i)
         residuals.append(comps[jj] - acc)
     return residuals
@@ -354,9 +294,9 @@ def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
             lhs = LambdaSeries.constant(0, lmax)
             for jj in range(size):
                 j = jj - n
-                term = series_mul_lambda_power(y_shift[ii][jj], j + n)
+                term = y_shift[ii][jj].mul_variable_power(j + n)
                 lhs = lhs + term * (mono ** (j + n)) * rt[jj, kk]
-            rhs = series_mul_lambda_power(y_here[ii][kk], i + n) * vpref
+            rhs = y_here[ii][kk].mul_variable_power(i + n) * vpref
             residuals.append(lhs - rhs)
     return residuals
 
@@ -403,12 +343,13 @@ def _dual_m_matrix(a, b, z1: LambdaSeries, z2, u) -> list:
     return [[m00, m01], [m10, m11]]
 
 
-def heine_dual_residuals(p: ParamPoint, lmax: int):
+def heine_dual_residuals(p: ParamPoint, pair):
     """Residuals of the two explicit 2x2 difference equations satisfied by
-    the Heine pair: the z1-shift form and the inverse z2-shift form."""
-    q, t = p.q, p.t
-    d1, d4 = p.d1, p.d4
-    y0, y1, (a, b, z2, c1) = heine_solution_pair(p, lmax)
+    the Heine pair ``pair = heine_solution_pair(p, lmax)``: the z1-shift
+    form and the inverse z2-shift form."""
+    t = p.t
+    y0, y1, (a, b, z2, c1) = pair
+    lmax = y0.order
     z1 = LambdaSeries.variable(lmax)
 
     # (1 - a z1 / b) T_{t,z1} Y = Y M(z1)
@@ -416,7 +357,7 @@ def heine_dual_residuals(p: ParamPoint, lmax: int):
     pref = LambdaSeries.constant(1, lmax) - z1 * (a / b)
     res1 = []
     for col in range(2):
-        lhs = series_shift_lambda((y0, y1)[col], t) * pref
+        lhs = (y0, y1)[col].shift_variable(t) * pref
         rhs = y0 * m_z1[0][col] + y1 * m_z1[1][col]
         res1.append(lhs - rhs)
 
@@ -455,26 +396,17 @@ def r1_fourd(mvec, m: int, n: int, lam) -> ScalarMatrix:
     m1, m2, m3, m4 = mvec
     if lam == 1:
         raise DegenerateParameterError("Lambda = 1 pole in the 4d matrix")
-    size = m + n + 1
     den = lam - 1
-    out = ScalarMatrix(size, size, [ONE * 0] * (size * size))
-    for ii in range(size):
-        i = ii - n
-        up = (i + m1) * (i + m2)
-        down = (i - m3) * (i - m4)
-        out[ii, ii] = -lam * (up + down) / den + i * (i + 1)
-        if ii + 1 < size:
-            out[ii, ii + 1] = ONE * up / den
-        elif up != 0:
-            raise QkzError("nonzero overflow at the top of the 4d window")
-        if ii - 1 >= 0:
-            out[ii, ii - 1] = ONE * lam * down / den
-        elif down != 0:
-            raise QkzError("nonzero overflow at the bottom of the 4d window")
-    return out
+    return _window_op_matrix(
+        m, n,
+        diag=lambda i: -lam * ((i + m1) * (i + m2) + (i - m3) * (i - m4)) / den
+        + i * (i + 1),
+        up=lambda i: ONE * (i + m1) * (i + m2) / den,
+        down=lambda i: ONE * lam * (i - m3) * (i - m4) / den,
+    )
 
 
-def _window_op_matrix(m: int, n: int, diag, up, down, edge_check=True) -> ScalarMatrix:
+def _window_op_matrix(m: int, n: int, diag, up, down) -> ScalarMatrix:
     """Matrix of  x^i -> diag(i) x^i + up(i) x^(i+1) + down(i) x^(i-1)."""
     size = m + n + 1
     out = ScalarMatrix(size, size, [ONE * 0] * (size * size))
@@ -484,12 +416,12 @@ def _window_op_matrix(m: int, n: int, diag, up, down, edge_check=True) -> Scalar
         u = up(i)
         if ii + 1 < size:
             out[ii, ii + 1] = u
-        elif edge_check and u != 0:
+        elif u != 0:
             raise QkzError("operator leaks above the window")
         d = down(i)
         if ii - 1 >= 0:
             out[ii, ii - 1] = d
-        elif edge_check and d != 0:
+        elif d != 0:
             raise QkzError("operator leaks below the window")
     return out
 
@@ -520,7 +452,6 @@ def h4d_matrix(mvec, kappa_a, m: int, n: int, lam):
         diag=lambda i: ONE * i * (i - kap - a_c),
         up=lambda i: ONE * (-(i + m1) * (i + m2)),
         down=lambda i: ONE * 0,
-        edge_check=True,
     )
     A1 = _window_op_matrix(
         m, n,
@@ -580,5 +511,4 @@ def kz_form_matrix(mvec, kappa_a, m: int, n: int, lam) -> ScalarMatrix:
         + lam * (P_up(i + sigma) + P_down(i + sigma)) / one_minus - const,
         up=lambda i: -P_up(i + sigma) / one_minus,
         down=lambda i: -lam * P_down(i + sigma) / one_minus,
-        edge_check=True,
     )

@@ -206,11 +206,11 @@ class TruncatedSeries:
             p = p * factor
         return self._wrap(out)
 
-    def truncate(self, order: int):
-        """Drop to a lower truncation order."""
-        if order > self.order:
-            raise ValueError("cannot raise the truncation order")
-        return self._wrap(self.coeffs[: order + 1])
+    def mul_variable_power(self, power: int):
+        """Multiply by var^power (power >= 0), truncating at the same order."""
+        if power < 0:
+            raise ValueError("negative powers of the variable are not representable")
+        return self._wrap((0,) * power + self.coeffs[: self.order + 1 - power])
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
@@ -218,6 +218,18 @@ class TruncatedSeries:
             if c != 0:
                 return i
         return None
+
+
+def series_exp(s: TruncatedSeries) -> TruncatedSeries:
+    """exp of a truncated series with vanishing constant term."""
+    if s.coeffs[0] != 0:
+        raise ValueError("series_exp needs zero constant term")
+    out = type(s).constant(ONE, s.order)
+    term = type(s).constant(ONE, s.order)
+    for k in range(1, s.order + 1):
+        term = term * s / k
+        out = out + term
+    return out
 
 
 class HJet(TruncatedSeries):
@@ -228,12 +240,7 @@ def exp_jet(c, order: int) -> HJet:
     """exp(c*h) as an HJet: coefficients c^k / k!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [ONE]
-    term = ONE
-    for k in range(1, order + 1):
-        term = term * c / k
-        coeffs.append(term)
-    return HJet(coeffs)
+    return series_exp(HJet([0, c, *[0] * (order - 1)][: order + 1]))
 
 
 _ROOT_FIELDS = ("rq", "rt", "rQ", "rd1", "rd2", "rd3", "rd4")
@@ -301,17 +308,6 @@ class ParamPoint:
     def sqrt_q(self):
         return self.rq ** 2
 
-    @property
-    def sqrt_t(self):
-        return self.rt ** 2
-
-    @property
-    def sqrt_Q(self):
-        return self.rQ ** 2
-
-    def sqrt_d(self, i: int):
-        return getattr(self, f"rd{i}") ** 2
-
     def mono(self, eq=0, et=0, eQ=0, ed1=0, ed2=0, ed3=0, ed4=0):
         """Evaluate the fourth-root monomial rq^eq rt^et rQ^eQ rd1^ed1 ..."""
         val = ONE
@@ -322,19 +318,6 @@ class ParamPoint:
             if e:
                 val = val * root ** e
         return val
-
-    def T(self, i: int):
-        """Original mass parameters T_i recovered from the d_i dictionary."""
-        sq, st = self.sqrt_q, self.sqrt_t
-        if i == 1:
-            return self.d1 * st / sq
-        if i == 2:
-            return sq / (st * self.Q * self.d2)
-        if i == 3:
-            return sq / (st * self.d3)
-        if i == 4:
-            return self.d4 / (sq * st * self.Q)
-        raise ValueError("i must be 1..4")
 
     # -- overrides ----------------------------------------------------------
 
@@ -391,8 +374,8 @@ def sample_generic_point(seed: int, guard: int = 8) -> ParamPoint:
     frozen, so the callers of one (seed, guard) share one point.
 
     Fourth roots are reduced fractions p/s with 2 <= p, s <= 97.  The point
-    is resampled until the degeneracy guards pass: q^j != 1 and t^j != 1
-    for j <= guard, q^a t^b Q^c != 1 for 0 < max(|a|,|b|,|c|) <= guard, and
+    is resampled until the degeneracy guards pass: q^a t^b Q^c != 1 for
+    0 < max(|a|,|b|,|c|) <= guard (which covers q^j, t^j != 1), and
     the level-by-level eigenvalues lambda_{k,l} != 1 on the guard window.
     """
     rng = random.Random(seed)
@@ -416,26 +399,19 @@ def _draw_root(rng: random.Random):
 
 
 def _passes_guards(p: ParamPoint, guard: int) -> bool:
-    q, t, Q = p.q, p.t, p.Q
-    # positive rationals: q^j = 1 iff q = 1, but keep the exact loop cheap
-    # and literal.
-    for base in (q, t):
-        pw = ONE
-        for _ in range(guard):
-            pw = pw * base
-            if pw == 1:
-                return False
-    qa = _power_table(q, guard)
-    tb = _power_table(t, guard)
-    Qc = _power_table(Q, guard)
+    # q, t and Q are fourth powers, hence positive.  So Q^c = 1 for some
+    # c != 0 only at Q = 1, when the powers of Q collapse to {1}; otherwise
+    # they are distinct, and (the set being closed under inversion)
+    # q^a t^b Q^c = 1 for some c iff q^a t^b is one of them.
+    Q_powers = set(_power_table(p.Q, guard).values())
+    if len(Q_powers) < 2 * guard + 1:
+        return False
+    qa = _power_table(p.q, guard)
+    tb = _power_table(p.t, guard)
     for a in range(-guard, guard + 1):
         for b in range(-guard, guard + 1):
-            ab = qa[a] * tb[b]
-            for c in range(-guard, guard + 1):
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                if ab * Qc[c] == 1:
-                    return False
+            if (a or b) and qa[a] * tb[b] in Q_powers:
+                return False
     for k in range(guard + 1):
         for ell in range(guard + 1):
             if k == 0 and ell == 0:

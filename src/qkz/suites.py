@@ -32,8 +32,8 @@ from .rmatrix import (
     heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd, r_closed_form,
     r_hg_matrix, r_via_linear_system)
 from .jackson import (
-    JacksonParams, al_jackson_compare, commutativity_check, ito_A, ito_A_via_R, ito_R,
-    ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute)
+    JacksonParams, al_jackson_compare, commutativity_check, d2_matrix, ito_A, ito_A_via_R,
+    ito_R, ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute)
 
 DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
@@ -257,12 +257,10 @@ def chk_commutativity(seed: int, N: int):
 
     def attempt(p):
         jp = JacksonParams.from_point(p, a2)
-        res = commutativity_check(jp, lam)
-        alt = ito_R_alt(jp)
         base = ito_R(jp)
-        via = ito_A_via_R(jp, lam)
         direct = ito_A(jp, lam)
-        return res, alt, base, via, direct
+        res = commutativity_check(base, direct, d2_matrix(jp, lam))
+        return res, ito_R_alt(jp), base, ito_A_via_R(jp, lam), direct
 
     p, matrices = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
     return p.to_json(), {"N": N}, _commutativity_mismatch(*matrices)
@@ -484,8 +482,8 @@ def chk_heine(seed: int, lmax: int = 4):
     def attempt(p):
         from .laumon import z_al_truncated
         comps = z_al_truncated(1, 0, p, lmax)
-        y0, y1, (a, b, z2, c1) = heine_solution_pair(p, lmax)
-        return comps, (y0, y1, c1), heine_dual_residuals(p, lmax)
+        pair = heine_solution_pair(p, lmax)
+        return comps, pair, heine_dual_residuals(p, pair)
 
     p, (comps, pair, residuals) = _sample_with_retries(
         seed, 8, attempt, overrides=(1, 0))
@@ -494,7 +492,7 @@ def chk_heine(seed: int, lmax: int = 4):
 
 def _heine_mismatch(p, comps, pair, residuals, lmax):
     # the explicit pair solves the Lambda-shifted form: y_j(L) = psi_j(L / t)
-    y0, y1, c1 = pair
+    y0, y1, (_, _, _, c1) = pair
     y0L = y0.shift_variable(c1)
     y1L = y1.shift_variable(c1)
     sh0 = comps[0].shift_variable(1 / p.t)

@@ -172,7 +172,7 @@ def test_jackson_vector_depth_stability():
     lo, _ = jackson_vector(jp, 2)
     hi, _ = jackson_vector(jp, 4)
     for J in range(jp.N + 1):
-        assert lo[J].coeffs == hi[J].truncate(2).coeffs
+        assert lo[J].coeffs == hi[J].coeffs[:3]
 
 
 def test_ito_matrix_shapes_and_base_case():
@@ -223,11 +223,11 @@ def test_commutativity(window):
     m, n = window
     p, jp = _params(35 + m + n, m, n)
     lam = rat(2, 9)
-    assert commutativity_check(jp, lam).is_zero()
-    # consequence: K0 forms agree, R (D2 A D2^-1) = A R
     R = ito_R(jp)
     A = ito_A(jp, lam)
     D2 = d2_matrix(jp, lam)
+    assert commutativity_check(R, A, D2).is_zero()
+    # consequence: K0 forms agree, R (D2 A D2^-1) = A R
     lhs = R @ D2 @ A @ D2.inverse()
     assert lhs == A @ R
 

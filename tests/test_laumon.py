@@ -109,7 +109,7 @@ def test_pair_weight_cell_bookkeeping():
             b = lam1.even_row_sum + lam2.odd_row_sum
             assert a + b == total
             odd_cols = lambda lam: sum(  # noqa: E731
-                1 for j in range(1, lam.width + 1) if lam.column(j) % 2 == 1)
+                1 for j in range(1, lam.width + 1) if lam.transpose().part(j) % 2 == 1)
             assert a - b == odd_cols(lam1) - odd_cols(lam2)
             assert pair_weight(P, pair) is not None
 

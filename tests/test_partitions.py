@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkz.partitions import Partition, enumerate_pairs, partition_count, partitions_of
+from qkz.partitions import Partition, enumerate_pairs, partitions_of
 
 
 @st.composite
@@ -21,7 +21,7 @@ def test_transpose_involution(lam):
 def test_parity_row_sums(lam):
     assert lam.odd_row_sum + lam.even_row_sum == lam.size
     # |lam|_o - |lam|_e counts odd columns
-    odd_columns = sum(1 for j in range(1, lam.width + 1) if lam.column(j) % 2 == 1)
+    odd_columns = sum(1 for j in range(1, lam.width + 1) if lam.transpose().part(j) % 2 == 1)
     assert lam.odd_row_sum - lam.even_row_sum == odd_columns
     # row sums agree with floor sums over columns
     tr = lam.transpose()
@@ -36,7 +36,7 @@ def test_enumerate_pairs_examples():
         (Partition((1,)), Partition()),
     ]
     assert len(enumerate_pairs(4)) == sum(
-        partition_count(a) * partition_count(4 - a) for a in range(5)) == 20
+        len(partitions_of(a)) * len(partitions_of(4 - a)) for a in range(5)) == 20
 
 
 def test_partition_validation():

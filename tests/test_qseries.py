@@ -13,7 +13,6 @@ from qkz.qseries import (
     qbracket_poch,
     qpoch,
     qpoch_ext,
-    qpoch_multi,
     r_hg_entry,
     very_well_poised,
     w10_9,
@@ -48,11 +47,6 @@ def test_qpoch_splitting(a, q, k, ell):
 def test_qpoch_ext_negative():
     a, q = rat(2), rat(3)
     assert qpoch_ext(a, q, -2) * qpoch(a / q ** 2, q, 2) == 1
-
-
-def test_qpoch_multi():
-    q = rat(2, 3)
-    assert qpoch_multi((rat(2), rat(5)), q, 2) == qpoch(rat(2), q, 2) * qpoch(rat(5), q, 2)
 
 
 def test_qbracket_examples():

@@ -4,7 +4,6 @@ from qkz.errors import DegenerateParameterError
 from qkz.laumon import z_al_truncated
 from qkz.qseries import LambdaSeries
 from qkz.rmatrix import (
-    binomial_kernel,
     defining_relation_residuals,
     dual_qkz_residuals,
     dual_v_prefactor,
@@ -13,7 +12,6 @@ from qkz.rmatrix import (
     heine_dual_residuals,
     heine_solution_pair,
     kz_form_matrix,
-    pascal_coefficients,
     qkz_residual,
     r1_fourd,
     r_closed_form,
@@ -82,37 +80,6 @@ def test_lambda_zero_triangularity():
             if j < i:
                 assert r0[I, J] == 0
         assert r0[I, I] == Q ** ((I - 1) * I)  # q^(i(i+1)) at i = I-1
-
-
-def test_binomial_kernel_pascal_recursion():
-    a, b, c, q = rat(2, 7), rat(3, 4), rat(5, 3), rat(2, 5)
-    # expansion identity (a x)_N = sum_r C_{N,r} (b x)_{N-r} (c q^-r x)_r at x-values
-    for N in (1, 2, 3):
-        for x in (rat(1, 3), rat(7, 5), rat(9, 2)):
-            lhs = rat(1)
-            for s in range(N):
-                lhs = lhs * (1 - a * q ** s * x)
-            rhs = rat(0)
-            for r in range(N + 1):
-                term = binomial_kernel(N, r, a, b, c, q)
-                for s in range(N - r):
-                    term = term * (1 - b * q ** s * x)
-                for s in range(r):
-                    term = term * (1 - c * q ** (s - r) * x)
-                rhs = rhs + term
-            assert lhs == rhs
-    # Pascal recursion C_{N+1,r} = A_r C_{N,r} + B_{r-1} C_{N,r-1}
-    for N in (0, 1, 2, 3):
-        for r in range(N + 2):
-            A, _ = pascal_coefficients(N, r, a, b, c, q)
-            _, B = pascal_coefficients(N, r - 1, a, b, c, q)
-            lhs = binomial_kernel(N + 1, r, a, b, c, q)
-            rhs = A * binomial_kernel(N, r, a, b, c, q) \
-                + B * binomial_kernel(N, r - 1, a, b, c, q)
-            assert lhs == rhs
-    # C_{1,0} example
-    assert binomial_kernel(1, 0, a, b, c, q) == \
-        (1 - a * q / c) / (1 - b * q / c)
 
 
 def test_basis_polynomials_have_window_degrees():
@@ -192,7 +159,7 @@ def test_heine_pair_matches_truncated_components():
 
 def test_heine_dual_equations():
     p = sample_generic_point(11, guard=8).with_overrides(1, 0)
-    res1, res2 = heine_dual_residuals(p, 4)
+    res1, res2 = heine_dual_residuals(p, heine_solution_pair(p, 4))
     assert all(r.valuation() is None for r in res1 + res2)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 from qkz.errors import SingularMatrixError
 from qkz.linalg import ScalarMatrix
 from qkz.scalars import (
+    ONE,
     HJet,
     ParamPoint,
     Rat,
+    _draw_root,
+    _passes_guards,
+    _power_table,
     exp_jet,
     rat,
     sample_generic_point,
@@ -89,6 +94,38 @@ def test_sampling_determinism_and_guards():
                 assert shakirov_eigenvalue(p1, k, ell) != 1
 
 
+def _passes_guards_reference(p, guard):
+    """The guard as a literal search: q^j, t^j != 1 for 0 < j <= guard, every
+    q^a t^b Q^c != 1 with 0 < max(|a|, |b|, |c|) <= guard, eigenvalues != 1."""
+    for base in (p.q, p.t):
+        pw = ONE
+        for _ in range(guard):
+            pw = pw * base
+            if pw == 1:
+                return False
+    qa, tb, Qc = (_power_table(base, guard) for base in (p.q, p.t, p.Q))
+    for a in range(-guard, guard + 1):
+        for b in range(-guard, guard + 1):
+            ab = qa[a] * tb[b]
+            for c in range(-guard, guard + 1):
+                if (a, b, c) != (0, 0, 0) and ab * Qc[c] == 1:
+                    return False
+    return all(shakirov_eigenvalue(p, k, ell) != 1
+               for k in range(guard + 1) for ell in range(guard + 1) if (k, ell) != (0, 0))
+
+
+def test_guard_agrees_with_the_literal_search():
+    firsts = [ParamPoint(*[_draw_root(rng) for _ in range(7)])
+              for rng in (random.Random(seed) for seed in range(1, 201))]
+    p = firsts[0]
+    rq, rt = p.rq, p.rt
+    degenerate = [p.replace_roots(rQ=rQ) for rQ in (rq, 1 / rq, rt / rq, rq ** 2 / rt ** 3, ONE)]
+    degenerate += [p.replace_roots(rt=rq), p.replace_roots(rq=ONE)]
+    for point in firsts + degenerate:
+        assert _passes_guards(point, 8) == _passes_guards_reference(point, 8), point
+    assert not any(_passes_guards(point, 8) for point in degenerate)
+
+
 def test_sampling_is_memoized_and_overrides_leave_the_shared_point():
     p = sample_generic_point(4, guard=8)
     assert sample_generic_point(4, guard=8) is p
@@ -110,12 +147,6 @@ def test_overrides_and_dictionary():
     assert p.d3 == 1
     assert p.kappa ** 2 * p.t == 1
     assert p.sqrt_q ** 2 == p.q
-    # mass dictionary round trip: d_i rebuilt from T_i
-    sq, st_, Q = p.sqrt_q, p.sqrt_t, p.Q
-    assert p.T(1) * sq / st_ == p.d1
-    assert sq / (p.T(2) * st_ * Q) == p.d2
-    assert sq / (p.T(3) * st_) == p.d3
-    assert p.T(4) * sq * st_ * Q == p.d4
 
 
 def test_point_serialization_round_trip():
