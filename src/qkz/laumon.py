@@ -5,6 +5,7 @@ All products are finite.  Monomial square roots needed by the balanced
 bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are tracked as exponent vectors over the seven fourth roots so
 their square roots are formed exactly (with an evenness assertion).
+Each factor multiplies its brackets as unreduced int pairs and reduces once.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from .cone import ConeSeries
 from .errors import DegenerateParameterError, QkzError
 from .partitions import Partition, enumerate_pairs
-from .qseries import LambdaSeries, qbracket_poch
-from .scalars import ONE, ParamPoint
+from .qseries import LambdaSeries, bracket_parts
+from .scalars import ONE, ParamPoint, Rat
 
 # Exponent vectors over (rq, rt, rQ, rd1, rd2, rd3, rd4); the parameters
 # themselves are fourth powers of the roots.
@@ -48,6 +49,33 @@ def sqrt_of_monomial(p: ParamPoint, vec):
     return p.mono(*half)
 
 
+def _scaled(a, b, xn, xd, e: int):
+    """(a, b) times (xn/xd)^e, as an unreduced int pair."""
+    if e >= 0:
+        return a * xn ** e, b * xd ** e
+    return a * xd ** -e, b * xn ** -e
+
+
+def _bracket_product(sqrt_u, p: ParamPoint, sqrt_base, terms):
+    """prod [u q^e_q kappa^(e_kap/2); base]_n over (e_q, e_kap, n) in terms.
+
+    Each argument sqrt_u rq^(2 e_q) rt^(-e_kap) is built from the ints of
+    sqrt_u, rq and rt, each bracket is an unreduced int pair
+    (bracket_parts), and the product is reduced once.
+    """
+    un, ud = sqrt_u.numerator, sqrt_u.denominator
+    c, d = sqrt_base.numerator, sqrt_base.denominator
+    qn, qd = p.rq.numerator ** 2, p.rq.denominator ** 2
+    tn, td = p.rt.numerator, p.rt.denominator
+    num = den = 1
+    for e_q, e_kap, n in terms:
+        a, b = _scaled(un, ud, qn, qd, e_q)
+        bn, bd = bracket_parts(*_scaled(a, b, td, tn, e_kap), c, d, n)
+        num *= bn
+        den *= bd
+    return Rat(num, den)
+
+
 def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
     """Orbifolded Nekrasov factor, row form with base-q brackets:
 
@@ -57,9 +85,7 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
             [u q^(lam_a - mu_b) kappa^(a-b-1); q]_(mu_b - mu_{b+1})
     """
     k = k % n
-    sqrt_q = p.sqrt_q          # rq^2
-    rq, rt = p.rq, p.rt
-    out = ONE
+    terms = []
     for j in range(1, len(lam) + 1):
         cnt = lam.part(j) - lam.part(j + 1)
         if cnt == 0:
@@ -68,9 +94,7 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
             if (j - i) % n != k:
                 continue
             e_q = lam.part(j + 1) - mu.part(i)
-            e_kap = j - i
-            sqrt_arg = sqrt_u * rq ** (2 * e_q) * rt ** (-e_kap)
-            out = out * qbracket_poch(sqrt_arg, sqrt_q, cnt)
+            terms.append((e_q, j - i, cnt))
     for b in range(1, len(mu) + 1):
         cnt = mu.part(b) - mu.part(b + 1)
         if cnt == 0:
@@ -79,10 +103,8 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
             if (b - a + k + 1) % n != 0:
                 continue
             e_q = lam.part(a) - mu.part(b)
-            e_kap = a - b - 1
-            sqrt_arg = sqrt_u * rq ** (2 * e_q) * rt ** (-e_kap)
-            out = out * qbracket_poch(sqrt_arg, sqrt_q, cnt)
-    return out
+            terms.append((e_q, a - b - 1, cnt))
+    return _bracket_product(sqrt_u, p, p.sqrt_q, terms)
 
 
 def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
@@ -106,9 +128,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
     k = k % n
     lv = lam.transpose()
     mv = mu.transpose()
-    rq, rt = p.rq, p.rt
-    sqrt_base = rt ** (-n)     # sqrt(kappa^n)
-    out = ONE
+    terms = []
     jmax1 = len(lv) + extra_bound
     for j in range(1, jmax1 + 1):
         hi, lo = lv.part(j), lv.part(j + 1)
@@ -119,8 +139,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
                 continue
             l0 = (k - lo + mv.part(i)) % n
             e_kap = lo - mv.part(i) + l0
-            sqrt_arg = sqrt_u * rq ** (2 * (j - i)) * rt ** (-e_kap)
-            out = out * qbracket_poch(sqrt_arg, sqrt_base, c1)
+            terms.append((j - i, e_kap, c1))
     jmax2 = len(mv) + extra_bound
     for j in range(1, jmax2 + 1):
         hi, lo = mv.part(j), mv.part(j + 1)
@@ -131,9 +150,8 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
                 continue
             l0 = (k - lv.part(i) + hi) % n
             e_kap = lv.part(i) - hi + l0
-            sqrt_arg = sqrt_u * rq ** (2 * (i - j - 1)) * rt ** (-e_kap)
-            out = out * qbracket_poch(sqrt_arg, sqrt_base, c2)
-    return out
+            terms.append((i - j - 1, e_kap, c2))
+    return _bracket_product(sqrt_u, p, p.rt ** -n, terms)  # sqrt(kappa^n)
 
 
 def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
@@ -142,19 +160,14 @@ def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint)
         prod_{(i,j) in lam} [u q^(lam_i - j) kappa^(-mu^T_j + i - 1)]
       * prod_{(i,j) in mu}  [u q^(-mu_i + j - 1) kappa^(lam^T_j - i)]
 
-    with [w] = w^(-1/2) - w^(1/2).  Equals prod_k nek_orb(k | n) for any n.
+    with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Equals prod_k nek_orb(k | n)
+    for any n.
     """
-    rq, rt = p.rq, p.rt
     lv = lam.transpose()
     mv = mu.transpose()
-    out = ONE
-    for i, j in lam.boxes():
-        sqrt_w = sqrt_u * rq ** (2 * (lam.part(i) - j)) * rt ** (-(-mv.part(j) + i - 1))
-        out = out * (1 / sqrt_w - sqrt_w)
-    for i, j in mu.boxes():
-        sqrt_w = sqrt_u * rq ** (2 * (-mu.part(i) + j - 1)) * rt ** (-(lv.part(j) - i))
-        out = out * (1 / sqrt_w - sqrt_w)
-    return out
+    terms = [(lam.part(i) - j, -mv.part(j) + i - 1, 1) for i, j in lam.boxes()]
+    terms += [(-mu.part(i) + j - 1, lv.part(j) - i, 1) for i, j in mu.boxes()]
+    return _bracket_product(sqrt_u, p, ONE, terms)
 
 
 # -- affine Laumon partition function ----------------------------------------

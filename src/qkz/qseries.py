@@ -53,6 +53,19 @@ def qbracket_poch(sqrt_u, sqrt_q, n: int):
     return sqrt_u ** (-n) * sqrt_q ** (-(n * (n - 1)) // 2) * qpoch(u, q, n)
 
 
+def bracket_parts(a, b, c, d, n: int):
+    """[u; q]_n as an unreduced int pair for sqrt(u) = a/b, sqrt(q) = c/d:
+    num = prod_{i<n} (b^2 d^(2i) - a^2 c^(2i)), den = (a b)^n (c d)^(n(n-1)/2),
+    since [q^i u] = (b^2 d^(2i) - a^2 c^(2i)) / (a b c^i d^i)."""
+    den = (a * b) ** n * (c * d) ** (n * (n - 1) // 2)
+    if den == 0:
+        raise DegenerateParameterError("zero square-root input to the bracket")
+    num = 1
+    for i in range(n):
+        num *= (b * d ** i) ** 2 - (a * c ** i) ** 2
+    return num, den
+
+
 def qbinom(n: int, k: int, q):
     """Gaussian binomial coefficient, by the product-of-ratios form."""
     if not 0 <= k <= n:

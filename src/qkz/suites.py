@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -521,8 +522,8 @@ class Suite(NamedTuple):
     limits: dict = {}
 
 
-def _windows(default, lmax_cap=math.inf):
-    return lambda cfg: [{"m": m, "n": n, "lmax": min(cfg.lmax, lmax_cap)}
+def _windows(default):
+    return lambda cfg: [{"m": m, "n": n, "lmax": cfg.lmax}
                         for m, n in (default if cfg.m is None else ((cfg.m, cfg.n),))]
 
 
@@ -540,16 +541,16 @@ SUITES = {
     "QKZ_MATRIX": Suite(chk_qkz_matrix, "q-KZ window ({m},{n}), seed {seed}",
                         _windows(_QKZ_WINDOWS), _WINDOWED),
     "DUAL_QKZ": Suite(chk_dual_qkz, "dual q-KZ window ({m},{n}), seed {seed}",
-                      _windows(_DUAL_WINDOWS, 3), _WINDOWED),
+                      _windows(_DUAL_WINDOWS), _WINDOWED),
     "ITO_QKZ": Suite(chk_ito_qkz, "lattice-sum equations ({m},{n}), seed {seed}",
-                     _windows(_QKZ_WINDOWS, 3), _WINDOWED),
+                     _windows(_QKZ_WINDOWS), _WINDOWED),
     "COMMUTATIVITY": Suite(
         chk_commutativity, "R D2 A = A R D2 at N={N}, seed {seed}",
         lambda c: [{"N": N} for N in (_COMM_WINDOWS if c.N is None else (c.N,))],
         {"N": (min(_COMM_WINDOWS), max(_COMM_WINDOWS))}),
     "AL_EQ_JACKSON": Suite(
         chk_al_jackson, "partition sum = lattice sum ({m},{n}), seed {seed}",
-        _windows(_ALJ_WINDOWS, 3), _WINDOWED),
+        _windows(_ALJ_WINDOWS), _WINDOWED),
     "NEKRASOV_3WAY": Suite(chk_nekrasov_3way, "orbifolded factor forms, seed {seed}"),
     "PENTAGON": Suite(chk_pentagon, "dilogarithm expansion, seed {seed}"),
     "BAILEY": Suite(chk_bailey, "10W9 transformation, seed {seed}"),
@@ -610,6 +611,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
     return {
         "suite": cfg.suite,
         "version": __version__,
+        "env": {"backend": f"{Rat.__module__}.{Rat.__name__}",
+                "python": sys.version.split()[0], "workers": workers},
         "config": {**asdict(cfg), "seeds": list(cfg.seeds)},
         "checks": records,
     }

@@ -1,5 +1,6 @@
 import copy
 import json
+import platform
 
 import pytest
 
@@ -19,8 +20,11 @@ def test_verify_exit_code_and_report_schema(tmp_path):
     code = main(["verify", "PENTAGON", "--seed", "3", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert set(report) == {"suite", "version", "config", "checks"}
+    assert set(report) == {"suite", "version", "env", "config", "checks"}
     assert report["suite"] == "PENTAGON"
+    assert report["env"]["backend"] in ("fractions.Fraction", "gmpy2.mpq")
+    assert report["env"]["python"] == platform.python_version()
+    assert report["env"]["workers"] == 1
     for check in report["checks"]:
         assert {"name", "status", "point", "orders", "mismatch", "time_ms"} <= set(check)
         assert check["status"] in ("pass", "fail")
@@ -30,9 +34,10 @@ def test_report_determinism_modulo_timing():
     cfg = SuiteConfig(suite="BAILEY", seeds=(2,))
     rep1 = run_suite(cfg)
     rep2 = run_suite(SuiteConfig(suite="BAILEY", seeds=(2,)))
+    # env describes the run, not the result
     strip = lambda rep: json.dumps(  # noqa: E731
-        {**rep, "checks": [{k: v for k, v in c.items() if k != "time_ms"}
-                           for c in rep["checks"]]}, sort_keys=True)
+        {**rep, "env": None, "checks": [{k: v for k, v in c.items() if k != "time_ms"}
+                                        for c in rep["checks"]]}, sort_keys=True)
     assert strip(rep1) == strip(rep2)
 
 
@@ -118,6 +123,8 @@ def test_parallel_report_matches_serial(monkeypatch):
     strip = lambda rep: [  # noqa: E731
         {k: v for k, v in c.items() if k != "time_ms"} for c in rep["checks"]]
     assert strip(serial) == strip(parallel)
+    assert serial["env"]["workers"] == 1
+    assert parallel["env"]["workers"] == min(3, len(parallel["checks"])) > 1
 
 
 def test_jackson_dump(tmp_path):

@@ -14,9 +14,10 @@ from qkz.laumon import (
     z_al,
     z_al_truncated,
 )
+from qkz.errors import DegenerateParameterError
 from qkz.partitions import Partition, enumerate_pairs, partitions_of
 from qkz.qseries import qbracket_poch
-from qkz.scalars import Rat, rat, sample_generic_point
+from qkz.scalars import ONE, Rat, rat, sample_generic_point
 
 P = sample_generic_point(3, guard=8)
 EMPTY = Partition()
@@ -152,6 +153,137 @@ def test_z_al_coefficients_polynomial_in_d1():
     assert degree_bound + 1 <= 5
     predicted = lagrange_eval(xs[:5], ys[:5], xs[5])
     assert predicted == ys[5]
+
+
+# -- the Nekrasov factors one Rat operation at a time, kept as oracles ----------
+
+def _bracket_slow(sqrt_u, sqrt_q, n):
+    """[u; q]_n as the product of [v] = 1/sqrt(v) - sqrt(v) over v = u q^i."""
+    out = ONE
+    for i in range(n):
+        sv = sqrt_u * sqrt_q ** i
+        out = out * (1 / sv - sv)
+    return out
+
+
+def _nek_orb_slow(k, n, lam, mu, sqrt_u, p):
+    k = k % n
+    rq, rt = p.rq, p.rt
+    out = ONE
+    for j in range(1, len(lam) + 1):
+        cnt = lam.part(j) - lam.part(j + 1)
+        if cnt == 0:
+            continue
+        for i in range(1, j + 1):
+            if (j - i) % n != k:
+                continue
+            e_q = lam.part(j + 1) - mu.part(i)
+            sqrt_arg = sqrt_u * rq ** (2 * e_q) * rt ** (-(j - i))
+            out = out * _bracket_slow(sqrt_arg, p.sqrt_q, cnt)
+    for b in range(1, len(mu) + 1):
+        cnt = mu.part(b) - mu.part(b + 1)
+        if cnt == 0:
+            continue
+        for a in range(1, b + 1):
+            if (b - a + k + 1) % n != 0:
+                continue
+            e_q = lam.part(a) - mu.part(b)
+            sqrt_arg = sqrt_u * rq ** (2 * e_q) * rt ** (-(a - b - 1))
+            out = out * _bracket_slow(sqrt_arg, p.sqrt_q, cnt)
+    return out
+
+
+def _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, p, extra_bound=0):
+    k = k % n
+    lv, mv = lam.transpose(), mu.transpose()
+    rq, rt = p.rq, p.rt
+    sqrt_base = rt ** (-n)
+    out = ONE
+    for j in range(1, len(lv) + extra_bound + 1):
+        hi, lo = lv.part(j), lv.part(j + 1)
+        for i in range(1, j + 1):
+            r1 = mv.part(i) % n
+            c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
+            if c1 <= 0:
+                continue
+            e_kap = lo - mv.part(i) + (k - lo + mv.part(i)) % n
+            sqrt_arg = sqrt_u * rq ** (2 * (j - i)) * rt ** (-e_kap)
+            out = out * _bracket_slow(sqrt_arg, sqrt_base, c1)
+    for j in range(1, len(mv) + extra_bound + 1):
+        hi, lo = mv.part(j), mv.part(j + 1)
+        for i in range(1, j + 1):
+            r4 = (-lv.part(i)) % n
+            c2 = (hi + k + r4) // n - (lo + k + r4) // n
+            if c2 <= 0:
+                continue
+            e_kap = lv.part(i) - hi + (k - lv.part(i) + hi) % n
+            sqrt_arg = sqrt_u * rq ** (2 * (i - j - 1)) * rt ** (-e_kap)
+            out = out * _bracket_slow(sqrt_arg, sqrt_base, c2)
+    return out
+
+
+def _total_nekrasov_bracket_slow(lam, mu, sqrt_u, p):
+    rq, rt = p.rq, p.rt
+    lv, mv = lam.transpose(), mu.transpose()
+    out = ONE
+    for i, j in lam.boxes():
+        sqrt_w = sqrt_u * rq ** (2 * (lam.part(i) - j)) * rt ** (-(-mv.part(j) + i - 1))
+        out = out * (1 / sqrt_w - sqrt_w)
+    for i, j in mu.boxes():
+        sqrt_w = sqrt_u * rq ** (2 * (-mu.part(i) + j - 1)) * rt ** (-(lv.part(j) - i))
+        out = out * (1 / sqrt_w - sqrt_w)
+    return out
+
+
+# rows of equal length give cnt = 0 in the row form; an empty or short
+# partition against a long one gives negative q- and kappa-exponents
+FIXED_PAIRS = [(EMPTY, Partition((3, 2, 2))), (Partition((2, 2, 1)), EMPTY),
+               (Partition((1, 1, 1, 1)), Partition((4, 4))),
+               (Partition((5, 3, 3)), Partition((2, 2, 2, 1)))]
+
+
+def _random_pairs(seed, count, max_size=8):
+    rng = random.Random(seed)
+    return [(rng.choice(partitions_of(rng.randint(0, max_size))),
+             rng.choice(partitions_of(rng.randint(0, max_size)))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("sqrt_u", [rat(4, 9), rat(-7, 3), 3, rat(1, 5)],
+                         ids=["generic", "negative", "integer", "unit-numerator"])
+def test_nekrasov_forms_equal_their_slow_forms(sqrt_u):
+    for lam, mu in FIXED_PAIRS + _random_pairs(11, 60):
+        for n in (1, 2, 3, 4):
+            for k in range(n):
+                want = _nek_orb_slow(k, n, lam, mu, sqrt_u, P)
+                assert nek_orb(k, n, lam, mu, sqrt_u, P) == want
+                assert _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, P) == want
+                assert nek_orb_floor(k, n, lam, mu, sqrt_u, P) == want
+                assert nek_orb_floor(k, n, lam, mu, sqrt_u, P, extra_bound=2) == want
+        assert (total_nekrasov_bracket(lam, mu, sqrt_u, P)
+                == _total_nekrasov_bracket_slow(lam, mu, sqrt_u, P))
+
+
+def test_matter_factor_meets_the_zero_bracket():
+    # at d2 = q^-2, sqrt(v1/w1) = q^-1 and lambda1 = (3, 1) wider than m = 2
+    # reaches the bracket [q^-1; q]_2 = [q^-1][1] = 0
+    p = P.with_overrides(2, 1)
+    su = PairFactors(p).vw[0][0]
+    wide, narrow = Partition((3, 1)), Partition((2, 1))
+    assert _nek_orb_slow(0, 2, wide, EMPTY, su, p) == 0
+    assert nek_orb(0, 2, wide, EMPTY, su, p) == 0
+    assert nek_orb_floor(0, 2, wide, EMPTY, su, p) == 0
+    assert nek_orb(0, 2, narrow, EMPTY, su, p) == _nek_orb_slow(0, 2, narrow, EMPTY, su, p) != 0
+
+
+@pytest.mark.parametrize("form", [
+    lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P),
+    lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P),
+    lambda lam, mu, su: total_nekrasov_bracket(lam, mu, su, P),
+], ids=["row", "floor", "box"])
+@pytest.mark.parametrize("sqrt_u", [0, rat(0)])
+def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
+    with pytest.raises(DegenerateParameterError):
+        form(Partition((2, 1)), Partition((1,)), sqrt_u)
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------

@@ -6,6 +6,7 @@ from qkz.errors import DegenerateParameterError
 from qkz.qseries import (
     LambdaSeries,
     bailey_check,
+    bracket_parts,
     dbl_qt_poch_series,
     heine_2phi1,
     phi_coeffs,
@@ -64,6 +65,31 @@ def test_qbracket_product_form(su, sq, n):
         sv = su * sq ** i
         expect = expect * (1 / sv - sv)
     assert qbracket_poch(su, sq, n) == expect
+
+
+signed_ints = st.integers(1, 40).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@given(signed_ints, st.integers(1, 40), signed_ints, st.integers(1, 40), st.integers(0, 6))
+def test_bracket_parts_equal_the_rational_form(a, b, c, d, n):
+    # qbracket_poch, one Rat operation at a time, is the oracle for the int kernel
+    assert Rat(*bracket_parts(a, b, c, d, n)) == qbracket_poch(Rat(a, b), Rat(c, d), n)
+
+
+def test_bracket_parts_meets_the_zero_bracket():
+    # sqrt(u) = -1 is [1] = 0; sqrt(u) = (2/3)^-1 and sqrt(q) = 2/3 reach it at i = 1
+    assert bracket_parts(-3, 3, 5, 7, 2)[0] == 0
+    assert bracket_parts(3, 2, 2, 3, 3)[0] == 0
+    assert bracket_parts(3, 2, 2, 3, 1)[0] != 0
+
+
+@pytest.mark.parametrize("args", [(0, 1, 2, 3, 2), (2, 3, 0, 1, 2), (0, 1, 0, 1, 1)])
+def test_bracket_parts_zero_input_is_degenerate(args):
+    with pytest.raises(DegenerateParameterError):
+        bracket_parts(*args)
+    sqrt_u, sqrt_q = Rat(*args[:2]), Rat(*args[2:4])
+    with pytest.raises(DegenerateParameterError):
+        qbracket_poch(sqrt_u, sqrt_q, args[4])
 
 
 def test_qbinom_examples():

@@ -42,10 +42,10 @@ FIRST_ARGS = {
     "SHAKIROV_EQ": {"seed": 1, "kmax": 5, "lmax": 6},
     "RMATRIX_3WAY": {"seed": 1},
     "QKZ_MATRIX": {"seed": 1, "m": 1, "n": 0, "lmax": 6},
-    "DUAL_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 3},
-    "ITO_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 3},
+    "DUAL_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 6},
+    "ITO_QKZ": {"seed": 1, "m": 1, "n": 0, "lmax": 6},
     "COMMUTATIVITY": {"seed": 1, "N": 0},
-    "AL_EQ_JACKSON": {"seed": 1, "m": 0, "n": 0, "lmax": 3},
+    "AL_EQ_JACKSON": {"seed": 1, "m": 0, "n": 0, "lmax": 6},
     "NEKRASOV_3WAY": {"seed": 1},
     "PENTAGON": {"seed": 1},
     "BAILEY": {"seed": 1},
@@ -77,8 +77,8 @@ def test_registry_expansion_matches_reference(expand, suite):
 
 def test_registry_window_and_N_overrides(expand):
     assert expand(suite="AL_EQ_JACKSON", seeds=(1,), points=2, m=2, n=1) == [
-        (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 3}),
-        (f"{ALJ} (2,1), seed 1000004", {"seed": 1000004, "m": 2, "n": 1, "lmax": 3}),
+        (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 4}),
+        (f"{ALJ} (2,1), seed 1000004", {"seed": 1000004, "m": 2, "n": 1, "lmax": 4}),
     ]
     assert expand(suite="COMMUTATIVITY", seeds=(1, 5), N=3) == [
         ("R D2 A = A R D2 at N=3, seed 1", {"seed": 1, "N": 3}),
@@ -104,3 +104,12 @@ def test_lambda_order_5(check, m, n):
 
 def test_dual_qkz_window_2_2_at_order_4():
     assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
+
+
+@pytest.mark.parametrize("suite", ["DUAL_QKZ", "ITO_QKZ", "AL_EQ_JACKSON"])
+def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
+    # every default window, at an order above the acceptance configs
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    report = run_suite(SuiteConfig(suite=suite, seeds=(1,), lmax=5))
+    assert [c["orders"]["lmax"] for c in report["checks"]] == [5] * len(NAMES[suite])
+    assert all(c["status"] == "pass" for c in report["checks"])
