@@ -11,10 +11,10 @@ Each factor multiplies its brackets as unreduced int pairs and reduces once.
 from __future__ import annotations
 
 from .cone import ConeSeries
-from .errors import DegenerateParameterError, QkzError
+from .errors import QkzError
 from .partitions import Partition, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import ONE, ParamPoint, Rat
+from .scalars import ONE, ParamPoint, Rat, quotient
 
 # Exponent vectors over (rq, rt, rQ, rd1, rd2, rd3, rd4); the parameters
 # themselves are fourth powers of the roots.
@@ -235,10 +235,7 @@ def pair_weight(p: ParamPoint, pair, factors: PairFactors | None = None):
     den = (den1 * den2
            * nek_orb(1, 2, lam1, lam2, factors.vv[0][1], p)
            * nek_orb(1, 2, lam2, lam1, factors.vv[1][0], p))
-    if den == 0:
-        raise DegenerateParameterError(
-            "vector multiplet factor vanishes; non-generic point")
-    return num1 * num2 / den
+    return quotient(num1 * num2, den, "vector multiplet factor")
 
 
 def _expansion_monomials(p: ParamPoint):

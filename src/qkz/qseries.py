@@ -8,7 +8,7 @@ truncated Lambda-series, as long as the required divisions exist.
 from __future__ import annotations
 
 from .errors import DegenerateParameterError
-from .scalars import ONE, TruncatedSeries, invertible, series_exp
+from .scalars import ONE, TruncatedSeries, quotient, series_exp
 
 
 class LambdaSeries(TruncatedSeries):
@@ -31,11 +31,7 @@ def qpoch_ext(a, q, n: int):
     """(a; q)_n extended to negative n via (a;q)_{-k} = 1/(a q^-k; q)_k."""
     if n >= 0:
         return qpoch(a, q, n)
-    k = -n
-    denom = qpoch(a * q ** (-k), q, k)
-    if not invertible(denom):
-        raise DegenerateParameterError("vanishing Pochhammer in negative index")
-    return ONE / denom
+    return quotient(ONE, qpoch(a * q ** n, q, -n), "Pochhammer in negative index")
 
 
 def qbracket_poch(sqrt_u, sqrt_q, n: int):
@@ -46,11 +42,9 @@ def qbracket_poch(sqrt_u, sqrt_q, n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not (invertible(sqrt_u) and invertible(sqrt_q)):
-        raise DegenerateParameterError("zero square-root input to the bracket")
-    u = sqrt_u * sqrt_u
-    q = sqrt_q * sqrt_q
-    return sqrt_u ** (-n) * sqrt_q ** (-(n * (n - 1)) // 2) * qpoch(u, q, n)
+    return quotient(qpoch(sqrt_u * sqrt_u, sqrt_q * sqrt_q, n),
+                    sqrt_u ** n * sqrt_q ** (n * (n - 1) // 2),
+                    "square-root input to the bracket")
 
 
 def bracket_parts(a, b, c, d, n: int):
@@ -72,22 +66,15 @@ def qbinom(n: int, k: int, q):
         raise ValueError(f"qbinom out of range: n={n}, k={k}")
     out = ONE
     for i in range(1, k + 1):
-        num = 1 - q ** (n - k + i)
-        den = 1 - q ** i
-        if not invertible(den):
-            raise DegenerateParameterError("degenerate q in qbinom")
-        out = out * num / den
+        out = out * quotient(1 - q ** (n - k + i), 1 - q ** i, "1 - q^i in qbinom")
     return out
 
 
 def qfactorial(n: int, q):
     """[n]_q! with [k]_q = (1 - q^k)/(1 - q)."""
     out = ONE
-    den = 1 - q
-    if n > 0 and not invertible(den):
-        raise DegenerateParameterError("q = 1 in qfactorial")
     for k in range(1, n + 1):
-        out = out * (1 - q ** k) / den
+        out = out * quotient(1 - q ** k, 1 - q, "1 - q in qfactorial")
     return out
 
 
@@ -105,15 +92,10 @@ def phi_coeffs(c, q, order: int, inverted: bool = False):
     prefix = 1  # (-1)^j q^(j(j-1)/2), tracked incrementally
     for j in range(1, order + 1):
         cj = cj * c
-        step = 1 - q ** j
-        if not invertible(step):
-            raise DegenerateParameterError(f"(q;q)_{j} vanishes")
-        qq = qq * step
-        if inverted:
-            coeffs.append(cj / qq)
-        else:
+        qq = qq * (1 - q ** j)
+        if not inverted:
             prefix = prefix * (-1) * q ** (j - 1)
-            coeffs.append(prefix * cj / qq)
+        coeffs.append(quotient(cj if inverted else prefix * cj, qq, f"(q;q)_{j}"))
     return coeffs
 
 
@@ -128,10 +110,8 @@ def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:
     cn = 1
     for n in range(1, order + 1):
         cn = cn * c
-        den = (1 - q ** n) * (1 - t ** n) * n
-        if not invertible(den):
-            raise DegenerateParameterError(f"degenerate (q, t) at n={n}")
-        coeffs[n] = -cn / den
+        coeffs[n] = quotient(-cn, (1 - q ** n) * (1 - t ** n) * n,
+                             f"(1 - q^{n})(1 - t^{n})")
     return series_exp(LambdaSeries(coeffs))
 
 
@@ -144,10 +124,7 @@ def heine_2phi1(a, b, c, base, z_order: int) -> LambdaSeries:
     for n in range(1, z_order + 1):
         num = (1 - a * base ** (n - 1)) * (1 - b * base ** (n - 1))
         den = (1 - base ** n) * (1 - c * base ** (n - 1))
-        if not invertible(den):
-            raise DegenerateParameterError(
-                f"vanishing denominator Pochhammer at n={n} in 2phi1")
-        term = term * num / den
+        term = term * quotient(num, den, f"2phi1 denominator at n={n}")
         coeffs.append(term)
     return LambdaSeries(coeffs)
 
@@ -162,41 +139,22 @@ def r_hg_entry(i: int, j: int, N: int, z, alpha, beta, q):
     """
     if not (0 <= i <= N and 0 <= j <= N):
         raise ValueError("indices out of range")
-    den_parts = {
-        "(q;q)_j": qpoch(q, q, j),
-        "(q;q)_{N-j}": qpoch(q, q, N - j),
-        "(1/z;q)_N": qpoch(1 / z, q, N),
-        "(1/beta;q)_{N-i}": qpoch(1 / beta, q, N - i),
-    }
-    for name, val in den_parts.items():
-        if not invertible(val):
-            raise DegenerateParameterError(f"{name} vanishes in R entry")
-    pref = (
-        beta ** (-j)
-        * qpoch(q, q, N)
-        * qpoch(alpha / z, q, N - i)
-        * qpoch(1 / beta, q, N - j)
-        * qpoch(beta / z, q, j)
-        / (den_parts["(q;q)_j"] * den_parts["(q;q)_{N-j}"]
-           * den_parts["(1/z;q)_N"] * den_parts["(1/beta;q)_{N-i}"])
-    )
+    pref = quotient(
+        beta ** (-j) * qpoch(q, q, N) * qpoch(alpha / z, q, N - i)
+        * qpoch(1 / beta, q, N - j) * qpoch(beta / z, q, j),
+        qpoch(q, q, j) * qpoch(q, q, N - j) * qpoch(1 / z, q, N) * qpoch(1 / beta, q, N - i),
+        "R entry prefactor denominator")
     num_bases = (q ** (-j), q ** (i - N), q ** (1 - N) * z, z / (alpha * beta))
     den_bases = (q, q ** (-N), q ** (1 + i - N) * z / alpha, q ** (1 - j) * z / beta)
     total = 0
     term = 1
     for k in range(j + 1):
         if k > 0:
-            num = 1
-            for base in num_bases:
-                num = num * (1 - base * q ** (k - 1))
-            den = 1
-            for base in den_bases:
-                step = 1 - base * q ** (k - 1)
-                if not invertible(step):
-                    raise DegenerateParameterError(
-                        f"denominator factor (base*q^{k-1}) vanishes in R sum")
-                den = den * step
-            term = term * num / den * q
+            num = den = 1
+            for nb, db in zip(num_bases, den_bases):
+                num = num * (1 - nb * q ** (k - 1))
+                den = den * (1 - db * q ** (k - 1))
+            term = term * quotient(num, den, f"R sum denominator at k={k}") * q
         total = total + term
     return pref * total
 
@@ -207,9 +165,6 @@ def very_well_poised(a, params, nmax: int, q, z):
     sum_k (a)_k / (q)_k * (1 - a q^{2k})/(1 - a) * z^k
           * prod_p (p)_k / (q a / p)_k
     """
-    one_minus_a = 1 - a
-    if not invertible(one_minus_a):
-        raise DegenerateParameterError("a = 1 in very-well-poised series")
     total = 0
     term = 1  # (a)_k/(q)_k prod_p (p)_k/(qa/p)_k * z^k, built incrementally
     for k in range(nmax + 1):
@@ -218,16 +173,10 @@ def very_well_poised(a, params, nmax: int, q, z):
             den = 1 - q ** k
             for p in params:
                 num = num * (1 - p * q ** (k - 1))
-                step = 1 - (q * a / p) * q ** (k - 1)
-                if not invertible(step):
-                    raise DegenerateParameterError(
-                        "denominator factor vanishes in very-well-poised series")
-                den = den * step
-            if not invertible(den):
-                raise DegenerateParameterError(
-                    "denominator factor vanishes in very-well-poised series")
-            term = term * num / den
-        total = total + term * (1 - a * q ** (2 * k)) / one_minus_a
+                den = den * (1 - (q * a / p) * q ** (k - 1))
+            term = term * quotient(num, den, "very-well-poised denominator")
+        total = total + term * quotient(1 - a * q ** (2 * k), 1 - a,
+                                        "1 - a in the very-well-poised series")
     return total
 
 
@@ -254,11 +203,8 @@ def bailey_check(a, b, c, d, e, f, n: int, q, g=None):
     for base in (a * q, a * q / (e * f), a * q / (e * g), a * q / (f * g)):
         pref_num = pref_num * qpoch(base, q, n)
     for base in (a * q / e, a * q / f, a * q / g, a * q / (e * f * g)):
-        val = qpoch(base, q, n)
-        if not invertible(val):
-            raise DegenerateParameterError("prefactor Pochhammer vanishes")
-        pref_den = pref_den * val
+        pref_den = pref_den * qpoch(base, q, n)
     a2 = q * a ** 2 / (b * c * d)
-    rhs = (pref_num / pref_den) * w10_9(
+    rhs = quotient(pref_num, pref_den, "prefactor Pochhammer") * w10_9(
         a2, a * q / (b * c), a * q / (b * d), a * q / (c * d), e, f, g, n, q)
     return lhs, rhs

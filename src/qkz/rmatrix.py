@@ -12,7 +12,7 @@ from .errors import DegenerateParameterError, QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
 from .qseries import LambdaSeries, heine_2phi1, qpoch, r_hg_entry
-from .scalars import ONE, ParamPoint, invertible
+from .scalars import ONE, ParamPoint, invertible, quotient
 
 
 class LaurentPolyX:
@@ -111,11 +111,12 @@ def defining_relation_residuals(m: int, n: int, d1, d4, lam, q,
                                 r: ScalarMatrix) -> list:
     """Plug a candidate matrix back into the defining expansion; returns the
     per-row polynomial residuals (all zero for the true matrix)."""
+    targets = [target_poly(jj - n, m, n, lam, q) for jj in range(m + n + 1)]
     out = []
     for ii in range(m + n + 1):
         res = source_poly(ii - n, m, n, d1, d4, lam, q)
-        for jj in range(m + n + 1):
-            res = res - target_poly(jj - n, m, n, lam, q).scale(r[ii, jj])
+        for jj, poly in enumerate(targets):
+            res = res - poly.scale(r[ii, jj])
         out.append(res)
     return out
 
@@ -134,9 +135,7 @@ def ruw_entry(i: int, k: int, m: int, n: int, d1, d4, lam, q):
         * qpoch(d1 * d4 * lam * q ** (-m - n - 1), q, m - k)
     )
     den = qpoch(q, q, k - i) * qpoch(q, q, m - k) * qpoch(d4 * q ** (-m), q, m - i)
-    if not invertible(den):
-        raise DegenerateParameterError("vanishing denominator in r^UW")
-    return num / den
+    return quotient(num, den, "denominator of r^UW")
 
 
 def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q):
@@ -156,33 +155,28 @@ def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q):
         * qpoch(q ** (j + 1) / d4, q, m - j)
     )
     den = qpoch(q, q, M) * qpoch(q, q, m - j) * qpoch(lam * q ** (-k - n), q, k + n)
-    if not invertible(den):
-        raise DegenerateParameterError("vanishing denominator in r^WV")
-    return num / den
+    return quotient(num, den, "denominator of r^WV")
 
 
 def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
-    """r_{i,j} = q^(-i n) (L d4)^(i+n) q^j L^(-j-n) sum_k r^UW_{i,k} r^WV_{k,j}.
+    """r = diag(q^(-i n) d4^(i+n) L^i) r^UW r^WV diag(q^j L^(-j)), all
+    indices on the window [-n, m]; the zero patterns of r^UW (k < i) and
+    r^WV (k + j < m - n) bound the inner sum.
 
-    Needs lam invertible (the Lambda-monomial prefactor carries negative
-    powers that only cancel inside the sum); use the linear-system form for
-    series or Lambda = 0 evaluations.
+    Needs lam invertible (the Lambda-monomial prefactors carry negative
+    powers that only cancel in the product); use the linear-system form
+    for series or Lambda = 0 evaluations.
     """
     if not invertible(lam):
         raise DegenerateParameterError("closed form needs invertible Lambda")
-    size = m + n + 1
-    out = ScalarMatrix(size, size, [0] * (size * size))
-    for ii in range(size):
-        i = ii - n
-        for jj in range(size):
-            j = jj - n
-            acc = ONE * 0
-            for k in range(max(i, m - n - j), m + 1):
-                acc = acc + ruw_entry(i, k, m, n, d1, d4, lam, q) \
-                    * rwv_entry(k, j, m, n, d4, lam, q)
-            pref = q ** (-i * n) * d4 ** (i + n) * q ** j * lam ** (i - j)
-            out[ii, jj] = pref * acc
-    return out
+    window = range(-n, m + 1)
+    uw = ScalarMatrix.from_rows(
+        [[ruw_entry(i, k, m, n, d1, d4, lam, q) for k in window] for i in window])
+    wv = ScalarMatrix.from_rows(
+        [[rwv_entry(k, j, m, n, d4, lam, q) for j in window] for k in window])
+    left = ScalarMatrix.diagonal([q ** (-i * n) * d4 ** (i + n) * lam ** i for i in window])
+    right = ScalarMatrix.diagonal([q ** j * lam ** (-j) for j in window])
+    return left @ uw @ wv @ right
 
 
 def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
@@ -263,9 +257,7 @@ def dual_v_prefactor(i: int, m: int, n: int, p: ParamPoint):
     qv = 1 / (q * p.t * p.Q)
     num = qpoch(qv * q ** (2 + 2 * i), q, m - i) * qpoch(d4 * qv * q ** (1 - n), q, n + i)
     den = qpoch(qv * q ** (2 + i) / d1, q, m - i) * qpoch(qv * q ** (1 - n + i), q, n + i)
-    if not invertible(den):
-        raise DegenerateParameterError("vanishing denominator in v_i")
-    return num / den
+    return quotient(num, den, "denominator of v_i")
 
 
 def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
@@ -318,10 +310,8 @@ def heine_solution_pair(p: ParamPoint, lmax: int):
     b = d4 / q
     z2 = p.Q * t / d4
     y0 = heine_2phi1(a, z2, b * z2, t, lmax)
-    den = 1 - b * z2
-    if not invertible(den):
-        raise DegenerateParameterError("1 - b z2 vanishes in the explicit pair")
-    y1 = heine_2phi1(t * a, z2, t * b * z2, t, lmax) * (b * z2 * (1 - 1 / a) / den)
+    y1 = heine_2phi1(t * a, z2, t * b * z2, t, lmax) \
+        * quotient(b * z2 * (1 - 1 / a), 1 - b * z2, "1 - b z2 in the explicit pair")
     return y0, y1, (a, b, z2, d1 * d4 / q ** 2)
 
 
@@ -394,15 +384,13 @@ def r1_fourd(mvec, m: int, n: int, lam) -> ScalarMatrix:
     """
     _check_window(mvec, m, n)
     m1, m2, m3, m4 = mvec
-    if lam == 1:
-        raise DegenerateParameterError("Lambda = 1 pole in the 4d matrix")
-    den = lam - 1
+    inv = quotient(ONE, lam - 1, "Lambda - 1 in the 4d matrix")
     return _window_op_matrix(
         m, n,
-        diag=lambda i: -lam * ((i + m1) * (i + m2) + (i - m3) * (i - m4)) / den
+        diag=lambda i: -lam * ((i + m1) * (i + m2) + (i - m3) * (i - m4)) * inv
         + i * (i + 1),
-        up=lambda i: ONE * (i + m1) * (i + m2) / den,
-        down=lambda i: ONE * lam * (i - m3) * (i - m4) / den,
+        up=lambda i: (i + m1) * (i + m2) * inv,
+        down=lambda i: lam * (i - m3) * (i - m4) * inv,
     )
 
 
@@ -436,16 +424,16 @@ def h4d_matrix(mvec, kappa_a, m: int, n: int, lam):
     _check_window(mvec, m, n)
     m1, m2, m3, m4 = mvec
     kap, a_c = kappa_a
-    if lam == 1 or lam == 0:
-        raise DegenerateParameterError("Lambda in {0, 1} degenerates H_4d")
-    one_minus = 1 - lam
+    if lam == 0:
+        raise DegenerateParameterError("Lambda = 0 degenerates H_4d")
+    inv = quotient(ONE, 1 - lam, "1 - Lambda in H_4d")
 
     H = _window_op_matrix(
         m, n,
         diag=lambda i: ONE * i * (i + 1)
-        + lam * ((i + m1) * (i + m2) + (i - m3) * (i - m4)) / one_minus,
-        up=lambda i: ONE * (-(i + m1) * (i + m2)) / one_minus,
-        down=lambda i: ONE * (-lam * (i - m3) * (i - m4)) / one_minus,
+        + lam * ((i + m1) * (i + m2) + (i - m3) * (i - m4)) * inv,
+        up=lambda i: -(i + m1) * (i + m2) * inv,
+        down=lambda i: -lam * (i - m3) * (i - m4) * inv,
     )
     A0 = _window_op_matrix(
         m, n,
@@ -496,7 +484,7 @@ def kz_form_matrix(mvec, kappa_a, m: int, n: int, lam) -> ScalarMatrix:
     at = a_c + kap
     j1, j2, j3, j4 = kz_spin_dictionary(mvec, kappa_a)
     sigma = (1 - at) * (ONE / 2)
-    one_minus = 1 - lam
+    inv = quotient(ONE, 1 - lam, "1 - Lambda in the KZ operator")
     const = (at * at - 1) * (ONE / 4)
 
     def P_up(th):
@@ -508,7 +496,7 @@ def kz_form_matrix(mvec, kappa_a, m: int, n: int, lam) -> ScalarMatrix:
     return _window_op_matrix(
         m, n,
         diag=lambda i: (i + sigma) * (i + sigma - 1)
-        + lam * (P_up(i + sigma) + P_down(i + sigma)) / one_minus - const,
-        up=lambda i: -P_up(i + sigma) / one_minus,
-        down=lambda i: -lam * P_down(i + sigma) / one_minus,
+        + lam * (P_up(i + sigma) + P_down(i + sigma)) * inv - const,
+        up=lambda i: -P_up(i + sigma) * inv,
+        down=lambda i: -lam * P_down(i + sigma) * inv,
     )

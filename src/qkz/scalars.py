@@ -52,6 +52,14 @@ def invertible(x) -> bool:
     return x.invertible()
 
 
+def quotient(num, den, what: str):
+    """num / den, or DegenerateParameterError when den is not invertible;
+    the one checked division for a denominator a degenerate point can zero."""
+    if not invertible(den):
+        raise DegenerateParameterError(f"{what} vanishes")
+    return num / den
+
+
 class TruncatedSeries:
     """Truncated power series over an arbitrary commutative coefficient ring.
 
@@ -345,12 +353,6 @@ class ParamPoint:
         if self.n is not None:
             obj["n"] = self.n
         return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParamPoint":
-        obj = json.loads(text)
-        roots = {name: rat_from_str(obj[name]) for name in _ROOT_FIELDS}
-        return cls(**roots, m=obj.get("m"), n=obj.get("n"))
 
 
 def shakirov_eigenvalue(p: ParamPoint, k: int, ell: int):

@@ -82,7 +82,9 @@ class SuiteConfig:
 def _sample_with_retries(seed: int, guard: int, attempt_fn, overrides=None):
     """Sample a point; on a degeneracy signal in attempt_fn, retry with
     deterministically derived seeds (sampling guards cover only a finite
-    window, so downstream denominators may still collapse at unlucky points)."""
+    window, so downstream denominators may still collapse at unlucky points).
+    Only DegenerateParameterError and SingularMatrixError signal degeneracy;
+    any other exception is a fault and propagates from the first attempt."""
     last = None
     for k in range(MAX_POINT_RETRIES):
         s = seed + RETRY_STRIDE * k
@@ -91,7 +93,7 @@ def _sample_with_retries(seed: int, guard: int, attempt_fn, overrides=None):
             p = p.with_overrides(*overrides)
         try:
             return p, attempt_fn(p)
-        except (DegenerateParameterError, SingularMatrixError, ZeroDivisionError) as exc:
+        except (DegenerateParameterError, SingularMatrixError) as exc:
             last = exc
     raise QkzError(f"no usable generic point after retries: {last}")
 

@@ -106,6 +106,20 @@ def test_degenerate_point_retry_is_deterministic():
     assert p == sample_generic_point(10 + 2 * RETRY_STRIDE, 6)
 
 
+def test_retries_do_not_hide_a_fault():
+    from qkz.suites import _sample_with_retries
+
+    calls = []
+
+    def attempt(p):
+        calls.append(p)
+        raise ZeroDivisionError("injected fault")
+
+    with pytest.raises(ZeroDivisionError, match="injected fault"):
+        _sample_with_retries(10, 6, attempt_fn=attempt)
+    assert len(calls) == 1
+
+
 def test_worker_pool_cap(monkeypatch):
     from qkz.suites import worker_count
     monkeypatch.setenv("QKZ_THREADS", "2")

@@ -25,7 +25,7 @@ from qkz.jackson import (
     matsuo_pivot_constant,
     weight_ratio,
 )
-from qkz.qseries import qfactorial
+from qkz.qseries import LambdaSeries, qfactorial
 from qkz.scalars import Rat, rat, sample_generic_point
 
 A2 = rat(5, 7)
@@ -270,6 +270,52 @@ def test_al_jackson_componentwise(window):
     # leading orders: max(0, n - J) on both sides
     for J, (vp, vz) in enumerate(rec["leading_orders"]):
         assert vp == vz == max(0, n - J)
+
+
+def test_al_jackson_skips_components_zero_on_both_sides():
+    # window (0, 2) at lmax 1: the component J = 0 starts at Lambda^2
+    p = sample_generic_point(1, guard=8).with_overrides(0, 2)
+    rec = al_jackson_compare(p, A2, 1)
+    assert rec["ok"], rec["mismatch"]
+    assert rec["leading_orders"] == [(None, None), (1, 1), (0, 0)]
+    assert rec["component_constants"][0] is None
+    assert all(c is not None for c in rec["component_constants"][1:])
+
+
+def test_al_jackson_one_side_zero_is_a_mismatch(monkeypatch):
+    import qkz.laumon
+
+    real = qkz.laumon.z_al_truncated
+
+    def laumon_with_a_zero_component(m, n, p, lmax):
+        comps = real(m, n, p, lmax)
+        comps[1] = comps[1] * 0
+        return comps
+
+    monkeypatch.setattr(qkz.laumon, "z_al_truncated", laumon_with_a_zero_component)
+    p = sample_generic_point(51, guard=8).with_overrides(1, 1)
+    rec = al_jackson_compare(p, A2, 3)
+    assert not rec["ok"]
+    assert rec["mismatch"] == {"component": 0, "reason": "leading order",
+                               "jackson": "0", "laumon": "None"}
+
+
+def test_al_jackson_fails_when_nothing_is_compared(monkeypatch):
+    import qkz.jackson
+    import qkz.laumon
+
+    def zeros(m, n, p, lmax):
+        return [LambdaSeries.constant(0, lmax) for _ in range(m + n + 1)]
+
+    real = qkz.jackson.jackson_vector
+    monkeypatch.setattr(qkz.laumon, "z_al_truncated", zeros)
+    monkeypatch.setattr(qkz.jackson, "jackson_vector",
+                        lambda jp, lmax: ([c * 0 for c in real(jp, lmax)[0]], None))
+    p = sample_generic_point(51, guard=8).with_overrides(1, 1)
+    rec = al_jackson_compare(p, A2, 3)
+    assert not rec["ok"]
+    assert rec["mismatch"]["reason"] == "no component is nonzero through lmax"
+    assert rec["leading_orders"] == [(None, None)] * 3
 
 
 def test_al_jackson_constants_independent_of_a2():

@@ -60,6 +60,23 @@ def test_three_realizations_agree(window):
                for res in defining_relation_residuals(m, n, D1, D4, LAM, Q, a))
 
 
+def test_closed_form_evaluates_each_transition_entry_once(monkeypatch):
+    import qkz.rmatrix as rm
+
+    calls = {"ruw": 0, "rwv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(rm, "ruw_entry", counted("ruw", ruw_entry))
+    monkeypatch.setattr(rm, "rwv_entry", counted("rwv", rwv_entry))
+    assert rm.r_closed_form(2, 2, D1, D4, LAM, Q) == r_via_linear_system(2, 2, D1, D4, LAM, Q)
+    assert calls == {"ruw": 25, "rwv": 25}
+
+
 def test_transition_matrix_shapes():
     m, n = 2, 1
     for i in range(-n, m + 1):

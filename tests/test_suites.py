@@ -102,6 +102,21 @@ def test_lambda_order_5(check, m, n):
     assert check(seed=1, m=m, n=n, lmax=5)[2] is None
 
 
+@pytest.mark.parametrize("lmax", [1, 2, 3, 4, 5])
+def test_al_eq_jackson_at_every_low_lmax(monkeypatch, lmax):
+    # components that vanish through lmax on both sides are not compared,
+    # and every check still compares at least one component
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    report = run_suite(SuiteConfig(suite="AL_EQ_JACKSON", seeds=(1,), lmax=lmax))
+    assert [c["name"] for c in report["checks"]] == NAMES["AL_EQ_JACKSON"]
+    for check in report["checks"]:
+        assert check["status"] == "pass", check["mismatch"]
+        leading = check["info"]["leading_orders"]
+        assert any(pair != (None, None) for pair in leading)
+        assert all((pair == (None, None)) == (const is None) for pair, const
+                   in zip(leading, check["info"]["component_constants"]))
+
+
 def test_dual_qkz_window_2_2_at_order_4():
     assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
 
