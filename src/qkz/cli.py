@@ -15,11 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, QkzError
 from .scalars import rat_from_str, sample_generic_point
-from .suites import SuiteConfig, report_passed, run_suite, write_report
+from .suites import SuiteConfig, check_limits, report_passed, run_suite, write_report
+
+_NATURAL = (0, math.inf)
+_WINDOW = {"m": _NATURAL, "n": _NATURAL}
+_SERIES = {"kmax": _NATURAL, "lmax": _NATURAL, **_WINDOW}
+# (low, high) bounds of the integer options of each dump command
+_DUMP_LIMITS = {"solve": _SERIES, "laumon": _SERIES, "rmatrix": _WINDOW,
+                "jackson": {**_WINDOW, "lmax": (1, math.inf)}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,6 +80,27 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
+def _rational_option(text: str, flag: str):
+    try:
+        return rat_from_str(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag} must be a rational p/s, got {text!r}") from None
+
+
+def _check_dump_options(args) -> None:
+    """Reject a dump command's invalid options with ConfigError before any
+    point is sampled; the rational options are parsed in place."""
+    check_limits(args.command, _DUMP_LIMITS[args.command], args)
+    if (args.m is None) != (args.n is None):
+        raise ConfigError("--m and --n must be given together")
+    if args.command == "rmatrix" and args.lam is not None:
+        args.lam = _rational_option(args.lam, "--lambda")
+    if args.command == "jackson" and args.a2 is not None:
+        args.a2 = _rational_option(args.a2, "--a2")
+        if args.a2 == 0:
+            raise ConfigError("--a2 must be nonzero")
+
+
 def cmd_verify(args) -> int:
     cfg = SuiteConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     report = run_suite(cfg)
@@ -89,9 +118,7 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
     from .laumon import z_al
 
     p = sample_generic_point(args.seed, guard=max(8, args.kmax, args.lmax))
-    if args.m is not None or args.n is not None:
-        if args.m is None or args.n is None:
-            raise ConfigError("--m and --n must be given together")
+    if args.m is not None:
         p = p.with_overrides(args.m, args.n)
     series = z_al(p, args.kmax, args.lmax) if from_partition_sum \
         else solve_shakirov(p, args.kmax, args.lmax)
@@ -103,7 +130,7 @@ def cmd_rmatrix(args) -> int:
     from .rmatrix import r1_fourd, r_via_linear_system
 
     p = sample_generic_point(args.seed, guard=8)
-    lam = rat_from_str(args.lam) if args.lam else sample_generic_point(
+    lam = args.lam if args.lam is not None else sample_generic_point(
         args.seed + 1, guard=8).rq
     if args.fourd:
         import random
@@ -131,7 +158,7 @@ def cmd_jackson(args) -> int:
     from .jackson import JacksonParams, ito_qkz_check, jackson_vector
 
     p = sample_generic_point(args.seed, guard=8).with_overrides(args.m, args.n)
-    a2 = rat_from_str(args.a2) if args.a2 else rat_from_str("5/7")
+    a2 = args.a2 if args.a2 is not None else rat_from_str("5/7")
     jp = JacksonParams.from_point(p, a2)
     vec, pivot = jackson_vector(jp, args.lmax)
     residuals = ito_qkz_check(jp, args.lmax)
@@ -161,6 +188,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
+        _check_dump_options(args)
         if args.command == "solve":
             return cmd_series_dump(args, from_partition_sum=False)
         if args.command == "laumon":

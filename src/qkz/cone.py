@@ -205,24 +205,15 @@ def apply_HS(s: ConeSeries, p: ParamPoint) -> ConeSeries:
             (phi(-d1 x) phi(-d2 x) phi(-d3 L/x) phi(-d4 L/x)) . B .
         1/(phi(d1 d2 x / q) phi(d3 d4 L/x))
 
-    right to left.  All factors have unit constant term and the Borel
-    transformation fixes degree zero, so c00 is preserved.
+    right to left, as K . phi(L) phi(d1 d2 d3 d4 L / q) . T(K): the
+    multiplications between the two Borel maps commute on the rectangle.
+    All factors have unit constant term and the Borel transformation fixes
+    degree zero, so c00 is preserved.
     """
     q = p.q
-    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
-    out = s.mul_phi(d1 * d2 / q, q, AXIS_X, inverted=True)
-    out = out.mul_phi(d3 * d4, q, AXIS_LX, inverted=True)
-    out = out.borel(q)
-    out = out.mul_phi(1, q, AXIS_L)
-    out = out.mul_phi(d1 * d2 * d3 * d4 / q, q, AXIS_L)
-    out = out.mul_phi(-d1, q, AXIS_X, inverted=True)
-    out = out.mul_phi(-d2, q, AXIS_X, inverted=True)
-    out = out.mul_phi(-d3, q, AXIS_LX, inverted=True)
-    out = out.mul_phi(-d4, q, AXIS_LX, inverted=True)
-    out = out.borel(q)
-    out = out.mul_phi(q, q, AXIS_X, inverted=True)
-    out = out.mul_phi(1, q, AXIS_LX, inverted=True)
-    return out
+    out = apply_TK(s, p).mul_phi(1, q, AXIS_L)
+    out = out.mul_phi(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L)
+    return apply_K(out, p)
 
 
 def apply_full_step(s: ConeSeries, p: ParamPoint) -> ConeSeries:
@@ -285,26 +276,22 @@ def apply_TK(s: ConeSeries, p: ParamPoint) -> ConeSeries:
     return out
 
 
-def coupling_series(p: ParamPoint, order: int) -> LambdaSeries:
-    """g = (t d2 d4 L/q, d1 d3 L; q,t)_inf / (t L, t d1 d2 d3 d4 L/q; q,t)_inf."""
+def coupling_series(p: ParamPoint, order: int) -> tuple[LambdaSeries, LambdaSeries]:
+    """(g, T(g)) with
+
+        g    = (t d2 d4 L/q, d1 d3 L; q,t)_inf / (t L, t d1 d2 d3 d4 L/q; q,t)_inf,
+        T(g) = (L, d1 d2 d3 d4 L/q; q,t)_inf / (t d2 d4 L/q, d1 d3 L; q,t)_inf;
+
+    the denominator of T(g) is the numerator of g, so it is built once."""
     q, t = p.q, p.t
     d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
-    num = dbl_qt_poch_series(t * d2 * d4 / q, q, t, order) \
+    shared = dbl_qt_poch_series(t * d2 * d4 / q, q, t, order) \
         * dbl_qt_poch_series(d1 * d3, q, t, order)
     den = dbl_qt_poch_series(t, q, t, order) \
         * dbl_qt_poch_series(t * d1 * d2 * d3 * d4 / q, q, t, order)
-    return num * den.inverse()
-
-
-def coupling_series_transformed(p: ParamPoint, order: int) -> LambdaSeries:
-    """T(g) = (L, d1 d2 d3 d4 L/q; q,t)_inf / (t d2 d4 L/q, d1 d3 L; q,t)_inf."""
-    q, t = p.q, p.t
-    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
-    num = dbl_qt_poch_series(1, q, t, order) \
+    tnum = dbl_qt_poch_series(1, q, t, order) \
         * dbl_qt_poch_series(d1 * d2 * d3 * d4 / q, q, t, order)
-    den = dbl_qt_poch_series(t * d2 * d4 / q, q, t, order) \
-        * dbl_qt_poch_series(d1 * d3, q, t, order)
-    return num * den.inverse()
+    return shared * den.inverse(), tnum * shared.inverse()
 
 
 def coupled_step(p: ParamPoint, psi: ConeSeries):
@@ -324,10 +311,8 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     chi_raw = solve_shakirov(p2, kmax, lmax)
     fx = -p.d2 / p.q
     chi = chi_raw.shift(fx, fx * -p.d4)
-    order = min(kmax, lmax)
-    g = coupling_series(p, order)
+    g, tg = coupling_series(p, min(kmax, lmax))
     residual1 = psi - apply_K(chi, p).mul_lambda_series(g)
-    tg = coupling_series_transformed(p, order)
     t2psi = psi.shift(1 / (p.q * p.t * p.Q), 1 / p.t)
     residual2 = chi - apply_TK(t2psi, p).mul_lambda_series(tg)
     return chi, (residual1, residual2)

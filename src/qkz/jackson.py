@@ -20,7 +20,6 @@ from .qseries import (
     qbinom,
     qfactorial,
     qpoch,
-    qpoch_ext,
 )
 from .scalars import ONE, ParamPoint, quotient
 
@@ -133,41 +132,54 @@ def cone_points(n: int, m: int, max_degree: int):
                     yield ConePoint(left + right, n, m)
 
 
-def weight_ratio(jp: JacksonParams, pt: ConePoint):
-    """[Phi(z) Delta(1, z)] at z = xi t^nu divided by its nu = 0 value.
+def _times_inf_ratio(out, c, d, k: int, t, what: str):
+    """out * (c t^k, d; t)_inf / (c, d t^k; t)_inf, a finite product for
+    any integer k."""
+    if k > 0:
+        return quotient(out * qpoch(d, t, k), qpoch(c, t, k), what)
+    if k < 0:
+        return quotient(out * qpoch(c * t ** k, t, -k), qpoch(d * t ** k, t, -k), what)
+    return out
 
-    Every alpha-dependent power telescopes: a unit nu-step multiplies
-    z_i^alpha by Lambda and z_i^(2 tau - 1) by q^2/t.  Returns the exact
-    scalar ratio; the Lambda-degree is sum(nu).
+
+def _telescoped_weight(jp: JacksonParams, e, shift=(0, 0)):
+    """[Phi(z) Delta(1, z)] at z_i = xi_i t^(e_i), with a_k -> t^(-s_k) a_k
+    and b_k -> t^(s_k) b_k for shift = (s_1, s_2), divided by its value at
+    e = 0 and the unshifted parameters.
+
+    Every alpha-dependent power telescopes: a unit e-step multiplies
+    z_i^alpha by Lambda (left out: the Lambda-degree is sum(e)) and
+    z_i^(2 tau - 1) by q^2/t, t^tau = q.  Each infinite product
+    (t z/a_k; t)_inf / (b_k z; t)_inf moves by t^(e_i + s_k), each cross
+    product (t z_j/(q z_i); t)_inf / (q z_j/z_i; t)_inf by t^(e_j - e_i).
     """
     t, q = jp.t, jp.q
     xi = jp.cycle()
-    nu = pt.nu
     N = jp.N
     out = ONE
     for i in range(N):
-        k = nu[i]
-        if k == 0:
-            continue
-        # numerator infinite products lose their first k factors
-        out = quotient(out, qpoch(t * xi[i] / jp.a1, t, k) * qpoch(t * xi[i] / jp.a2, t, k),
-                       "telescoped factor (a side)")
-        out = out * qpoch(jp.b1 * xi[i], t, k) * qpoch(jp.b2 * xi[i], t, k)
-        out = out * (q * q / t) ** (k * (N - 1 - i))
+        for a, b, s in ((jp.a1, jp.b1, shift[0]), (jp.a2, jp.b2, shift[1])):
+            out = _times_inf_ratio(out, t * xi[i] / a, b * xi[i], e[i] + s, t,
+                                   "telescoped factor")
+        if e[i]:
+            out = out * (q * q / t) ** (e[i] * (N - 1 - i))
     for i in range(N):
         for j in range(i + 1, N):
-            k = nu[j] - nu[i]
-            if k == 0:
-                continue
             ratio = xi[j] / xi[i]
-            out = quotient(out, qpoch_ext(t * ratio / q, t, k), "telescoped cross factor")
-            out = out * qpoch_ext(q * ratio, t, k)
+            out = _times_inf_ratio(out, t * ratio / q, q * ratio, e[j] - e[i], t,
+                                   "telescoped cross factor")
     # Vandermonde ratio
     for i in range(N):
         for j in range(i + 1, N):
-            out = out * quotient(xi[i] * t ** nu[i] - xi[j] * t ** nu[j], xi[i] - xi[j],
+            out = out * quotient(xi[i] * t ** e[i] - xi[j] * t ** e[j], xi[i] - xi[j],
                                  "difference of cycle points")
     return out
+
+
+def weight_ratio(jp: JacksonParams, pt: ConePoint):
+    """[Phi(z) Delta(1, z)] at z = xi t^nu divided by its nu = 0 value: the
+    exact scalar ratio; the Lambda-degree is sum(nu)."""
+    return _telescoped_weight(jp, pt.nu)
 
 
 def matsuo_e(k: int, a, b, z, q):
@@ -271,24 +283,9 @@ def jackson_vector(jp: JacksonParams, lmax: int):
     return [r * inverse for r in raw], pivot
 
 
-def matsuo_pivot_constant(jp: JacksonParams):
-    """Closed form of the pivot <e_hat_n> at Lambda^0:
-
-        (1/q; 1/q)_n (1/q; 1/q)_m (b1 a2; q)_n (q^-n a1/a2; q)_m / (1 - 1/q)^N.
-    """
-    q = jp.q
-    qi = 1 / q
-    return (
-        qpoch(qi, qi, jp.n) * qpoch(qi, qi, jp.m)
-        * qpoch(jp.b1 * jp.a2, q, jp.n)
-        * qpoch(q ** (-jp.n) * jp.a1 / jp.a2, q, jp.m)
-        / (1 - qi) ** jp.N
-    )
-
-
 def matsuo_leading_constant(jp: JacksonParams, k: int):
     """Closed form of the Lambda^0 coefficient of <e_k> = <e_hat_(N-k)>,
-    0 <= k <= m:
+    0 <= k <= m (k = m is the pivot <e_hat_n>):
 
         (1/q;1/q)_m (b1 a2; q)_n (q^(k-N); q)_n (q^k b1 a1; q)_(m-k)
         (q^-n a1/a2; q)_k / (1 - 1/q)^N.
@@ -423,13 +420,6 @@ def commutativity_check(R: ScalarMatrix, A: ScalarMatrix, D2: ScalarMatrix) -> S
 
 # -- the three difference equations on the Jackson vector ---------------------
 
-def _poch_inf_ratio(c, k: int, t):
-    """(c t^k; t)_inf / (c; t)_inf."""
-    if k >= 0:
-        return quotient(ONE, qpoch(c, t, k), "denominator of an infinite-product ratio")
-    return ONE * qpoch(c * t ** k, t, -k)
-
-
 def base_shift_data(jp: JacksonParams, which: int):
     """Scalar rho and Lambda-power p with
 
@@ -439,39 +429,14 @@ def base_shift_data(jp: JacksonParams, which: int):
     alpha-powers reduce to the Lambda^p monomial (p = size of the scaled
     cycle block); everything else telescopes to finite products.
     """
-    t, q = jp.t, jp.q
-    jp2 = jp.shifted(which)
-    xi_old = jp.cycle()
-    xi_new = jp2.cycle()
-    N = jp.N
-    scaled = [ONE * xn / xo for xn, xo in zip(xi_new, xi_old)]
+    t = jp.t
+    scaled = [ONE * xn / xo for xn, xo in zip(jp.shifted(which).cycle(), jp.cycle())]
     if any(s != 1 and s != t for s in scaled):
         raise QkzError("unexpected cycle rescaling pattern")
-    # e[i] = 1 where the cycle point is scaled by t.  Each infinite-product
-    # argument then moves by t^e[i], and by one more 1/t when it carries the
-    # shifted a_which (as 1/a) or b_which (as b).
+    # e[i] = 1 where the cycle point is scaled by t
     e = [1 if s == t else 0 for s in scaled]
-    lam_power = sum(e)
-    ka1, ka2 = (-1, 0) if which == 1 else (0, -1)
-    rho = ONE
-    for i in range(N):
-        # numerator products (t z/a1)(t z/a2); denominators (b1 z)(b2 z)
-        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a1, e[i] + ka1, t)
-        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a2, e[i] + ka2, t)
-        rho = rho / _poch_inf_ratio(jp.b1 * xi_old[i], e[i] + ka1, t)
-        rho = rho / _poch_inf_ratio(jp.b2 * xi_old[i], e[i] + ka2, t)
-    for i in range(N):
-        for j in range(i + 1, N):
-            ro = xi_old[j] / xi_old[i]
-            rho = rho * _poch_inf_ratio(t * ro / q, e[j] - e[i], t)
-            rho = rho / _poch_inf_ratio(q * ro, e[j] - e[i], t)
-            # z_i^(2 tau - 1) factors: (xi'_i/xi_i)^(2 tau - 1), t^tau = q
-            if e[i]:
-                rho = rho * q * q / t
-            # Vandermonde
-            rho = rho * quotient(xi_new[i] - xi_new[j], xi_old[i] - xi_old[j],
-                                 "difference of cycle points")
-    return rho, lam_power
+    shift = (-1, 0) if which == 1 else (0, -1)
+    return _telescoped_weight(jp, e, shift), sum(e)
 
 
 def al_jackson_compare(p: ParamPoint, a2, lmax: int) -> dict:
@@ -545,7 +510,7 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
     pivot constants -- no fitted quantities anywhere.  Returns a dict of
     residual lists, each expected zero through order lmax - 1; under
     "Lambda^0" the computed constant terms minus their closed forms
-    (matsuo_pivot_constant, then matsuo_leading_constant for k = 0..m).
+    matsuo_leading_constant for k = 0..m (k = m is the pivot).
     """
     N = jp.N
     lam = LambdaSeries.variable(lmax)
@@ -584,10 +549,9 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
             residuals.append(lhs_j - rhs_j)
         out[f"T{which}"] = residuals
 
-    # the Matsuo closed forms of the Lambda^0 constants: the pivot <e_hat_n>,
-    # and <e_k> = <e_hat_(N-k)> for k <= m (psi is divided by the pivot)
-    computed = [piv] + [psi[N - k].coeffs[0] * piv for k in range(jp.m + 1)]
-    closed = [matsuo_pivot_constant(jp)] + [
-        matsuo_leading_constant(jp, k) for k in range(jp.m + 1)]
+    # the Matsuo closed forms of the Lambda^0 constants <e_k> = <e_hat_(N-k)>
+    # for k <= m, the pivot <e_hat_n> at k = m (psi is divided by the pivot)
+    computed = [psi[N - k].coeffs[0] * piv for k in range(jp.m + 1)]
+    closed = [matsuo_leading_constant(jp, k) for k in range(jp.m + 1)]
     out["Lambda^0"] = [LambdaSeries.constant(a - b, lmax) for a, b in zip(computed, closed)]
     return out

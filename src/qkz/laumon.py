@@ -251,13 +251,20 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
 
     A fixed point (lambda1, lambda2) lands on the cell (k, l) =
     (|l1|_o + |l2|_e, |l1|_e + |l2|_o); enumeration depth kmax + lmax
-    covers the whole rectangle.
+    covers the whole rectangle.  At a point with overrides d2 = q^-m,
+    d3 = q^-n only pairs with width(lambda1) <= m and width(lambda2) <= n
+    are summed; every other weight is zero.  With v1/w1 = d2 = q^-m the
+    matter factor nek_orb(0, 2, lambda1, {}, sqrt(v1/w1)) holds the bracket
+    [q^(l_(j+1) - m); q]_(l_j - l_(j+1)), l = lambda1, which meets [1] = 0
+    at the last row j longer than m; u1/v2 = q^(n+1) kappa does the same to
+    lambda2 beyond n columns.
     """
     m1, m2 = _expansion_monomials(p)
     factors = PairFactors(p)
+    widths = (p.m, p.n)
     out = ConeSeries(kmax, lmax)
     for total in range(kmax + lmax + 1):
-        for pair in enumerate_pairs(total):
+        for pair in enumerate_pairs(total, widths):
             lam1, lam2 = pair
             a = lam1.odd_row_sum + lam2.even_row_sum
             b = lam1.even_row_sum + lam2.odd_row_sum
@@ -272,27 +279,13 @@ def z_al_truncated(m: int, n: int, p: ParamPoint, lmax: int):
     """Mass-truncated partition function as components psi_s(Lambda),
     s in [-n, m]; requires overrides d2 = q^-m, d3 = q^-n on the point.
 
-    Only pairs with width(lambda1) <= m and width(lambda2) <= n are summed;
-    every other weight is zero.  With v1/w1 = d2 = q^-m the matter factor
-    nek_orb(0, 2, lambda1, {}, sqrt(v1/w1)) holds the bracket
-    [q^(l_(j+1) - m); q]_(l_j - l_(j+1)), l = lambda1, which meets [1] = 0
-    at the last row j longer than m; u1/v2 = q^(n+1) kappa does the same to
-    lambda2 beyond n columns.  A summed pair has x-degree a - b in
-    [-width(lambda2), width(lambda1)], inside the window.  Returns a list
-    of LambdaSeries indexed by s + n.
+    The components regroup z_al by x-degree s = k - l: a summed pair has
+    s in [-width(lambda2), width(lambda1)], inside the window, so the
+    rectangle k <= m + lmax, l <= lmax holds every term through Lambda^lmax.
+    Returns a list of LambdaSeries indexed by s + n.
     """
     if p.m != m or p.n != n:
         raise QkzError("point must carry overrides matching (m, n)")
-    m1, m2 = _expansion_monomials(p)
-    factors = PairFactors(p)
-    comps = [[0] * (lmax + 1) for _ in range(m + n + 1)]
-    for total in range(m + 2 * lmax + 1):
-        for pair in enumerate_pairs(total, (m, n)):
-            lam1, lam2 = pair
-            a = lam1.odd_row_sum + lam2.even_row_sum
-            b = lam1.even_row_sum + lam2.odd_row_sum
-            if b > lmax:
-                continue
-            wgt = pair_weight(p, pair, factors)
-            comps[a - b + n][b] = comps[a - b + n][b] + wgt * (-m1) ** a * (-m2) ** b
-    return [LambdaSeries(c) for c in comps]
+    c = z_al(p, m + lmax, lmax).c
+    return [LambdaSeries([c[s + b][b] if s + b >= 0 else 0 for b in range(lmax + 1)])
+            for s in range(-n, m + 1)]

@@ -72,11 +72,17 @@ class SuiteConfig:
         for opt in ("m", "n", "N"):
             if getattr(self, opt) is not None and opt not in spec.limits:
                 raise ConfigError(f"{self.suite} does not read --{opt}")
-        for opt, (lo, hi) in spec.limits.items():
-            value = getattr(self, opt)
-            if value is not None and not lo <= value <= hi:
-                flag = "--" + opt.replace("_", "-")
-                raise ConfigError(f"{self.suite} needs {lo} <= {flag} <= {hi}, got {value}")
+        check_limits(self.suite, spec.limits, self)
+
+
+def check_limits(owner: str, limits: dict, options) -> None:
+    """ConfigError unless every option in `limits` that `options` sets (as
+    an attribute) lies within its (low, high) bounds."""
+    for opt, (lo, hi) in limits.items():
+        value = getattr(options, opt)
+        if value is not None and not lo <= value <= hi:
+            flag = "--" + opt.replace("_", "-")
+            raise ConfigError(f"{owner} needs {lo} <= {flag} <= {hi}, got {value}")
 
 
 def _sample_with_retries(seed: int, guard: int, attempt_fn, overrides=None):
@@ -186,8 +192,9 @@ def chk_rmatrix_3way(seed: int):
 def _rmatrix_3way_mismatch(p, lams):
     q, d1, d4 = p.q, p.d1, p.d4
     for lam in lams:
+        solved = {}
         for (m, n) in _THREEWAY_WINDOWS:
-            a = r_via_linear_system(m, n, d1, d4, lam, q)
+            a = solved[m, n] = r_via_linear_system(m, n, d1, d4, lam, q)
             b = r_closed_form(m, n, d1, d4, lam, q)
             c = r_hg_matrix(m, n, d1, d4, lam, q)
             for other, tag in ((b, "closed"), (c, "hypergeometric")):
@@ -202,8 +209,7 @@ def _rmatrix_3way_mismatch(p, lams):
                             "reason": "defining relation residual"}
         for builder, (m, n) in ((_display_matrix_2x2, (1, 0)),
                                 (_display_matrix_3x3, (2, 0))):
-            got = r_via_linear_system(m, n, d1, d4, lam, q)
-            mm = _matrix_mismatch(got, builder(d1, d4, lam, q),
+            mm = _matrix_mismatch(solved[m, n], builder(d1, d4, lam, q),
                                   {"window": [m, n], "lambda": str(lam), "vs": "display"})
             if mm is not None:
                 return mm

@@ -187,6 +187,31 @@ def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, en
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "1/0"]),
+    ("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "abc"]),
+    ("--m", ["rmatrix", "--m", "-1", "--n", "0"]),
+    ("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "0"]),
+    ("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "x"]),
+    ("--m", ["jackson", "--m", "-1", "--n", "0"]),
+    ("--lmax", ["jackson", "--m", "1", "--n", "0", "--lmax", "0"]),
+    ("--kmax", ["solve", "--kmax", "-1"]),
+    ("--lmax", ["laumon", "--lmax", "-1"]),
+    ("--m", ["laumon", "--m", "1"]),
+])
+def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, flag, argv):
+    import qkz.cli
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was sampled")
+
+    monkeypatch.setattr(qkz.cli, "sample_generic_point", no_point)
+    assert main([*argv, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert flag in err
+
+
 def test_unexpected_exception_is_an_error_check(monkeypatch, tmp_path):
     from qkz.suites import SUITES
 

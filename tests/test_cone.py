@@ -11,6 +11,7 @@ from qkz.cone import (
     solve_shakirov,
 )
 from qkz.errors import ResonanceError
+from qkz.qseries import dbl_qt_poch_series
 from qkz.scalars import ParamPoint, rat, sample_generic_point, shakirov_eigenvalue
 
 P = sample_generic_point(1, guard=8)
@@ -157,7 +158,8 @@ def test_coupled_k_constant_term():
     from qkz.cone import apply_K, coupling_series
     one = ConeSeries.one(3, 3)
     assert apply_K(one, P).c[0][0] == 1
-    assert coupling_series(P, 3).coeffs[0] == 1
+    g, tg = coupling_series(P, 3)
+    assert g.coeffs[0] == 1 and tg.coeffs[0] == 1
 
 
 def test_csv_dump_round_trip():
@@ -180,3 +182,60 @@ def test_csv_dump_with_jet_scalars():
     lines = s.dump_csv().strip().splitlines()
     assert lines[0] == "k,l,h_order,numerator,denominator"
     assert "1,0,1,1,2" in lines  # h^1 coefficient of exp(h/2) is 1/2
+
+
+# -- oracles: the composites as separate lists of their factors ----------------
+
+ORACLE_POINTS = [(seed, window) for seed in (1, 2, 3)
+                 for window in [None, *((m, s - m) for s in range(4) for m in range(s + 1)),
+                                (2, 2)]]
+
+
+def _oracle_point(seed, window):
+    p = sample_generic_point(seed, guard=8)
+    return p if window is None else p.with_overrides(*window)
+
+
+def _apply_hs_sandwich(s, p):
+    """H_S as one list of factors, right to left."""
+    q = p.q
+    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
+    out = s.mul_phi(d1 * d2 / q, q, AXIS_X, inverted=True)
+    out = out.mul_phi(d3 * d4, q, AXIS_LX, inverted=True)
+    out = out.borel(q)
+    out = out.mul_phi(1, q, AXIS_L)
+    out = out.mul_phi(d1 * d2 * d3 * d4 / q, q, AXIS_L)
+    out = out.mul_phi(-d1, q, AXIS_X, inverted=True)
+    out = out.mul_phi(-d2, q, AXIS_X, inverted=True)
+    out = out.mul_phi(-d3, q, AXIS_LX, inverted=True)
+    out = out.mul_phi(-d4, q, AXIS_LX, inverted=True)
+    out = out.borel(q)
+    out = out.mul_phi(q, q, AXIS_X, inverted=True)
+    out = out.mul_phi(1, q, AXIS_LX, inverted=True)
+    return out
+
+
+def _coupling_oracles(p, order):
+    """g and T(g), each from its own four double Pochhammer series."""
+    q, t = p.q, p.t
+    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
+
+    def ratio(num_args, den_args):
+        num = dbl_qt_poch_series(num_args[0], q, t, order) \
+            * dbl_qt_poch_series(num_args[1], q, t, order)
+        den = dbl_qt_poch_series(den_args[0], q, t, order) \
+            * dbl_qt_poch_series(den_args[1], q, t, order)
+        return num * den.inverse()
+
+    g = ratio((t * d2 * d4 / q, d1 * d3), (t, t * d1 * d2 * d3 * d4 / q))
+    tg = ratio((1, d1 * d2 * d3 * d4 / q), (t * d2 * d4 / q, d1 * d3))
+    return g, tg
+
+
+@pytest.mark.parametrize("seed,window", ORACLE_POINTS)
+def test_composites_equal_their_factor_lists(seed, window):
+    from qkz.cone import coupling_series
+    p = _oracle_point(seed, window)
+    for s in (ConeSeries.one(4, 4), solve_shakirov(sample_generic_point(seed, guard=8), 3, 4)):
+        assert apply_HS(s, p).c == _apply_hs_sandwich(s, p).c
+    assert coupling_series(p, 4) == _coupling_oracles(p, 4)

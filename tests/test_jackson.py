@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qkz.errors import QkzError
+from qkz.errors import DegenerateParameterError, QkzError
 from qkz.jackson import (
     ConePoint,
     JacksonParams,
@@ -22,11 +22,10 @@ from qkz.jackson import (
     matsuo_e,
     matsuo_e_brute,
     matsuo_leading_constant,
-    matsuo_pivot_constant,
     weight_ratio,
 )
-from qkz.qseries import LambdaSeries, qfactorial
-from qkz.scalars import Rat, rat, sample_generic_point
+from qkz.qseries import LambdaSeries, qfactorial, qpoch, qpoch_ext
+from qkz.scalars import ONE, Rat, quotient, rat, sample_generic_point
 
 A2 = rat(5, 7)
 
@@ -157,7 +156,7 @@ def test_matsuo_extreme_index_is_pure_product():
 def test_jackson_vector_pivot_and_leading_constants():
     p, jp = _params(31, 2, 1)
     raw = jackson_vector_raw(jp, 2)
-    assert raw[jp.n].coeffs[0] == matsuo_pivot_constant(jp)
+    assert raw[jp.n].coeffs[0] == _pivot_constant(jp)
     for k in range(jp.m + 1):
         assert raw[jp.N - k].coeffs[0] == matsuo_leading_constant(jp, k)
     vec, pivot = jackson_vector(jp, 2)
@@ -329,3 +328,120 @@ def test_from_point_requires_overrides():
     p = sample_generic_point(51, guard=6)
     with pytest.raises(QkzError):
         JacksonParams.from_point(p, A2)
+
+
+# -- oracles: the separate forms that the shared telescoping rule replaced -----
+
+ORACLE_WINDOWS = [(m, s - m) for s in range(4) for m in range(s + 1)] + [(2, 2)]
+
+
+def _weight_ratio_oracle(jp, pt):
+    """weight_ratio as its own loop over the cone point's exponents."""
+    t, q = jp.t, jp.q
+    xi = jp.cycle()
+    nu = pt.nu
+    N = jp.N
+    out = ONE
+    for i in range(N):
+        k = nu[i]
+        if k == 0:
+            continue
+        out = quotient(out, qpoch(t * xi[i] / jp.a1, t, k) * qpoch(t * xi[i] / jp.a2, t, k),
+                       "telescoped factor (a side)")
+        out = out * qpoch(jp.b1 * xi[i], t, k) * qpoch(jp.b2 * xi[i], t, k)
+        out = out * (q * q / t) ** (k * (N - 1 - i))
+    for i in range(N):
+        for j in range(i + 1, N):
+            k = nu[j] - nu[i]
+            if k == 0:
+                continue
+            ratio = xi[j] / xi[i]
+            out = quotient(out, qpoch_ext(t * ratio / q, t, k), "telescoped cross factor")
+            out = out * qpoch_ext(q * ratio, t, k)
+    for i in range(N):
+        for j in range(i + 1, N):
+            out = out * quotient(xi[i] * t ** nu[i] - xi[j] * t ** nu[j], xi[i] - xi[j],
+                                 "difference of cycle points")
+    return out
+
+
+def _poch_inf_ratio(c, k, t):
+    """(c t^k; t)_inf / (c; t)_inf."""
+    if k >= 0:
+        return quotient(ONE, qpoch(c, t, k), "denominator of an infinite-product ratio")
+    return ONE * qpoch(c * t ** k, t, -k)
+
+
+def _base_shift_oracle(jp, which):
+    """base_shift_data from the new and old cycles, one infinite-product
+    ratio per factor."""
+    t, q = jp.t, jp.q
+    xi_old = jp.cycle()
+    xi_new = jp.shifted(which).cycle()
+    N = jp.N
+    e = [1 if xn == t * xo else 0 for xn, xo in zip(xi_new, xi_old)]
+    ka1, ka2 = (-1, 0) if which == 1 else (0, -1)
+    rho = ONE
+    for i in range(N):
+        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a1, e[i] + ka1, t)
+        rho = rho * _poch_inf_ratio(t * xi_old[i] / jp.a2, e[i] + ka2, t)
+        rho = rho / _poch_inf_ratio(jp.b1 * xi_old[i], e[i] + ka1, t)
+        rho = rho / _poch_inf_ratio(jp.b2 * xi_old[i], e[i] + ka2, t)
+    for i in range(N):
+        for j in range(i + 1, N):
+            ro = xi_old[j] / xi_old[i]
+            rho = rho * _poch_inf_ratio(t * ro / q, e[j] - e[i], t)
+            rho = rho / _poch_inf_ratio(q * ro, e[j] - e[i], t)
+            if e[i]:
+                rho = rho * q * q / t
+            rho = rho * (xi_new[i] - xi_new[j]) / (xi_old[i] - xi_old[j])
+    return rho, sum(e)
+
+
+def _pivot_constant(jp):
+    """Closed form of the pivot <e_hat_n> at Lambda^0:
+
+        (1/q; 1/q)_n (1/q; 1/q)_m (b1 a2; q)_n (q^-n a1/a2; q)_m / (1 - 1/q)^N.
+    """
+    q = jp.q
+    qi = 1 / q
+    return (qpoch(qi, qi, jp.n) * qpoch(qi, qi, jp.m) * qpoch(jp.b1 * jp.a2, q, jp.n)
+            * qpoch(q ** (-jp.n) * jp.a1 / jp.a2, q, jp.m) / (1 - qi) ** jp.N)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n", ORACLE_WINDOWS)
+def test_telescoping_rule_equals_both_oracles(seed, m, n):
+    p, jp = _params(seed, m, n)
+    for pt in cone_points(n, m, 3):
+        assert weight_ratio(jp, pt) == _weight_ratio_oracle(jp, pt)
+    for which in (1, 2):
+        assert base_shift_data(jp, which) == _base_shift_oracle(jp, which)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n", ORACLE_WINDOWS)
+def test_pivot_closed_form_is_the_k_equals_m_constant(seed, m, n):
+    # (q^-n; q)_n = (q^-1; q^-1)_n
+    p, jp = _params(seed, m, n)
+    assert matsuo_leading_constant(jp, m) == _pivot_constant(jp)
+
+
+def test_lambda0_residuals_cover_k_up_to_m():
+    p, jp = _params(41, 2, 1)
+    res = ito_qkz_check(jp, 2)["Lambda^0"]
+    assert len(res) == jp.m + 1
+    assert all(s.valuation() is None for s in res)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_base_shift_at_a_degenerate_point_raises(m, n):
+    # d1 = q^(r - n + 1)/(Q t^2) makes b1 a2 q^r = t, which zeroes the
+    # denominator (b1 a2 q^r / t; t)_1 of the T_1 ratio
+    base = sample_generic_point(1, guard=8)
+    for r in range(n):
+        p = base.replace_roots(rd1=base.rq ** (r - n + 1) / (base.rQ * base.rt ** 2))
+        jp = JacksonParams.from_point(p.with_overrides(m, n), A2)
+        assert jp.b1 * jp.a2 * jp.q ** r == jp.t
+        with pytest.raises(DegenerateParameterError):
+            base_shift_data(jp, 1)

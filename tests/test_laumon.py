@@ -340,6 +340,32 @@ def test_truncated_sum_equals_full_enumeration(seed, m, n):
     assert [list(c.coeffs) for c in pruned] == comps
 
 
+def _truncated_loop(m, n, p, lmax):
+    """z_al_truncated as its own pair loop over the width-pruned pairs."""
+    m1, m2 = laumon._expansion_monomials(p)
+    factors = PairFactors(p)
+    comps = [[0] * (lmax + 1) for _ in range(m + n + 1)]
+    for total in range(m + 2 * lmax + 1):
+        for pair in enumerate_pairs(total, (m, n)):
+            lam1, lam2 = pair
+            a = lam1.odd_row_sum + lam2.even_row_sum
+            b = lam1.even_row_sum + lam2.odd_row_sum
+            if b > lmax:
+                continue
+            wgt = pair_weight(p, pair, factors)
+            comps[a - b + n][b] = comps[a - b + n][b] + wgt * (-m1) ** a * (-m2) ** b
+    return comps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n", [(m, s - m) for s in range(4) for m in range(s + 1)] + [(2, 2)])
+def test_truncated_sum_equals_its_pair_loop(seed, m, n):
+    p = sample_generic_point(seed, guard=8).with_overrides(m, n)
+    for lmax in (1, 3):
+        assert [list(c.coeffs) for c in z_al_truncated(m, n, p, lmax)] \
+            == _truncated_loop(m, n, p, lmax)
+
+
 @pytest.mark.parametrize("overrides", [None, (2, 1)])
 def test_shared_factors_equal_twelve_factor_product(overrides):
     p = P if overrides is None else P.with_overrides(*overrides)

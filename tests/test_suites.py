@@ -128,3 +128,20 @@ def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
     report = run_suite(SuiteConfig(suite=suite, seeds=(1,), lmax=5))
     assert [c["orders"]["lmax"] for c in report["checks"]] == [5] * len(NAMES[suite])
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_rmatrix_3way_solves_each_window_once(monkeypatch):
+    # three lambdas times six windows; the display tables reuse (1,0), (2,0)
+    from qkz import suites
+
+    calls = []
+    real = suites.r_via_linear_system
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(suites, "r_via_linear_system", counted)
+    point, orders, mismatch = suites.chk_rmatrix_3way(seed=1)
+    assert mismatch is None
+    assert len(calls) == 18
