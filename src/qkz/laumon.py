@@ -1,14 +1,18 @@
-"""Orbifolded Nekrasov factors (two independent forms) and the affine
+"""Orbifolded Nekrasov factors (row, column/floor and box forms) and the affine
 Laumon partition function with its surface-defect expansion variables.
 
 All products are finite.  Monomial square roots needed by the balanced
 bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are tracked as exponent vectors over the seven fourth roots so
 their square roots are formed exactly (with an evenness assertion).
-Each factor multiplies its brackets as unreduced int pairs and reduces once.
+Each factor lists its elementary brackets [u q^a kappa^b], takes each
+distinct one once from a bounded memo as an unreduced int pair, and reduces
+the product once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .cone import ConeSeries
 from .errors import QkzError
@@ -56,24 +60,45 @@ def _scaled(a, b, xn, xd, e: int):
     return a * xd ** -e, b * xn ** -e
 
 
-def _bracket_product(sqrt_u, p: ParamPoint, sqrt_base, terms):
-    """prod [u q^e_q kappa^(e_kap/2); base]_n over (e_q, e_kap, n) in terms.
+@lru_cache(maxsize=1024)
+def elementary_bracket(un, ud, qn, qd, tn, td, a: int, b: int):
+    """[u q^a kappa^b] as an unreduced int pair, for sqrt(u) = un/ud,
+    sqrt(q) = rq^2 = qn/qd and rt = tn/td, so sqrt(kappa) = td/tn."""
+    x, y = _scaled(un, ud, qn, qd, a)
+    return bracket_parts(*_scaled(x, y, td, tn, b))
 
-    Each argument sqrt_u rq^(2 e_q) rt^(-e_kap) is built from the ints of
-    sqrt_u, rq and rt, each bracket is an unreduced int pair
-    (bracket_parts), and the product is reduced once.
+
+def _bracket_product(sqrt_u, p: ParamPoint, step, runs):
+    """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n.
+
+    The base is q^s_q kappa^s_kap for step = (s_q, s_kap), and
+    [x; base]_n = prod_{i<n} [x base^i], so each run expands into the
+    elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)].  Each
+    distinct one is taken once from `elementary_bracket`, raised to its
+    multiplicity, and the product is reduced once.
     """
-    un, ud = sqrt_u.numerator, sqrt_u.denominator
-    c, d = sqrt_base.numerator, sqrt_base.denominator
-    qn, qd = p.rq.numerator ** 2, p.rq.denominator ** 2
-    tn, td = p.rt.numerator, p.rt.denominator
+    s_q, s_kap = step
+    counts = {}
+    for e_q, e_kap, n in runs:
+        for i in range(n):
+            key = (e_q + i * s_q, e_kap + i * s_kap)
+            counts[key] = counts.get(key, 0) + 1
+    rq, rt = p.rq, p.rt
+    point = (sqrt_u.numerator, sqrt_u.denominator, rq.numerator ** 2,
+             rq.denominator ** 2, rt.numerator, rt.denominator)
     num = den = 1
-    for e_q, e_kap, n in terms:
-        a, b = _scaled(un, ud, qn, qd, e_q)
-        bn, bd = bracket_parts(*_scaled(a, b, td, tn, e_kap), c, d, n)
+    for (a, b), mult in counts.items():
+        bn, bd = elementary_bracket(*point, a, b)
+        if mult > 1:
+            bn, bd = bn ** mult, bd ** mult
         num *= bn
         den *= bd
     return Rat(num, den)
+
+
+def _padded(rows: tuple, size: int):
+    """Rows as a 0-based tuple, zero-padded to `size`."""
+    return rows + (0,) * (size - len(rows))
 
 
 def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
@@ -85,26 +110,21 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
             [u q^(lam_a - mu_b) kappa^(a-b-1); q]_(mu_b - mu_{b+1})
     """
     k = k % n
-    terms = []
-    for j in range(1, len(lam) + 1):
-        cnt = lam.part(j) - lam.part(j + 1)
-        if cnt == 0:
-            continue
-        for i in range(1, j + 1):
-            if (j - i) % n != k:
-                continue
-            e_q = lam.part(j + 1) - mu.part(i)
-            terms.append((e_q, j - i, cnt))
-    for b in range(1, len(mu) + 1):
-        cnt = mu.part(b) - mu.part(b + 1)
-        if cnt == 0:
-            continue
-        for a in range(1, b + 1):
-            if (b - a + k + 1) % n != 0:
-                continue
-            e_q = lam.part(a) - mu.part(b)
-            terms.append((e_q, a - b - 1, cnt))
-    return _bracket_product(sqrt_u, p, p.sqrt_q, terms)
+    ln, mn = len(lam.parts), len(mu.parts)
+    size = ln + mn + 1
+    lr, mr = _padded(lam.parts, size), _padded(mu.parts, size)
+    runs = []
+    for j in range(ln):
+        lo = lr[j + 1]
+        cnt = lr[j] - lo
+        if cnt:
+            runs += [(lo - mr[i], j - i, cnt) for i in range(j - k, -1, -n)]
+    for b in range(mn):
+        hi = mr[b]
+        cnt = hi - mr[b + 1]
+        if cnt:
+            runs += [(lr[a] - hi, a - b - 1, cnt) for a in range(b - n + 1 + k, -1, -n)]
+    return _bracket_product(sqrt_u, p, (1, 0), runs)
 
 
 def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
@@ -122,36 +142,37 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
             c2 = floor((mv_j + k + ((-lv_i) mod n))/n)
                - floor((mv_{j+1} + k + ((-lv_i) mod n))/n)
 
+    A row j with lv_j = lv_{j+1} (mv_j = mv_{j+1}) makes c1 (c2) the
+    difference of two equal floors, 0 for every i, so it is skipped.
     `extra_bound` widens the iteration range; the result must not change
     (stabilization check used in tests).
     """
     k = k % n
-    lv = lam.transpose()
-    mv = mu.transpose()
-    terms = []
-    jmax1 = len(lv) + extra_bound
-    for j in range(1, jmax1 + 1):
-        hi, lo = lv.part(j), lv.part(j + 1)
-        for i in range(1, j + 1):
-            r1 = mv.part(i) % n
-            c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
-            if c1 <= 0:
-                continue
-            l0 = (k - lo + mv.part(i)) % n
-            e_kap = lo - mv.part(i) + l0
-            terms.append((j - i, e_kap, c1))
-    jmax2 = len(mv) + extra_bound
-    for j in range(1, jmax2 + 1):
-        hi, lo = mv.part(j), mv.part(j + 1)
-        for i in range(1, j + 1):
-            r4 = (-lv.part(i)) % n
-            c2 = (hi + k + r4) // n - (lo + k + r4) // n
-            if c2 <= 0:
-                continue
-            l0 = (k - lv.part(i) + hi) % n
-            e_kap = lv.part(i) - hi + l0
-            terms.append((i - j - 1, e_kap, c2))
-    return _bracket_product(sqrt_u, p, p.rt ** -n, terms)  # sqrt(kappa^n)
+    lv, mv = lam.transpose().parts, mu.transpose().parts
+    size = len(lv) + len(mv) + extra_bound + 1
+    lr, mr = _padded(lv, size), _padded(mv, size)
+    runs = []
+    for j in range(len(lv) + extra_bound):
+        hi, lo = lr[j], lr[j + 1]
+        if hi == lo:
+            continue
+        top, bot = hi + n - 1 - k, lo + n - 1 - k
+        for i, m in enumerate(mr[:j + 1]):
+            r1 = m % n
+            c1 = (top - r1) // n - (bot - r1) // n
+            if c1:
+                runs.append((j - i, lo - m + (k - lo + m) % n, c1))
+    for j in range(len(mv) + extra_bound):
+        hi, lo = mr[j], mr[j + 1]
+        if hi == lo:
+            continue
+        top, bot = hi + k, lo + k
+        for i, l in enumerate(lr[:j + 1]):
+            r4 = -l % n
+            c2 = (top + r4) // n - (bot + r4) // n
+            if c2:
+                runs.append((i - j - 1, l - hi + (k - l + hi) % n, c2))
+    return _bracket_product(sqrt_u, p, (0, n), runs)
 
 
 def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
@@ -163,11 +184,13 @@ def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint)
     with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Equals prod_k nek_orb(k | n)
     for any n.
     """
-    lv = lam.transpose()
-    mv = mu.transpose()
-    terms = [(lam.part(i) - j, -mv.part(j) + i - 1, 1) for i, j in lam.boxes()]
-    terms += [(-mu.part(i) + j - 1, lv.part(j) - i, 1) for i, j in mu.boxes()]
-    return _bracket_product(sqrt_u, p, ONE, terms)
+    size = lam.width + mu.width
+    lv, mv = _padded(lam.transpose().parts, size), _padded(mu.transpose().parts, size)
+    runs = [(row - j - 1, i - mv[j], 1)
+            for i, row in enumerate(lam.parts) for j in range(row)]
+    runs += [(j - row, lv[j] - i - 1, 1)
+             for i, row in enumerate(mu.parts) for j in range(row)]
+    return _bracket_product(sqrt_u, p, (0, 0), runs)
 
 
 # -- affine Laumon partition function ----------------------------------------

@@ -6,7 +6,10 @@ from functools import lru_cache
 
 
 class Partition:
-    __slots__ = ("parts",)
+    """An immutable Young diagram; its conjugate is computed once, on the
+    first transpose(), and kept."""
+
+    __slots__ = ("parts", "_conjugate")
 
     def __init__(self, parts=()):
         parts = tuple(int(x) for x in parts)
@@ -15,6 +18,7 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts
+        self._conjugate = None
 
     def __len__(self):
         return len(self.parts)
@@ -48,10 +52,10 @@ class Partition:
         return self.parts[0] if self.parts else 0
 
     def transpose(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [sum(1 for x in self.parts if x >= j) for j in range(1, self.parts[0] + 1)]
-        return Partition(cols)
+        if self._conjugate is None:
+            self._conjugate = Partition(
+                sum(1 for x in self.parts if x >= j) for j in range(1, self.width + 1))
+        return self._conjugate
 
     @property
     def odd_row_sum(self) -> int:

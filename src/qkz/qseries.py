@@ -18,20 +18,13 @@ class LambdaSeries(TruncatedSeries):
 def qpoch(a, q, n: int):
     """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0."""
     if n < 0:
-        raise ValueError("qpoch needs n >= 0; use qpoch_ext for negative n")
+        raise ValueError("qpoch needs n >= 0")
     out = ONE
     aq = a
     for _ in range(n):
         out = out * (1 - aq)
         aq = aq * q
     return out
-
-
-def qpoch_ext(a, q, n: int):
-    """(a; q)_n extended to negative n via (a;q)_{-k} = 1/(a q^-k; q)_k."""
-    if n >= 0:
-        return qpoch(a, q, n)
-    return quotient(ONE, qpoch(a * q ** n, q, -n), "Pochhammer in negative index")
 
 
 def qbracket_poch(sqrt_u, sqrt_q, n: int):
@@ -47,17 +40,12 @@ def qbracket_poch(sqrt_u, sqrt_q, n: int):
                     "square-root input to the bracket")
 
 
-def bracket_parts(a, b, c, d, n: int):
-    """[u; q]_n as an unreduced int pair for sqrt(u) = a/b, sqrt(q) = c/d:
-    num = prod_{i<n} (b^2 d^(2i) - a^2 c^(2i)), den = (a b)^n (c d)^(n(n-1)/2),
-    since [q^i u] = (b^2 d^(2i) - a^2 c^(2i)) / (a b c^i d^i)."""
-    den = (a * b) ** n * (c * d) ** (n * (n - 1) // 2)
-    if den == 0:
+def bracket_parts(a, b):
+    """[u] = u^(-1/2) - u^(1/2) as the unreduced int pair (b^2 - a^2, a b)
+    for sqrt(u) = a/b.  [u; q]_n is the product of [u q^i] over i < n."""
+    if a == 0 or b == 0:
         raise DegenerateParameterError("zero square-root input to the bracket")
-    num = 1
-    for i in range(n):
-        num *= (b * d ** i) ** 2 - (a * c ** i) ** 2
-    return num, den
+    return b * b - a * a, a * b
 
 
 def qbinom(n: int, k: int, q):

@@ -24,7 +24,7 @@ from qkz.jackson import (
     matsuo_leading_constant,
     weight_ratio,
 )
-from qkz.qseries import LambdaSeries, qfactorial, qpoch, qpoch_ext
+from qkz.qseries import LambdaSeries, qfactorial, qpoch
 from qkz.scalars import ONE, Rat, quotient, rat, sample_generic_point
 
 A2 = rat(5, 7)
@@ -335,6 +335,13 @@ def test_from_point_requires_overrides():
 ORACLE_WINDOWS = [(m, s - m) for s in range(4) for m in range(s + 1)] + [(2, 2)]
 
 
+def _qpoch_ext(a, q, n):
+    """(a; q)_n extended to negative n via (a; q)_{-k} = 1/(a q^-k; q)_k."""
+    if n >= 0:
+        return qpoch(a, q, n)
+    return quotient(ONE, qpoch(a * q ** n, q, -n), "Pochhammer in negative index")
+
+
 def _weight_ratio_oracle(jp, pt):
     """weight_ratio as its own loop over the cone point's exponents."""
     t, q = jp.t, jp.q
@@ -356,8 +363,8 @@ def _weight_ratio_oracle(jp, pt):
             if k == 0:
                 continue
             ratio = xi[j] / xi[i]
-            out = quotient(out, qpoch_ext(t * ratio / q, t, k), "telescoped cross factor")
-            out = out * qpoch_ext(q * ratio, t, k)
+            out = quotient(out, _qpoch_ext(t * ratio / q, t, k), "telescoped cross factor")
+            out = out * _qpoch_ext(q * ratio, t, k)
     for i in range(N):
         for j in range(i + 1, N):
             out = out * quotient(xi[i] * t ** nu[i] - xi[j] * t ** nu[j], xi[i] - xi[j],

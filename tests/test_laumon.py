@@ -18,6 +18,7 @@ from qkz.errors import DegenerateParameterError
 from qkz.partitions import Partition, enumerate_pairs, partitions_of
 from qkz.qseries import qbracket_poch
 from qkz.scalars import ONE, Rat, rat, sample_generic_point
+from qkz.suites import chk_nekrasov_3way
 
 P = sample_generic_point(3, guard=8)
 EMPTY = Partition()
@@ -282,8 +283,59 @@ def test_matter_factor_meets_the_zero_bracket():
 ], ids=["row", "floor", "box"])
 @pytest.mark.parametrize("sqrt_u", [0, rat(0)])
 def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
+    # with a cold memo, and with one warmed at the same pair
+    lam, mu = Partition((2, 1)), Partition((1,))
+    laumon.elementary_bracket.cache_clear()
     with pytest.raises(DegenerateParameterError):
-        form(Partition((2, 1)), Partition((1,)), sqrt_u)
+        form(lam, mu, sqrt_u)
+    form(lam, mu, rat(3, 5))
+    assert laumon.elementary_bracket.cache_info().currsize > 0
+    with pytest.raises(DegenerateParameterError):
+        form(lam, mu, sqrt_u)
+
+
+# -- the elementary-bracket memo: its key, its cold and warm values ------------
+
+def _three_forms(lam, mu, su, p):
+    """Each form at every k of orders 2 and 3, against its slow oracle."""
+    for n in (2, 3):
+        for k in range(n):
+            yield nek_orb(k, n, lam, mu, su, p), _nek_orb_slow(k, n, lam, mu, su, p)
+            yield (nek_orb_floor(k, n, lam, mu, su, p),
+                   _nek_orb_floor_slow(k, n, lam, mu, su, p))
+    yield total_nekrasov_bracket(lam, mu, su, p), _total_nekrasov_bracket_slow(lam, mu, su, p)
+
+
+def test_memo_cold_and_warm_values_are_identical():
+    su = rat(4, 9)
+    for lam, mu in FIXED_PAIRS + _random_pairs(5, 6):
+        laumon.elementary_bracket.cache_clear()
+        cold = list(_three_forms(lam, mu, su, P))
+        assert laumon.elementary_bracket.cache_info().hits > 0
+        warm = list(_three_forms(lam, mu, su, P))
+        assert cold == warm
+        assert all(got == want for got, want in cold)
+
+
+@pytest.mark.parametrize("root", ["rt", "rq"])
+def test_memo_key_holds_the_whole_point(root):
+    # the same sqrt_u at two points that differ in one root: a key without
+    # that root would hand the second point the first point's brackets
+    su = rat(4, 9)
+    other = P.replace_roots(**{root: getattr(P, root) * rat(5, 3)})
+    for lam, mu in FIXED_PAIRS:
+        for p in (P, other):
+            assert all(got == want for got, want in _three_forms(lam, mu, su, p))
+
+
+def test_nekrasov_3way_bracket_count():
+    # 1317 elementary brackets evaluated for 6,000 factors; the memo is
+    # bounded, so a bracket evicted before it recurs is evaluated again
+    laumon.elementary_bracket.cache_clear()
+    assert chk_nekrasov_3way(1)[2] is None
+    info = laumon.elementary_bracket.cache_info()
+    assert info.maxsize == 1024
+    assert info.misses == 1317
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------

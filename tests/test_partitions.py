@@ -13,8 +13,19 @@ def partitions(draw, max_size=10):
 
 @given(partitions())
 def test_transpose_involution(lam):
-    assert lam.transpose().transpose() == lam
-    assert lam.transpose().size == lam.size
+    conj = lam.transpose()
+    assert lam.transpose() is conj  # computed once and kept
+    assert conj.transpose() == lam
+    assert conj.size == lam.size
+
+
+def test_cached_conjugate_keeps_equality_and_hash():
+    lam = Partition((4, 2, 2, 1))
+    assert lam.transpose() == Partition((4, 3, 1, 1))
+    fresh = Partition((4, 2, 2, 1))
+    assert lam == fresh and fresh == lam
+    assert hash(lam) == hash(fresh)
+    assert {lam: "seen"}[fresh] == "seen"
 
 
 @given(partitions())

@@ -13,7 +13,6 @@ from qkz.qseries import (
     qbinom,
     qbracket_poch,
     qpoch,
-    qpoch_ext,
     r_hg_entry,
     very_well_poised,
     w10_9,
@@ -45,11 +44,6 @@ def test_qpoch_splitting(a, q, k, ell):
     assert qpoch(a, q, k + ell) == qpoch(a, q, k) * qpoch(a * q ** k, q, ell)
 
 
-def test_qpoch_ext_negative():
-    a, q = rat(2), rat(3)
-    assert qpoch_ext(a, q, -2) * qpoch(a / q ** 2, q, 2) == 1
-
-
 def test_qbracket_examples():
     assert qbracket_poch(rat(2), rat(3), 0) == 1
     # [u]_1 = u^(-1/2) - u^(1/2) at u = 4
@@ -70,23 +64,34 @@ def test_qbracket_product_form(su, sq, n):
 signed_ints = st.integers(1, 40).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
+def _bracket_run(a, b, c, d, n):
+    """[u; q]_n for sqrt(u) = a/b, sqrt(q) = c/d, as the product of the
+    elementary brackets [u q^i], i < n, each an int pair from bracket_parts."""
+    num = den = 1
+    for i in range(n):
+        bn, bd = bracket_parts(a * c ** i, b * d ** i)
+        num, den = num * bn, den * bd
+    return num, den
+
+
 @given(signed_ints, st.integers(1, 40), signed_ints, st.integers(1, 40), st.integers(0, 6))
 def test_bracket_parts_equal_the_rational_form(a, b, c, d, n):
     # qbracket_poch, one Rat operation at a time, is the oracle for the int kernel
-    assert Rat(*bracket_parts(a, b, c, d, n)) == qbracket_poch(Rat(a, b), Rat(c, d), n)
+    assert Rat(*_bracket_run(a, b, c, d, n)) == qbracket_poch(Rat(a, b), Rat(c, d), n)
 
 
 def test_bracket_parts_meets_the_zero_bracket():
     # sqrt(u) = -1 is [1] = 0; sqrt(u) = (2/3)^-1 and sqrt(q) = 2/3 reach it at i = 1
-    assert bracket_parts(-3, 3, 5, 7, 2)[0] == 0
-    assert bracket_parts(3, 2, 2, 3, 3)[0] == 0
-    assert bracket_parts(3, 2, 2, 3, 1)[0] != 0
+    assert bracket_parts(-3, 3) == (0, -9)
+    assert _bracket_run(-3, 3, 5, 7, 2)[0] == 0
+    assert _bracket_run(3, 2, 2, 3, 3)[0] == 0
+    assert _bracket_run(3, 2, 2, 3, 1)[0] != 0
 
 
 @pytest.mark.parametrize("args", [(0, 1, 2, 3, 2), (2, 3, 0, 1, 2), (0, 1, 0, 1, 1)])
 def test_bracket_parts_zero_input_is_degenerate(args):
     with pytest.raises(DegenerateParameterError):
-        bracket_parts(*args)
+        _bracket_run(*args)
     sqrt_u, sqrt_q = Rat(*args[:2]), Rat(*args[2:4])
     with pytest.raises(DegenerateParameterError):
         qbracket_poch(sqrt_u, sqrt_q, args[4])

@@ -6,7 +6,8 @@ beyond the acceptance configs: the empty window and higher orders."""
 import pytest
 
 from qkz.suites import (
-    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_qkz_matrix, run_suite)
+    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_nekrasov_3way, chk_qkz_matrix,
+    run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -115,6 +116,14 @@ def test_al_eq_jackson_at_every_low_lmax(monkeypatch, lmax):
         assert any(pair != (None, None) for pair in leading)
         assert all((pair == (None, None)) == (const is None) for pair, const
                    in zip(leading, check["info"]["component_constants"]))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_nekrasov_3way_to_size_16(seed):
+    # twice the acceptance max_size: pairs of up to 16 boxes each
+    point, orders, mismatch = chk_nekrasov_3way(seed, pair_count=200, max_size=16)
+    assert orders["max_size"] == 16
+    assert mismatch is None
 
 
 def test_dual_qkz_window_2_2_at_order_4():
