@@ -192,8 +192,7 @@ class ConeSeries:
 
 def _num_den(v):
     if is_plain(v):
-        return v.numerator if not isinstance(v, int) else v, \
-            v.denominator if not isinstance(v, int) else 1
+        return v.numerator, v.denominator
     raise TypeError(f"cannot dump scalar of type {type(v).__name__}")
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import QkzError
+from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
+from .partitions import partitions_of
 from .qseries import (
     LambdaSeries,
     qbinom,
@@ -76,60 +78,20 @@ class JacksonParams:
         raise ValueError("which must be 1 or 2")
 
 
-class ConePoint:
-    """Lattice exponents nu, weakly increasing within each block."""
-
-    __slots__ = ("nu", "n", "m")
-
-    def __init__(self, nu, n: int, m: int):
-        nu = tuple(nu)
-        if len(nu) != n + m:
-            raise ValueError("length mismatch")
-        if any(x < 0 for x in nu):
-            raise ValueError("exponents must be >= 0")
-        if any(nu[i] > nu[i + 1] for i in range(n - 1)) or \
-           any(nu[n + i] > nu[n + i + 1] for i in range(m - 1)):
-            raise ValueError("blocks must be weakly increasing")
-        self.nu = nu
-        self.n = n
-        self.m = m
-
-    @property
-    def degree(self) -> int:
-        return sum(self.nu)
-
-    def __repr__(self):
-        return f"ConePoint({self.nu[:self.n]}|{self.nu[self.n:]})"
-
-
-def _weakly_increasing(length: int, total: int):
-    """Weakly increasing tuples of the given length summing to total."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining // 1 + 1):
-            if first * slots > remaining:
-                break
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, length, 0)
-
-
 def cone_points(n: int, m: int, max_degree: int):
-    """All cone points with sum(nu) <= max_degree."""
+    """All lattice exponents nu with sum(nu) <= max_degree, weakly increasing
+    within the first n and within the last m entries.  A block of length b
+    and degree d is a partition of d with at most b parts, read from its
+    smallest part and zero-padded."""
+    def blocks(length, total):
+        return [(0,) * (length - len(lam)) + lam.parts[::-1]
+                for lam in partitions_of(total) if len(lam) <= length]
+
     for d in range(max_degree + 1):
         for d1 in range(d + 1):
-            for left in _weakly_increasing(n, d1):
-                for right in _weakly_increasing(m, d - d1):
-                    yield ConePoint(left + right, n, m)
+            for left in blocks(n, d1):
+                for right in blocks(m, d - d1):
+                    yield left + right
 
 
 def _times_inf_ratio(out, c, d, k: int, t, what: str):
@@ -142,7 +104,7 @@ def _times_inf_ratio(out, c, d, k: int, t, what: str):
     return out
 
 
-def _telescoped_weight(jp: JacksonParams, e, shift=(0, 0)):
+def weight_ratio(jp: JacksonParams, e, shift=(0, 0)):
     """[Phi(z) Delta(1, z)] at z_i = xi_i t^(e_i), with a_k -> t^(-s_k) a_k
     and b_k -> t^(s_k) b_k for shift = (s_1, s_2), divided by its value at
     e = 0 and the unshifted parameters.
@@ -174,12 +136,6 @@ def _telescoped_weight(jp: JacksonParams, e, shift=(0, 0)):
             out = out * quotient(xi[i] * t ** e[i] - xi[j] * t ** e[j], xi[i] - xi[j],
                                  "difference of cycle points")
     return out
-
-
-def weight_ratio(jp: JacksonParams, pt: ConePoint):
-    """[Phi(z) Delta(1, z)] at z = xi t^nu divided by its nu = 0 value: the
-    exact scalar ratio; the Lambda-degree is sum(nu)."""
-    return _telescoped_weight(jp, pt.nu)
 
 
 def matsuo_e(k: int, a, b, z, q):
@@ -265,10 +221,10 @@ def jackson_vector_raw(jp: JacksonParams, lmax: int):
     coeffs = [[0] * (lmax + 1) for _ in range(N + 1)]
     t = jp.t
     xi = jp.cycle()
-    for pt in cone_points(jp.n, jp.m, lmax):
-        w = weight_ratio(jp, pt)
-        z = [xi[i] * t ** pt.nu[i] for i in range(N)]
-        d = pt.degree
+    for nu in cone_points(jp.n, jp.m, lmax):
+        w = weight_ratio(jp, nu)
+        z = [x * t ** e for x, e in zip(xi, nu)]
+        d = sum(nu)
         for k in range(N + 1):
             coeffs[k][d] = coeffs[k][d] + w * matsuo_e(k, jp.a2, jp.b1, z, jp.q)
     return [LambdaSeries(c) for c in coeffs]
@@ -436,7 +392,7 @@ def base_shift_data(jp: JacksonParams, which: int):
     # e[i] = 1 where the cycle point is scaled by t
     e = [1 if s == t else 0 for s in scaled]
     shift = (-1, 0) if which == 1 else (0, -1)
-    return _telescoped_weight(jp, e, shift), sum(e)
+    return weight_ratio(jp, e, shift), sum(e)
 
 
 def al_jackson_compare(p: ParamPoint, a2, lmax: int) -> dict:
@@ -453,8 +409,6 @@ def al_jackson_compare(p: ParamPoint, a2, lmax: int) -> dict:
     (its leading orders and constant are None); the comparison fails when
     no component is compared.
     """
-    from .laumon import z_al_truncated
-
     if p.m is None or p.n is None:
         raise QkzError("al_jackson_compare needs a mass-truncated point")
     m, n = p.m, p.n

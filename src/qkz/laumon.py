@@ -3,8 +3,8 @@ Laumon partition function with its surface-defect expansion variables.
 
 All products are finite.  Monomial square roots needed by the balanced
 bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
-parameters are tracked as exponent vectors over the seven fourth roots so
-their square roots are formed exactly (with an evenness assertion).
+parameters are lattice Monomials, so their square roots are formed exactly
+(Monomial.half rejects an odd exponent).
 Each factor lists its elementary brackets [u q^a kappa^b], takes each
 distinct one once from a bounded memo as an unreduced int pair, and reduces
 the product once.
@@ -18,39 +18,18 @@ from .cone import ConeSeries
 from .errors import QkzError
 from .partitions import Partition, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import ONE, ParamPoint, Rat, quotient
+from .scalars import ONE, Monomial, ParamPoint, Rat, quotient
 
-# Exponent vectors over (rq, rt, rQ, rd1, rd2, rd3, rd4); the parameters
-# themselves are fourth powers of the roots.
-_Q = (4, 0, 0, 0, 0, 0, 0)
-_T = (0, 4, 0, 0, 0, 0, 0)
-_QQ = (0, 0, 4, 0, 0, 0, 0)
-_D = [None,
-      (0, 0, 0, 4, 0, 0, 0),
-      (0, 0, 0, 0, 4, 0, 0),
-      (0, 0, 0, 0, 0, 4, 0),
-      (0, 0, 0, 0, 0, 0, 4)]
-_KAPPA = (0, -2, 0, 0, 0, 0, 0)
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
-
-
-def sqrt_of_monomial(p: ParamPoint, vec):
-    """Exact square root of a fourth-root monomial; exponents must be even."""
-    if any(e % 2 for e in vec):
-        raise QkzError(f"monomial {vec} has no exact square root on the lattice")
-    half = tuple(e // 2 for e in vec)
-    return p.mono(*half)
+# The parameters as lattice monomials, each the fourth power of its root:
+# Q is q, QQ the instanton parameter Q, and KAPPA = t^(-1/2) = rt^-2.
+Q = Monomial((4, 0, 0, 0, 0, 0, 0))
+QQ = Monomial((0, 0, 4, 0, 0, 0, 0))
+D1 = Monomial((0, 0, 0, 4, 0, 0, 0))
+D2 = Monomial((0, 0, 0, 0, 4, 0, 0))
+D3 = Monomial((0, 0, 0, 0, 0, 4, 0))
+D4 = Monomial((0, 0, 0, 0, 0, 0, 4))
+KAPPA = Monomial((0, -2, 0, 0, 0, 0, 0))
+UNIT = Monomial((0, 0, 0, 0, 0, 0, 0))
 
 
 def _scaled(a, b, xn, xd, e: int):
@@ -127,8 +106,7 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
     return _bracket_product(sqrt_u, p, (1, 0), runs)
 
 
-def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
-                  p: ParamPoint, extra_bound: int = 0):
+def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
     """Same factor via the column/floor form with base-kappa^n brackets.
 
     With lv = lam^T, mv = mu^T the two products are
@@ -144,15 +122,13 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
 
     A row j with lv_j = lv_{j+1} (mv_j = mv_{j+1}) makes c1 (c2) the
     difference of two equal floors, 0 for every i, so it is skipped.
-    `extra_bound` widens the iteration range; the result must not change
-    (stabilization check used in tests).
     """
     k = k % n
     lv, mv = lam.transpose().parts, mu.transpose().parts
-    size = len(lv) + len(mv) + extra_bound + 1
+    size = len(lv) + len(mv) + 1
     lr, mr = _padded(lv, size), _padded(mv, size)
     runs = []
-    for j in range(len(lv) + extra_bound):
+    for j in range(len(lv)):
         hi, lo = lr[j], lr[j + 1]
         if hi == lo:
             continue
@@ -162,7 +138,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u,
             c1 = (top - r1) // n - (bot - r1) // n
             if c1:
                 runs.append((j - i, lo - m + (k - lo + m) % n, c1))
-    for j in range(len(mv) + extra_bound):
+    for j in range(len(mv)):
         hi, lo = mr[j], mr[j + 1]
         if hi == lo:
             continue
@@ -196,22 +172,16 @@ def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint)
 # -- affine Laumon partition function ----------------------------------------
 
 def _spectral_vectors():
-    """u1, u2, v1, v2, w1, w2 as fourth-root exponent vectors:
+    """u1, u2, v1, v2, w1, w2 as lattice monomials:
     u1 = qQ/d3, u2 = kappa q/d1, v1 = 1, v2 = Q/kappa,
     w1 = 1/d2, w2 = Q/(d4 kappa)."""
-    u1 = _vsub(_vadd(_Q, _QQ), _D[3])
-    u2 = _vsub(_vadd(_KAPPA, _Q), _D[1])
-    v1 = (0,) * 7
-    v2 = _vsub(_QQ, _KAPPA)
-    w1 = _vneg(_D[2])
-    w2 = _vsub(_QQ, _vadd(_D[4], _KAPPA))
-    return (u1, u2), (v1, v2), (w1, w2)
+    return ((Q + QQ - D3, KAPPA + Q - D1), (UNIT, QQ - KAPPA),
+            (-D2, QQ - D4 - KAPPA))
 
 
 def _sqrt_table(p: ParamPoint, left, right):
     """sqrt(left_i / right_j) for i, j in {0, 1}."""
-    return [[sqrt_of_monomial(p, _vsub(left[i], right[j])) for j in range(2)]
-            for i in range(2)]
+    return [[p.at((l - r).half()) for r in right] for l in left]
 
 
 class PairFactors:
@@ -244,15 +214,13 @@ class PairFactors:
         return got
 
 
-def pair_weight(p: ParamPoint, pair, factors: PairFactors | None = None):
+def pair_weight(p: ParamPoint, pair, factors: PairFactors):
     """Weight of one fixed point (lambda1, lambda2) in the localization sum:
     matter factors over vector-multiplet factors, order-2 orbifold.
 
     `factors` must be built at p; a sum passes one to all its calls so the
     single-partition factors are computed once.  Only the two off-diagonal
     vector factors depend on the pair."""
-    if factors is None:
-        factors = PairFactors(p)
     lam1, lam2 = pair
     (num1, den1), (num2, den2) = factors.single(0, lam1), factors.single(1, lam2)
     den = (den1 * den2
@@ -264,9 +232,7 @@ def pair_weight(p: ParamPoint, pair, factors: PairFactors | None = None):
 def _expansion_monomials(p: ParamPoint):
     """x1 = -m1 x and x2 = -m2 L/x with
     m1 = sqrt(Q d1 d2)/kappa and m2 = sqrt(d3 d4 / (q^2 Q))."""
-    m1 = p.mono(et=2, eQ=2, ed1=2, ed2=2)
-    m2 = p.mono(eq=-4, eQ=-2, ed3=2, ed4=2)
-    return m1, m2
+    return p.at((QQ + D1 + D2).half() - KAPPA), p.at((D3 + D4 - Q - Q - QQ).half())
 
 
 def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:

@@ -10,7 +10,8 @@ Three kinds of scalars circulate in this package:
 * ``ParamPoint`` -- a rational point for the parameters (q, t, Q, d1..d4),
   stored through their *fourth roots* so that every square root the
   formulas need (sqrt(q), sqrt(t), kappa = t^(-1/2), sqrt of spectral
-  monomials, ...) is again an exact rational monomial.
+  monomials, ...) is again an exact rational monomial.  Such a monomial is
+  a ``Monomial``, its exponent vector over the seven roots.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateParameterError, SamplingError
+from .errors import DegenerateParameterError, QkzError, SamplingError
 
 try:
     from gmpy2 import mpq as Rat
@@ -254,6 +255,33 @@ def exp_jet(c, order: int) -> HJet:
 _ROOT_FIELDS = ("rq", "rt", "rQ", "rd1", "rd2", "rd3", "rd4")
 
 
+class Monomial(tuple):
+    """A monomial rq^e_q rt^e_t rQ^e_Q rd1^e_1 ... rd4^e_4 on the fourth-root
+    lattice, as its exponent vector (e_q, e_t, e_Q, e_1, ..., e_4).
+
+    Monomials multiply by adding vectors, so `+`, `-` and negation are the
+    product, the quotient and the inverse; `half()` is the exact square
+    root.  `ParamPoint.at` evaluates one at a point.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Monomial(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other):
+        return Monomial(a - b for a, b in zip(self, other))
+
+    def __neg__(self):
+        return Monomial(-a for a in self)
+
+    def half(self) -> "Monomial":
+        """The square root; every exponent must be even."""
+        if any(e % 2 for e in self):
+            raise QkzError(f"monomial {tuple(self)} has no exact square root on the lattice")
+        return Monomial(e // 2 for e in self)
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """Fourth-root parameterization of (q, t, Q, d1..d4).
@@ -308,23 +336,12 @@ class ParamPoint:
     def d4(self):
         return self.rd4 ** 4
 
-    @property
-    def kappa(self):
-        return self.rt ** -2
-
-    @property
-    def sqrt_q(self):
-        return self.rq ** 2
-
-    def mono(self, eq=0, et=0, eQ=0, ed1=0, ed2=0, ed3=0, ed4=0):
-        """Evaluate the fourth-root monomial rq^eq rt^et rQ^eQ rd1^ed1 ..."""
+    def at(self, mono: Monomial):
+        """The value of a lattice monomial at this point."""
         val = ONE
-        for root, e in zip(
-            (self.rq, self.rt, self.rQ, self.rd1, self.rd2, self.rd3, self.rd4),
-            (eq, et, eQ, ed1, ed2, ed3, ed4),
-        ):
+        for name, e in zip(_ROOT_FIELDS, mono):
             if e:
-                val = val * root ** e
+                val = val * getattr(self, name) ** e
         return val
 
     # -- overrides ----------------------------------------------------------

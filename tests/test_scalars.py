@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkz.errors import DegenerateParameterError, SingularMatrixError
+from qkz.errors import DegenerateParameterError, QkzError, SingularMatrixError
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
 from qkz.scalars import (
     ONE,
     HJet,
+    Monomial,
     ParamPoint,
     Rat,
     _draw_root,
@@ -163,8 +164,28 @@ def test_overrides_and_dictionary():
     p = sample_generic_point(1, guard=6).with_overrides(1, 0)
     assert p.d2 * p.q == 1
     assert p.d3 == 1
-    assert p.kappa ** 2 * p.t == 1
-    assert p.sqrt_q ** 2 == p.q
+
+
+exponent_vectors = st.builds(Monomial, st.lists(st.integers(-6, 6), min_size=7, max_size=7))
+
+
+def test_monomial_half_needs_even_exponents():
+    assert Monomial((2, -4, 0, 6, 0, -2, 8)).half() == (1, -2, 0, 3, 0, -1, 4)
+    for i in range(7):
+        odd = Monomial(1 if j == i else 2 for j in range(7))
+        with pytest.raises(QkzError):
+            odd.half()
+
+
+@given(exponent_vectors, exponent_vectors)
+def test_monomial_arithmetic_is_evaluated_exactly(a, b):
+    p = sample_generic_point(1, guard=8)
+    assert p.at(a + b) == p.at(a) * p.at(b)
+    assert p.at(a - b) == p.at(a) / p.at(b)
+    assert p.at(-a) * p.at(a) == 1
+    v = a + a
+    assert p.at(v.half()) == p.at(a)
+    assert p.at(v.half()) ** 2 == p.at(v)
 
 
 def test_point_serialization_round_trip():

@@ -126,6 +126,19 @@ def test_nekrasov_3way_to_size_16(seed):
     assert mismatch is None
 
 
+def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
+    # a form that is off by a factor 2 is caught by the comparison it feeds
+    from qkz import suites
+
+    for name, key in (("nek_orb_floor", "floor_form"),
+                      ("total_nekrasov_bracket", "box_product")):
+        real = getattr(suites, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, name, lambda *args, _real=real: 2 * _real(*args))
+            mismatch = chk_nekrasov_3way(1, pair_count=20)[2]
+        assert mismatch is not None and key in mismatch, (name, mismatch)
+
+
 def test_dual_qkz_window_2_2_at_order_4():
     assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
 
