@@ -15,7 +15,7 @@ import io
 
 from .errors import ResonanceError
 from .qseries import LambdaSeries, dbl_qt_poch_series, phi_coeffs
-from .scalars import HJet, ParamPoint, is_plain, shakirov_eigenvalue
+from .scalars import ParamPoint, is_plain, shakirov_eigenvalue
 
 # Each axis monomial x, Lambda/x, Lambda as its (k, l) step on the grid.
 AXIS_X = (1, 0)
@@ -170,23 +170,13 @@ class ConeSeries:
         return self.mul_axis(series.coeffs, AXIS_L)
 
     def dump_csv(self) -> str:
-        """k, l, numerator, denominator rows (per jet order for jets)."""
+        """k, l, numerator, denominator rows."""
         buf = io.StringIO()
-        jets = any(isinstance(v, HJet) for row in self.c for v in row)
-        if jets:
-            buf.write("k,l,h_order,numerator,denominator\n")
-        else:
-            buf.write("k,l,numerator,denominator\n")
+        buf.write("k,l,numerator,denominator\n")
         for k in range(self.kmax + 1):
             for l in range(self.lmax + 1):
-                v = self.c[k][l]
-                if isinstance(v, HJet):
-                    for j, cj in enumerate(v.coeffs):
-                        num, den = _num_den(cj)
-                        buf.write(f"{k},{l},{j},{num},{den}\n")
-                else:
-                    num, den = _num_den(v)
-                    buf.write(f"{k},{l},{num},{den}\n")
+                num, den = _num_den(self.c[k][l])
+                buf.write(f"{k},{l},{num},{den}\n")
         return buf.getvalue()
 
 

@@ -11,7 +11,6 @@ to exact Lambda-degrees through base-point ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import QkzError
 from .laumon import z_al_truncated
@@ -138,34 +137,38 @@ def weight_ratio(jp: JacksonParams, e, shift=(0, 0)):
     return out
 
 
-def matsuo_e(k: int, a, b, z, q):
-    """Factorized symmetric cocycle
+def matsuo_e(a, b, z, q) -> list:
+    """Factorized symmetric cocycles [e_hat_0, ..., e_hat_N],
 
         e_hat_k(a, b; z) = [k]_{1/q}! [N-k]_{1/q}!
             sum_{|J| = k} prod_{i in I} (1 - z_i/a) prod_{j in J} (1 - b z_j)
-                          prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i).
+                          prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i),
+
+    I the complement of J.  The single factors and cross ratios are built
+    once, and each subset J is summed once, into e_hat_|J|.
     """
     z = list(z)
     N = len(z)
-    if not 0 <= k <= N:
-        raise ValueError("k out of range")
-    qi = 1 / q
-    pref = qfactorial(k, qi) * qfactorial(N - k, qi)
-    total = 0
-    idx = range(N)
-    for J in combinations(idx, k):
-        Jset = set(J)
-        I = [i for i in idx if i not in Jset]
+    left = [1 - v / a for v in z]
+    right = [1 - b * v for v in z]
+    cross = [[quotient(zj - zi / q, zj - zi, "difference of z values") if i != j else None
+              for j, zj in enumerate(z)] for i, zi in enumerate(z)]
+    totals = [0] * (N + 1)
+    for mask in range(1 << N):
+        J = [j for j in range(N) if mask >> j & 1]
+        I = [i for i in range(N) if not mask >> i & 1]
         term = ONE
         for i in I:
-            term = term * (1 - z[i] / a)
+            term = term * left[i]
         for j in J:
-            term = term * (1 - b * z[j])
+            term = term * right[j]
         for i in I:
             for j in J:
-                term = term * quotient(z[j] - z[i] / q, z[j] - z[i], "difference of z values")
-        total = total + term
-    return pref * total
+                term = term * cross[i][j]
+        totals[len(J)] = totals[len(J)] + term
+    qi = 1 / q
+    return [qfactorial(k, qi) * qfactorial(N - k, qi) * total
+            for k, total in enumerate(totals)]
 
 
 def matsuo_e_brute(k: int, a, b, z, q):
@@ -225,8 +228,8 @@ def jackson_vector_raw(jp: JacksonParams, lmax: int):
         w = weight_ratio(jp, nu)
         z = [x * t ** e for x, e in zip(xi, nu)]
         d = sum(nu)
-        for k in range(N + 1):
-            coeffs[k][d] = coeffs[k][d] + w * matsuo_e(k, jp.a2, jp.b1, z, jp.q)
+        for k, e_hat in enumerate(matsuo_e(jp.a2, jp.b1, z, jp.q)):
+            coeffs[k][d] = coeffs[k][d] + w * e_hat
     return [LambdaSeries(c) for c in coeffs]
 
 

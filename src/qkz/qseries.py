@@ -103,48 +103,31 @@ def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:
     return series_exp(LambdaSeries(coeffs))
 
 
+def hyper_terms(nums, dens, q, z, count: int, what: str) -> list:
+    """[t_0, ..., t_count] of the r-phi-s term rule
+
+        t_k = z^k prod_a (a; q)_k / prod_b (b; q)_k,
+
+    one checked division per step (Gasper-Rahman, ch. 1).  The lower
+    parameters carry (q; q)_k explicitly when the series has it."""
+    terms = [ONE]
+    for k in range(1, count + 1):
+        num = z
+        den = ONE
+        for a in nums:
+            num = num * (1 - a * q ** (k - 1))
+        for b in dens:
+            den = den * (1 - b * q ** (k - 1))
+        terms.append(terms[-1] * quotient(num, den, f"{what} at k={k}"))
+    return terms
+
+
 def heine_2phi1(a, b, c, base, z_order: int) -> LambdaSeries:
     """Truncated 2phi1(a, b; c; base, z) as a series in z."""
     if z_order < 0:
         raise ValueError("z_order must be >= 0")
-    coeffs = [1]
-    term = 1
-    for n in range(1, z_order + 1):
-        num = (1 - a * base ** (n - 1)) * (1 - b * base ** (n - 1))
-        den = (1 - base ** n) * (1 - c * base ** (n - 1))
-        term = term * quotient(num, den, f"2phi1 denominator at n={n}")
-        coeffs.append(term)
-    return LambdaSeries(coeffs)
-
-
-def r_hg_entry(i: int, j: int, N: int, z, alpha, beta, q):
-    """Hypergeometric-form R-matrix entry (finite 4phi3-type sum).
-
-    R_{i,j} = beta^-j (q)_N (alpha/z)_{N-i} (1/beta)_{N-j} (beta/z)_j
-              / [(q)_j (q)_{N-j} (1/z)_N (1/beta)_{N-i}]
-              * sum_{k<=j} (q^-j)_k (q^{i-N})_k (q^{1-N} z)_k (z/(alpha beta))_k
-                           / [(q)_k (q^-N)_k (q^{1+i-N} z/alpha)_k (q^{1-j} z/beta)_k] q^k.
-    """
-    if not (0 <= i <= N and 0 <= j <= N):
-        raise ValueError("indices out of range")
-    pref = quotient(
-        beta ** (-j) * qpoch(q, q, N) * qpoch(alpha / z, q, N - i)
-        * qpoch(1 / beta, q, N - j) * qpoch(beta / z, q, j),
-        qpoch(q, q, j) * qpoch(q, q, N - j) * qpoch(1 / z, q, N) * qpoch(1 / beta, q, N - i),
-        "R entry prefactor denominator")
-    num_bases = (q ** (-j), q ** (i - N), q ** (1 - N) * z, z / (alpha * beta))
-    den_bases = (q, q ** (-N), q ** (1 + i - N) * z / alpha, q ** (1 - j) * z / beta)
-    total = 0
-    term = 1
-    for k in range(j + 1):
-        if k > 0:
-            num = den = 1
-            for nb, db in zip(num_bases, den_bases):
-                num = num * (1 - nb * q ** (k - 1))
-                den = den * (1 - db * q ** (k - 1))
-            term = term * quotient(num, den, f"R sum denominator at k={k}") * q
-        total = total + term
-    return pref * total
+    return LambdaSeries(hyper_terms((a, b), (base, c), base, 1, z_order,
+                                    "2phi1 denominator"))
 
 
 def very_well_poised(a, params, nmax: int, q, z):
@@ -153,16 +136,10 @@ def very_well_poised(a, params, nmax: int, q, z):
     sum_k (a)_k / (q)_k * (1 - a q^{2k})/(1 - a) * z^k
           * prod_p (p)_k / (q a / p)_k
     """
+    terms = hyper_terms((a, *params), (q, *(q * a / p for p in params)), q, z, nmax,
+                        "very-well-poised denominator")
     total = 0
-    term = 1  # (a)_k/(q)_k prod_p (p)_k/(qa/p)_k * z^k, built incrementally
-    for k in range(nmax + 1):
-        if k > 0:
-            num = (1 - a * q ** (k - 1)) * z
-            den = 1 - q ** k
-            for p in params:
-                num = num * (1 - p * q ** (k - 1))
-                den = den * (1 - (q * a / p) * q ** (k - 1))
-            term = term * quotient(num, den, "very-well-poised denominator")
+    for k, term in enumerate(terms):
         total = total + term * quotient(1 - a * q ** (2 * k), 1 - a,
                                         "1 - a in the very-well-poised series")
     return total
@@ -173,18 +150,12 @@ def w10_9(a, b, c, d, e, f, g, n: int, q):
     return very_well_poised(a, (b, c, d, e, f, g, q ** (-n)), n, q, q)
 
 
-def bailey_check(a, b, c, d, e, f, n: int, q, g=None):
-    """Both sides of Bailey's transformation for terminating 10W9.
-
-    The balancing condition q^2 a^3 = b c d e f g q^-n is enforced: g is
-    solved for when not supplied, validated otherwise.  Returns (lhs, rhs);
-    the transformation asserts lhs == rhs.
+def bailey_check(a, b, c, d, e, f, n: int, q):
+    """Both sides of Bailey's transformation for terminating 10W9, with g
+    solved from the balancing condition q^2 a^3 = b c d e f g q^-n.
+    Returns (lhs, rhs); the transformation asserts lhs == rhs.
     """
-    balanced_g = q ** (2 + n) * a ** 3 / (b * c * d * e * f)
-    if g is None:
-        g = balanced_g
-    elif g != balanced_g:
-        raise DegenerateParameterError("balancing condition violated")
+    g = q ** (2 + n) * a ** 3 / (b * c * d * e * f)
     lhs = w10_9(a, b, c, d, e, f, g, n, q)
     pref_num = 1
     pref_den = 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import DegenerateParameterError, QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
-from .qseries import LambdaSeries, heine_2phi1, qpoch, r_hg_entry
+from .qseries import LambdaSeries, heine_2phi1, hyper_terms, qpoch
 from .scalars import ONE, ParamPoint, invertible, quotient
 
 
@@ -180,20 +180,42 @@ def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
 
 
 def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
-    """r_{i,j} = d1^(m-i) q^((m+1)i) R^HG_{i+n, j+n} at
-    N = m+n, z = Lambda/q, alpha = q^n/d1, beta = q^m/d4."""
+    """r_{i,j} = d1^(m-i) q^((m+1)i) R^HG_{i+n, j+n} at N = m+n, z = Lambda/q,
+    alpha = q^n/d1, beta = q^m/d4, with the terminating 4phi3-type sum
+
+        R^HG_{I,J} = beta^-J (q)_N (alpha/z)_{N-I} (1/beta)_{N-J} (beta/z)_J
+                     / [(q)_J (q)_{N-J} (1/z)_N (1/beta)_{N-I}]
+          * sum_{k<=J} (q^-J)_k (q^{I-N})_k (q^{1-N} z)_k (z/(alpha beta))_k q^k
+                       / [(q)_k (q^-N)_k (q^{1+I-N} z/alpha)_k (q^{1-J} z/beta)_k].
+
+    Every factor depends on (I, k), (J, k) or k alone, so the sum is
+    A diag(c) B^T with A[I, k], B[J, k] (zero for k > J) and c_k each one
+    run of the term rule, and the prefactor is a row and a column diagonal.
+    """
     N = m + n
     z = lam / q
     alpha = q ** n / d1
     beta = q ** m / d4
-    size = N + 1
-    out = ScalarMatrix(size, size, [0] * (size * size))
-    for ii in range(size):
-        i = ii - n
-        pref = d1 ** (m - i) * q ** ((m + 1) * i)
-        for jj in range(size):
-            out[ii, jj] = pref * r_hg_entry(ii, jj, N, z, alpha, beta, q)
-    return out
+    window = range(N + 1)
+    a_rows = ScalarMatrix.from_rows(
+        hyper_terms((q ** (I - N),), (q ** (1 + I - N) * z / alpha,), q, 1, N,
+                    "R sum denominator") for I in window)
+    b_rows = ScalarMatrix.from_rows(
+        hyper_terms((q ** (-J),), (q ** (1 - J) * z / beta,), q, 1, J,
+                    "R sum denominator") + [0] * (N - J) for J in window)
+    c = hyper_terms((q ** (1 - N) * z, z / (alpha * beta)), (q, q ** (-N)), q, q, N,
+                    "R sum denominator")
+    const = quotient(qpoch(q, q, N), qpoch(1 / z, q, N), "R entry prefactor denominator")
+    left = ScalarMatrix.diagonal(
+        quotient(const * d1 ** (N - I) * q ** ((m + 1) * (I - n))
+                 * qpoch(alpha / z, q, N - I),
+                 qpoch(1 / beta, q, N - I), "R entry prefactor denominator")
+        for I in window)
+    right = ScalarMatrix.diagonal(
+        quotient(beta ** (-J) * qpoch(1 / beta, q, N - J) * qpoch(beta / z, q, J),
+                 qpoch(q, q, J) * qpoch(q, q, N - J), "R entry prefactor denominator")
+        for J in window)
+    return left @ a_rows @ ScalarMatrix.diagonal(c) @ b_rows.transpose() @ right
 
 
 # -- q-KZ residual on the partition-sum components ----------------------------

@@ -219,7 +219,8 @@ class TruncatedSeries:
         """Multiply by var^power (power >= 0), truncating at the same order."""
         if power < 0:
             raise ValueError("negative powers of the variable are not representable")
-        return self._wrap((0,) * power + self.coeffs[: self.order + 1 - power])
+        keep = max(0, self.order + 1 - power)
+        return self._wrap((0,) * (self.order + 1 - keep) + self.coeffs[:keep])
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if all vanish."""

@@ -391,8 +391,7 @@ def chk_shuffle(seed: int, nmax: int = 4):
             v = Rat(rng.randint(2, 80), rng.randint(2, 80))
             if v not in z:
                 z.append(v)
-        for k in range(N + 1):
-            lhs = matsuo_e(k, a, b, z, q)
+        for k, lhs in enumerate(matsuo_e(a, b, z, q)):
             rhs = matsuo_e_brute(k, a, b, z, q)
             if lhs != rhs:
                 return point, {"N_max": nmax}, {"N": N, "k": k, "factored": str(lhs),

@@ -204,6 +204,8 @@ def _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, p, extra_bound=0):
         for i in range(1, j + 1):
             r1 = mv.part(i) % n
             c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
+            # an added row lies past the diagram (hi = lo = 0): its floors cancel
+            assert j <= len(lv) or c1 == 0, (j, i, c1)
             if c1 <= 0:
                 continue
             e_kap = lo - mv.part(i) + (k - lo + mv.part(i)) % n
@@ -214,6 +216,7 @@ def _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, p, extra_bound=0):
         for i in range(1, j + 1):
             r4 = (-lv.part(i)) % n
             c2 = (hi + k + r4) // n - (lo + k + r4) // n
+            assert j <= len(mv) or c2 == 0, (j, i, c2)
             if c2 <= 0:
                 continue
             e_kap = lv.part(i) - hi + (k - lv.part(i) + hi) % n

@@ -9,11 +9,11 @@ from qkz.qseries import (
     bracket_parts,
     dbl_qt_poch_series,
     heine_2phi1,
+    hyper_terms,
     phi_coeffs,
     qbinom,
     qbracket_poch,
     qpoch,
-    r_hg_entry,
     very_well_poised,
     w10_9,
 )
@@ -143,6 +143,30 @@ def test_dbl_qt_poch_finite_product_oracle():
         assert prod == target
 
 
+@pytest.mark.parametrize("count", range(6))
+def test_hyper_terms_are_pochhammer_ratios(count):
+    # t_k = z^k prod (a;q)_k / prod (b;q)_k, each term from qpoch directly
+    q, z = rat(2, 7), rat(5, 3)
+    nums, dens = (rat(3, 5), rat(9, 4), rat(7, 2)), (q, rat(4, 11))
+    terms = hyper_terms(nums, dens, q, z, count, "test denominator")
+    assert len(terms) == count + 1
+    for k, term in enumerate(terms):
+        num = den = rat(1)
+        for a in nums:
+            num = num * qpoch(a, q, k)
+        for b in dens:
+            den = den * qpoch(b, q, k)
+        assert term == z ** k * num / den
+
+
+def test_hyper_terms_vanishing_denominator_is_degenerate():
+    # (q^-1; q)_k vanishes from k = 2 on
+    q = rat(2, 7)
+    assert len(hyper_terms((rat(3),), (1 / q,), q, 1, 1, "test")) == 2
+    with pytest.raises(DegenerateParameterError):
+        hyper_terms((rat(3),), (1 / q,), q, 1, 2, "test")
+
+
 def test_heine_examples():
     base = rat(1, 2)
     a, b, c = rat(2), rat(3), rat(5)
@@ -150,12 +174,6 @@ def test_heine_examples():
     assert heine_2phi1(rat(1), b, c, base, 3).coeffs == (1, 0, 0, 0)
     s = heine_2phi1(a, b, c, base, 1)
     assert s.coeffs[1] == -1
-
-
-def test_r_hg_entry_base_case():
-    # N = 0 reduces to the empty-product prefactor
-    val = r_hg_entry(0, 0, 0, rat(3, 7), rat(2, 5), rat(9, 4), rat(1, 2))
-    assert val == 1
 
 
 def test_w10_9_terminates():
@@ -199,5 +217,3 @@ def test_bailey_transformation():
     for n in (0, 1, 4):
         lhs, rhs = bailey_check(a, b, c, d, e, f, n, q)
         assert lhs == rhs
-    with pytest.raises(DegenerateParameterError):
-        bailey_check(a, b, c, d, e, f, 1, q, g=rat(1, 2))

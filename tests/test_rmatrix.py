@@ -2,7 +2,7 @@ import pytest
 
 from qkz.errors import DegenerateParameterError
 from qkz.laumon import z_al_truncated
-from qkz.qseries import LambdaSeries
+from qkz.qseries import LambdaSeries, qpoch
 from qkz.rmatrix import (
     defining_relation_residuals,
     dual_qkz_residuals,
@@ -22,7 +22,7 @@ from qkz.rmatrix import (
     source_poly,
     target_poly,
 )
-from qkz.scalars import HJet, exp_jet, rat, sample_generic_point
+from qkz.scalars import HJet, exp_jet, quotient, rat, sample_generic_point
 
 P = sample_generic_point(5, guard=8)
 Q, D1, D4 = P.q, P.d1, P.d4
@@ -58,6 +58,88 @@ def test_three_realizations_agree(window):
     assert a == r_hg_matrix(m, n, D1, D4, LAM, Q)
     assert all(res.is_zero()
                for res in defining_relation_residuals(m, n, D1, D4, LAM, Q, a))
+
+
+def _r_hg_entry(i, j, N, z, alpha, beta, q):
+    """Oracle: one entry of the hypergeometric R-matrix, its prefactor and
+    its terminating sum evaluated on their own (finite 4phi3-type sum).
+
+    R_{i,j} = beta^-j (q)_N (alpha/z)_{N-i} (1/beta)_{N-j} (beta/z)_j
+              / [(q)_j (q)_{N-j} (1/z)_N (1/beta)_{N-i}]
+              * sum_{k<=j} (q^-j)_k (q^{i-N})_k (q^{1-N} z)_k (z/(alpha beta))_k
+                           / [(q)_k (q^-N)_k (q^{1+i-N} z/alpha)_k (q^{1-j} z/beta)_k] q^k.
+    """
+    pref = quotient(
+        beta ** (-j) * qpoch(q, q, N) * qpoch(alpha / z, q, N - i)
+        * qpoch(1 / beta, q, N - j) * qpoch(beta / z, q, j),
+        qpoch(q, q, j) * qpoch(q, q, N - j) * qpoch(1 / z, q, N) * qpoch(1 / beta, q, N - i),
+        "R entry prefactor denominator")
+    num_bases = (q ** (-j), q ** (i - N), q ** (1 - N) * z, z / (alpha * beta))
+    den_bases = (q, q ** (-N), q ** (1 + i - N) * z / alpha, q ** (1 - j) * z / beta)
+    total = 0
+    term = 1
+    for k in range(j + 1):
+        if k > 0:
+            num = den = 1
+            for nb, db in zip(num_bases, den_bases):
+                num = num * (1 - nb * q ** (k - 1))
+                den = den * (1 - db * q ** (k - 1))
+            term = term * quotient(num, den, f"R sum denominator at k={k}") * q
+        total = total + term
+    return pref * total
+
+
+def _r_hg_entrywise(m, n, d1, d4, lam, q):
+    N = m + n
+    z, alpha, beta = lam / q, q ** n / d1, q ** m / d4
+    return [[d1 ** (m - I + n) * q ** ((m + 1) * (I - n))
+             * _r_hg_entry(I, J, N, z, alpha, beta, q) for J in range(N + 1)]
+            for I in range(N + 1)]
+
+
+def test_r_hg_entry_base_case():
+    # N = 0 reduces to the empty-product prefactor
+    val = _r_hg_entry(0, 0, 0, rat(3, 7), rat(2, 5), rat(9, 4), rat(1, 2))
+    assert val == 1
+
+
+@pytest.mark.parametrize("window", [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2),
+                                    (3, 1), (1, 3), (3, 3)])
+def test_hg_matrix_equals_its_entrywise_sum(window):
+    m, n = window
+    for lam in (LAM, rat(7, 2), rat(-5, 13)):
+        r = r_hg_matrix(m, n, D1, D4, lam, Q)
+        want = _r_hg_entrywise(m, n, D1, D4, lam, Q)
+        assert [[r[I, J] for J in range(m + n + 1)] for I in range(m + n + 1)] == want
+
+
+def _raises_degenerate(fn):
+    try:
+        fn()
+    except DegenerateParameterError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("window", [(2, 1), (1, 2)])
+def test_hg_matrix_is_degenerate_where_its_entrywise_sum_is(window):
+    # Lambda placed on a zero of each kind of denominator: (1/z)_N, the
+    # (I, k) factor (q^(1+I-N) z/alpha)_k and the (J, k) factor (q^(1-J) z/beta)_k
+    m, n = window
+    N = m + n
+    alpha, beta = Q ** n / D1, Q ** m / D4
+    zs = [Q ** s for s in range(N)]
+    zs += [alpha * Q ** (N - I - s) for I in range(N + 1) for s in range(1, N + 1)]
+    # s > J probes the padding of B, where no denominator is evaluated
+    zs += [beta * Q ** (J - s) for J in range(N + 1) for s in range(1, N + 1)]
+    seen = set()
+    for z in zs:
+        lam = z * Q
+        oracle = _raises_degenerate(lambda: _r_hg_entrywise(m, n, D1, D4, lam, Q))
+        whole = _raises_degenerate(lambda: r_hg_matrix(m, n, D1, D4, lam, Q))
+        assert oracle == whole, z
+        seen.add(oracle)
+    assert seen == {True, False}
 
 
 def test_closed_form_evaluates_each_transition_entry_once(monkeypatch):

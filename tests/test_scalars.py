@@ -218,3 +218,12 @@ def test_matrix_solve_over_jets_needs_invertible_leading_term():
     bad = ScalarMatrix.from_rows([[h, h], [h, h]])
     with pytest.raises(SingularMatrixError):
         bad.solve(ScalarMatrix.from_rows([[one], [one]]))
+
+
+def test_mul_variable_power_keeps_the_order():
+    s = LambdaSeries([1, 2])
+    assert s.mul_variable_power(3) == LambdaSeries([0, 0])
+    for power in range(5):
+        shifted = s.mul_variable_power(power)
+        assert shifted.order == 1
+        assert shifted.coeffs == ((1, 2), (0, 1), (0, 0), (0, 0), (0, 0))[power]

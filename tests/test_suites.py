@@ -5,9 +5,10 @@ beyond the acceptance configs: the empty window and higher orders."""
 
 import pytest
 
+from qkz.rmatrix import LaurentPolyX
 from qkz.suites import (
-    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_nekrasov_3way, chk_qkz_matrix,
-    run_suite)
+    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_ito_qkz, chk_nekrasov_3way,
+    chk_qkz_matrix, chk_rmatrix_3way, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -137,6 +138,66 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
             patch.setattr(suites, name, lambda *args, _real=real: 2 * _real(*args))
             mismatch = chk_nekrasov_3way(1, pair_count=20)[2]
         assert mismatch is not None and key in mismatch, (name, mismatch)
+
+
+@pytest.mark.parametrize("patched, want", [
+    ("r_closed_form", {"vs": "closed"}),
+    ("r_hg_matrix", {"vs": "hypergeometric"}),
+    ("defining_relation_residuals", {"reason": "defining relation residual"}),
+    ("_display_matrix_2x2", {"vs": "display", "window": [1, 0]}),
+])
+def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
+    from qkz import suites
+
+    real = getattr(suites, patched)
+    if patched == "defining_relation_residuals":
+        def broken(*args):
+            return [LaurentPolyX.constant(1)] + real(*args)[1:]
+    else:
+        def broken(*args):
+            return real(*args).scale(2)
+    monkeypatch.setattr(suites, patched, broken)
+    mismatch = chk_rmatrix_3way(1)[2]
+    assert mismatch is not None and want.items() <= mismatch.items(), mismatch
+
+
+def test_every_shuffle_comparison_can_fail(monkeypatch):
+    # one doubled e_hat_k is caught, and the mismatch names its N and k
+    from qkz import suites
+
+    real = suites.matsuo_e
+    for N, k in ((1, 0), (3, 2), (4, 4)):
+        def broken(a, b, z, q, _N=N, _k=k):
+            values = real(a, b, z, q)
+            if len(z) == _N:
+                values[_k] = 2 * values[_k]
+            return values
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "matsuo_e", broken)
+            mismatch = chk_shuffle(1)[2]
+        assert mismatch is not None and (mismatch["N"], mismatch["k"]) == (N, k)
+
+
+@pytest.mark.parametrize("check, window, factor", [
+    (chk_dual_qkz, (0, 3), "rmatrix.dual_v_prefactor"),
+    (chk_dual_qkz, (1, 2), "rmatrix.dual_v_prefactor"),
+    (chk_dual_qkz, (2, 1), "rmatrix.dual_v_prefactor"),
+    (chk_dual_qkz, (3, 0), "rmatrix.dual_v_prefactor"),
+    (chk_ito_qkz, (0, 3), "jackson.matsuo_leading_constant"),
+    (chk_ito_qkz, (3, 0), "jackson.matsuo_leading_constant")])
+def test_windows_wider_than_the_order_pass(monkeypatch, check, window, factor):
+    # at these windows some Lambda^(j+n) shifts pass the truncation order 1;
+    # the pass is not 0 = 0, since a doubled factor breaks the order-0 equation
+    import importlib
+
+    m, n = window
+    assert check(seed=1, m=m, n=n, lmax=1)[2] is None
+    module, name = factor.split(".")
+    module = importlib.import_module(f"qkz.{module}")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: 2 * real(*args))
+    mismatch = check(seed=1, m=m, n=n, lmax=1)[2]
+    assert mismatch is not None and mismatch["order"] == 0, mismatch
 
 
 def test_dual_qkz_window_2_2_at_order_4():
