@@ -12,6 +12,7 @@ monomials can never re-enter the window.
 from __future__ import annotations
 
 import io
+from typing import NamedTuple
 
 from .errors import ResonanceError
 from .qseries import LambdaSeries, dbl_qt_poch_series, phi_coeffs
@@ -47,9 +48,6 @@ class ConeSeries:
         s = cls(kmax, lmax)
         s.c[k][ell] = value
         return s
-
-    def copy(self) -> "ConeSeries":
-        return ConeSeries(self.kmax, self.lmax, self.c)
 
     def __add__(self, other: "ConeSeries") -> "ConeSeries":
         self._check(other)
@@ -110,61 +108,28 @@ class ConeSeries:
 
     # -- operators -----------------------------------------------------------
 
-    def borel(self, q, direction: int = 1, x_offset: int = 0) -> "ConeSeries":
-        """q-Borel transformation: multiply the x^a coefficient by
-        q^(+/- a(a+1)/2).  a(a+1) is even, so plain q powers suffice.
+    def apply(self, stages) -> "ConeSeries":
+        """The image under the composite of `stages`, first stage first."""
+        bufs = [self.c] + [_grid(self.kmax, self.lmax) for _ in stages]
+        for level in range(self.kmax + self.lmax + 1):
+            _fill_level(stages, bufs, level)
+        return ConeSeries(self.kmax, self.lmax, bufs[-1])
 
-        x_offset shifts the effective x-degree (for identities applied to
-        x^n times a cone series).
-        """
-        if direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
-        out = ConeSeries(self.kmax, self.lmax)
-        for k in range(self.kmax + 1):
-            for l in range(self.lmax + 1):
-                v = self.c[k][l]
-                if v == 0:
-                    continue
-                a = k - l + x_offset
-                out.c[k][l] = v * q ** (direction * (a * (a + 1) // 2))
-        return out
+    def borel(self, q, direction: int = 1, x_offset: int = 0) -> "ConeSeries":
+        """q-Borel transformation (see `_borel_stage`)."""
+        return self.apply([_borel_stage(q, self.kmax, self.lmax, direction, x_offset)])
 
     def shift(self, p_x, p_lambda) -> "ConeSeries":
         """Substitute x -> p_x x, Lambda -> p_lambda Lambda."""
-        out = ConeSeries(self.kmax, self.lmax)
-        for k in range(self.kmax + 1):
-            for l in range(self.lmax + 1):
-                v = self.c[k][l]
-                if v == 0:
-                    continue
-                out.c[k][l] = v * p_x ** (k - l) * p_lambda ** l
-        return out
-
-    def _reach(self, axis) -> int:
-        """Highest power of the axis monomial that stays on the rectangle."""
-        return min(top for top, step in zip((self.kmax, self.lmax), axis) if step)
+        return self.apply([_shift_stage(p_x, p_lambda, self.kmax, self.lmax)])
 
     def mul_axis(self, coeffs, axis) -> "ConeSeries":
         """Multiply by sum_j coeffs[j] m^j with m in {x, Lambda/x, Lambda}."""
-        dk, dl = axis
-        out = ConeSeries(self.kmax, self.lmax)
-        for j, cj in enumerate(coeffs[: self._reach(axis) + 1]):
-            if cj == 0:
-                continue
-            sk, sl = j * dk, j * dl
-            for k in range(self.kmax + 1 - sk):
-                src, dst = self.c[k], out.c[k + sk]
-                for l in range(self.lmax + 1 - sl):
-                    v = src[l]
-                    if v != 0:
-                        dst[l + sl] = dst[l + sl] + cj * v
-        return out
+        return self.apply([Stage(coeffs, axis)])
 
     def mul_phi(self, c, q, axis, inverted: bool = False) -> "ConeSeries":
         """Multiply by phi(c*m) or 1/phi(c*m) truncated on the rectangle."""
-        if c == 0:
-            return self.copy()
-        return self.mul_axis(phi_coeffs(c, q, self._reach(axis), inverted=inverted), axis)
+        return self.apply([_phi_stage(c, q, axis, self.kmax, self.lmax, inverted)])
 
     def mul_lambda_series(self, series: LambdaSeries) -> "ConeSeries":
         return self.mul_axis(series.coeffs, AXIS_L)
@@ -186,29 +151,149 @@ def _num_den(v):
     raise TypeError(f"cannot dump scalar of type {type(v).__name__}")
 
 
-def apply_HS(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """Apply the gauge-transformed Hamiltonian
+# -- operators as lists of stages ------------------------------------------------
+#
+# Every stage raises (k, l) componentwise or keeps it fixed, so a stage's output
+# on level L (the cells with k + l = L) needs only its input on levels <= L, and
+# its level-L-to-level-L part is diagonal.  A composite operator is a list of
+# stages, applied first to last, and is evaluated one level at a time.
+
+class Stage(NamedTuple):
+    """A diagonal weight per cell (`axis` None, `values` a grid), or the
+    multiplication by sum_j values[j] m^j along an axis monomial m."""
+    values: list
+    axis: tuple | None = None
+
+
+def _grid(kmax: int, lmax: int) -> list:
+    return [[0] * (lmax + 1) for _ in range(kmax + 1)]
+
+
+def _reach(axis, k: int, l: int) -> int:
+    """Highest power of the axis monomial that divides x^k (Lambda/x)^l."""
+    return min(top for top, step in zip((k, l), axis) if step)
+
+
+def _level_cells(kmax: int, lmax: int, level: int) -> list:
+    return [(k, level - k) for k in range(max(0, level - lmax), min(kmax, level) + 1)]
+
+
+def _weight_stage(kmax: int, lmax: int, weight) -> Stage:
+    return Stage([[weight(k, l) for l in range(lmax + 1)] for k in range(kmax + 1)])
+
+
+def _borel_stage(q, kmax: int, lmax: int, direction: int = 1, x_offset: int = 0) -> Stage:
+    """q-Borel transformation: weight q^(+/- a(a+1)/2) on x-degree a = k - l.
+    a(a+1) is even, so plain q powers suffice.  x_offset shifts the
+    effective x-degree (for identities applied to x^n times a cone series)."""
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+
+    def weight(k, l):
+        a = k - l + x_offset
+        return q ** (direction * (a * (a + 1) // 2))
+
+    return _weight_stage(kmax, lmax, weight)
+
+
+def _shift_stage(p_x, p_lambda, kmax: int, lmax: int) -> Stage:
+    return _weight_stage(kmax, lmax, lambda k, l: p_x ** (k - l) * p_lambda ** l)
+
+
+def _phi_stage(c, q, axis, kmax: int, lmax: int, inverted: bool = False) -> Stage:
+    return Stage(phi_coeffs(c, q, _reach(axis, kmax, lmax), inverted=inverted), axis)
+
+
+def _fill_level(stages, bufs, level: int) -> None:
+    """Set level `level` of every stage's output bufs[i + 1] from its input
+    bufs[i], whose levels up to `level` must already be set."""
+    cells = _level_cells(len(bufs[0]) - 1, len(bufs[0][0]) - 1, level)
+    for (values, axis), src, dst in zip(stages, bufs, bufs[1:]):
+        if axis is None:
+            for k, l in cells:
+                v = src[k][l]
+                dst[k][l] = values[k][l] * v if v else v
+            continue
+        dk, dl = axis
+        c0, last = values[0], len(values) - 1
+        for k, l in cells:
+            v = src[k][l]
+            acc = c0 * v if v and c0 != 1 else v
+            for j in range(1, min(k if dk else last, l if dl else last, last) + 1):
+                v = src[k - j * dk][l - j * dl]
+                if v:
+                    acc = acc + values[j] * v
+            dst[k][l] = acc
+
+
+def _diagonal(stage: Stage, k: int, l: int):
+    """The stage's weight from cell (k, l) of its input to the same cell."""
+    return stage.values[0] if stage.axis else stage.values[k][l]
+
+
+def _k_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
+    """K = 1/(phi(qx) phi(L/x)) . B . 1/(phi(-d1 x) phi(-d3 L/x))."""
+    q = p.q
+    return [_phi_stage(-p.d1, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(-p.d3, q, AXIS_LX, kmax, lmax, inverted=True),
+            _borel_stage(q, kmax, lmax),
+            _phi_stage(q, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(1, q, AXIS_LX, kmax, lmax, inverted=True)]
+
+
+def _tk_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
+    """The substitution transform of K:
+    1/(phi(-d2 x) phi(-d4 L/x)) . B . 1/(phi(d1 d2 x/q) phi(d3 d4 L/x))."""
+    q = p.q
+    return [_phi_stage(p.d1 * p.d2 / q, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(p.d3 * p.d4, q, AXIS_LX, kmax, lmax, inverted=True),
+            _borel_stage(q, kmax, lmax),
+            _phi_stage(-p.d2, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(-p.d4, q, AXIS_LX, kmax, lmax, inverted=True)]
+
+
+def _hs_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
+    """The gauge-transformed Hamiltonian
 
         1/(phi(qx) phi(L/x)) . B .
         phi(L) phi(d1 d2 d3 d4 L / q) /
             (phi(-d1 x) phi(-d2 x) phi(-d3 L/x) phi(-d4 L/x)) . B .
         1/(phi(d1 d2 x / q) phi(d3 d4 L/x))
 
-    right to left, as K . phi(L) phi(d1 d2 d3 d4 L / q) . T(K): the
-    multiplications between the two Borel maps commute on the rectangle.
-    All factors have unit constant term and the Borel transformation fixes
-    degree zero, so c00 is preserved.
-    """
+    as K . phi(L) phi(d1 d2 d3 d4 L / q) . T(K): the multiplications between
+    the two Borel maps commute on the rectangle.  All factors have unit
+    constant term and the Borel transformation fixes degree zero, so c00 is
+    preserved."""
     q = p.q
-    out = apply_TK(s, p).mul_phi(1, q, AXIS_L)
-    out = out.mul_phi(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L)
-    return apply_K(out, p)
+    return (_tk_stages(p, kmax, lmax)
+            + [_phi_stage(1, q, AXIS_L, kmax, lmax),
+               _phi_stage(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L, kmax, lmax)]
+            + _k_stages(p, kmax, lmax))
+
+
+def _double_shift_stage(p: ParamPoint, kmax: int, lmax: int) -> Stage:
+    """T^-1_{qtQ,x} T^-1_{t,Lambda}: x -> x/(qtQ), Lambda -> Lambda/t."""
+    return _shift_stage(1 / (p.q * p.t * p.Q), 1 / p.t, kmax, lmax)
+
+
+def apply_K(s: ConeSeries, p: ParamPoint) -> ConeSeries:
+    """K applied to the whole series."""
+    return s.apply(_k_stages(p, s.kmax, s.lmax))
+
+
+def apply_HS(s: ConeSeries, p: ParamPoint) -> ConeSeries:
+    """H_S applied to the whole series."""
+    return s.apply(_hs_stages(p, s.kmax, s.lmax))
+
+
+def _full_step_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
+    """The full right-hand-side operator H_S T^-1_{qtQ,x} T^-1_{t,Lambda}."""
+    return [_double_shift_stage(p, kmax, lmax)] + _hs_stages(p, kmax, lmax)
 
 
 def apply_full_step(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """The full right-hand-side operator H_S T^-1_{qtQ,x} T^-1_{t,Lambda}."""
-    shifted = s.shift(1 / (p.q * p.t * p.Q), 1 / p.t)
-    return apply_HS(shifted, p)
+    """H_S T^-1_{qtQ,x} T^-1_{t,Lambda} applied to the whole series."""
+    return s.apply(_full_step_stages(p, s.kmax, s.lmax))
 
 
 def solve_shakirov(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
@@ -217,20 +302,27 @@ def solve_shakirov(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
     The operator splits as (diagonal eigenvalues) + (strictly degree
     raising), so the coefficients are determined level by level in the
     total degree k + l:  c_{k,l} = (lower-level image) / (1 - lambda_{k,l}).
+    Each level of every stage is filled once with Psi's level still zero,
+    which gives the lower-level image; once Psi's level is solved, each
+    stage's level gains only its diagonal chain.
     """
-    psi = ConeSeries.one(kmax, lmax)
+    stages = _full_step_stages(p, kmax, lmax)
+    bufs = [_grid(kmax, lmax) for _ in range(len(stages) + 1)]
+    psi = bufs[0]
+    psi[0][0] = 1
+    _fill_level(stages, bufs, 0)
     for level in range(1, kmax + lmax + 1):
-        image = apply_full_step(psi, p)
-        for k in range(kmax + 1):
-            ell = level - k
-            if not 0 <= ell <= lmax:
-                continue
+        _fill_level(stages, bufs, level)
+        for k, ell in _level_cells(kmax, lmax, level):
             lam = shakirov_eigenvalue(p, k, ell)
             if lam == 1:
                 raise ResonanceError(
                     f"resonant eigenvalue at (k, l) = ({k}, {ell}); resample")
-            psi.c[k][ell] = image.c[k][ell] / (1 - lam)
-    return psi
+            value = psi[k][ell] = bufs[-1][k][ell] / (1 - lam)
+            for stage, buf in zip(stages, bufs[1:]):
+                value = _diagonal(stage, k, ell) * value
+                buf[k][ell] = buf[k][ell] + value
+    return ConeSeries(kmax, lmax, psi)
 
 
 def coupled_transform_point(p: ParamPoint) -> ParamPoint:
@@ -240,29 +332,6 @@ def coupled_transform_point(p: ParamPoint) -> ParamPoint:
         rd2=p.rq / (p.rt * p.rQ * p.rd2),
         rd4=p.rq * p.rQ / p.rd4,
     )
-
-
-def apply_K(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """K = 1/(phi(qx) phi(L/x)) . B . 1/(phi(-d1 x) phi(-d3 L/x))."""
-    q = p.q
-    out = s.mul_phi(-p.d1, q, AXIS_X, inverted=True)
-    out = out.mul_phi(-p.d3, q, AXIS_LX, inverted=True)
-    out = out.borel(q)
-    out = out.mul_phi(q, q, AXIS_X, inverted=True)
-    out = out.mul_phi(1, q, AXIS_LX, inverted=True)
-    return out
-
-
-def apply_TK(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """The substitution transform of K:
-    1/(phi(-d2 x) phi(-d4 L/x)) . B . 1/(phi(d1 d2 x/q) phi(d3 d4 L/x))."""
-    q = p.q
-    out = s.mul_phi(p.d1 * p.d2 / q, q, AXIS_X, inverted=True)
-    out = out.mul_phi(p.d3 * p.d4, q, AXIS_LX, inverted=True)
-    out = out.borel(q)
-    out = out.mul_phi(-p.d2, q, AXIS_X, inverted=True)
-    out = out.mul_phi(-p.d4, q, AXIS_LX, inverted=True)
-    return out
 
 
 def coupling_series(p: ParamPoint, order: int) -> tuple[LambdaSeries, LambdaSeries]:
@@ -302,6 +371,6 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     chi = chi_raw.shift(fx, fx * -p.d4)
     g, tg = coupling_series(p, min(kmax, lmax))
     residual1 = psi - apply_K(chi, p).mul_lambda_series(g)
-    t2psi = psi.shift(1 / (p.q * p.t * p.Q), 1 / p.t)
-    residual2 = chi - apply_TK(t2psi, p).mul_lambda_series(tg)
+    tk_t2 = [_double_shift_stage(p, kmax, lmax)] + _tk_stages(p, kmax, lmax)
+    residual2 = chi - psi.apply(tk_t2).mul_lambda_series(tg)
     return chi, (residual1, residual2)

@@ -139,12 +139,17 @@ def test_solver_mass_truncated_support():
 
 
 def test_solver_resonance_detection():
-    # force lambda_{1,0} = 1: q^2 (qtQ)^-1 = 1 <=> Q = q / t
-    bad = ParamPoint(rat(2), rat(3), rat(2) / rat(3), rat(3, 2), rat(5, 2),
-                     rat(7, 3), rat(9, 5))
-    assert shakirov_eigenvalue(bad, 1, 0) == 1
-    with pytest.raises(ResonanceError):
-        solve_shakirov(bad, 2, 2)
+    # both solvers name the same resonant cell
+    for rQ, cell in (
+            # lambda_{1,0} = q^2 (qtQ)^-1 = 1 <=> Q = q / t
+            (rat(2) / rat(3), (1, 0)),
+            # lambda_{2,1} = q^2 (qtQ)^-1 t^-1 = 1 <=> Q = q / t^2, met at level 3
+            (rat(2) / rat(3) ** 2, (2, 1))):
+        bad = ParamPoint(rat(2), rat(3), rQ, rat(3, 2), rat(5, 2), rat(7, 3), rat(9, 5))
+        assert shakirov_eigenvalue(bad, *cell) == 1
+        for solve in (solve_shakirov, _solve_full_rectangle):
+            with pytest.raises(ResonanceError, match=rf"\(k, l\) = \({cell[0]}, {cell[1]}\)"):
+                solve(bad, 3, 3)
 
 
 def test_coupled_system_residuals_vanish():
@@ -236,3 +241,68 @@ def test_composites_equal_their_factor_lists(seed, window):
     for s in (ConeSeries.one(4, 4), solve_shakirov(sample_generic_point(seed, guard=8), 3, 4)):
         assert apply_HS(s, p).c == _apply_hs_sandwich(s, p).c
     assert coupling_series(p, 4) == _coupling_oracles(p, 4)
+
+
+# -- oracles: the solver and the stage kernel as first written ------------------
+
+def _solve_full_rectangle(p, kmax, lmax):
+    """The level-by-level solver that applies the whole operator to the whole
+    rectangle at every level and reads back only that level's cells."""
+    psi = ConeSeries.one(kmax, lmax)
+    for level in range(1, kmax + lmax + 1):
+        image = apply_full_step(psi, p)
+        for k in range(kmax + 1):
+            ell = level - k
+            if not 0 <= ell <= lmax:
+                continue
+            lam = shakirov_eigenvalue(p, k, ell)
+            if lam == 1:
+                raise ResonanceError(
+                    f"resonant eigenvalue at (k, l) = ({k}, {ell}); resample")
+            psi.c[k][ell] = image.c[k][ell] / (1 - lam)
+    return psi
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_one_pass_solver_equals_the_full_rectangle_solver(seed):
+    p = sample_generic_point(seed, guard=8)
+    for kmax, lmax in ((0, 0), (0, 3), (3, 0), (2, 5), (4, 4), (6, 6)):
+        assert solve_shakirov(p, kmax, lmax).c == _solve_full_rectangle(p, kmax, lmax).c
+
+
+def _scatter_mul_axis(s, coeffs, axis):
+    """Multiplication by an axis series, scattering each source cell."""
+    dk, dl = axis
+    reach = min(top for top, step in zip((s.kmax, s.lmax), axis) if step)
+    out = ConeSeries(s.kmax, s.lmax)
+    for j, cj in enumerate(coeffs[: reach + 1]):
+        for k in range(s.kmax + 1 - j * dk):
+            for l in range(s.lmax + 1 - j * dl):
+                out.c[k + j * dk][l + j * dl] += cj * s.c[k][l]
+    return out
+
+
+def _random_series(rng, kmax, lmax):
+    # about a third of the cells are zero, as on a mass-truncated window
+    return ConeSeries(kmax, lmax, [
+        [rat(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else 0
+         for _ in range(lmax + 1)] for _ in range(kmax + 1)])
+
+
+@pytest.mark.parametrize("kmax, lmax", [(0, 3), (3, 0), (3, 4), (5, 2)])
+def test_stages_equal_their_cell_formulas(kmax, lmax):
+    import random
+
+    rng = random.Random(kmax * 10 + lmax)
+    s = _random_series(rng, kmax, lmax)
+    for axis in (AXIS_X, AXIS_LX, AXIS_L):
+        for coeffs in ([0, 1], [rat(2, 3)] * 9, [rat(rng.randint(1, 9), 7) for _ in range(3)]):
+            assert s.mul_axis(coeffs, axis).c == _scatter_mul_axis(s, coeffs, axis).c
+    for direction, offset in ((1, 0), (-1, 2), (1, -1)):
+        borel = s.borel(Q, direction, offset)
+        shifted = s.shift(rat(3, 5), rat(-2, 7))
+        for k in range(kmax + 1):
+            for l in range(lmax + 1):
+                a = k - l + offset
+                assert borel.c[k][l] == s.c[k][l] * Q ** (direction * (a * (a + 1) // 2))
+                assert shifted.c[k][l] == s.c[k][l] * rat(3, 5) ** (k - l) * rat(-2, 7) ** l

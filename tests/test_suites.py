@@ -7,8 +7,8 @@ import pytest
 
 from qkz.rmatrix import LaurentPolyX
 from qkz.suites import (
-    SUITES, SuiteConfig, chk_al_jackson, chk_dual_qkz, chk_ito_qkz, chk_nekrasov_3way,
-    chk_qkz_matrix, chk_rmatrix_3way, chk_shuffle, run_suite)
+    SUITES, SuiteConfig, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_ito_qkz,
+    chk_nekrasov_3way, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -178,6 +178,80 @@ def test_every_shuffle_comparison_can_fail(monkeypatch):
         assert mismatch is not None and (mismatch["N"], mismatch["k"]) == (N, k)
 
 
+@pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 4)])
+def test_shakirov_eq_can_fail(monkeypatch, cell):
+    # one doubled solver cell is caught, and the mismatch names that cell
+    from qkz import suites
+
+    real = suites.solve_shakirov
+
+    def broken(p, kmax, lmax):
+        psi = real(p, kmax, lmax)
+        psi.c[cell[0]][cell[1]] *= 2
+        return psi
+
+    monkeypatch.setattr(suites, "solve_shakirov", broken)
+    mismatch = chk_shakirov(1, 4, 4)[2]
+    assert mismatch is not None and (mismatch["k"], mismatch["l"]) == cell, mismatch
+
+
+@pytest.mark.parametrize("doubled, relation", [(0, "psi = g K chi"), (1, "chi = T(g K chi)")])
+def test_every_coupled_relation_can_fail(monkeypatch, doubled, relation):
+    # doubling g breaks the first relation, doubling T(g) the second
+    from qkz import cone
+
+    real = cone.coupling_series
+
+    def broken(p, order):
+        pair = list(real(p, order))
+        pair[doubled] = pair[doubled] * 2
+        return tuple(pair)
+
+    monkeypatch.setattr(cone, "coupling_series", broken)
+    mismatch = chk_coupled(1)[2]
+    assert mismatch is not None and mismatch["relation"] == relation, mismatch
+
+
+def _doubled(real):
+    return lambda *args: 2 * real(*args)
+
+
+def _doubled_matrix(real):
+    return lambda *args: real(*args).scale(2)
+
+
+def _plus_unit_matrix(real):
+    from qkz.linalg import ScalarMatrix
+
+    return lambda jp, lam: real(jp, lam) + ScalarMatrix.identity(jp.N + 1)
+
+
+@pytest.mark.parametrize("window", [(1, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("check, patched, mutate, equation", [
+    (chk_qkz_matrix, "rmatrix.r_via_linear_system", _doubled_matrix, None),
+    (chk_ito_qkz, "jackson.ito_A", _doubled_matrix, "alpha"),
+    # at order 0 the T1 and T2 equations read 0 = psi(0) K(0): doubling K
+    # leaves them true, a unit matrix added to D1 (D2) does not
+    (chk_ito_qkz, "jackson.d1_matrix", _plus_unit_matrix, "T1"),
+    (chk_ito_qkz, "jackson.d2_matrix", _plus_unit_matrix, "T2"),
+    (chk_ito_qkz, "jackson.matsuo_leading_constant", _doubled, "Lambda^0"),
+])
+def test_lmax_1_order_0_comparisons_can_fail(monkeypatch, window, check, patched, mutate,
+                                              equation):
+    # at lmax 1 these checks compare order 0 alone (checked_through 0)
+    import importlib
+
+    m, n = window
+    point, orders, mismatch = check(seed=1, m=m, n=n, lmax=1)
+    assert orders["checked_through"] == 0 and mismatch is None
+    module, name = patched.split(".")
+    module = importlib.import_module(f"qkz.{module}")
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    mismatch = check(seed=1, m=m, n=n, lmax=1)[2]
+    assert mismatch is not None and mismatch["order"] == 0, mismatch
+    assert mismatch.get("equation") == equation, mismatch
+
+
 @pytest.mark.parametrize("check, window, factor", [
     (chk_dual_qkz, (0, 3), "rmatrix.dual_v_prefactor"),
     (chk_dual_qkz, (1, 2), "rmatrix.dual_v_prefactor"),
@@ -198,6 +272,12 @@ def test_windows_wider_than_the_order_pass(monkeypatch, check, window, factor):
     monkeypatch.setattr(module, name, lambda *args: 2 * real(*args))
     mismatch = check(seed=1, m=m, n=n, lmax=1)[2]
     assert mismatch is not None and mismatch["order"] == 0, mismatch
+
+
+@pytest.mark.parametrize("check, orders", [
+    (chk_shakirov, {"kmax": 6, "lmax": 6}), (chk_coupled, {"order": 8})])
+def test_cone_suites_above_the_acceptance_orders(check, orders):
+    assert check(seed=1, **orders)[2] is None
 
 
 def test_dual_qkz_window_2_2_at_order_4():
