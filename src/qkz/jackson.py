@@ -481,12 +481,9 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         xi_prod = xi_prod * x
     out = {}
 
-    lhs = [c.shift_variable(jp.t) for c in psi]
-    out["alpha"] = [
-        lhs[j] - sum((psi[i] * K0[i, j] for i in range(N + 1)),
-                     LambdaSeries.constant(0, lmax)) / xi_prod
-        for j in range(N + 1)
-    ]
+    row = ScalarMatrix.from_rows([psi])
+    out["alpha"] = [c.shift_variable(jp.t) - rhs / xi_prod
+                    for c, rhs in zip(psi, (row @ K0).entries)]
 
     for which, K, block in (
         (1, Rinv @ d1_matrix(jp, lam), jp.m),
@@ -498,13 +495,8 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         if lam_power != block:
             raise QkzError("unexpected Lambda-power in the base ratio")
         scale = rho * piv2 / piv
-        residuals = []
-        for j in range(N + 1):
-            lhs_j = psi2[j].mul_variable_power(lam_power) * scale
-            rhs_j = sum((psi[i] * K[i, j] for i in range(N + 1)),
-                        LambdaSeries.constant(0, lmax))
-            residuals.append(lhs_j - rhs_j)
-        out[f"T{which}"] = residuals
+        out[f"T{which}"] = [c.mul_variable_power(lam_power) * scale - rhs
+                            for c, rhs in zip(psi2, (row @ K).entries)]
 
     # the Matsuo closed forms of the Lambda^0 constants <e_k> = <e_hat_(N-k)>
     # for k <= m, the pivot <e_hat_n> at k = m (psi is divided by the pivot)

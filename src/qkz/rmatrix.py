@@ -15,110 +15,71 @@ from .qseries import LambdaSeries, heine_2phi1, hyper_terms, qpoch
 from .scalars import ONE, ParamPoint, invertible, quotient
 
 
-class LaurentPolyX:
-    """Laurent polynomial in x on an exact degree window (no truncation)."""
-
-    __slots__ = ("lo", "coeffs")
-
-    def __init__(self, lo: int, coeffs):
-        self.lo = lo
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def constant(cls, value) -> "LaurentPolyX":
-        return cls(0, [value])
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
-
-    def coeff(self, p: int):
-        if self.lo <= p <= self.hi:
-            return self.coeffs[p - self.lo]
-        return 0
-
-    def scale(self, c) -> "LaurentPolyX":
-        return LaurentPolyX(self.lo, [c * v for v in self.coeffs])
-
-    def shift_degree(self, d: int) -> "LaurentPolyX":
-        return LaurentPolyX(self.lo + d, self.coeffs)
-
-    def __sub__(self, other: "LaurentPolyX") -> "LaurentPolyX":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return LaurentPolyX(lo, [self.coeff(p) - other.coeff(p) for p in range(lo, hi + 1)])
-
-    def __mul__(self, other: "LaurentPolyX") -> "LaurentPolyX":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for p, v in enumerate(self.coeffs):
-            if v == 0:
-                continue
-            for s, w in enumerate(other.coeffs):
-                if w != 0:
-                    out[p + s] += v * w
-        return LaurentPolyX(self.lo + other.lo, out)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
-
-
-def _neg_qpoch_poly(base, q, count: int, deg: int) -> LaurentPolyX:
-    """(-base * x^deg; q)_count as a LaurentPolyX: prod (1 + base q^s x^deg)."""
-    poly = LaurentPolyX.constant(ONE)
+def _neg_qpoch_coeffs(base, q, count: int) -> list:
+    """Coefficients of (-base y; q)_count = prod_{s<count} (1 + base q^s y),
+    lowest degree first; the constant term stays the literal 1."""
+    coeffs = [1]
     c = base
     for _ in range(count):
-        poly = poly * (LaurentPolyX(0, [1, c]) if deg > 0 else LaurentPolyX(-1, [c, 1]))
+        coeffs = [1] + [a + c * b for a, b in zip(coeffs[1:], coeffs)] + [c * coeffs[-1]]
         c = c * q
-    return poly
+    return coeffs
 
 
-def source_poly(i: int, m: int, n: int, d1, d4, lam, q) -> LaurentPolyX:
-    """q^(i(i+1)/2) x^i (-d1 q^(i-m) x; q)_(m-i) (-d4 q^(-i-n) L/x; q)_(i+n)."""
-    poly = _neg_qpoch_poly(d1 * q ** (i - m), q, m - i, +1) \
-        * _neg_qpoch_poly(d4 * q ** (-i - n) * lam, q, i + n, -1)
-    return poly.shift_degree(i).scale(q ** (i * (i + 1) // 2))
+def _window_row(i: int, m: int, n: int, x_base, inv_base, q, scale) -> list:
+    """Coefficients of x^-n..x^m of
+
+        scale x^i (-x_base x; q)_(m-i) (-inv_base/x; q)_(i+n).
+
+    The x factor has degrees 0..m-i and the 1/x factor degrees 0..-(i+n),
+    so the product fills exactly the window.  Both constant terms are 1:
+    the x factor is laid at i + n.. as it is, and the 1/x factor's term t
+    opens column i + n - t."""
+    xs = _neg_qpoch_coeffs(x_base, q, m - i)
+    inv = _neg_qpoch_coeffs(inv_base, q, i + n)
+    row = [0] * (i + n) + xs
+    for t in range(1, i + n + 1):
+        b = inv[t]
+        row[i + n - t] = b
+        for s in range(1, m - i + 1):
+            row[i + n - t + s] += xs[s] * b
+    return [v * scale for v in row]
 
 
-def target_poly(j: int, m: int, n: int, lam, q) -> LaurentPolyX:
-    """q^(-j(j+1)/2) x^j (-q^-m x; q)_(m-j) (-q^-n L/x; q)_(j+n)."""
-    poly = _neg_qpoch_poly(q ** (-m), q, m - j, +1) \
-        * _neg_qpoch_poly(q ** (-n) * lam, q, j + n, -1)
-    return poly.shift_degree(j).scale(ONE * q ** (-(j * (j + 1)) // 2))
+def expansion_matrices(m: int, n: int, d1, d4, lam, q):
+    """(S, T): row i + n holds the coefficients of x^-n..x^m of
+
+        S_i = q^(i(i+1)/2) x^i (-d1 q^(i-m) x; q)_(m-i) (-d4 q^(-i-n) L/x; q)_(i+n),
+        T_j = q^(-j(j+1)/2) x^j (-q^-m x; q)_(m-j) (-q^-n L/x; q)_(j+n),
+
+    so that the R-matrix is defined by S = r T."""
+    window = range(-n, m + 1)
+    S = ScalarMatrix.from_rows(
+        _window_row(i, m, n, d1 * q ** (i - m), d4 * q ** (-i - n) * lam, q,
+                    q ** (i * (i + 1) // 2)) for i in window)
+    T = ScalarMatrix.from_rows(
+        _window_row(j, m, n, q ** (-m), q ** (-n) * lam, q,
+                    ONE * q ** (-(j * (j + 1)) // 2)) for j in window)
+    return S, T
 
 
 def r_via_linear_system(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
-    """[r_{i,j}] from the defining basis expansion, one linear solve.
+    """[r_{i,j}] from the defining basis expansion S = r T, one linear solve.
 
     Works over any scalar ring with invertible-pivot search, so `lam` and
     `q` may be rationals, Lambda-series or h-jets.
     """
-    size = m + n + 1
-    gram = ScalarMatrix(size, size, [0] * (size * size))
-    rhs = ScalarMatrix(size, size, [0] * (size * size))
-    for jj in range(size):
-        poly = target_poly(jj - n, m, n, lam, q)
-        for pp in range(size):
-            gram[pp, jj] = poly.coeff(pp - n)
-    for ii in range(size):
-        poly = source_poly(ii - n, m, n, d1, d4, lam, q)
-        for pp in range(size):
-            rhs[pp, ii] = poly.coeff(pp - n)
-    sol = gram.solve(rhs)          # sol[j, i] = r_{i, j}
-    return sol.transpose()
+    S, T = expansion_matrices(m, n, d1, d4, lam, q)
+    return T.transpose().solve(S.transpose()).transpose()
 
 
 def defining_relation_residuals(m: int, n: int, d1, d4, lam, q,
-                                r: ScalarMatrix) -> list:
-    """Plug a candidate matrix back into the defining expansion; returns the
-    per-row polynomial residuals (all zero for the true matrix)."""
-    targets = [target_poly(jj - n, m, n, lam, q) for jj in range(m + n + 1)]
-    out = []
-    for ii in range(m + n + 1):
-        res = source_poly(ii - n, m, n, d1, d4, lam, q)
-        for jj, poly in enumerate(targets):
-            res = res - poly.scale(r[ii, jj])
-        out.append(res)
-    return out
+                                r: ScalarMatrix) -> ScalarMatrix:
+    """S - r T for a candidate matrix r: row i + n holds the window
+    coefficients of the residual polynomial of row i (all zero for the
+    true matrix)."""
+    S, T = expansion_matrices(m, n, d1, d4, lam, q)
+    return S - r @ T
 
 
 # -- closed form via the two triangular transition matrices -------------------
@@ -224,8 +185,9 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     """Residuals of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i).
 
     The components come from the mass-truncated partition sum; the matrix is
-    evaluated with Lambda as a truncated series scalar.  Returns a list of
-    LambdaSeries, expected to vanish through order lmax - 1.
+    evaluated with Lambda as a truncated series scalar, and the right side is
+    one row-times-matrix product.  Returns a list of LambdaSeries, expected
+    to vanish through order lmax - 1.
     """
     comps = z_al_truncated(m, n, p, lmax)
     lam_var = LambdaSeries.variable(lmax)
@@ -234,15 +196,9 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     d4_c = LambdaSeries.constant(p.d4, lmax)
     r = r_via_linear_system(m, n, d1_c, d4_c, lam_var, q_c)
     qtQ = p.q * p.t * p.Q
-    residuals = []
-    for jj in range(m + n + 1):
-        acc = LambdaSeries.constant(0, lmax)
-        for ii in range(m + n + 1):
-            i = ii - n
-            shifted = comps[ii].shift_variable(1 / p.t)
-            acc = acc + shifted * r[ii, jj] * qtQ ** (-i)
-        residuals.append(comps[jj] - acc)
-    return residuals
+    shifted = ScalarMatrix.from_rows(
+        [[c.shift_variable(1 / p.t) * qtQ ** (n - ii) for ii, c in enumerate(comps)]])
+    return (ScalarMatrix.from_rows([comps]) - shifted @ r).entries
 
 
 # -- dual q-KZ equation in the renormalized Coulomb parameter ----------------
@@ -288,8 +244,9 @@ def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
         sum_j Y_{i,j}(L, Qv/t) (L d1/q^(m+2))^(j+n) rt_{j,k}(Qv)
           = q^(i(i+1)) (L d1/q^(m+2))^(i+n) vhat_i Y_{i,k}(L, Qv),
 
-    with rt the r-matrix at the swapped spectral value q^(m+2) Qv / d1.
-    Returns a flat list of LambdaSeries indexed by (i, k).
+    with rt the r-matrix at the swapped spectral value q^(m+2) Qv / d1, as
+    one matrix identity.  Returns its entries, LambdaSeries, row-major in
+    (i, k).
     """
     q, t, d1, d4 = p.q, p.t, p.d1, p.d4
     qv = 1 / (q * t * p.Q)
@@ -299,20 +256,14 @@ def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     lam_swap = q ** (m + 2) * qv / d1
     rt = r_closed_form(m, n, d1, d4, lam_swap, q)
     mono = d1 / q ** (m + 2)
-    size = m + n + 1
-    residuals = []
-    for ii in range(size):
-        i = ii - n
-        vpref = q ** (i * (i + 1)) * mono ** (i + n) * dual_v_prefactor(i, m, n, p)
-        for kk in range(size):
-            lhs = LambdaSeries.constant(0, lmax)
-            for jj in range(size):
-                j = jj - n
-                term = y_shift[ii][jj].mul_variable_power(j + n)
-                lhs = lhs + term * (mono ** (j + n)) * rt[jj, kk]
-            rhs = y_here[ii][kk].mul_variable_power(i + n) * vpref
-            residuals.append(lhs - rhs)
-    return residuals
+    v = [q ** (i * (i + 1)) * mono ** (i + n) * dual_v_prefactor(i, m, n, p)
+         for i in range(-n, m + 1)]
+    lhs = ScalarMatrix.from_rows(
+        [[y.mul_variable_power(jj) * mono ** jj for jj, y in enumerate(row)]
+         for row in y_shift])
+    rhs = ScalarMatrix.from_rows(
+        [[y.mul_variable_power(ii) * v[ii] for y in row] for ii, row in enumerate(y_here)])
+    return (lhs @ rt - rhs).entries
 
 
 # -- explicit two-component solution in basic hypergeometric form -------------
@@ -337,7 +288,7 @@ def heine_solution_pair(p: ParamPoint, lmax: int):
     return y0, y1, (a, b, z2, d1 * d4 / q ** 2)
 
 
-def _dual_m_matrix(a, b, z1: LambdaSeries, z2, u) -> list:
+def _dual_m_matrix(a, b, z1: LambdaSeries, z2, u) -> ScalarMatrix:
     """M(u) = diag(1, a z1/(b z2)) [[1-u/b, 1-1/a], [1-1/b, 1-1/(a u)]] diag(1, -1).
 
     u is a plain scalar or the z1 series itself; entries stay polynomial."""
@@ -352,26 +303,23 @@ def _dual_m_matrix(a, b, z1: LambdaSeries, z2, u) -> list:
         m11 = z1 * (a / (b * z2)) * (-(1 - 1 / (a * u)))
     m01 = const(-(1 - 1 / a))
     m10 = z1 * (a * (1 - 1 / b) / (b * z2))
-    return [[m00, m01], [m10, m11]]
+    return ScalarMatrix.from_rows([[m00, m01], [m10, m11]])
 
 
 def heine_dual_residuals(p: ParamPoint, pair):
     """Residuals of the two explicit 2x2 difference equations satisfied by
     the Heine pair ``pair = heine_solution_pair(p, lmax)``: the z1-shift
-    form and the inverse z2-shift form."""
+    form and the inverse z2-shift form, each with the row Y = (y0, y1)."""
     t = p.t
     y0, y1, (a, b, z2, c1) = pair
     lmax = y0.order
     z1 = LambdaSeries.variable(lmax)
+    Y = ScalarMatrix.from_rows([[y0, y1]])
 
     # (1 - a z1 / b) T_{t,z1} Y = Y M(z1)
-    m_z1 = _dual_m_matrix(a, b, z1, z2, z1)
     pref = LambdaSeries.constant(1, lmax) - z1 * (a / b)
-    res1 = []
-    for col in range(2):
-        lhs = (y0, y1)[col].shift_variable(t) * pref
-        rhs = y0 * m_z1[0][col] + y1 * m_z1[1][col]
-        res1.append(lhs - rhs)
+    res1 = ScalarMatrix.from_rows([[y.shift_variable(t) * pref for y in (y0, y1)]]) \
+        - Y @ _dual_m_matrix(a, b, z1, z2, z1)
 
     # (1 - t/(b z2)) T^-1_{t,z2} Y = Y M(t / z2); the z2 shift acts through
     # Q alone (z2 = Q t / d4), leaving a, b and the z1 variable untouched.
@@ -379,14 +327,10 @@ def heine_dual_residuals(p: ParamPoint, pair):
     y0s, y1s, (a_s, b_s, z2_s, c1_s) = heine_solution_pair(p_z2, lmax)
     if not (a_s == a and b_s == b and z2_s == z2 / t and c1_s == c1):
         raise QkzError("parameter bookkeeping failed in the z2 shift")
-    m_z2 = _dual_m_matrix(a, b, z1, z2, t / z2)
     pref2 = 1 - t / (b * z2)
-    res2 = []
-    for col in range(2):
-        lhs = (y0s, y1s)[col] * pref2
-        rhs = y0 * m_z2[0][col] + y1 * m_z2[1][col]
-        res2.append(lhs - rhs)
-    return res1, res2
+    res2 = ScalarMatrix.from_rows([[y * pref2 for y in (y0s, y1s)]]) \
+        - Y @ _dual_m_matrix(a, b, z1, z2, t / z2)
+    return res1.entries, res2.entries
 
 
 # -- four-dimensional limit ----------------------------------------------------

@@ -202,11 +202,10 @@ def _rmatrix_3way_mismatch(p, lams):
                                       {"window": [m, n], "lambda": str(lam), "vs": tag})
                 if mm is not None:
                     return mm
-            res = defining_relation_residuals(m, n, d1, d4, lam, q, a)
-            for i, poly in enumerate(res):
-                if not poly.is_zero():
-                    return {"window": [m, n], "row": i - n,
-                            "reason": "defining relation residual"}
+            bad = defining_relation_residuals(m, n, d1, d4, lam, q, a).first_nonzero()
+            if bad is not None:
+                return {"window": [m, n], "row": bad[0] - n,
+                        "reason": "defining relation residual"}
         for builder, (m, n) in ((_display_matrix_2x2, (1, 0)),
                                 (_display_matrix_3x3, (2, 0))):
             mm = _matrix_mismatch(solved[m, n], builder(d1, d4, lam, q),

@@ -7,6 +7,7 @@ from qkz.rmatrix import (
     defining_relation_residuals,
     dual_qkz_residuals,
     dual_v_prefactor,
+    expansion_matrices,
     fundamental_matrix,
     h4d_matrix,
     heine_dual_residuals,
@@ -19,8 +20,6 @@ from qkz.rmatrix import (
     r_via_linear_system,
     ruw_entry,
     rwv_entry,
-    source_poly,
-    target_poly,
 )
 from qkz.scalars import HJet, exp_jet, quotient, rat, sample_generic_point
 
@@ -56,8 +55,13 @@ def test_three_realizations_agree(window):
     a = r_via_linear_system(m, n, D1, D4, LAM, Q)
     assert a == r_closed_form(m, n, D1, D4, LAM, Q)
     assert a == r_hg_matrix(m, n, D1, D4, LAM, Q)
-    assert all(res.is_zero()
-               for res in defining_relation_residuals(m, n, D1, D4, LAM, Q, a))
+    assert defining_relation_residuals(m, n, D1, D4, LAM, Q, a).is_zero()
+    # a matrix off in one entry leaves that entry's row nonzero, and only it
+    off = a.copy()
+    off[m + n, 0] = off[m + n, 0] + 1
+    res = defining_relation_residuals(m, n, D1, D4, LAM, Q, off)
+    assert [any(res[I, P] != 0 for P in range(m + n + 1))
+            for I in range(m + n + 1)] == [False] * (m + n) + [True]
 
 
 def _r_hg_entry(i, j, N, z, alpha, beta, q):
@@ -181,13 +185,52 @@ def test_lambda_zero_triangularity():
         assert r0[I, I] == Q ** ((I - 1) * I)  # q^(i(i+1)) at i = I-1
 
 
-def test_basis_polynomials_have_window_degrees():
-    m, n = 2, 1
-    for i in range(-n, m + 1):
-        poly = source_poly(i, m, n, D1, D4, LAM, Q)
-        assert poly.lo >= -n and poly.hi <= m
-        poly = target_poly(i, m, n, LAM, Q)
-        assert poly.lo == i - (i + n) and poly.hi == i + (m - i)
+def _poly_mul(a, b):
+    """Product of two Laurent polynomials given as {degree: coeff}."""
+    out = {}
+    for p, v in a.items():
+        for s, w in b.items():
+            out[p + s] = out.get(p + s, 0) + v * w
+    return out
+
+
+def _neg_qpoch_poly(base, q, count, deg):
+    """(-base x^deg; q)_count as {degree: coeff}, one factor at a time."""
+    poly = {0: 1}
+    for s in range(count):
+        poly = _poly_mul(poly, {0: 1, deg: base * q ** s})
+    return poly
+
+
+def _basis_poly(i, m, n, c1, c4, lam, q, power):
+    """q^power x^i (-c1 x; q)_(m-i) (-c4 L/x; q)_(i+n) as {degree: coeff}."""
+    poly = _poly_mul(_neg_qpoch_poly(c1, q, m - i, 1),
+                     _neg_qpoch_poly(c4 * lam, q, i + n, -1))
+    return {p + i: v * q ** power for p, v in poly.items()}
+
+
+@pytest.mark.parametrize("window", [(1, 0), (0, 1), (2, 1), (2, 2), (3, 0)])
+@pytest.mark.parametrize("ring", ["rational", "series"])
+def test_expansion_matrices_hold_the_basis_polynomials(window, ring):
+    # oracle: each source and target polynomial multiplied out factor by
+    # factor; its degrees lie in the window and its coefficients are row
+    # i + n of S (T)
+    m, n = window
+    if ring == "rational":
+        d1, d4, lam, q = D1, D4, LAM, Q
+    else:
+        d1, d4, q = (LambdaSeries.constant(v, 3) for v in (D1, D4, Q))
+        lam = LambdaSeries.variable(3)
+    S, T = expansion_matrices(m, n, d1, d4, lam, q)
+    window_degrees = range(-n, m + 1)
+    for i in window_degrees:
+        source = _basis_poly(i, m, n, d1 * q ** (i - m), d4 * q ** (-i - n), lam, q,
+                             i * (i + 1) // 2)
+        target = _basis_poly(i, m, n, q ** (-m), q ** (-n), lam, q, -(i * (i + 1)) // 2)
+        for poly, matrix in ((source, S), (target, T)):
+            assert set(poly) <= set(window_degrees)
+            assert [poly.get(p, 0) for p in window_degrees] == \
+                [matrix[i + n, p + n] for p in window_degrees]
 
 
 @pytest.mark.parametrize("window", [(1, 0), (2, 1)])

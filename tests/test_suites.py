@@ -5,9 +5,8 @@ beyond the acceptance configs: the empty window and higher orders."""
 
 import pytest
 
-from qkz.rmatrix import LaurentPolyX
 from qkz.suites import (
-    SUITES, SuiteConfig, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_ito_qkz,
+    SUITES, SuiteConfig, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_heine, chk_ito_qkz,
     chk_nekrasov_3way, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
@@ -143,7 +142,8 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
 @pytest.mark.parametrize("patched, want", [
     ("r_closed_form", {"vs": "closed"}),
     ("r_hg_matrix", {"vs": "hypergeometric"}),
-    ("defining_relation_residuals", {"reason": "defining relation residual"}),
+    ("defining_relation_residuals",
+     {"reason": "defining relation residual", "window": [1, 0], "row": 0}),
     ("_display_matrix_2x2", {"vs": "display", "window": [1, 0]}),
 ])
 def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
@@ -152,7 +152,9 @@ def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
     real = getattr(suites, patched)
     if patched == "defining_relation_residuals":
         def broken(*args):
-            return [LaurentPolyX.constant(1)] + real(*args)[1:]
+            res = real(*args)
+            res[0, res.cols - 1] = res[0, res.cols - 1] + 1
+            return res
     else:
         def broken(*args):
             return real(*args).scale(2)
@@ -176,6 +178,68 @@ def test_every_shuffle_comparison_can_fail(monkeypatch):
             patch.setattr(suites, "matsuo_e", broken)
             mismatch = chk_shuffle(1)[2]
         assert mismatch is not None and (mismatch["N"], mismatch["k"]) == (N, k)
+
+
+def _doubled_pair(real, which):
+    def broken(p, lmax):
+        y0, y1, params = real(p, lmax)
+        return (2 * y0 if 0 in which else y0), (2 * y1 if 1 in which else y1), params
+    return broken
+
+
+@pytest.mark.parametrize("case", ["cross", "componentwise", "z1", "z2"])
+def test_every_heine_comparison_can_fail(monkeypatch, case):
+    # a doubled y1 breaks the cross-multiplied pair; doubling both keeps it
+    # and breaks the componentwise pair; a doubled M(z1) breaks the z1-shift
+    # equation; a doubled pair at the z2-shifted point breaks the z2 shift
+    from qkz import rmatrix, suites
+
+    assert chk_heine(1)[2] is None
+    if case == "cross":
+        monkeypatch.setattr(suites, "heine_solution_pair",
+                            _doubled_pair(suites.heine_solution_pair, {1}))
+        want = "cross-multiplied pair"
+    elif case == "componentwise":
+        monkeypatch.setattr(suites, "heine_solution_pair",
+                            _doubled_pair(suites.heine_solution_pair, {0, 1}))
+        want = "componentwise pair"
+    elif case == "z1":
+        real_m = rmatrix._dual_m_matrix
+        monkeypatch.setattr(rmatrix, "_dual_m_matrix",
+                            lambda *args: real_m(*args).scale(2))
+        want = "z1-shift"
+    else:
+        # heine_dual_residuals calls the module's own heine_solution_pair only
+        # for the z2-shifted point; the check's own pair comes from suites
+        monkeypatch.setattr(rmatrix, "heine_solution_pair",
+                            _doubled_pair(rmatrix.heine_solution_pair, {0, 1}))
+        want = "z2-shift"
+    mismatch = chk_heine(1)[2]
+    assert mismatch is not None and mismatch["relation"] == want, mismatch
+
+
+@pytest.mark.parametrize("check, window, lmax, patched, key", [
+    (chk_dual_qkz, (1, 1), 3, "r_closed_form", "k"),
+    (chk_qkz_matrix, (2, 1), 4, "r_via_linear_system", "component"),
+])
+def test_a_doubled_column_is_named_by_its_index(monkeypatch, check, window, lmax, patched,
+                                                key):
+    # column J of the R-matrix feeds only the residuals of column J, which
+    # the report names by its paper index J - n
+    from qkz import rmatrix
+
+    m, n = window
+    real = getattr(rmatrix, patched)
+    for column in range(m + n + 1):
+        def broken(*args, _column=column):
+            r = real(*args)
+            for i in range(r.rows):
+                r[i, _column] = 2 * r[i, _column]
+            return r
+        with monkeypatch.context() as patch:
+            patch.setattr(rmatrix, patched, broken)
+            mismatch = check(seed=1, m=m, n=n, lmax=lmax)[2]
+        assert mismatch is not None and mismatch[key] == column - n, (column, mismatch)
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 4)])
