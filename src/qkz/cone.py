@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import ResonanceError
 from .qseries import LambdaSeries, dbl_qt_poch_series, phi_coeffs
-from .scalars import ParamPoint, is_plain, shakirov_eigenvalue
+from .scalars import ParamPoint, dot, is_plain, shakirov_eigenvalue
 
 # Each axis monomial x, Lambda/x, Lambda as its (k, l) step on the grid.
 AXIS_X = (1, 0)
@@ -215,15 +215,11 @@ def _fill_level(stages, bufs, level: int) -> None:
                 dst[k][l] = values[k][l] * v if v else v
             continue
         dk, dl = axis
-        c0, last = values[0], len(values) - 1
+        last = len(values) - 1
         for k, l in cells:
-            v = src[k][l]
-            acc = c0 * v if v and c0 != 1 else v
-            for j in range(1, min(k if dk else last, l if dl else last, last) + 1):
-                v = src[k - j * dk][l - j * dl]
-                if v:
-                    acc = acc + values[j] * v
-            dst[k][l] = acc
+            top = min(k if dk else last, l if dl else last, last)
+            dst[k][l] = dot((values[j], src[k - j * dk][l - j * dl])
+                            for j in range(top + 1))
 
 
 def _diagonal(stage: Stage, k: int, l: int):

@@ -22,7 +22,7 @@ from .qseries import (
     qfactorial,
     qpoch,
 )
-from .scalars import ONE, ParamPoint, quotient
+from .scalars import ONE, ParamPoint, dot, product, quotient
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,60 @@ def cone_points(n: int, m: int, max_degree: int):
                     yield left + right
 
 
-def _times_inf_ratio(out, c, d, k: int, t, what: str):
-    """out * (c t^k, d; t)_inf / (c, d t^k; t)_inf, a finite product for
-    any integer k."""
-    if k > 0:
-        return quotient(out * qpoch(d, t, k), qpoch(c, t, k), what)
-    if k < 0:
-        return quotient(out * qpoch(c * t ** k, t, -k), qpoch(d * t ** k, t, -k), what)
-    return out
+def _telescope_table(c, d, lo: int, hi: int, t, what: str) -> dict:
+    """{k: (c t^k, d; t)_inf / (c, d t^k; t)_inf} for lo <= k <= hi, with
+    lo <= 0 <= hi.  Each entry is its neighbour towards k = 0 times one
+    factor, (1 - d t^(k-1)) / (1 - c t^(k-1)) upwards and
+    (1 - c t^k) / (1 - d t^k) downwards, so the table divides by exactly the
+    factors of the finite products at its two ends."""
+    table = {0: ONE}
+    value, step = ONE, ONE
+    for k in range(1, hi + 1):
+        value = quotient(value * (1 - d * step), 1 - c * step, what)
+        table[k] = value
+        step = step * t
+    value, step = ONE, ONE
+    for k in range(-1, lo - 1, -1):
+        step = step / t
+        value = quotient(value * (1 - c * step), 1 - d * step, what)
+        table[k] = value
+    return table
+
+
+def _weight_rule(jp: JacksonParams, points, shift=(0, 0)):
+    """weight_ratio(jp, e, shift) as a function of e, for every e in
+    `points`: the telescoped factors are read from one table per (cycle
+    point, parameter pair) over e_i + s_k and one per cross pair over
+    e_j - e_i, each spanning the exponents that `points` use."""
+    t, q = jp.t, jp.q
+    xi = jp.cycle()
+    N = jp.N
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+
+    def table(c, d, ks, what):
+        return _telescope_table(c, d, min(0, *ks), max(0, *ks), t, what)
+
+    single = [(i, s, table(t * xi[i] / a, b * xi[i], [e[i] + s for e in points],
+                           "telescoped factor"))
+              for i in range(N)
+              for a, b, s in ((jp.a1, jp.b1, shift[0]), (jp.a2, jp.b2, shift[1]))]
+    cross = []
+    for i, j in pairs:
+        ratio = xi[j] / xi[i]
+        cross.append((i, j, table(t * ratio / q, q * ratio, [e[j] - e[i] for e in points],
+                                  "telescoped cross factor")))
+    inverse_vandermonde = quotient(ONE, product(xi[i] - xi[j] for i, j in pairs),
+                                   "difference of cycle points")
+    step = q * q / t
+
+    def weight(e):
+        z = [x * t ** ei for x, ei in zip(xi, e)]
+        return product([step ** sum(ei * (N - 1 - i) for i, ei in enumerate(e)),
+                        *(tab[e[i] + s] for i, s, tab in single),
+                        *(tab[e[j] - e[i]] for i, j, tab in cross),
+                        *(z[i] - z[j] for i, j in pairs), inverse_vandermonde])
+
+    return weight
 
 
 def weight_ratio(jp: JacksonParams, e, shift=(0, 0)):
@@ -114,38 +160,18 @@ def weight_ratio(jp: JacksonParams, e, shift=(0, 0)):
     (t z/a_k; t)_inf / (b_k z; t)_inf moves by t^(e_i + s_k), each cross
     product (t z_j/(q z_i); t)_inf / (q z_j/z_i; t)_inf by t^(e_j - e_i).
     """
-    t, q = jp.t, jp.q
-    xi = jp.cycle()
-    N = jp.N
-    out = ONE
-    for i in range(N):
-        for a, b, s in ((jp.a1, jp.b1, shift[0]), (jp.a2, jp.b2, shift[1])):
-            out = _times_inf_ratio(out, t * xi[i] / a, b * xi[i], e[i] + s, t,
-                                   "telescoped factor")
-        if e[i]:
-            out = out * (q * q / t) ** (e[i] * (N - 1 - i))
-    for i in range(N):
-        for j in range(i + 1, N):
-            ratio = xi[j] / xi[i]
-            out = _times_inf_ratio(out, t * ratio / q, q * ratio, e[j] - e[i], t,
-                                   "telescoped cross factor")
-    # Vandermonde ratio
-    for i in range(N):
-        for j in range(i + 1, N):
-            out = out * quotient(xi[i] * t ** e[i] - xi[j] * t ** e[j], xi[i] - xi[j],
-                                 "difference of cycle points")
-    return out
+    return _weight_rule(jp, [e], shift)(e)
 
 
 def matsuo_e(a, b, z, q) -> list:
-    """Factorized symmetric cocycles [e_hat_0, ..., e_hat_N],
+    """Subset sums [s_0, ..., s_N] of the factorized symmetric cocycles
+    e_hat_k = [k]_{1/q}! [N-k]_{1/q}! s_k (`matsuo_prefactors`),
 
-        e_hat_k(a, b; z) = [k]_{1/q}! [N-k]_{1/q}!
-            sum_{|J| = k} prod_{i in I} (1 - z_i/a) prod_{j in J} (1 - b z_j)
-                          prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i),
+        s_k(a, b; z) = sum_{|J| = k} prod_{i in I} (1 - z_i/a) prod_{j in J} (1 - b z_j)
+                       prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i),
 
     I the complement of J.  The single factors and cross ratios are built
-    once, and each subset J is summed once, into e_hat_|J|.
+    once, and each subset J is summed once, into s_|J|.
     """
     z = list(z)
     N = len(z)
@@ -153,22 +179,21 @@ def matsuo_e(a, b, z, q) -> list:
     right = [1 - b * v for v in z]
     cross = [[quotient(zj - zi / q, zj - zi, "difference of z values") if i != j else None
               for j, zj in enumerate(z)] for i, zi in enumerate(z)]
-    totals = [0] * (N + 1)
+    terms = [[] for _ in range(N + 1)]
     for mask in range(1 << N):
         J = [j for j in range(N) if mask >> j & 1]
         I = [i for i in range(N) if not mask >> i & 1]
-        term = ONE
-        for i in I:
-            term = term * left[i]
-        for j in J:
-            term = term * right[j]
-        for i in I:
-            for j in J:
-                term = term * cross[i][j]
-        totals[len(J)] = totals[len(J)] + term
+        terms[len(J)].append((product([*(left[i] for i in I), *(right[j] for j in J)]),
+                              product([cross[i][j] for i in I for j in J])))
+    return [dot(pairs) for pairs in terms]
+
+
+def matsuo_prefactors(N: int, q) -> list:
+    """[k]_{1/q}! [N-k]_{1/q}! for k = 0..N, which turn matsuo_e's subset
+    sums into the cocycles e_hat_k; they do not depend on z."""
     qi = 1 / q
-    return [qfactorial(k, qi) * qfactorial(N - k, qi) * total
-            for k, total in enumerate(totals)]
+    factorials = [qfactorial(k, qi) for k in range(N + 1)]
+    return [factorials[k] * factorials[N - k] for k in range(N + 1)]
 
 
 def matsuo_e_brute(k: int, a, b, z, q):
@@ -219,18 +244,21 @@ def _perm_sign(perm) -> int:
 
 def jackson_vector_raw(jp: JacksonParams, lmax: int):
     """Unnormalized components [<e_hat_0>, ..., <e_hat_N>] as LambdaSeries
-    (base-point normalization only), position J holding the x^(J-n) slice."""
-    N = jp.N
-    coeffs = [[0] * (lmax + 1) for _ in range(N + 1)]
+    (base-point normalization only), position J holding the x^(J-n) slice.
+
+    The weights come from one `_weight_rule` over the whole cone, and the
+    prefactors of the cocycles multiply each component once."""
     t = jp.t
     xi = jp.cycle()
-    for nu in cone_points(jp.n, jp.m, lmax):
-        w = weight_ratio(jp, nu)
+    points = list(cone_points(jp.n, jp.m, lmax))
+    weight = _weight_rule(jp, points)
+    prefactors = matsuo_prefactors(jp.N, jp.q)
+    by_degree = [[] for _ in range(lmax + 1)]
+    for nu in points:
         z = [x * t ** e for x, e in zip(xi, nu)]
-        d = sum(nu)
-        for k, e_hat in enumerate(matsuo_e(jp.a2, jp.b1, z, jp.q)):
-            coeffs[k][d] = coeffs[k][d] + w * e_hat
-    return [LambdaSeries(c) for c in coeffs]
+        by_degree[sum(nu)].append((weight(nu), matsuo_e(jp.a2, jp.b1, z, jp.q)))
+    return [LambdaSeries(dot((w, sums[k]) for w, sums in terms) for terms in by_degree)
+            * prefactor for k, prefactor in enumerate(prefactors)]
 
 
 def jackson_vector(jp: JacksonParams, lmax: int):

@@ -9,7 +9,7 @@ or series with invertible constant term).  A failed pivot chain raises
 from __future__ import annotations
 
 from .errors import SingularMatrixError
-from .scalars import invertible
+from .scalars import dot, invertible, reciprocal
 
 
 class ScalarMatrix:
@@ -79,17 +79,10 @@ class ScalarMatrix:
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = ScalarMatrix(self.rows, other.cols, [0] * (self.rows * other.cols))
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self[i, k]
-                if a == 0:
-                    continue
-                for j in range(other.cols):
-                    b = other[k, j]
-                    if b != 0:
-                        out[i, j] = out[i, j] + a * b
-        return out
+        a, b, cols = self.entries, other.entries, other.cols
+        rows = [a[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
+        return ScalarMatrix(self.rows, cols, [
+            dot(zip(row, b[j::cols])) for row in rows for j in range(cols)])
 
     def scale(self, c) -> "ScalarMatrix":
         return ScalarMatrix(self.rows, self.cols, [x * c for x in self.entries])
@@ -134,6 +127,7 @@ class ScalarMatrix:
         n = self.rows
         a = self.copy()
         b = rhs.copy()
+        inverses = []  # of the pivots a[i, i], which later columns leave unchanged
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
@@ -145,23 +139,19 @@ class ScalarMatrix:
             if pivot_row != col:
                 _swap_rows(a, col, pivot_row)
                 _swap_rows(b, col, pivot_row)
-            piv = a[col, col]
+            inverses.append(reciprocal(a[col, col]))
             for r in range(n):
                 if r == col:
                     continue
-                factor = a[r, col] / piv
+                factor = a[r, col] * inverses[col]
                 if factor == 0:
                     continue
                 for j in range(col, n):
                     a[r, j] = a[r, j] - factor * a[col, j]
                 for j in range(b.cols):
                     b[r, j] = b[r, j] - factor * b[col, j]
-        out = ScalarMatrix(n, b.cols, [0] * (n * b.cols))
-        for i in range(n):
-            piv = a[i, i]
-            for j in range(b.cols):
-                out[i, j] = b[i, j] / piv
-        return out
+        return ScalarMatrix(n, b.cols, [
+            b[i, j] * inverses[i] for i in range(n) for j in range(b.cols)])
 
     def inverse(self) -> "ScalarMatrix":
         one = None

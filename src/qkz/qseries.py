@@ -8,7 +8,7 @@ truncated Lambda-series, as long as the required divisions exist.
 from __future__ import annotations
 
 from .errors import DegenerateParameterError
-from .scalars import ONE, TruncatedSeries, quotient, series_exp
+from .scalars import ONE, Rat, TruncatedSeries, is_plain, quotient, series_exp
 
 
 class LambdaSeries(TruncatedSeries):
@@ -16,9 +16,21 @@ class LambdaSeries(TruncatedSeries):
 
 
 def qpoch(a, q, n: int):
-    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0."""
+    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0.
+
+    For rational a = an/ad and q = qn/qd it is one Rat built from the ints
+    prod_i (ad qd^i - an qn^i) and ad^n qd^(n(n-1)/2)."""
     if n < 0:
         raise ValueError("qpoch needs n >= 0")
+    if is_plain(a) and is_plain(q):
+        an, ad = a.numerator, a.denominator
+        qn, qd = q.numerator, q.denominator
+        num, den = 1, ad ** n * qd ** (n * (n - 1) // 2)
+        for _ in range(n):
+            num *= ad - an
+            an *= qn
+            ad *= qd
+        return Rat(num, den)
     out = ONE
     aq = a
     for _ in range(n):

@@ -84,23 +84,25 @@ def defining_relation_residuals(m: int, n: int, d1, d4, lam, q,
 
 # -- closed form via the two triangular transition matrices -------------------
 
-def ruw_entry(i: int, k: int, m: int, n: int, d1, d4, lam, q):
-    """Upper-triangular transition coefficient (zero for k < i)."""
+def ruw_entry(i: int, k: int, m: int, n: int, d1, d4, lam, q, qq):
+    """Upper-triangular transition coefficient (zero for k < i); qq[j] is
+    (q; q)_j for 0 <= j <= m + n."""
     if k < i:
         return ONE * 0
     num = (
         q ** (((i - k) * (2 * m + 1 + i - k)) // 2)
         * (-d4) ** (k - i)
-        * qpoch(q, q, m - i)
+        * qq[m - i]
         * qpoch(d1 * lam * q ** (i - k - n), q, k - i)
         * qpoch(d1 * d4 * lam * q ** (-m - n - 1), q, m - k)
     )
-    den = qpoch(q, q, k - i) * qpoch(q, q, m - k) * qpoch(d4 * q ** (-m), q, m - i)
+    den = qq[k - i] * qq[m - k] * qpoch(d4 * q ** (-m), q, m - i)
     return quotient(num, den, "denominator of r^UW")
 
 
-def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q):
-    """Anti-diagonal lower-triangular coefficient (zero for k + j < m - n)."""
+def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q, qq):
+    """Anti-diagonal lower-triangular coefficient (zero for k + j < m - n);
+    qq[j] is (q; q)_j for 0 <= j <= m + n."""
     M = k + j - m + n
     if M < 0:
         return ONE * 0
@@ -111,11 +113,11 @@ def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q):
         poly = poly * (q ** (m + 1 + s) / d4 - lam)
     num = (
         q ** (((j - k - m - n - 1) * (j + k - m + n)) // 2)
-        * qpoch(q, q, k + n)
+        * qq[k + n]
         * poly
         * qpoch(q ** (j + 1) / d4, q, m - j)
     )
-    den = qpoch(q, q, M) * qpoch(q, q, m - j) * qpoch(lam * q ** (-k - n), q, k + n)
+    den = qq[M] * qq[m - j] * qpoch(lam * q ** (-k - n), q, k + n)
     return quotient(num, den, "denominator of r^WV")
 
 
@@ -131,10 +133,11 @@ def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
     if not invertible(lam):
         raise DegenerateParameterError("closed form needs invertible Lambda")
     window = range(-n, m + 1)
+    qq = [qpoch(q, q, j) for j in range(m + n + 1)]
     uw = ScalarMatrix.from_rows(
-        [[ruw_entry(i, k, m, n, d1, d4, lam, q) for k in window] for i in window])
+        [[ruw_entry(i, k, m, n, d1, d4, lam, q, qq) for k in window] for i in window])
     wv = ScalarMatrix.from_rows(
-        [[rwv_entry(k, j, m, n, d4, lam, q) for j in window] for k in window])
+        [[rwv_entry(k, j, m, n, d4, lam, q, qq) for j in window] for k in window])
     left = ScalarMatrix.diagonal([q ** (-i * n) * d4 ** (i + n) * lam ** i for i in window])
     right = ScalarMatrix.diagonal([q ** j * lam ** (-j) for j in window])
     return left @ uw @ wv @ right

@@ -20,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import DegenerateParameterError, QkzError, SamplingError
 
@@ -59,6 +60,58 @@ def quotient(num, den, what: str):
     if not invertible(den):
         raise DegenerateParameterError(f"{what} vanishes")
     return num / den
+
+
+def reciprocal(x):
+    """1 / x in the ring of x: an exact rational, or the series inverse."""
+    return ONE / x if is_plain(x) else x.inverse()
+
+
+_PLAIN_TYPES = frozenset({int, bool, type(ZERO)})
+
+
+def dot(pairs):
+    """sum(x * y for x, y in pairs), exactly; terms with a zero factor are
+    skipped, and with none left the result is the int 0.
+
+    The plain terms (int / Rat) are summed as one int pair over the least
+    common multiple of their denominators and reduced once, into one Rat;
+    the others use their ring's + and *."""
+    num, den = 0, 1
+    plain = False
+    rest = None
+    for x, y in pairs:
+        if type(x) in _PLAIN_TYPES and type(y) in _PLAIN_TYPES:
+            if x and y:
+                plain = True
+                d = x.denominator * y.denominator
+                if d == den:
+                    num += x.numerator * y.numerator
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + x.numerator * y.numerator * (den // g)
+                    den *= d // g
+        elif x != 0 and y != 0:
+            rest = x * y if rest is None else rest + x * y
+    if not plain:
+        return 0 if rest is None else rest
+    total = Rat(num, den)
+    return total if rest is None else rest + total
+
+
+def product(values):
+    """The exact product of the values: the plain ones (int / Rat) as one int
+    pair, reduced once into one Rat, times the others by their ring's *."""
+    num = den = 1
+    rest = None
+    for v in values:
+        if type(v) in _PLAIN_TYPES:
+            num *= v.numerator
+            den *= v.denominator
+        else:
+            rest = v if rest is None else rest * v
+    total = Rat(num, den)
+    return total if rest is None else rest * total
 
 
 class TruncatedSeries:
@@ -129,16 +182,8 @@ class TruncatedSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return self._wrap(out)
+        a, b = self.coeffs, o.coeffs
+        return self._wrap(dot(zip(a, b[k::-1])) for k in range(len(a)))
 
     __rmul__ = __mul__
 
@@ -150,16 +195,11 @@ class TruncatedSeries:
         if not invertible(c0):
             raise ZeroDivisionError(
                 f"{type(self).__name__} with non-invertible constant term")
-        inv0 = ONE / c0 if is_plain(c0) else c0.inverse()
-        n = self.order
-        out = [inv0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if a != 0:
-                    acc += a * out[k - j]
-            out[k] = -(acc * inv0) if acc != 0 else 0 * inv0
+        inv0 = reciprocal(c0)
+        out = [inv0]
+        for k in range(1, len(self.coeffs)):
+            acc = dot(zip(self.coeffs[1:k + 1], out[::-1]))
+            out.append(-(acc * inv0) if acc != 0 else 0 * inv0)
         return self._wrap(out)
 
     def __truediv__(self, other):

@@ -34,7 +34,7 @@ from .rmatrix import (
     r_hg_matrix, r_via_linear_system)
 from .jackson import (
     JacksonParams, al_jackson_compare, commutativity_check, d2_matrix, ito_A, ito_A_via_R,
-    ito_R, ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute)
+    ito_R, ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
 
 DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
@@ -390,7 +390,9 @@ def chk_shuffle(seed: int, nmax: int = 4):
             v = Rat(rng.randint(2, 80), rng.randint(2, 80))
             if v not in z:
                 z.append(v)
-        for k, lhs in enumerate(matsuo_e(a, b, z, q)):
+        sums = matsuo_e(a, b, z, q)
+        for k, prefactor in enumerate(matsuo_prefactors(N, q)):
+            lhs = prefactor * sums[k]
             rhs = matsuo_e_brute(k, a, b, z, q)
             if lhs != rhs:
                 return point, {"N_max": nmax}, {"N": N, "k": k, "factored": str(lhs),

@@ -22,6 +22,7 @@ from qkz.jackson import (
     matsuo_e,
     matsuo_e_brute,
     matsuo_leading_constant,
+    matsuo_prefactors,
     weight_ratio,
 )
 from qkz.qseries import LambdaSeries, qfactorial, qpoch
@@ -111,6 +112,12 @@ def test_one_step_weight_against_infinite_product_quotient():
         assert w == num / den * boundary
 
 
+def _e_hat(a, b, z, q):
+    """[e_hat_0, ..., e_hat_N]: the subset sums times their prefactors."""
+    return [prefactor * s for prefactor, s in
+            zip(matsuo_prefactors(len(z), q), matsuo_e(a, b, z, q))]
+
+
 def test_matsuo_symmetric_under_permutation():
     q = rat(3, 5)
     z = [rat(2, 7), rat(5, 3), rat(9, 4)]
@@ -131,7 +138,7 @@ def test_matsuo_matches_antisymmetrization(N):
         v = Rat(rng.randint(2, 60), rng.randint(2, 60))
         if v not in z:
             z.append(v)
-    values = matsuo_e(a, b, z, q)
+    values = _e_hat(a, b, z, q)
     assert len(values) == N + 1
     for k, value in enumerate(values):
         assert value == matsuo_e_brute(k, a, b, z, q)
@@ -149,13 +156,13 @@ def test_matsuo_geometric_specialization():
                 want = want * (1 - q ** i * x / a)
             for i in range(k, N):
                 want = want * (1 - q ** i * b * x)
-            assert matsuo_e(a, b, z, q)[N - k] == want
+            assert _e_hat(a, b, z, q)[N - k] == want
 
 
 def test_matsuo_extreme_index_is_pure_product():
     q, a, b = rat(3, 5), rat(7, 3), rat(2, 9)
     z = [rat(2, 7), rat(5, 3), rat(9, 4)]
-    full = matsuo_e(a, b, z, q)[3]
+    full = _e_hat(a, b, z, q)[3]
     want = qfactorial(3, 1 / q)
     for v in z:
         want = want * (1 - b * v)
@@ -459,3 +466,85 @@ def test_base_shift_at_a_degenerate_point_raises(m, n):
         assert jp.b1 * jp.a2 * jp.q ** r == jp.t
         with pytest.raises(DegenerateParameterError):
             base_shift_data(jp, 1)
+
+
+# -- the lattice sum against its per-point form --------------------------------
+
+def _jackson_vector_per_point(jp, lmax):
+    """jackson_vector_raw as it was summed before the tables: at every cone
+    point the weight from its own telescoped products, and the cocycles
+    with their prefactors."""
+    t = jp.t
+    xi = jp.cycle()
+    coeffs = [[0] * (lmax + 1) for _ in range(jp.N + 1)]
+    for nu in cone_points(jp.n, jp.m, lmax):
+        w = _weight_ratio_oracle(jp, nu)
+        z = [x * t ** e for x, e in zip(xi, nu)]
+        for k, e_hat in enumerate(_e_hat(jp.a2, jp.b1, z, jp.q)):
+            coeffs[k][sum(nu)] = coeffs[k][sum(nu)] + w * e_hat
+    return [LambdaSeries(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n,lmax", [(1, 0, 4), (0, 2, 3), (1, 1, 3), (2, 1, 3), (1, 2, 2),
+                                      (2, 2, 2)])
+def test_lattice_sum_equals_the_per_point_form(seed, m, n, lmax):
+    p, jp = _params(seed, m, n)
+    assert jackson_vector_raw(jp, lmax) == _jackson_vector_per_point(jp, lmax)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 1)])
+@pytest.mark.parametrize("lmax", [2, 3])
+def test_table_and_per_point_forms_degenerate_at_the_same_cone(seed, m, n, lmax):
+    # Q = q t^-(lmax+1) makes a1/a2 = q^(n-m+1) t^-lmax.  At (1, 0) the
+    # factor (t z/a2; t) of the cycle point a1 then meets 1 - t^(1-lmax+s) = 0
+    # at s = lmax - 1, at (1, 1) the cross factor (t z1/(q z0); t) does: in
+    # both, only at a cone point of degree lmax
+    base = sample_generic_point(seed, guard=8)
+    p = base.replace_roots(rQ=base.rq / base.rt ** (lmax + 1)).with_overrides(m, n)
+    jp = JacksonParams.from_point(p, A2)
+    assert jp.a1 / jp.a2 == jp.q ** (n - m + 1) / jp.t ** lmax
+    what = "telescoped factor" if n == 0 else "telescoped cross factor"
+    for form in (jackson_vector_raw, _jackson_vector_per_point):
+        with pytest.raises(DegenerateParameterError, match=what):
+            form(jp, lmax)
+    assert jackson_vector_raw(jp, lmax - 1) == _jackson_vector_per_point(jp, lmax - 1)
+
+
+@pytest.mark.parametrize("m,n,lmax", [(1, 0, 3), (2, 1, 3), (2, 2, 2)])
+def test_lattice_sum_calls_matsuo_e_once_per_cone_point(monkeypatch, m, n, lmax):
+    # the traced layer jackson.matsuo_e is the module global the sum reads
+    import qkz.jackson as jackson
+
+    real = jackson.matsuo_e
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jackson, "matsuo_e", counted)
+    p, jp = _params(1, m, n)
+    jackson.jackson_vector(jp, lmax)
+    assert len(calls) == len(list(cone_points(n, m, lmax))) > 0
+
+
+@pytest.mark.parametrize("m,n,lmax", [(1, 0, 3), (2, 1, 3), (2, 2, 2)])
+def test_lattice_sum_builds_each_weight_table_once(monkeypatch, m, n, lmax):
+    # two per cycle point (one per parameter pair) and one per cross pair,
+    # for the whole cone, where the per-point form built them at every point
+    import qkz.jackson as jackson
+
+    real = jackson._telescope_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jackson, "_telescope_table", counted)
+    p, jp = _params(1, m, n)
+    jackson_vector_raw(jp, lmax)
+    N = m + n
+    assert len(calls) == 2 * N + N * (N - 1) // 2

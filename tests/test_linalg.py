@@ -1,7 +1,8 @@
 """ScalarMatrix against plain triple-loop oracles, over the rationals and over
 truncated Lambda-series: the product, the difference, the exact solve, the
 inverse and the first nonzero entry, which every matrix identity of the
-package is written with."""
+package is written with.  The solve, which inverts each pivot once, is also
+pinned against the elimination that divides by the pivot at every use."""
 
 import random
 
@@ -10,7 +11,8 @@ import pytest
 from qkz.errors import SingularMatrixError
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
-from qkz.scalars import Rat
+from qkz.rmatrix import expansion_matrices
+from qkz.scalars import Rat, TruncatedSeries, invertible, sample_generic_point
 
 ORDER = 2
 RINGS = ["rational", "series"]
@@ -148,3 +150,67 @@ def test_series_pivot_chain_with_zero_constant_terms_is_singular():
     b = ScalarMatrix.from_rows([[one + lam, one], [lam * lam, one]])
     x = b.solve(ScalarMatrix.from_rows([[one], [one]]))
     assert _product(_as_rows(b), _as_rows(x), "series") == [[one], [one]]
+
+
+def _solve_dividing_per_entry(a: ScalarMatrix, rhs: ScalarMatrix) -> ScalarMatrix:
+    """The elimination that divides by the pivot at every use: once per
+    eliminated row and once per entry of the solution."""
+    n = a.rows
+    a, b = a.copy(), rhs.copy()
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if invertible(a[r, col]))
+        for j in range(n):
+            a[col, j], a[pivot_row, j] = a[pivot_row, j], a[col, j]
+        for j in range(b.cols):
+            b[col, j], b[pivot_row, j] = b[pivot_row, j], b[col, j]
+        piv = a[col, col]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = a[r, col] / piv
+            if factor == 0:
+                continue
+            for j in range(col, n):
+                a[r, j] = a[r, j] - factor * a[col, j]
+            for j in range(b.cols):
+                b[r, j] = b[r, j] - factor * b[col, j]
+    return ScalarMatrix(n, b.cols, [b[i, j] / a[i, i] for i in range(n) for j in range(b.cols)])
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_equals_the_divide_per_entry_solve(ring, seed):
+    rng = random.Random(300 + seed)
+    a = ScalarMatrix.from_rows(_diagonally_dominant(rng, ring, 4))
+    a[0, 0] = _zero(ring)  # forces a row swap in column 0
+    b = ScalarMatrix.from_rows(_rows(rng, ring, 4, 3))
+    assert a.solve(b) == _solve_dividing_per_entry(a, b)
+
+
+def _qkz_matrix_2_1_system():
+    """T^T and S^T of the R-matrix solve in QKZ_MATRIX (2,1) at lmax 4."""
+    p = sample_generic_point(1, guard=8).with_overrides(2, 1)
+    lmax = 4
+    S, T = expansion_matrices(
+        2, 1, LambdaSeries.constant(p.d1, lmax), LambdaSeries.constant(p.d4, lmax),
+        LambdaSeries.variable(lmax), LambdaSeries.constant(p.q, lmax))
+    return T.transpose(), S.transpose()
+
+
+def test_solve_inverts_each_pivot_once(monkeypatch):
+    # 4 x 4 over Lambda-series: one inverse per pivot, where dividing at
+    # every use takes 3 per column plus one per solution entry
+    a, b = _qkz_matrix_2_1_system()
+    real = TruncatedSeries.inverse
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted)
+    x = a.solve(b)
+    assert len(calls) == 4
+    del calls[:]
+    assert _solve_dividing_per_entry(a, b) == x
+    assert len(calls) == 4 * 3 + 4 * 4

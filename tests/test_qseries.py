@@ -217,3 +217,35 @@ def test_bailey_transformation():
     for n in (0, 1, 4):
         lhs, rhs = bailey_check(a, b, c, d, e, f, n, q)
         assert lhs == rhs
+
+
+def _qpoch_one_factor_at_a_time(a, q, n):
+    out = Rat(1)
+    for i in range(n):
+        out = out * (1 - a * q ** i)
+    return out
+
+
+QPOCH_BASES = [0, 1, -1, 3, -2, Rat(0), Rat(1), Rat(2, 3), Rat(-5, 7), Rat(7, 5), Rat(-1, 4)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_qpoch_equals_the_one_factor_product(n):
+    # ints and Rats, zero and negative a (and q), n = 0..8; always a Rat
+    for a in QPOCH_BASES:
+        for q in QPOCH_BASES:
+            got = qpoch(a, q, n)
+            assert type(got) is Rat and got == _qpoch_one_factor_at_a_time(a, q, n), (a, q)
+
+
+@given(st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)),
+       st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)), st.integers(0, 8))
+def test_qpoch_equals_the_one_factor_product_at_random(a, q, n):
+    assert qpoch(a, q, n) == _qpoch_one_factor_at_a_time(a, q, n)
+
+
+def test_qpoch_over_series_is_the_one_factor_product():
+    a = LambdaSeries([Rat(2, 3), Rat(-1), Rat(5, 7)])
+    q = Rat(3, 4)
+    for n in range(5):
+        assert qpoch(a, q, n) == _qpoch_one_factor_at_a_time(a, q, n)

@@ -165,14 +165,15 @@ def test_closed_form_evaluates_each_transition_entry_once(monkeypatch):
 
 def test_transition_matrix_shapes():
     m, n = 2, 1
+    qq = [qpoch(Q, Q, j) for j in range(m + n + 1)]
     for i in range(-n, m + 1):
         for k in range(-n, m + 1):
             if k < i:
-                assert ruw_entry(i, k, m, n, D1, D4, LAM, Q) == 0
+                assert ruw_entry(i, k, m, n, D1, D4, LAM, Q, qq) == 0
     for k in range(-n, m + 1):
         for j in range(-n, m + 1):
             if k + j < m - n:
-                assert rwv_entry(k, j, m, n, D4, LAM, Q) == 0
+                assert rwv_entry(k, j, m, n, D4, LAM, Q, qq) == 0
 
 
 def test_lambda_zero_triangularity():

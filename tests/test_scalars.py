@@ -17,7 +17,9 @@ from qkz.scalars import (
     _draw_root,
     _passes_guards,
     _power_table,
+    dot,
     exp_jet,
+    product,
     quotient,
     rat,
     sample_generic_point,
@@ -227,3 +229,84 @@ def test_mul_variable_power_keeps_the_order():
         shifted = s.mul_variable_power(power)
         assert shifted.order == 1
         assert shifted.coeffs == ((1, 2), (0, 1), (0, 0), (0, 0), (0, 0))[power]
+
+
+# -- the exact kernels against their one-operation-at-a-time forms -------------
+
+def _sum_of_products(pairs):
+    acc = 0
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+def _product_one_at_a_time(values):
+    acc = ONE
+    for v in values:
+        acc = acc * v
+    return acc
+
+
+def _kernel_cases():
+    rng = random.Random(7)
+
+    def r():
+        return Rat(rng.randint(-30, 30), rng.randint(1, 30))
+
+    def series(cls):
+        return cls([r() for _ in range(3)])
+
+    rats = [(r(), r()) for _ in range(6)]
+    ints = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)]
+    lam = [(series(LambdaSeries), series(LambdaSeries)) for _ in range(4)]
+    jets = [(series(HJet), series(HJet)) for _ in range(4)]
+    mixed = [(r(), series(LambdaSeries)), (3, r()), (series(LambdaSeries), -2),
+             (Rat(0), series(LambdaSeries)), (r(), 0), (LambdaSeries.constant(0, 2), r())]
+    return {"rat": rats, "int": ints, "lambda": lam, "jet": jets, "mixed": mixed,
+            "rat and int": rats[:3] + ints[:3],
+            "sparse": [(Rat(0), r()), (r(), r()), (0, 5), (r(), Rat(0))]}
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_dot_equals_the_sum_of_products(case):
+    pairs = _kernel_cases()[case]
+    assert dot(pairs) == _sum_of_products(pairs)
+    assert dot(iter(pairs)) == _sum_of_products(pairs)
+
+
+def test_dot_of_no_nonzero_term_is_the_int_zero():
+    zero_lam = LambdaSeries.constant(0, 2)
+    for pairs in ([], [(Rat(0), Rat(3))], [(0, 0), (Rat(2), 0)],
+                  [(zero_lam, Rat(1, 2)), (LambdaSeries([1, 2, 3]), zero_lam)],
+                  [(HJet.constant(0, 1), HJet.variable(1))]):
+        result = dot(pairs)
+        assert type(result) is int and result == 0, pairs
+    # terms that cancel are a rational zero
+    cancelled = dot([(Rat(1, 3), Rat(3)), (-1, 1)])
+    assert cancelled == 0 and type(cancelled) is Rat
+    assert type(dot([(2, 3)])) is Rat
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_product_equals_the_one_at_a_time_product(case):
+    values = [v for pair in _kernel_cases()[case] for v in pair]
+    assert product(values) == _product_one_at_a_time(values)
+    assert product([]) == 1 and type(product([])) is Rat
+    assert type(product([2, -3])) is Rat
+
+
+def _convolution(a, b):
+    n = len(a.coeffs)
+    return [_sum_of_products([(a.coeffs[i], b.coeffs[k - i]) for i in range(k + 1)])
+            for k in range(n)]
+
+
+@given(st.lists(small_rationals, min_size=4, max_size=4),
+       st.lists(small_rationals, min_size=4, max_size=4))
+def test_series_product_and_inverse_equal_the_convolution(a, b):
+    sa, sb = LambdaSeries(a), LambdaSeries(b)
+    assert list((sa * sb).coeffs) == _convolution(sa, sb)
+    if a[0] != 0:
+        inv = sa.inverse()
+        assert list((sa * inv).coeffs) == [1, 0, 0, 0]
+        assert _convolution(sa, inv) == [1, 0, 0, 0]

@@ -344,6 +344,11 @@ def test_cone_suites_above_the_acceptance_orders(check, orders):
     assert check(seed=1, **orders)[2] is None
 
 
+def test_ito_qkz_window_3_2_at_order_3():
+    # AL_EQ_JACKSON runs above its acceptance size in test_lambda_order_5
+    assert chk_ito_qkz(seed=1, m=3, n=2, lmax=3)[2] is None
+
+
 def test_dual_qkz_window_2_2_at_order_4():
     assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
 
