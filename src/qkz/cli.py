@@ -127,7 +127,7 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
 
 
 def cmd_rmatrix(args) -> int:
-    from .rmatrix import r1_fourd, r_via_linear_system
+    from .rmatrix import expansion_matrices, r1_fourd, r_via_linear_system
 
     p = sample_generic_point(args.seed, guard=8)
     lam = args.lam if args.lam is not None else sample_generic_point(
@@ -140,7 +140,8 @@ def cmd_rmatrix(args) -> int:
         mat = r1_fourd((m1, -args.m, -args.n, m4), args.m, args.n, lam)
         meta = {"kind": "small-h first order", "m1": str(m1), "m4": str(m4)}
     else:
-        mat = r_via_linear_system(args.m, args.n, p.d1, p.d4, lam, p.q)
+        mat = r_via_linear_system(
+            *expansion_matrices(args.m, args.n, p.d1, p.d4, lam, p.q))
         meta = {"kind": "connection matrix", "point": json.loads(p.to_json())}
     obj = {
         **meta,

@@ -69,10 +69,6 @@ class ConeSeries:
         return (self.kmax, self.lmax) == (other.kmax, other.lmax) and all(
             a == b for ra, rb in zip(self.c, other.c) for a, b in zip(ra, rb))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         terms = [
             f"({self.c[k][l]!r}) x^{k}(L/x)^{l}"

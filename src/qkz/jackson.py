@@ -95,22 +95,12 @@ def cone_points(n: int, m: int, max_degree: int):
 
 def _telescope_table(c, d, lo: int, hi: int, t, what: str) -> dict:
     """{k: (c t^k, d; t)_inf / (c, d t^k; t)_inf} for lo <= k <= hi, with
-    lo <= 0 <= hi.  Each entry is its neighbour towards k = 0 times one
-    factor, (1 - d t^(k-1)) / (1 - c t^(k-1)) upwards and
-    (1 - c t^k) / (1 - d t^k) downwards, so the table divides by exactly the
-    factors of the finite products at its two ends."""
-    table = {0: ONE}
-    value, step = ONE, ONE
-    for k in range(1, hi + 1):
-        value = quotient(value * (1 - d * step), 1 - c * step, what)
-        table[k] = value
-        step = step * t
-    value, step = ONE, ONE
-    for k in range(-1, lo - 1, -1):
-        step = step / t
-        value = quotient(value * (1 - c * step), 1 - d * step, what)
-        table[k] = value
-    return table
+    lo <= 0 <= hi: (d; t)_k / (c; t)_k for k >= 0 and
+    (c t^k; t)_-k / (d t^k; t)_-k for k < 0, so the table divides by exactly
+    the factors of the finite products at its two ends."""
+    return {k: quotient(qpoch(d, t, k), qpoch(c, t, k), what) if k >= 0
+            else quotient(qpoch(c * t ** k, t, -k), qpoch(d * t ** k, t, -k), what)
+            for k in range(lo, hi + 1)}
 
 
 def _weight_rule(jp: JacksonParams, points, shift=(0, 0)):
@@ -504,9 +494,7 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
     Rinv = R.inverse()
     A = ito_A(jp, lam)
     K0 = Rinv @ A @ R
-    xi_prod = ONE
-    for x in jp.cycle():
-        xi_prod = xi_prod * x
+    xi_prod = product(jp.cycle())
     out = {}
 
     row = ScalarMatrix.from_rows([psi])

@@ -18,7 +18,7 @@ from .cone import ConeSeries
 from .errors import QkzError
 from .partitions import Partition, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import ONE, Monomial, ParamPoint, Rat, quotient
+from .scalars import Monomial, ParamPoint, Rat, product, quotient
 
 # The parameters as lattice monomials, each the fourth power of its root:
 # Q is q, QQ the instanton parameter Q, and KAPPA = t^(-1/2) = rt^-2.
@@ -205,10 +205,10 @@ class PairFactors:
         got = self._single.get(key)
         if got is None:
             p, empty = self.p, Partition()
-            matter = ONE
-            for i in range(2):
-                matter = matter * nek_orb((slot - i) % 2, 2, empty, lam, self.uv[i][slot], p)
-                matter = matter * nek_orb((i - slot) % 2, 2, lam, empty, self.vw[slot][i], p)
+            matter = product(
+                factor for i in range(2)
+                for factor in (nek_orb((slot - i) % 2, 2, empty, lam, self.uv[i][slot], p),
+                               nek_orb((i - slot) % 2, 2, lam, empty, self.vw[slot][i], p)))
             diag = nek_orb(0, 2, lam, lam, self.vv[slot][slot], p)
             got = self._single[key] = (matter, diag)
         return got

@@ -93,10 +93,6 @@ class ScalarMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and all(
             a == b for a, b in zip(self.entries, other.entries))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         body = "; ".join(
             ", ".join(repr(self[i, j]) for j in range(self.cols))

@@ -8,7 +8,8 @@ truncated Lambda-series, as long as the required divisions exist.
 from __future__ import annotations
 
 from .errors import DegenerateParameterError
-from .scalars import ONE, Rat, TruncatedSeries, is_plain, quotient, series_exp
+from .scalars import (ONE, Rat, TruncatedSeries, dot, is_plain, product, quotient,
+                      series_exp)
 
 
 class LambdaSeries(TruncatedSeries):
@@ -64,18 +65,12 @@ def qbinom(n: int, k: int, q):
     """Gaussian binomial coefficient, by the product-of-ratios form."""
     if not 0 <= k <= n:
         raise ValueError(f"qbinom out of range: n={n}, k={k}")
-    out = ONE
-    for i in range(1, k + 1):
-        out = out * quotient(1 - q ** (n - k + i), 1 - q ** i, "1 - q^i in qbinom")
-    return out
+    return quotient(qpoch(q ** (n - k + 1), q, k), qpoch(q, q, k), "1 - q^i in qbinom")
 
 
 def qfactorial(n: int, q):
-    """[n]_q! with [k]_q = (1 - q^k)/(1 - q)."""
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * quotient(1 - q ** k, 1 - q, "1 - q in qfactorial")
-    return out
+    """[n]_q! with [k]_q = (1 - q^k)/(1 - q), that is (q; q)_n / (1 - q)^n."""
+    return quotient(qpoch(q, q, n), (1 - q) ** n, "1 - q in qfactorial")
 
 
 def phi_coeffs(c, q, order: int, inverted: bool = False):
@@ -86,17 +81,8 @@ def phi_coeffs(c, q, order: int, inverted: bool = False):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [1]
-    cj = 1
-    qq = 1
-    prefix = 1  # (-1)^j q^(j(j-1)/2), tracked incrementally
-    for j in range(1, order + 1):
-        cj = cj * c
-        qq = qq * (1 - q ** j)
-        if not inverted:
-            prefix = prefix * (-1) * q ** (j - 1)
-        coeffs.append(quotient(cj if inverted else prefix * cj, qq, f"(q;q)_{j}"))
-    return coeffs
+    return [quotient(c ** j if inverted else (-c) ** j * q ** (j * (j - 1) // 2),
+                     qpoch(q, q, j), f"(q;q)_{j}") for j in range(order + 1)]
 
 
 def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:
@@ -106,13 +92,9 @@ def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [0] * (order + 1)
-    cn = 1
-    for n in range(1, order + 1):
-        cn = cn * c
-        coeffs[n] = quotient(-cn, (1 - q ** n) * (1 - t ** n) * n,
-                             f"(1 - q^{n})(1 - t^{n})")
-    return series_exp(LambdaSeries(coeffs))
+    return series_exp(LambdaSeries(
+        [0] + [quotient(-c ** n, (1 - q ** n) * (1 - t ** n) * n, f"(1 - q^{n})(1 - t^{n})")
+               for n in range(1, order + 1)]))
 
 
 def hyper_terms(nums, dens, q, z, count: int, what: str) -> list:
@@ -124,12 +106,9 @@ def hyper_terms(nums, dens, q, z, count: int, what: str) -> list:
     parameters carry (q; q)_k explicitly when the series has it."""
     terms = [ONE]
     for k in range(1, count + 1):
-        num = z
-        den = ONE
-        for a in nums:
-            num = num * (1 - a * q ** (k - 1))
-        for b in dens:
-            den = den * (1 - b * q ** (k - 1))
+        qk = q ** (k - 1)
+        num = product([z, *(1 - a * qk for a in nums)])
+        den = product(1 - b * qk for b in dens)
         terms.append(terms[-1] * quotient(num, den, f"{what} at k={k}"))
     return terms
 
@@ -150,11 +129,9 @@ def very_well_poised(a, params, nmax: int, q, z):
     """
     terms = hyper_terms((a, *params), (q, *(q * a / p for p in params)), q, z, nmax,
                         "very-well-poised denominator")
-    total = 0
-    for k, term in enumerate(terms):
-        total = total + term * quotient(1 - a * q ** (2 * k), 1 - a,
-                                        "1 - a in the very-well-poised series")
-    return total
+    return dot((term, quotient(1 - a * q ** (2 * k), 1 - a,
+                               "1 - a in the very-well-poised series"))
+               for k, term in enumerate(terms))
 
 
 def w10_9(a, b, c, d, e, f, g, n: int, q):
@@ -169,12 +146,10 @@ def bailey_check(a, b, c, d, e, f, n: int, q):
     """
     g = q ** (2 + n) * a ** 3 / (b * c * d * e * f)
     lhs = w10_9(a, b, c, d, e, f, g, n, q)
-    pref_num = 1
-    pref_den = 1
-    for base in (a * q, a * q / (e * f), a * q / (e * g), a * q / (f * g)):
-        pref_num = pref_num * qpoch(base, q, n)
-    for base in (a * q / e, a * q / f, a * q / g, a * q / (e * f * g)):
-        pref_den = pref_den * qpoch(base, q, n)
+    pref_num = product(qpoch(base, q, n)
+                       for base in (a * q, a * q / (e * f), a * q / (e * g), a * q / (f * g)))
+    pref_den = product(qpoch(base, q, n)
+                       for base in (a * q / e, a * q / f, a * q / g, a * q / (e * f * g)))
     a2 = q * a ** 2 / (b * c * d)
     rhs = quotient(pref_num, pref_den, "prefactor Pochhammer") * w10_9(
         a2, a * q / (b * c), a * q / (b * d), a * q / (c * d), e, f, g, n, q)

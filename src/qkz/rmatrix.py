@@ -12,7 +12,7 @@ from .errors import DegenerateParameterError, QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
 from .qseries import LambdaSeries, heine_2phi1, hyper_terms, qpoch
-from .scalars import ONE, ParamPoint, invertible, quotient
+from .scalars import ONE, ParamPoint, invertible, product, quotient
 
 
 def _neg_qpoch_coeffs(base, q, count: int) -> list:
@@ -63,22 +63,21 @@ def expansion_matrices(m: int, n: int, d1, d4, lam, q):
     return S, T
 
 
-def r_via_linear_system(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
-    """[r_{i,j}] from the defining basis expansion S = r T, one linear solve.
+def r_via_linear_system(S: ScalarMatrix, T: ScalarMatrix) -> ScalarMatrix:
+    """[r_{i,j}] from the defining basis expansion S = r T, one linear solve,
+    for (S, T) = expansion_matrices(m, n, d1, d4, lam, q).
 
-    Works over any scalar ring with invertible-pivot search, so `lam` and
-    `q` may be rationals, Lambda-series or h-jets.
+    Works over any scalar ring with invertible-pivot search, so the entries
+    may be rationals, Lambda-series or h-jets.
     """
-    S, T = expansion_matrices(m, n, d1, d4, lam, q)
     return T.transpose().solve(S.transpose()).transpose()
 
 
-def defining_relation_residuals(m: int, n: int, d1, d4, lam, q,
+def defining_relation_residuals(S: ScalarMatrix, T: ScalarMatrix,
                                 r: ScalarMatrix) -> ScalarMatrix:
     """S - r T for a candidate matrix r: row i + n holds the window
     coefficients of the residual polynomial of row i (all zero for the
     true matrix)."""
-    S, T = expansion_matrices(m, n, d1, d4, lam, q)
     return S - r @ T
 
 
@@ -108,13 +107,10 @@ def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q, qq):
         return ONE * 0
     # (-L)^M (q^(m+1)/(d4 L); q)_M recombined into the polynomial
     # prod_s (q^(m+1+s)/d4 - L), safe at L -> 0.
-    poly = ONE
-    for s in range(M):
-        poly = poly * (q ** (m + 1 + s) / d4 - lam)
     num = (
         q ** (((j - k - m - n - 1) * (j + k - m + n)) // 2)
         * qq[k + n]
-        * poly
+        * product(q ** (m + 1 + s) / d4 - lam for s in range(M))
         * qpoch(q ** (j + 1) / d4, q, m - j)
     )
     den = qq[M] * qq[m - j] * qpoch(lam * q ** (-k - n), q, k + n)
@@ -197,7 +193,7 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     q_c = LambdaSeries.constant(p.q, lmax)
     d1_c = LambdaSeries.constant(p.d1, lmax)
     d4_c = LambdaSeries.constant(p.d4, lmax)
-    r = r_via_linear_system(m, n, d1_c, d4_c, lam_var, q_c)
+    r = r_via_linear_system(*expansion_matrices(m, n, d1_c, d4_c, lam_var, q_c))
     qtQ = p.q * p.t * p.Q
     shifted = ScalarMatrix.from_rows(
         [[c.shift_variable(1 / p.t) * qtQ ** (n - ii) for ii, c in enumerate(comps)]])

@@ -236,10 +236,6 @@ class TruncatedSeries:
             return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((type(self).__name__, self.coeffs))
 
@@ -248,12 +244,7 @@ class TruncatedSeries:
 
     def shift_variable(self, factor):
         """Substitute var -> factor*var (coefficient j picks up factor^j)."""
-        out = []
-        p = 1
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * factor
-        return self._wrap(out)
+        return self._wrap(c * factor ** j for j, c in enumerate(self.coeffs))
 
     def mul_variable_power(self, power: int):
         """Multiply by var^power (power >= 0), truncating at the same order."""
@@ -271,15 +262,15 @@ class TruncatedSeries:
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a truncated series with vanishing constant term."""
-    if s.coeffs[0] != 0:
+    """exp of a truncated series with vanishing constant term, one `dot` per
+    coefficient: e = exp(s) solves e' = s' e, so n e_n = sum_k k s_k e_(n-k)."""
+    c = s.coeffs
+    if c[0] != 0:
         raise ValueError("series_exp needs zero constant term")
-    out = type(s).constant(ONE, s.order)
-    term = type(s).constant(ONE, s.order)
-    for k in range(1, s.order + 1):
-        term = term * s / k
-        out = out + term
-    return out
+    e = [ONE]
+    for n in range(1, len(c)):
+        e.append(dot((k * c[k], e[n - k]) for k in range(1, n + 1)) * Rat(1, n))
+    return type(s)(e)
 
 
 class HJet(TruncatedSeries):
@@ -379,11 +370,7 @@ class ParamPoint:
 
     def at(self, mono: Monomial):
         """The value of a lattice monomial at this point."""
-        val = ONE
-        for name, e in zip(_ROOT_FIELDS, mono):
-            if e:
-                val = val * getattr(self, name) ** e
-        return val
+        return product(getattr(self, name) ** e for name, e in zip(_ROOT_FIELDS, mono) if e)
 
     # -- overrides ----------------------------------------------------------
 
@@ -417,10 +404,11 @@ def shakirov_eigenvalue(p: ParamPoint, k: int, ell: int):
     """Diagonal eigenvalue of the non-stationary solve at monomial (k, ell).
 
     For x-degree a = k - ell the two Borel passes contribute q^(a(a+1)) and
-    the inverse shifts contribute (qtQ)^(-a) t^(-ell).
+    the inverse shifts contribute (qtQ)^(-a) t^(-ell); as a + ell = k, the
+    product is q^(a^2) t^(-k) Q^(-a).
     """
     a = k - ell
-    return p.q ** (a * (a + 1)) * (p.q * p.t * p.Q) ** (-a) * p.t ** (-ell)
+    return product([p.q ** (a * a), p.t ** (-k), p.Q ** (-a)])
 
 
 MAX_RESAMPLES = 10_000
@@ -482,11 +470,4 @@ def _passes_guards(p: ParamPoint, guard: int) -> bool:
 
 
 def _power_table(base, guard: int) -> dict:
-    table = {0: ONE}
-    pos = neg = ONE
-    for j in range(1, guard + 1):
-        pos = pos * base
-        neg = neg / base
-        table[j] = pos
-        table[-j] = neg
-    return table
+    return {j: base ** j for j in range(-guard, guard + 1)}

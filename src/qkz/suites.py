@@ -22,16 +22,16 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
-from .scalars import HJet, Rat, exp_jet, sample_generic_point
+from .scalars import HJet, Rat, exp_jet, product, sample_generic_point
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al, z_al_truncated
 from .partitions import partitions_of
 from .linalg import ScalarMatrix
 from .rmatrix import (
-    defining_relation_residuals, dual_qkz_residuals, h4d_matrix, heine_dual_residuals,
-    heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd, r_closed_form,
-    r_hg_matrix, r_via_linear_system)
+    defining_relation_residuals, dual_qkz_residuals, expansion_matrices, h4d_matrix,
+    heine_dual_residuals, heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd,
+    r_closed_form, r_hg_matrix, r_via_linear_system)
 from .jackson import (
     JacksonParams, al_jackson_compare, commutativity_check, d2_matrix, ito_A, ito_A_via_R,
     ito_R, ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
@@ -194,7 +194,8 @@ def _rmatrix_3way_mismatch(p, lams):
     for lam in lams:
         solved = {}
         for (m, n) in _THREEWAY_WINDOWS:
-            a = solved[m, n] = r_via_linear_system(m, n, d1, d4, lam, q)
+            S, T = expansion_matrices(m, n, d1, d4, lam, q)
+            a = solved[m, n] = r_via_linear_system(S, T)
             b = r_closed_form(m, n, d1, d4, lam, q)
             c = r_hg_matrix(m, n, d1, d4, lam, q)
             for other, tag in ((b, "closed"), (c, "hypergeometric")):
@@ -202,7 +203,7 @@ def _rmatrix_3way_mismatch(p, lams):
                                       {"window": [m, n], "lambda": str(lam), "vs": tag})
                 if mm is not None:
                     return mm
-            bad = defining_relation_residuals(m, n, d1, d4, lam, q, a).first_nonzero()
+            bad = defining_relation_residuals(S, T, a).first_nonzero()
             if bad is not None:
                 return {"window": [m, n], "row": bad[0] - n,
                         "reason": "defining relation residual"}
@@ -311,7 +312,7 @@ def _nekrasov_mismatch(p, rng, pair_count, max_size):
         mu = rng.choice(partitions_of(rng.randint(0, max_size - 0)))
         su = Rat(rng.randint(2, 30), rng.randint(2, 30))
         for order in (2, 3, 4):
-            total = 1
+            factors = []
             for k in range(order):
                 a = nek_orb(k, order, lam, mu, su, p)
                 b = nek_orb_floor(k, order, lam, mu, su, p)
@@ -319,7 +320,8 @@ def _nekrasov_mismatch(p, rng, pair_count, max_size):
                     return {"pair": [list(lam.parts), list(mu.parts)],
                             "n": order, "k": k,
                             "row_form": str(a), "floor_form": str(b)}
-                total = total * a
+                factors.append(a)
+            total = product(factors)
             box = total_nekrasov_bracket(lam, mu, su, p)
             if total != box:
                 return {"pair": [list(lam.parts), list(mu.parts)], "n": order,
@@ -432,7 +434,8 @@ def _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order):
         qj = exp_jet(1, jet_order)
         d1j = exp_jet(m1, jet_order)
         d4j = exp_jet(m4, jet_order)
-        rj = r_via_linear_system(m, n, d1j, d4j, HJet.constant(lam, jet_order), qj)
+        rj = r_via_linear_system(
+            *expansion_matrices(m, n, d1j, d4j, HJet.constant(lam, jet_order), qj))
         r1 = r1_fourd((m1, -m, -n, m4), m, n, lam)
         size = m + n + 1
         for i in range(size):
@@ -462,8 +465,9 @@ def _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order):
     if mm is not None:
         return mm
     jq = exp_jet(1, jet_order)
-    rj = r_via_linear_system(2, 1, exp_jet(m2v, jet_order), exp_jet(m4v, jet_order),
-                             HJet.constant(lam, jet_order), jq)
+    rj = r_via_linear_system(*expansion_matrices(
+        2, 1, exp_jet(m2v, jet_order), exp_jet(m4v, jet_order),
+        HJet.constant(lam, jet_order), jq))
     for i in range(4):
         for j in range(4):
             if rj[i, j].coeffs[1] != tab[i, j]:

@@ -430,6 +430,43 @@ def _pivot_constant(jp):
             * qpoch(q ** (-jp.n) * jp.a1 / jp.a2, q, jp.m) / (1 - qi) ** jp.N)
 
 
+def _telescope_table_running(c, d, lo, hi, t, what):
+    """_telescope_table as running products outwards from k = 0."""
+    table = {0: ONE}
+    value, step = ONE, ONE
+    for k in range(1, hi + 1):
+        value = quotient(value * (1 - d * step), 1 - c * step, what)
+        table[k] = value
+        step = step * t
+    value, step = ONE, ONE
+    for k in range(-1, lo - 1, -1):
+        step = step / t
+        value = quotient(value * (1 - c * step), 1 - d * step, what)
+        table[k] = value
+    return table
+
+
+@pytest.mark.parametrize("t", [Rat(2, 3), Rat(-7, 5)])
+def test_telescope_table_equals_its_running_products(t):
+    # c = 1, t^-2 zero 1 - c t^k at k = 0, 2 (upwards); c, d = t, t^3 zero
+    # 1 - c t^k, 1 - d t^k at k = -1, -3 (downwards)
+    import qkz.jackson as jackson
+
+    values = [Rat(3, 4), Rat(-2, 9), Rat(0), ONE, 1 / t ** 2, t, t ** 3]
+    degenerate = 0
+    for c, d in product(values, values):
+        for lo, hi in product(range(-3, 1), range(4)):
+            try:
+                want = _telescope_table_running(c, d, lo, hi, t, "factor")
+            except DegenerateParameterError:
+                degenerate += 1
+                with pytest.raises(DegenerateParameterError, match="factor"):
+                    jackson._telescope_table(c, d, lo, hi, t, "factor")
+                continue
+            assert jackson._telescope_table(c, d, lo, hi, t, "factor") == want
+    assert 0 < degenerate < len(values) ** 2 * 16
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("m,n", ORACLE_WINDOWS)
 def test_telescoping_rule_equals_both_oracles(seed, m, n):

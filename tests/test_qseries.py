@@ -13,11 +13,12 @@ from qkz.qseries import (
     phi_coeffs,
     qbinom,
     qbracket_poch,
+    qfactorial,
     qpoch,
     very_well_poised,
     w10_9,
 )
-from qkz.scalars import Rat, rat
+from qkz.scalars import Rat, quotient, rat
 
 nonzero_rats = st.builds(Rat, st.integers(1, 30), st.integers(1, 30))
 
@@ -249,3 +250,100 @@ def test_qpoch_over_series_is_the_one_factor_product():
     q = Rat(3, 4)
     for n in range(5):
         assert qpoch(a, q, n) == _qpoch_one_factor_at_a_time(a, q, n)
+
+
+# -- the running-product forms that the kernels replaced, as oracles ------------
+
+def _qbinom_loop(n, k, q):
+    out = Rat(1)
+    for i in range(1, k + 1):
+        out = out * quotient(1 - q ** (n - k + i), 1 - q ** i, "1 - q^i in qbinom")
+    return out
+
+
+def _qfactorial_loop(n, q):
+    out = Rat(1)
+    for k in range(1, n + 1):
+        out = out * quotient(1 - q ** k, 1 - q, "1 - q in qfactorial")
+    return out
+
+
+def _phi_coeffs_loop(c, q, order, inverted):
+    coeffs = [1]
+    cj = qq = prefix = 1
+    for j in range(1, order + 1):
+        cj = cj * c
+        qq = qq * (1 - q ** j)
+        if not inverted:
+            prefix = prefix * (-1) * q ** (j - 1)
+        coeffs.append(quotient(cj if inverted else prefix * cj, qq, f"(q;q)_{j}"))
+    return coeffs
+
+
+def _hyper_terms_loop(nums, dens, q, z, count, what):
+    terms = [Rat(1)]
+    for k in range(1, count + 1):
+        num, den = z, Rat(1)
+        for a in nums:
+            num = num * (1 - a * q ** (k - 1))
+        for b in dens:
+            den = den * (1 - b * q ** (k - 1))
+        terms.append(terms[-1] * quotient(num, den, f"{what} at k={k}"))
+    return terms
+
+
+def _very_well_poised_loop(a, params, nmax, q, z):
+    terms = _hyper_terms_loop((a, *params), (q, *(q * a / p for p in params)), q, z, nmax,
+                              "very-well-poised denominator")
+    total = 0
+    for k, term in enumerate(terms):
+        total = total + term * quotient(1 - a * q ** (2 * k), 1 - a,
+                                        "1 - a in the very-well-poised series")
+    return total
+
+
+def _agree(kernel_form, loop_form):
+    """Both forms give the same exact value, or both are degenerate."""
+    try:
+        want = loop_form()
+    except DegenerateParameterError:
+        with pytest.raises(DegenerateParameterError):
+            kernel_form()
+        return
+    assert kernel_form() == want
+
+
+# q = 1 and q = -1 zero some 1 - q^j; the others are generic
+ORACLE_QS = [Rat(2, 3), Rat(-5, 7), Rat(7, 5), Rat(3), Rat(1), Rat(-1)]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_qbinom_and_qfactorial_equal_their_loops(q):
+    for n in range(7):
+        _agree(lambda: qfactorial(n, q), lambda: _qfactorial_loop(n, q))
+        for k in range(n + 1):
+            _agree(lambda: qbinom(n, k, q), lambda: _qbinom_loop(n, k, q))
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_phi_coeffs_equal_their_loop(q, inverted):
+    for c in (Rat(3), Rat(-2, 5), Rat(0), LambdaSeries([Rat(2, 3), Rat(-1), Rat(5, 7)])):
+        for order in range(6):
+            _agree(lambda: phi_coeffs(c, q, order, inverted),
+                   lambda: _phi_coeffs_loop(c, q, order, inverted))
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_hyper_terms_and_very_well_poised_equal_their_loops(q):
+    # a = 1 zeroes 1 - a, and a lower parameter 1/q zeroes (1/q; q)_k from k = 2
+    params = (Rat(3, 5), Rat(9, 4), Rat(7, 2))
+    for z in (Rat(5, 3), 1, LambdaSeries([Rat(1, 2), Rat(3), Rat(-4, 9)])):
+        for dens in ((q, Rat(4, 11)), (q, 1 / q)):
+            for count in range(5):
+                _agree(lambda: hyper_terms(params, dens, q, z, count, "test"),
+                       lambda: _hyper_terms_loop(params, dens, q, z, count, "test"))
+    for a in (Rat(2, 7), Rat(1), q):
+        for nmax in range(4):
+            _agree(lambda: very_well_poised(a, params, nmax, q, Rat(5, 3)),
+                   lambda: _very_well_poised_loop(a, params, nmax, q, Rat(5, 3)))

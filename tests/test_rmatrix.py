@@ -29,7 +29,7 @@ LAM = rat(3, 11)
 
 
 def test_two_by_two_display():
-    r = r_via_linear_system(1, 0, D1, D4, LAM, Q)
+    r = r_via_linear_system(*expansion_matrices(1, 0, D1, D4, LAM, Q))
     den = 1 - LAM / Q
     assert r[0, 0] == (1 - D1 * LAM / Q) / den
     assert r[0, 1] == -(1 - D1) / den
@@ -38,7 +38,7 @@ def test_two_by_two_display():
 
 
 def test_three_by_three_display():
-    r = r_via_linear_system(2, 0, D1, D4, LAM, Q)
+    r = r_via_linear_system(*expansion_matrices(2, 0, D1, D4, LAM, Q))
     D = (1 - LAM / Q ** 2) * (1 - LAM / Q)
     assert r[0, 0] == (1 - D1 * LAM / Q ** 2) * (1 - D1 * LAM / Q) / D
     assert r[0, 1] == -(1 + Q) * (1 - D1) * (1 - D1 * LAM / Q) / (Q * D)
@@ -52,14 +52,15 @@ def test_three_by_three_display():
 @pytest.mark.parametrize("window", [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1)])
 def test_three_realizations_agree(window):
     m, n = window
-    a = r_via_linear_system(m, n, D1, D4, LAM, Q)
+    S, T = expansion_matrices(m, n, D1, D4, LAM, Q)
+    a = r_via_linear_system(S, T)
     assert a == r_closed_form(m, n, D1, D4, LAM, Q)
     assert a == r_hg_matrix(m, n, D1, D4, LAM, Q)
-    assert defining_relation_residuals(m, n, D1, D4, LAM, Q, a).is_zero()
+    assert defining_relation_residuals(S, T, a).is_zero()
     # a matrix off in one entry leaves that entry's row nonzero, and only it
     off = a.copy()
     off[m + n, 0] = off[m + n, 0] + 1
-    res = defining_relation_residuals(m, n, D1, D4, LAM, Q, off)
+    res = defining_relation_residuals(S, T, off)
     assert [any(res[I, P] != 0 for P in range(m + n + 1))
             for I in range(m + n + 1)] == [False] * (m + n) + [True]
 
@@ -159,7 +160,8 @@ def test_closed_form_evaluates_each_transition_entry_once(monkeypatch):
 
     monkeypatch.setattr(rm, "ruw_entry", counted("ruw", ruw_entry))
     monkeypatch.setattr(rm, "rwv_entry", counted("rwv", rwv_entry))
-    assert rm.r_closed_form(2, 2, D1, D4, LAM, Q) == r_via_linear_system(2, 2, D1, D4, LAM, Q)
+    assert rm.r_closed_form(2, 2, D1, D4, LAM, Q) == r_via_linear_system(
+        *expansion_matrices(2, 2, D1, D4, LAM, Q))
     assert calls == {"ruw": 25, "rwv": 25}
 
 
@@ -177,7 +179,7 @@ def test_transition_matrix_shapes():
 
 
 def test_lambda_zero_triangularity():
-    r0 = r_via_linear_system(2, 1, D1, D4, rat(0), Q)
+    r0 = r_via_linear_system(*expansion_matrices(2, 1, D1, D4, rat(0), Q))
     for I in range(4):
         for J in range(4):
             i, j = I - 1, J - 1
@@ -249,7 +251,7 @@ def test_qkz_order_zero_triangular_consistency():
     m, n = 1, 0
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
     comps = z_al_truncated(m, n, p, 2)
-    r0 = r_via_linear_system(m, n, p.d1, p.d4, rat(0), p.q)
+    r0 = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, rat(0), p.q))
     qtQ = p.q * p.t * p.Q
     for j in range(m + n + 1):
         total = rat(0)
@@ -311,8 +313,8 @@ def test_r1_fourd_against_jets():
     m1, m4 = rat(5, 3), rat(7, 4)
     K = 2
     qj = exp_jet(rat(1), K)
-    rj = r_via_linear_system(m, n, exp_jet(m1, K), exp_jet(m4, K),
-                             HJet.constant(LAM, K), qj)
+    rj = r_via_linear_system(*expansion_matrices(m, n, exp_jet(m1, K), exp_jet(m4, K),
+                                                 HJet.constant(LAM, K), qj))
     r1 = r1_fourd((m1, -m, -n, m4), m, n, LAM)
     for i in range(4):
         for j in range(4):
@@ -380,9 +382,9 @@ def test_qkz_residual_series_scalars_match_rational_evaluation():
     m, n = 1, 1
     lam_series = LambdaSeries.variable(3)
     q_c = LambdaSeries.constant(Q, 3)
-    r_series = r_via_linear_system(m, n, LambdaSeries.constant(D1, 3),
-                                   LambdaSeries.constant(D4, 3), lam_series, q_c)
-    r_zero = r_via_linear_system(m, n, D1, D4, rat(0), Q)
+    r_series = r_via_linear_system(*expansion_matrices(
+        m, n, LambdaSeries.constant(D1, 3), LambdaSeries.constant(D4, 3), lam_series, q_c))
+    r_zero = r_via_linear_system(*expansion_matrices(m, n, D1, D4, rat(0), Q))
     for i in range(3):
         for j in range(3):
             assert r_series[i, j].coeffs[0] == r_zero[i, j]

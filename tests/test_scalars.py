@@ -16,13 +16,13 @@ from qkz.scalars import (
     Rat,
     _draw_root,
     _passes_guards,
-    _power_table,
     dot,
     exp_jet,
     product,
     quotient,
     rat,
     sample_generic_point,
+    series_exp,
     shakirov_eigenvalue,
 )
 
@@ -102,6 +102,26 @@ def test_exp_jet_derivative_property(c):
     assert deriv == expect
 
 
+def _series_exp_power_sum(s):
+    """exp(s) as the sum of s^k / k!, one series product per term."""
+    out = term = type(s).constant(ONE, s.order)
+    for k in range(1, s.order + 1):
+        term = term * s / k
+        out = out + term
+    return out
+
+
+@given(st.lists(small_rationals, min_size=0, max_size=6), small_rationals)
+def test_series_exp_and_shift_equal_their_loop_forms(coeffs, factor):
+    for cls in (LambdaSeries, HJet):
+        s = cls([0, *coeffs])
+        assert series_exp(s) == _series_exp_power_sum(s)
+        powers = [ONE]
+        for _ in coeffs:
+            powers.append(powers[-1] * factor)
+        assert s.shift_variable(factor).coeffs == tuple(c * w for c, w in zip(s.coeffs, powers))
+
+
 def test_sampling_determinism_and_guards():
     p1 = sample_generic_point(1, guard=8)
     # a fresh draw, past the memo
@@ -115,6 +135,13 @@ def test_sampling_determinism_and_guards():
                 assert shakirov_eigenvalue(p1, k, ell) != 1
 
 
+def _eigenvalue_unreduced(p, k, ell):
+    """q^(a(a+1)) (qtQ)^(-a) t^(-ell) at x-degree a = k - ell, as the two
+    Borel passes and the inverse shifts contribute it."""
+    a = k - ell
+    return p.q ** (a * (a + 1)) * (p.q * p.t * p.Q) ** (-a) * p.t ** (-ell)
+
+
 def _passes_guards_reference(p, guard):
     """The guard as a literal search: q^j, t^j != 1 for 0 < j <= guard, every
     q^a t^b Q^c != 1 with 0 < max(|a|, |b|, |c|) <= guard, eigenvalues != 1."""
@@ -124,15 +151,24 @@ def _passes_guards_reference(p, guard):
             pw = pw * base
             if pw == 1:
                 return False
-    qa, tb, Qc = (_power_table(base, guard) for base in (p.q, p.t, p.Q))
+    qa, tb, Qc = ({j: base ** j for j in range(-guard, guard + 1)}
+                  for base in (p.q, p.t, p.Q))
     for a in range(-guard, guard + 1):
         for b in range(-guard, guard + 1):
             ab = qa[a] * tb[b]
             for c in range(-guard, guard + 1):
                 if (a, b, c) != (0, 0, 0) and ab * Qc[c] == 1:
                     return False
-    return all(shakirov_eigenvalue(p, k, ell) != 1
+    return all(_eigenvalue_unreduced(p, k, ell) != 1
                for k in range(guard + 1) for ell in range(guard + 1) if (k, ell) != (0, 0))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_reduced_eigenvalue_equals_the_unreduced_form(seed):
+    p = sample_generic_point(seed, guard=8)
+    for k in range(9):
+        for ell in range(9):
+            assert shakirov_eigenvalue(p, k, ell) == _eigenvalue_unreduced(p, k, ell)
 
 
 def test_guard_agrees_with_the_literal_search():

@@ -353,6 +353,10 @@ def test_dual_qkz_window_2_2_at_order_4():
     assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
 
 
+def test_dual_qkz_window_3_2_at_order_3():
+    assert chk_dual_qkz(seed=1, m=3, n=2, lmax=3)[2] is None
+
+
 @pytest.mark.parametrize("suite", ["DUAL_QKZ", "ITO_QKZ", "AL_EQ_JACKSON"])
 def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
     # every default window, at an order above the acceptance configs
@@ -363,17 +367,18 @@ def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
 
 
 def test_rmatrix_3way_solves_each_window_once(monkeypatch):
-    # three lambdas times six windows; the display tables reuse (1,0), (2,0)
+    # three lambdas times six windows; the display tables reuse (1,0), (2,0),
+    # and the solve and the residual share one (S, T): 54 of each at seeds 1-3
     from qkz import suites
 
-    calls = []
-    real = suites.r_via_linear_system
+    calls = {"expansion_matrices": 0, "r_via_linear_system": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(suites, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counted(*args):
-        calls.append(args[:2])
-        return real(*args)
-
-    monkeypatch.setattr(suites, "r_via_linear_system", counted)
-    point, orders, mismatch = suites.chk_rmatrix_3way(seed=1)
-    assert mismatch is None
-    assert len(calls) == 18
+        monkeypatch.setattr(suites, name, counted)
+    for seed in (1, 2, 3):
+        point, orders, mismatch = suites.chk_rmatrix_3way(seed=seed)
+        assert mismatch is None
+    assert calls == {"expansion_matrices": 54, "r_via_linear_system": 54}
