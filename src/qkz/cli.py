@@ -162,7 +162,7 @@ def cmd_jackson(args) -> int:
     a2 = args.a2 if args.a2 is not None else rat_from_str("5/7")
     jp = JacksonParams.from_point(p, a2)
     vec, pivot = jackson_vector(jp, args.lmax)
-    residuals = ito_qkz_check(jp, args.lmax)
+    equations = ito_qkz_check(jp, args.lmax)
     obj = {
         "point": json.loads(p.to_json()),
         "a2": str(a2),
@@ -175,8 +175,8 @@ def cmd_jackson(args) -> int:
             for j in range(args.m + args.n + 1)
         },
         "equation_residuals": {
-            name: [[str(c) for c in series.coeffs] for series in rs]
-            for name, rs in residuals.items()
+            name: [[str(c) for c in (a - b).coeffs] for a, b in zip(left, right)]
+            for name, (left, right) in equations.items()
         },
     }
     _emit(json.dumps(obj, indent=2) + "\n", args.out)

@@ -43,21 +43,10 @@ class ConeSeries:
         s.c[0][0] = 1
         return s
 
-    @classmethod
-    def monomial(cls, k: int, ell: int, kmax: int, lmax: int, value=1) -> "ConeSeries":
-        s = cls(kmax, lmax)
-        s.c[k][ell] = value
-        return s
-
     def __add__(self, other: "ConeSeries") -> "ConeSeries":
         self._check(other)
         return ConeSeries(self.kmax, self.lmax, [
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)])
-
-    def __sub__(self, other: "ConeSeries") -> "ConeSeries":
-        self._check(other)
-        return ConeSeries(self.kmax, self.lmax, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)])
 
     def scale(self, value) -> "ConeSeries":
         return ConeSeries(self.kmax, self.lmax, [
@@ -77,26 +66,6 @@ class ConeSeries:
             if self.c[k][l] != 0
         ]
         return "ConeSeries(" + " + ".join(terms[:12]) + (" + ..." if len(terms) > 12 else "") + ")"
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.c for a in row)
-
-    def first_mismatch(self, other: "ConeSeries"):
-        """(k, l, self_value, other_value) at the first differing cell."""
-        self._check(other)
-        for k in range(self.kmax + 1):
-            for l in range(self.lmax + 1):
-                if self.c[k][l] != other.c[k][l]:
-                    return k, l, self.c[k][l], other.c[k][l]
-        return None
-
-    def agrees_to_total_order(self, other: "ConeSeries", order: int) -> bool:
-        self._check(other)
-        return all(
-            self.c[k][l] == other.c[k][l]
-            for k in range(min(self.kmax, order) + 1)
-            for l in range(min(self.lmax, order - k) + 1)
-            if k + l <= order)
 
     def _check(self, other: "ConeSeries") -> None:
         if (self.kmax, self.lmax) != (other.kmax, other.lmax):
@@ -273,11 +242,6 @@ def apply_K(s: ConeSeries, p: ParamPoint) -> ConeSeries:
     return s.apply(_k_stages(p, s.kmax, s.lmax))
 
 
-def apply_HS(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """H_S applied to the whole series."""
-    return s.apply(_hs_stages(p, s.kmax, s.lmax))
-
-
 def _full_step_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
     """The full right-hand-side operator H_S T^-1_{qtQ,x} T^-1_{t,Lambda}."""
     return [_double_shift_stage(p, kmax, lmax)] + _hs_stages(p, kmax, lmax)
@@ -353,8 +317,8 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     realized by re-solving at the transformed point and rescaling the series
     variables (x -> -d2 x / q, L/x -> -d4 L / x exactly).
 
-    Returns (chi, (residual1, residual2)); both residuals should vanish
-    identically on the truncation rectangle.
+    Returns the two relations as ((psi, g K chi), (chi, T(g K chi))), each
+    pair of sides expected equal on the whole truncation rectangle.
     """
     kmax, lmax = psi.kmax, psi.lmax
     p2 = coupled_transform_point(p)
@@ -362,7 +326,6 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     fx = -p.d2 / p.q
     chi = chi_raw.shift(fx, fx * -p.d4)
     g, tg = coupling_series(p, min(kmax, lmax))
-    residual1 = psi - apply_K(chi, p).mul_lambda_series(g)
     tk_t2 = [_double_shift_stage(p, kmax, lmax)] + _tk_stages(p, kmax, lmax)
-    residual2 = chi - psi.apply(tk_t2).mul_lambda_series(tg)
-    return chi, (residual1, residual2)
+    return ((psi, apply_K(chi, p).mul_lambda_series(g)),
+            (chi, psi.apply(tk_t2).mul_lambda_series(tg)))

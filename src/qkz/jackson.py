@@ -389,12 +389,6 @@ def d1_matrix(jp: JacksonParams, lam) -> ScalarMatrix:
                                   for i in range(jp.N + 1)])
 
 
-def commutativity_check(R: ScalarMatrix, A: ScalarMatrix, D2: ScalarMatrix) -> ScalarMatrix:
-    """R D2 A - A R D2 for R = ito_R(jp), A = ito_A(jp, lam) and
-    D2 = d2_matrix(jp, lam), expected to vanish identically."""
-    return (R @ D2 @ A) - (A @ R @ D2)
-
-
 # -- the three difference equations on the Jackson vector ---------------------
 
 def base_shift_data(jp: JacksonParams, which: int):
@@ -416,66 +410,38 @@ def base_shift_data(jp: JacksonParams, which: int):
     return weight_ratio(jp, e, shift), sum(e)
 
 
-def al_jackson_compare(p: ParamPoint, a2, lmax: int) -> dict:
-    """Componentwise comparison of the mass-truncated partition sum with the
-    Jackson vector (the content of the AL = Jackson identification).
+def al_jackson_compare(p: ParamPoint, a2, lmax: int):
+    """The two sides of the AL = Jackson identification: the mass-truncated
+    partition sum and the Jackson vector, component by component.
 
     The two instanton variables differ by the exact monomial
     g = t d1 d4 / q^(N+1); after Lambda -> g Lambda on the Jackson side each
-    component pair is proportional with a Lambda-independent constant.  The
-    check is cross-multiplied (z_J * lead(psi_J) == psi_J * lead(z_J)), so
-    it is immune to the overall and per-component normalizations; the
-    observed constants and leading orders are recorded, not assumed.  A
-    component whose two sides both vanish through lmax is not compared
-    (its leading orders and constant are None); the comparison fails when
-    no component is compared.
+    component pair is proportional with a Lambda-independent constant, so a
+    comparison that cross-multiplies (z_J * lead(psi_J) == psi_J * lead(z_J))
+    is immune to the overall and per-component normalizations.  Returns
+    (laumon, jackson, info): the two component lists and the observed
+    dictionary, leading orders (jackson, laumon) and constants, which are
+    recorded, not assumed.  A component that vanishes through lmax on both
+    sides has leading orders (None, None) and constant None, as does one
+    whose two leading orders differ.
     """
     if p.m is None or p.n is None:
         raise QkzError("al_jackson_compare needs a mass-truncated point")
     m, n = p.m, p.n
-    N = m + n
     jp = JacksonParams.from_point(p, a2)
     psi, _ = jackson_vector(jp, lmax)
     z = z_al_truncated(m, n, p, lmax)
-    g = p.t * p.d1 * p.d4 / p.q ** (N + 1)
+    g = p.t * p.d1 * p.d4 / p.q ** (m + n + 1)
     psig = [s.shift_variable(g) for s in psi]
-    constants = []
-    leading = []
-    ok = True
-    mismatch = None
-    for J in range(N + 1):
-        vz = z[J].valuation()
-        vp = psig[J].valuation()
-        leading.append((vp, vz))
-        if vz is None and vp is None:
-            constants.append(None)
-            continue
-        if vz != vp:
-            ok = False
-            mismatch = mismatch or {"component": J - n, "reason": "leading order",
-                                    "jackson": str(vp), "laumon": str(vz)}
-            constants.append(None)
-            continue
-        lhs = z[J] * psig[J].coeffs[vp]
-        rhs = psig[J] * z[J].coeffs[vz]
-        if lhs != rhs:
-            ok = False
-            for b in range(lmax + 1):
-                if lhs.coeffs[b] != rhs.coeffs[b]:
-                    mismatch = mismatch or {
-                        "component": J - n, "order": b,
-                        "jackson": str(rhs.coeffs[b]), "laumon": str(lhs.coeffs[b])}
-                    break
-        constants.append(str(z[J].coeffs[vz] / psig[J].coeffs[vp]))
-    if leading.count((None, None)) == N + 1:
-        ok = False
-        mismatch = {"reason": "no component is nonzero through lmax", "lmax": lmax}
-    return {"ok": ok, "mismatch": mismatch, "lambda_dictionary": str(g),
-            "component_constants": constants, "leading_orders": leading}
+    leading = [(s.valuation(), c.valuation()) for s, c in zip(psig, z)]
+    constants = [None if vz is None or vz != vp else str(c.coeffs[vz] / s.coeffs[vp])
+                 for (vp, vz), s, c in zip(leading, psig, z)]
+    return z, psig, {"lambda_dictionary": str(g), "component_constants": constants,
+                     "leading_orders": leading}
 
 
 def ito_qkz_check(jp: JacksonParams, lmax: int):
-    """Residuals of the three difference equations on the computed vector:
+    """The three difference equations on the computed vector:
 
         T_alpha Psi = Psi K0 / prod(xi),   K0 = R^-1 A R = D2 A D2^-1,
         T_1 Psi h0' rho_1 Lambda^m = Psi K1 h0,   K1 = R^-1 D1,
@@ -483,9 +449,9 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
 
     where rho_i Lambda^(block) are the exact base-point ratios and h0 the
     pivot constants -- no fitted quantities anywhere.  Returns a dict of
-    residual lists, each expected zero through order lmax - 1; under
-    "Lambda^0" the computed constant terms minus their closed forms
-    matsuo_leading_constant for k = 0..m (k = m is the pivot).
+    (left, right) pairs of series lists, each pair expected equal through
+    order lmax - 1; under "Lambda^0" the computed constant terms and their
+    closed forms matsuo_leading_constant for k = 0..m (k = m is the pivot).
     """
     N = jp.N
     lam = LambdaSeries.variable(lmax)
@@ -498,8 +464,8 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
     out = {}
 
     row = ScalarMatrix.from_rows([psi])
-    out["alpha"] = [c.shift_variable(jp.t) - rhs / xi_prod
-                    for c, rhs in zip(psi, (row @ K0).entries)]
+    out["alpha"] = ([c.shift_variable(jp.t) for c in psi],
+                    [rhs / xi_prod for rhs in (row @ K0).entries])
 
     for which, K, block in (
         (1, Rinv @ d1_matrix(jp, lam), jp.m),
@@ -511,12 +477,13 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
         if lam_power != block:
             raise QkzError("unexpected Lambda-power in the base ratio")
         scale = rho * piv2 / piv
-        out[f"T{which}"] = [c.mul_variable_power(lam_power) * scale - rhs
-                            for c, rhs in zip(psi2, (row @ K).entries)]
+        out[f"T{which}"] = ([c.mul_variable_power(lam_power) * scale for c in psi2],
+                            (row @ K).entries)
 
     # the Matsuo closed forms of the Lambda^0 constants <e_k> = <e_hat_(N-k)>
     # for k <= m, the pivot <e_hat_n> at k = m (psi is divided by the pivot)
     computed = [psi[N - k].coeffs[0] * piv for k in range(jp.m + 1)]
     closed = [matsuo_leading_constant(jp, k) for k in range(jp.m + 1)]
-    out["Lambda^0"] = [LambdaSeries.constant(a - b, lmax) for a, b in zip(computed, closed)]
+    out["Lambda^0"] = ([LambdaSeries.constant(a, lmax) for a in computed],
+                       [LambdaSeries.constant(b, lmax) for b in closed])
     return out

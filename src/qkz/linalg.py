@@ -99,17 +99,6 @@ class ScalarMatrix:
             for i in range(self.rows))
         return f"ScalarMatrix[{body}]"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-    def first_nonzero(self):
-        """(i, j, value) of the first nonzero entry, or None."""
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self[i, j] != 0:
-                    return i, j, self[i, j]
-        return None
-
     def _check_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

@@ -39,14 +39,6 @@ class Partition:
         return bool(self.parts)
 
     @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        """Row length lambda_i, 1-based; zero beyond the diagram."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
-    @property
     def width(self) -> int:
         """First-row length = number of columns."""
         return self.parts[0] if self.parts else 0
@@ -66,12 +58,6 @@ class Partition:
     def even_row_sum(self) -> int:
         """|lambda|_e = lambda_2 + lambda_4 + ..."""
         return sum(self.parts[1::2])
-
-    def boxes(self):
-        """(i, j) cells, 1-based."""
-        for i, row in enumerate(self.parts, start=1):
-            for j in range(1, row + 1):
-                yield i, j
 
 
 @lru_cache(maxsize=None)

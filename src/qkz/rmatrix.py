@@ -73,14 +73,6 @@ def r_via_linear_system(S: ScalarMatrix, T: ScalarMatrix) -> ScalarMatrix:
     return T.transpose().solve(S.transpose()).transpose()
 
 
-def defining_relation_residuals(S: ScalarMatrix, T: ScalarMatrix,
-                                r: ScalarMatrix) -> ScalarMatrix:
-    """S - r T for a candidate matrix r: row i + n holds the window
-    coefficients of the residual polynomial of row i (all zero for the
-    true matrix)."""
-    return S - r @ T
-
-
 # -- closed form via the two triangular transition matrices -------------------
 
 def ruw_entry(i: int, k: int, m: int, n: int, d1, d4, lam, q, qq):
@@ -180,13 +172,13 @@ def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
 
 # -- q-KZ residual on the partition-sum components ----------------------------
 
-def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
-    """Residuals of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i).
+def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int):
+    """The two sides of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i).
 
     The components come from the mass-truncated partition sum; the matrix is
     evaluated with Lambda as a truncated series scalar, and the right side is
-    one row-times-matrix product.  Returns a list of LambdaSeries, expected
-    to vanish through order lmax - 1.
+    one row-times-matrix product.  Returns (left, right), two lists of
+    LambdaSeries indexed by j + n, expected equal through order lmax - 1.
     """
     comps = z_al_truncated(m, n, p, lmax)
     lam_var = LambdaSeries.variable(lmax)
@@ -197,7 +189,7 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int) -> list:
     qtQ = p.q * p.t * p.Q
     shifted = ScalarMatrix.from_rows(
         [[c.shift_variable(1 / p.t) * qtQ ** (n - ii) for ii, c in enumerate(comps)]])
-    return (ScalarMatrix.from_rows([comps]) - shifted @ r).entries
+    return comps, (shifted @ r).entries
 
 
 # -- dual q-KZ equation in the renormalized Coulomb parameter ----------------
@@ -237,15 +229,15 @@ def dual_v_prefactor(i: int, m: int, n: int, p: ParamPoint):
     return quotient(num, den, "denominator of v_i")
 
 
-def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
-    """Residuals of the dual equation, cleared of negative Lambda powers:
+def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int):
+    """The two sides of the dual equation, cleared of negative Lambda powers:
 
         sum_j Y_{i,j}(L, Qv/t) (L d1/q^(m+2))^(j+n) rt_{j,k}(Qv)
           = q^(i(i+1)) (L d1/q^(m+2))^(i+n) vhat_i Y_{i,k}(L, Qv),
 
     with rt the r-matrix at the swapped spectral value q^(m+2) Qv / d1, as
-    one matrix identity.  Returns its entries, LambdaSeries, row-major in
-    (i, k).
+    one matrix identity.  Returns (left, right), the entries of its two
+    sides as LambdaSeries, row-major in (i, k).
     """
     q, t, d1, d4 = p.q, p.t, p.d1, p.d4
     qv = 1 / (q * t * p.Q)
@@ -262,7 +254,7 @@ def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int) -> list:
          for row in y_shift])
     rhs = ScalarMatrix.from_rows(
         [[y.mul_variable_power(ii) * v[ii] for y in row] for ii, row in enumerate(y_here)])
-    return (lhs @ rt - rhs).entries
+    return (lhs @ rt).entries, rhs.entries
 
 
 # -- explicit two-component solution in basic hypergeometric form -------------
@@ -306,9 +298,10 @@ def _dual_m_matrix(a, b, z1: LambdaSeries, z2, u) -> ScalarMatrix:
 
 
 def heine_dual_residuals(p: ParamPoint, pair):
-    """Residuals of the two explicit 2x2 difference equations satisfied by
-    the Heine pair ``pair = heine_solution_pair(p, lmax)``: the z1-shift
-    form and the inverse z2-shift form, each with the row Y = (y0, y1)."""
+    """The two explicit 2x2 difference equations satisfied by the Heine pair
+    ``pair = heine_solution_pair(p, lmax)``: the z1-shift form and the
+    inverse z2-shift form, each with the row Y = (y0, y1), and each as the
+    (left, right) entries of its two sides."""
     t = p.t
     y0, y1, (a, b, z2, c1) = pair
     lmax = y0.order
@@ -317,8 +310,8 @@ def heine_dual_residuals(p: ParamPoint, pair):
 
     # (1 - a z1 / b) T_{t,z1} Y = Y M(z1)
     pref = LambdaSeries.constant(1, lmax) - z1 * (a / b)
-    res1 = ScalarMatrix.from_rows([[y.shift_variable(t) * pref for y in (y0, y1)]]) \
-        - Y @ _dual_m_matrix(a, b, z1, z2, z1)
+    z1_shift = ([y.shift_variable(t) * pref for y in (y0, y1)],
+                (Y @ _dual_m_matrix(a, b, z1, z2, z1)).entries)
 
     # (1 - t/(b z2)) T^-1_{t,z2} Y = Y M(t / z2); the z2 shift acts through
     # Q alone (z2 = Q t / d4), leaving a, b and the z1 variable untouched.
@@ -327,9 +320,9 @@ def heine_dual_residuals(p: ParamPoint, pair):
     if not (a_s == a and b_s == b and z2_s == z2 / t and c1_s == c1):
         raise QkzError("parameter bookkeeping failed in the z2 shift")
     pref2 = 1 - t / (b * z2)
-    res2 = ScalarMatrix.from_rows([[y * pref2 for y in (y0s, y1s)]]) \
-        - Y @ _dual_m_matrix(a, b, z1, z2, t / z2)
-    return res1.entries, res2.entries
+    z2_shift = ([y * pref2 for y in (y0s, y1s)],
+                (Y @ _dual_m_matrix(a, b, z1, z2, t / z2)).entries)
+    return z1_shift, z2_shift
 
 
 # -- four-dimensional limit ----------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DegenerateParameterError, QkzError, SamplingError
@@ -338,33 +338,33 @@ class ParamPoint:
             if getattr(self, name) == 0:
                 raise DegenerateParameterError(f"fourth root {name} is zero")
 
-    # -- derived accessors -------------------------------------------------
+    # -- derived accessors, each computed on first read and kept -------------
 
-    @property
+    @cached_property
     def q(self):
         return self.rq ** 4
 
-    @property
+    @cached_property
     def t(self):
         return self.rt ** 4
 
-    @property
+    @cached_property
     def Q(self):
         return self.rQ ** 4
 
-    @property
+    @cached_property
     def d1(self):
         return self.rd1 ** 4
 
-    @property
+    @cached_property
     def d2(self):
         return self.rd2 ** 4
 
-    @property
+    @cached_property
     def d3(self):
         return self.rd3 ** 4
 
-    @property
+    @cached_property
     def d4(self):
         return self.rd4 ** 4
 

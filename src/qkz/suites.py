@@ -1,10 +1,12 @@
 """Suite registry: deterministic parameter sampling, check execution with
 machine-readable reports, and the exact-equality pass criterion.
 
-Every check compares exact scalars; a suite passes iff every compared pair
-is equal.  Failures report the first mismatch location with both values
-as strings.  Reports are deterministic for a fixed config (timing fields
-aside).
+Every check feeds the exact scalars it compares, pair by pair, to one
+`Recorder`.  A check passes iff every compared pair is equal and at least
+one pair has a side that is not 0; a failure reports the first mismatch
+location with both values as strings, and every check reports how many
+pairs it compared.  Reports are deterministic for a fixed config (timing
+fields aside).
 """
 
 from __future__ import annotations
@@ -22,19 +24,19 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
-from .scalars import HJet, Rat, exp_jet, product, sample_generic_point
+from .scalars import HJet, Rat, TruncatedSeries, exp_jet, product, sample_generic_point
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al, z_al_truncated
 from .partitions import partitions_of
 from .linalg import ScalarMatrix
 from .rmatrix import (
-    defining_relation_residuals, dual_qkz_residuals, expansion_matrices, h4d_matrix,
-    heine_dual_residuals, heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd,
-    r_closed_form, r_hg_matrix, r_via_linear_system)
+    dual_qkz_residuals, expansion_matrices, h4d_matrix, heine_dual_residuals,
+    heine_solution_pair, kz_form_matrix, qkz_residual, r1_fourd, r_closed_form, r_hg_matrix,
+    r_via_linear_system)
 from .jackson import (
-    JacksonParams, al_jackson_compare, commutativity_check, d2_matrix, ito_A, ito_A_via_R,
-    ito_R, ito_R_alt, ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
+    JacksonParams, al_jackson_compare, d2_matrix, ito_A, ito_A_via_R, ito_R, ito_R_alt,
+    ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
 
 DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
@@ -85,42 +87,96 @@ def check_limits(owner: str, limits: dict, options) -> None:
             raise ConfigError(f"{owner} needs {lo} <= {flag} <= {hi}, got {value}")
 
 
-def _sample_with_retries(seed: int, guard: int, attempt_fn, overrides=None):
+class _Mismatch(Exception):
+    """Stops a check at its first unequal pair; args[0] is the report's
+    mismatch record."""
+
+
+# sides of a comparison whose record also gives the difference, as "value"
+RESIDUAL = ("value", "left", "right")
+
+
+class Recorder:
+    """The one comparison path of a check.
+
+    A check feeds `compare` every pair of exact scalars that it claims
+    equal, one pair at a time, with the pair's location.  The recorder
+    counts the pairs (`compared`) and the pairs with a side that is not 0
+    (`nonzero`), and stops the check at the first unequal pair by raising
+    `_Mismatch`.  It also keeps the check's `orders` and the `point` of
+    the current attempt, which the report of a mismatch carries."""
+
+    __slots__ = ("compared", "nonzero", "point", "orders")
+
+    def __init__(self):
+        self.compared = self.nonzero = 0
+        self.point = self.orders = None
+
+    def begin(self, point: str) -> None:
+        """Start an attempt at `point` (as JSON); the counts restart."""
+        self.point = point
+        self.compared = self.nonzero = 0
+
+    def compare(self, left, right, where: dict, sides=("left", "right")) -> None:
+        """Record left == right at `where`.  The mismatch record is `where`
+        plus the two values as strings under the names `sides`; with
+        RESIDUAL it gives their difference first."""
+        self.compared += 1
+        if left or right:
+            self.nonzero += 1
+        if left != right:
+            values = (left, right) if len(sides) == 2 else (left - right, left, right)
+            raise _Mismatch({**where, **{name: str(v) for name, v in zip(sides, values)}})
+
+    def series(self, left, right, through: int, where: dict, sides=RESIDUAL) -> None:
+        """Two truncated series, coefficients 0..through, at "order"."""
+        pairs = zip(_coefficients(left, through), _coefficients(right, through))
+        for b, (x, y) in enumerate(pairs):
+            self.compare(x, y, {**where, "order": b}, sides)
+
+    def matrix(self, left, right, where: dict, sides=("left", "right")) -> None:
+        """Two matrices, entry by entry in row-major order, at "i" and "j"."""
+        for i in range(left.rows):
+            for j in range(left.cols):
+                self.compare(left[i, j], right[i, j], {"i": i, "j": j, **where}, sides)
+
+    def cone(self, left, right, order: int, where: dict, sides=("left", "right")) -> None:
+        """Two cone series on the cells k + l <= order, k-major, at "k" and "l"."""
+        for k, l in _cone_cells(left, order):
+            self.compare(left.c[k][l], right.c[k][l], {**where, "k": k, "l": l}, sides)
+
+
+def _coefficients(s, through: int):
+    """Coefficients 0..through of a truncated series; a plain scalar, such
+    as the int 0 of a matrix-product entry with no nonzero term, is a
+    constant series."""
+    return s.coeffs[:through + 1] if isinstance(s, TruncatedSeries) else (s,) + (0,) * through
+
+
+def _cone_cells(s: ConeSeries, order: int):
+    return [(k, l) for k in range(min(s.kmax, order) + 1)
+            for l in range(min(s.lmax, order - k) + 1)]
+
+
+def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overrides=None):
     """Sample a point; on a degeneracy signal in attempt_fn, retry with
     deterministically derived seeds (sampling guards cover only a finite
     window, so downstream denominators may still collapse at unlucky points).
     Only DegenerateParameterError and SingularMatrixError signal degeneracy;
-    any other exception is a fault and propagates from the first attempt."""
+    any other exception is a fault and propagates from the first attempt,
+    as does a mismatch.  Each attempt begins afresh on `rec`."""
     last = None
     for k in range(MAX_POINT_RETRIES):
         s = seed + RETRY_STRIDE * k
         p = sample_generic_point(s, guard)
         if overrides is not None:
             p = p.with_overrides(*overrides)
+        rec.begin(p.to_json())
         try:
             return p, attempt_fn(p)
         except (DegenerateParameterError, SingularMatrixError) as exc:
             last = exc
     raise QkzError(f"no usable generic point after retries: {last}")
-
-
-def _series_zero_through(series_list, order: int):
-    """First violation of zero-ness through the given order, or None."""
-    for idx, s in enumerate(series_list):
-        for b in range(min(order, s.order) + 1):
-            if s.coeffs[b] != 0:
-                return {"index": idx, "order": b, "value": str(s.coeffs[b])}
-    return None
-
-
-def _matrix_mismatch(a: ScalarMatrix, b: ScalarMatrix, tags=None):
-    """First differing entry, with ``tags`` appended to the record, or None."""
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return {"i": i, "j": j, "left": str(a[i, j]), "right": str(b[i, j]),
-                        **(tags or {})}
-    return None
 
 
 def _rng_rationals(seed: int, count: int, lo=2, hi=61):
@@ -135,23 +191,20 @@ def _rng_rationals(seed: int, count: int, lo=2, hi=61):
 
 # -- individual checks ---------------------------------------------------------
 #
-# Each check returns (point, orders, mismatch[, info]); mismatch None is a pass.
+# Each check is called with a Recorder and its arguments.  It sets the
+# recorder's orders, begins an attempt at each point it tries, feeds every
+# comparison to the recorder, and returns its info (or None).
 
 
-def chk_shakirov(seed: int, kmax: int, lmax: int):
+def chk_shakirov(rec: Recorder, seed: int, kmax: int, lmax: int):
+    rec.orders = {"kmax": kmax, "lmax": lmax}
     guard = max(8, kmax, lmax)
 
     def attempt(p):
-        za = z_al(p, kmax, lmax)
-        ps = solve_shakirov(p, kmax, lmax)
-        return za, ps
+        return z_al(p, kmax, lmax), solve_shakirov(p, kmax, lmax)
 
-    p, (za, ps) = _sample_with_retries(seed, guard, attempt)
-    mm = za.first_mismatch(ps)
-    if mm is not None:
-        k, l, a, b = mm
-        mm = {"k": k, "l": l, "laumon": str(a), "solver": str(b)}
-    return p.to_json(), {"kmax": kmax, "lmax": lmax}, mm
+    _, (za, ps) = _sample_with_retries(rec, seed, guard, attempt)
+    rec.cone(za, ps, kmax + lmax, {}, ("laumon", "solver"))
 
 
 _THREEWAY_WINDOWS = ((1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2))
@@ -182,14 +235,13 @@ def _display_matrix_3x3(d1, d4, lam, q):
     return e
 
 
-def chk_rmatrix_3way(seed: int):
+def chk_rmatrix_3way(rec: Recorder, seed: int):
+    rec.orders = {"windows": list(_THREEWAY_WINDOWS)}
     lams = _rng_rationals(seed, 3)
-
-    p, mismatch = _sample_with_retries(seed, 8, lambda pt: _rmatrix_3way_mismatch(pt, lams))
-    return p.to_json(), {"windows": list(_THREEWAY_WINDOWS)}, mismatch
+    _sample_with_retries(rec, seed, 8, lambda p: _rmatrix_3way_compare(rec, p, lams))
 
 
-def _rmatrix_3way_mismatch(p, lams):
+def _rmatrix_3way_compare(rec: Recorder, p, lams):
     q, d1, d4 = p.q, p.d1, p.d4
     for lam in lams:
         solved = {}
@@ -199,143 +251,113 @@ def _rmatrix_3way_mismatch(p, lams):
             b = r_closed_form(m, n, d1, d4, lam, q)
             c = r_hg_matrix(m, n, d1, d4, lam, q)
             for other, tag in ((b, "closed"), (c, "hypergeometric")):
-                mm = _matrix_mismatch(a, other,
-                                      {"window": [m, n], "lambda": str(lam), "vs": tag})
-                if mm is not None:
-                    return mm
-            bad = defining_relation_residuals(S, T, a).first_nonzero()
-            if bad is not None:
-                return {"window": [m, n], "row": bad[0] - n,
-                        "reason": "defining relation residual"}
+                rec.matrix(a, other, {"window": [m, n], "lambda": str(lam), "vs": tag})
+            rT = a @ T
+            for i in range(S.rows):
+                where = {"window": [m, n], "row": i - n, "reason": "defining relation residual"}
+                for j in range(S.cols):
+                    rec.compare(S[i, j], rT[i, j], where)
         for builder, (m, n) in ((_display_matrix_2x2, (1, 0)),
                                 (_display_matrix_3x3, (2, 0))):
-            mm = _matrix_mismatch(solved[m, n], builder(d1, d4, lam, q),
-                                  {"window": [m, n], "lambda": str(lam), "vs": "display"})
-            if mm is not None:
-                return mm
-    return None
+            rec.matrix(solved[m, n], builder(d1, d4, lam, q),
+                       {"window": [m, n], "lambda": str(lam), "vs": "display"})
 
 
-def chk_qkz_matrix(seed: int, m: int, n: int, lmax: int):
-    def attempt(p):
-        return qkz_residual(m, n, p, lmax)
-
-    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
-    bad = _series_zero_through(res, lmax - 1)
-    if bad is not None:
-        bad["component"] = bad.pop("index") - n
-    return p.to_json(), {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}, bad
+def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
+    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
+    _, (left, right) = _sample_with_retries(
+        rec, seed, 8, lambda p: qkz_residual(m, n, p, lmax), overrides=(m, n))
+    for J, (a, b) in enumerate(zip(left, right)):
+        rec.series(a, b, lmax - 1, {"component": J - n})
 
 
-def chk_dual_qkz(seed: int, m: int, n: int, lmax: int):
-    def attempt(p):
-        return dual_qkz_residuals(m, n, p, lmax)
-
-    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
-    bad = _series_zero_through(res, lmax)
-    if bad is not None:
-        i, k = divmod(bad.pop("index"), m + n + 1)
-        bad.update(i=i - n, k=k - n)
-    return p.to_json(), {"m": m, "n": n, "lmax": lmax}, bad
+def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
+    rec.orders = {"m": m, "n": n, "lmax": lmax}
+    _, (left, right) = _sample_with_retries(
+        rec, seed, 8, lambda p: dual_qkz_residuals(m, n, p, lmax), overrides=(m, n))
+    for index, (a, b) in enumerate(zip(left, right)):
+        i, k = divmod(index, m + n + 1)
+        rec.series(a, b, lmax, {"i": i - n, "k": k - n})
 
 
-def chk_ito_qkz(seed: int, m: int, n: int, lmax: int):
+def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
+    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
     a2 = _rng_rationals(seed + 17, 1)[0]
 
     def attempt(p):
-        jp = JacksonParams.from_point(p, a2)
-        return ito_qkz_check(jp, lmax)
+        return ito_qkz_check(JacksonParams.from_point(p, a2), lmax)
 
-    p, res = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
-    bad = None
-    for name, series_list in res.items():
-        bad = _series_zero_through(series_list, lmax - 1)
-        if bad is not None:
-            bad["equation"] = name
-            break
-    return p.to_json(), {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}, bad
+    _, equations = _sample_with_retries(rec, seed, 8, attempt, overrides=(m, n))
+    for name, (left, right) in equations.items():
+        for index, (a, b) in enumerate(zip(left, right)):
+            rec.series(a, b, lmax - 1, {"equation": name, "index": index})
 
 
 _COMM_WINDOWS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (2, 1), 4: (2, 2)}
 
 
-def chk_commutativity(seed: int, N: int):
+def chk_commutativity(rec: Recorder, seed: int, N: int):
+    rec.orders = {"N": N}
     m, n = _COMM_WINDOWS[N]
     a2 = _rng_rationals(seed + 29, 1)[0]
     lam = _rng_rationals(seed + 31, 1)[0]
 
     def attempt(p):
         jp = JacksonParams.from_point(p, a2)
-        base = ito_R(jp)
-        direct = ito_A(jp, lam)
-        res = commutativity_check(base, direct, d2_matrix(jp, lam))
-        return res, ito_R_alt(jp), base, ito_A_via_R(jp, lam), direct
+        return (ito_R(jp), ito_A(jp, lam), d2_matrix(jp, lam), ito_R_alt(jp),
+                ito_A_via_R(jp, lam))
 
-    p, matrices = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
-    return p.to_json(), {"N": N}, _commutativity_mismatch(*matrices)
-
-
-def _commutativity_mismatch(res, alt, base, via, direct):
-    if not res.is_zero():
-        i, j, v = res.first_nonzero()
-        return {"i": i, "j": j, "value": str(v), "relation": "R D2 A - A R D2"}
-    return (_matrix_mismatch(alt, base, {"relation": "U'D'L' vs LDU"})
-            or _matrix_mismatch(via, direct, {"relation": "A vs s T(R) D"}))
+    _, (R, A, D2, alt, via) = _sample_with_retries(rec, seed, 8, attempt, overrides=(m, n))
+    if N:
+        # at N = 0 the three matrices are 1x1, and commute whatever they hold
+        rec.matrix(R @ D2 @ A, A @ R @ D2, {"relation": "R D2 A - A R D2"}, RESIDUAL)
+    rec.matrix(alt, R, {"relation": "U'D'L' vs LDU"})
+    rec.matrix(via, A, {"relation": "A vs s T(R) D"})
 
 
-def chk_al_jackson(seed: int, m: int, n: int, lmax: int):
+def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
+    rec.orders = {"m": m, "n": n, "lmax": lmax}
     a2 = _rng_rationals(seed + 43, 1)[0]
+    _, (laumon, jackson, info) = _sample_with_retries(
+        rec, seed, 8, lambda p: al_jackson_compare(p, a2, lmax), overrides=(m, n))
+    sides = ("jackson", "laumon")
+    for J, (vp, vz) in enumerate(info["leading_orders"]):
+        if vp is None and vz is None:
+            continue  # zero through lmax on both sides: starts at a higher order
+        where = {"component": J - n}
+        rec.compare(vp, vz, {**where, "reason": "leading order"}, sides)
+        rec.series(jackson[J] * laumon[J].coeffs[vz], laumon[J] * jackson[J].coeffs[vp],
+                   lmax, where, sides)
+    return info
 
-    def attempt(p):
-        return al_jackson_compare(p, a2, lmax)
 
-    p, rec = _sample_with_retries(seed, 8, attempt, overrides=(m, n))
-    orders = {"m": m, "n": n, "lmax": lmax}
-    if not rec["ok"]:
-        return p.to_json(), orders, rec["mismatch"]
-    return p.to_json(), orders, None, {
-        "lambda_dictionary": rec["lambda_dictionary"],
-        "component_constants": rec["component_constants"],
-        "leading_orders": rec["leading_orders"]}
-
-
-def chk_nekrasov_3way(seed: int, pair_count: int = 200, max_size: int = 8):
+def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size: int = 8):
+    rec.orders = {"pairs": pair_count, "max_size": max_size, "orbifold_orders": [2, 3, 4]}
     p = sample_generic_point(seed, 8)
-    orders = {"pairs": pair_count, "max_size": max_size, "orbifold_orders": [2, 3, 4]}
+    rec.begin(p.to_json())
     rng = random.Random(seed ^ 0xA11CE)
-    return p.to_json(), orders, _nekrasov_mismatch(p, rng, pair_count, max_size)
-
-
-def _nekrasov_mismatch(p, rng, pair_count, max_size):
     for trial in range(pair_count):
         lam = rng.choice(partitions_of(rng.randint(0, max_size)))
         mu = rng.choice(partitions_of(rng.randint(0, max_size - 0)))
         su = Rat(rng.randint(2, 30), rng.randint(2, 30))
+        pair = [list(lam.parts), list(mu.parts)]
         for order in (2, 3, 4):
             factors = []
             for k in range(order):
                 a = nek_orb(k, order, lam, mu, su, p)
-                b = nek_orb_floor(k, order, lam, mu, su, p)
-                if a != b:
-                    return {"pair": [list(lam.parts), list(mu.parts)],
-                            "n": order, "k": k,
-                            "row_form": str(a), "floor_form": str(b)}
+                rec.compare(a, nek_orb_floor(k, order, lam, mu, su, p),
+                            {"pair": pair, "n": order, "k": k}, ("row_form", "floor_form"))
                 factors.append(a)
-            total = product(factors)
-            box = total_nekrasov_bracket(lam, mu, su, p)
-            if total != box:
-                return {"pair": [list(lam.parts), list(mu.parts)], "n": order,
-                        "k_product": str(total), "box_product": str(box)}
-    return None
+            rec.compare(product(factors), total_nekrasov_bracket(lam, mu, su, p),
+                        {"pair": pair, "n": order}, ("k_product", "box_product"))
 
 
-def chk_pentagon(seed: int, order: int = 6):
+def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
+    rec.orders = {"total_order": order}
     p = sample_generic_point(seed, 8)
+    rec.begin(p.to_json())
     alpha, beta = _rng_rationals(seed + 3, 2)
-    return p.to_json(), {"total_order": order}, _pentagon_mismatch(p.q, alpha, beta, order)
-
-
-def _pentagon_mismatch(q, alpha, beta, order):
+    q = p.q
     K = L = order
     one = ConeSeries.one(K, L)
     lhs = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
@@ -346,9 +368,7 @@ def _pentagon_mismatch(q, alpha, beta, order):
         for l in range(L + 1):
             rhs.c[k][l] = alpha ** k * beta ** l * q ** (k * l) \
                 / (qpoch(q, q, k) * qpoch(q, q, l))
-    if not lhs.agrees_to_total_order(rhs, order):
-        mm = lhs.first_mismatch(rhs)
-        return {"k": mm[0], "l": mm[1], "left": str(mm[2]), "right": str(mm[3])}
+    rec.cone(lhs, rhs, order, {})
     # Borel identities on x^n-shifted cones, n = -2..2, both directions
     for nn in range(-2, 3):
         lhs1 = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
@@ -357,35 +377,34 @@ def _pentagon_mismatch(q, alpha, beta, order):
                   .mul_phi(-q ** (-nn) * beta, q, AXIS_LX) \
                   .mul_phi(alpha * beta, q, AXIS_L, inverted=True) \
                   .scale(q ** ((nn * (nn + 1)) // 2))
-        if not lhs1.agrees_to_total_order(rhs1, order):
-            return {"variant": "borel", "n": nn}
+        for k, l in _cone_cells(lhs1, order):
+            rec.compare(lhs1.c[k][l], rhs1.c[k][l], {"variant": "borel", "n": nn})
         lhs2 = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX) \
                   .borel(q, direction=-1, x_offset=nn)
         rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True) \
                   .mul_phi(-q ** nn * beta, q, AXIS_LX, inverted=True) \
                   .mul_phi(alpha * beta / q, q, AXIS_L) \
                   .scale(q ** (-(nn * (nn + 1)) // 2))
-        if not lhs2.agrees_to_total_order(rhs2, order):
-            return {"variant": "borel inverse", "n": nn}
-    return None
+        for k, l in _cone_cells(lhs2, order):
+            rec.compare(lhs2.c[k][l], rhs2.c[k][l], {"variant": "borel inverse", "n": nn})
 
 
-def chk_bailey(seed: int, nmax: int = 4):
+def chk_bailey(rec: Recorder, seed: int, nmax: int = 4):
+    rec.orders = {"nmax": nmax}
     a, b, c, d, e, f = _rng_rationals(seed + 7, 6)
     q = _rng_rationals(seed + 13, 1)[0]
-    point = json.dumps({"a": str(a), "b": str(b), "c": str(c), "d": str(d),
-                        "e": str(e), "f": str(f), "q": str(q)})
+    rec.begin(json.dumps({"a": str(a), "b": str(b), "c": str(c), "d": str(d),
+                          "e": str(e), "f": str(f), "q": str(q)}))
     for n in range(nmax + 1):
         lhs, rhs = bailey_check(a, b, c, d, e, f, n, q)
-        if lhs != rhs:
-            return point, {"nmax": nmax}, {"n": n, "lhs": str(lhs), "rhs": str(rhs)}
-    return point, {"nmax": nmax}, None
+        rec.compare(lhs, rhs, {"n": n}, ("lhs", "rhs"))
 
 
-def chk_shuffle(seed: int, nmax: int = 4):
+def chk_shuffle(rec: Recorder, seed: int, nmax: int = 4):
+    rec.orders = {"N_max": nmax}
     rng = random.Random(seed ^ 0x5FF1E)
     q, a, b = _rng_rationals(seed + 19, 3)
-    point = json.dumps({"q": str(q), "a": str(a), "b": str(b)})
+    rec.begin(json.dumps({"q": str(q), "a": str(a), "b": str(b)}))
     for N in range(1, nmax + 1):
         z = []
         while len(z) < N:
@@ -394,42 +413,30 @@ def chk_shuffle(seed: int, nmax: int = 4):
                 z.append(v)
         sums = matsuo_e(a, b, z, q)
         for k, prefactor in enumerate(matsuo_prefactors(N, q)):
-            lhs = prefactor * sums[k]
-            rhs = matsuo_e_brute(k, a, b, z, q)
-            if lhs != rhs:
-                return point, {"N_max": nmax}, {"N": N, "k": k, "factored": str(lhs),
-                                                "antisymmetrized": str(rhs)}
-    return point, {"N_max": nmax}, None
+            rec.compare(prefactor * sums[k], matsuo_e_brute(k, a, b, z, q), {"N": N, "k": k},
+                        ("factored", "antisymmetrized"))
 
 
-def chk_coupled(seed: int, order: int = 4):
+def chk_coupled(rec: Recorder, seed: int, order: int = 4):
+    rec.orders = {"kmax": order, "lmax": order, "total_order": order}
+
     def attempt(p):
-        psi = solve_shakirov(p, order, order)
-        return coupled_step(p, psi)
+        return coupled_step(p, solve_shakirov(p, order, order))
 
-    p, (chi, (r1, r2)) = _sample_with_retries(seed, 8, attempt)
-    mm = None
-    for tag, res in (("psi = g K chi", r1), ("chi = T(g K chi)", r2)):
-        if not res.is_zero():
-            k, l, value, _ = res.first_mismatch(ConeSeries(order, order))
-            mm = {"relation": tag, "k": k, "l": l, "value": str(value)}
-            break
-    return p.to_json(), {"kmax": order, "lmax": order, "total_order": order}, mm
+    _, relations = _sample_with_retries(rec, seed, 8, attempt)
+    for tag, (left, right) in zip(("psi = g K chi", "chi = T(g K chi)"), relations):
+        rec.cone(left, right, 2 * order, {"relation": tag}, RESIDUAL)
 
 
 _FOURD_WINDOWS = ((1, 0), (2, 1))
 
 
-def chk_fourd(seed: int, jet_order: int = 2):
+def chk_fourd(rec: Recorder, seed: int, jet_order: int = 2):
+    rec.orders = {"jet_order": jet_order, "windows": list(_FOURD_WINDOWS)}
     m1, m4, kap, ac = _rng_rationals(seed + 37, 4)
     lam = _rng_rationals(seed + 41, 1)[0]
-    point = json.dumps({"m1": str(m1), "m4": str(m4), "kappa": str(kap),
-                        "a": str(ac), "lambda": str(lam)})
-    orders = {"jet_order": jet_order, "windows": list(_FOURD_WINDOWS)}
-    return point, orders, _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order)
-
-
-def _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order):
+    rec.begin(json.dumps({"m1": str(m1), "m4": str(m4), "kappa": str(kap),
+                          "a": str(ac), "lambda": str(lam)}))
     for (m, n) in _FOURD_WINDOWS:
         qj = exp_jet(1, jet_order)
         d1j = exp_jet(m1, jet_order)
@@ -440,39 +447,30 @@ def _fourd_mismatch(seed, m1, m4, kap, ac, lam, jet_order):
         size = m + n + 1
         for i in range(size):
             for j in range(size):
-                want0 = 1 if i == j else 0
-                if rj[i, j].coeffs[0] != want0:
-                    return {"window": [m, n], "i": i - n, "j": j - n,
-                            "order": "h^0", "value": str(rj[i, j].coeffs[0])}
-                if rj[i, j].coeffs[1] != r1[i, j]:
-                    return {"window": [m, n], "i": i - n, "j": j - n,
-                            "order": "h^1", "jet": str(rj[i, j].coeffs[1]),
-                            "tridiagonal": str(r1[i, j])}
+                where = {"window": [m, n], "i": i - n, "j": j - n}
+                rec.compare(rj[i, j].coeffs[0], 1 if i == j else 0,
+                            {**where, "order": "h^0"}, ("value", "identity"))
+                rec.compare(rj[i, j].coeffs[1], r1[i, j],
+                            {**where, "order": "h^1"}, ("jet", "tridiagonal"))
         H, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
-        mm = _matrix_mismatch(H, r1, {"relation": "H_4d vs h^1 matrix"})
-        if mm is not None:
-            return mm
+        rec.matrix(H, r1, {"relation": "H_4d vs h^1 matrix"})
         kz = kz_form_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
-        target = A0 + A1.scale(lam / (lam - 1))
-        mm = _matrix_mismatch(kz, target, {"relation": "KZ form vs A0 + L A1/(L-1)"})
-        if mm is not None:
-            return mm
+        rec.matrix(kz, A0 + A1.scale(lam / (lam - 1)),
+                   {"relation": "KZ form vs A0 + L A1/(L-1)"})
     # the tabulated 4x4 window (free masses m2, m4): m1 = -2, m3 = -1.
     m2v, m4v = _rng_rationals(seed + 43, 2)
     tab = _fourd_table_m2_n1(m2v, m4v, lam)
-    got = r1_fourd((-2, m2v, -1, m4v), 2, 1, lam)
-    mm = _matrix_mismatch(got, tab, {"relation": "4x4 tabulated case"})
-    if mm is not None:
-        return mm
+    rec.matrix(r1_fourd((-2, m2v, -1, m4v), 2, 1, lam), tab,
+               {"relation": "4x4 tabulated case"})
     jq = exp_jet(1, jet_order)
     rj = r_via_linear_system(*expansion_matrices(
         2, 1, exp_jet(m2v, jet_order), exp_jet(m4v, jet_order),
         HJet.constant(lam, jet_order), jq))
     for i in range(4):
         for j in range(4):
-            if rj[i, j].coeffs[1] != tab[i, j]:
-                return {"relation": "4x4 vs jets", "i": i - 1, "j": j - 1}
-    return None
+            rec.compare(rj[i, j].coeffs[1], tab[i, j],
+                        {"relation": "4x4 vs jets", "i": i - 1, "j": j - 1},
+                        ("jet", "tabulated"))
 
 
 def _fourd_table_m2_n1(m2, m4, lam):
@@ -490,42 +488,37 @@ def _fourd_table_m2_n1(m2, m4, lam):
     return ScalarMatrix.from_rows(rows)
 
 
-def chk_heine(seed: int, lmax: int = 4):
+def chk_heine(rec: Recorder, seed: int, lmax: int = 4):
+    rec.orders = {"lmax": lmax}
+
     def attempt(p):
         comps = z_al_truncated(1, 0, p, lmax)
         pair = heine_solution_pair(p, lmax)
         return comps, pair, heine_dual_residuals(p, pair)
 
-    p, (comps, pair, residuals) = _sample_with_retries(
-        seed, 8, attempt, overrides=(1, 0))
-    return p.to_json(), {"lmax": lmax}, _heine_mismatch(p, comps, pair, residuals, lmax)
-
-
-def _heine_mismatch(p, comps, pair, residuals, lmax):
+    p, (comps, pair, equations) = _sample_with_retries(
+        rec, seed, 8, attempt, overrides=(1, 0))
     # the explicit pair solves the Lambda-shifted form: y_j(L) = psi_j(L / t)
     y0, y1, (_, _, _, c1) = pair
-    y0L = y0.shift_variable(c1)
-    y1L = y1.shift_variable(c1)
-    sh0 = comps[0].shift_variable(1 / p.t)
-    sh1 = comps[1].shift_variable(1 / p.t)
-    if y0L * sh1 != y1L * sh0:
-        return {"relation": "cross-multiplied pair"}
-    if y0L != sh0 or y1L != sh1:
-        return {"relation": "componentwise pair"}
-    for tag, res in zip(("z1-shift", "z2-shift"), residuals):
-        bad = _series_zero_through(res, lmax)
-        if bad is not None:
-            bad["relation"] = tag
-            return bad
-    return None
+    y0L, y1L = y0.shift_variable(c1), y1.shift_variable(c1)
+    sh0, sh1 = (c.shift_variable(1 / p.t) for c in comps)
+    for left, right, relation in ((y0L * sh1, y1L * sh0, "cross-multiplied pair"),
+                                  (y0L, sh0, "componentwise pair"),
+                                  (y1L, sh1, "componentwise pair")):
+        for a, b in zip(left.coeffs, right.coeffs):
+            rec.compare(a, b, {"relation": relation})
+    for tag, (left, right) in zip(("z1-shift", "z2-shift"), equations):
+        for index, (a, b) in enumerate(zip(left, right)):
+            rec.series(a, b, lmax, {"relation": tag, "index": index})
 
 
 # -- suite registry -------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """A check, its name template (formatted with the check's arguments), the
-    config -> per-seed argument dicts map, and the (low, high) bounds of each
-    option the suite reads besides seeds and points."""
+    """A check (called with a Recorder and its arguments), its name template
+    (formatted with the check's arguments), the config -> per-seed argument
+    dicts map, and the (low, high) bounds of each option the suite reads
+    besides seeds and points."""
     check: Callable
     name: str
     args: Callable = lambda cfg: [{}]
@@ -576,27 +569,38 @@ SUITES = {
 
 
 def _execute(task):
-    """Run one check and build its report record.  Any exception other than
-    a QkzError is a fault in the program: it fails this check with status
-    "error" and leaves the other checks running."""
+    """Run one check and build its report record.  The check passes iff it
+    compares no unequal pair and at least one pair with a nonzero side.  A
+    QkzError fails it; any other exception is a fault in the program: it
+    fails this check with status "error" and leaves the other checks
+    running.  A check that raises reports no point or orders."""
     suite, kwargs = task
     spec = SUITES[suite]
     start = time.monotonic()
-    point, orders, info = None, None, []
+    rec = Recorder()
+    info = None
     try:
-        point, orders, mismatch, *info = spec.check(**kwargs)
-        status = "pass" if mismatch is None else "fail"
+        info = spec.check(rec, **kwargs)
+        if not rec.nonzero:
+            raise _Mismatch({"reason": "no compared value is nonzero",
+                             "compared": rec.compared})
+        status, mismatch = "pass", None
+    except _Mismatch as exc:
+        status, mismatch, info = "fail", exc.args[0], None
     except QkzError as exc:
         status, mismatch = "fail", {"error": str(exc)}
+        rec.point = rec.orders = None
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         status, mismatch = "error", {
             "type": type(exc).__name__, "message": str(exc),
             "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"}
-    return {"name": spec.name.format(**kwargs), "status": status, "point": point,
-            "orders": orders, "mismatch": mismatch,
+        rec.point = rec.orders = None
+    return {"name": spec.name.format(**kwargs), "status": status, "point": rec.point,
+            "orders": rec.orders, "mismatch": mismatch,
             "time_ms": int((time.monotonic() - start) * 1000),
-            **({"info": info[0]} if info else {})}
+            "stats": {"compared": rec.compared, "nonzero": rec.nonzero},
+            **({"info": info} if info is not None else {})}
 
 
 def worker_count(n_tasks: int) -> int:

@@ -1,0 +1,85 @@
+"""Code that only tests call does not stay in the package: every function,
+class and method defined in ``src/qkz`` is referenced by name somewhere
+else in ``src/qkz``.  Exempt are dunder methods (Python calls them), the
+layers the benchmark traces (``LAYERS`` in ``perfbench/tracer.py``, read
+here and not edited), and ``cone.apply_full_step``, the solver's operator,
+which the Hamiltonian-representation check is to call."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qkz"
+EXEMPT = {("cone", "apply_full_step")}
+
+
+def _traced_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.LAYERS)
+
+
+def _definitions(tree):
+    """(qualified name, node) of every function and class, nested ones too."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((prefix + child.name, child))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def _references(tree):
+    """(name, line) of every name the module reads, imports or takes as an
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unreferenced():
+    """Qualified names, as (module, name), of the definitions in the package
+    that nothing outside their own body refers to."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    sites = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            sites.setdefault(name, []).append((module, line))
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if all(other == module and line in inside for other, line in sites.get(name, ())):
+                found.append((module, qualname))
+    return found
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    exempt = _traced_layers() | EXEMPT
+    assert [entry for entry in unreferenced() if entry not in exempt] == []
+
+
+def test_the_scan_reports_a_definition_without_a_caller():
+    # the scan can fail: it reports the exempt definitions that no package
+    # code calls
+    found = unreferenced()
+    assert ("cone", "apply_full_step") in found
+    assert ("qseries", "qbracket_poch") in found

@@ -89,7 +89,7 @@ def test_rmatrix_dump(tmp_path):
 
 def test_degenerate_point_retry_is_deterministic():
     from qkz.errors import DegenerateParameterError
-    from qkz.suites import RETRY_STRIDE, _sample_with_retries
+    from qkz.suites import RETRY_STRIDE, Recorder, _sample_with_retries
 
     seen = []
 
@@ -99,15 +99,17 @@ def test_degenerate_point_retry_is_deterministic():
             raise DegenerateParameterError("synthetic degeneracy")
         return "ok"
 
-    p, result = _sample_with_retries(10, 6, attempt_fn=attempt)
+    rec = Recorder()
+    p, result = _sample_with_retries(rec, 10, 6, attempt_fn=attempt)
     assert result == "ok" and len(seen) == 3
+    assert rec.point == p.to_json()
     # the third sampled point is the one derived from seed + 2*stride
     from qkz.scalars import sample_generic_point
     assert p == sample_generic_point(10 + 2 * RETRY_STRIDE, 6)
 
 
 def test_retries_do_not_hide_a_fault():
-    from qkz.suites import _sample_with_retries
+    from qkz.suites import Recorder, _sample_with_retries
 
     calls = []
 
@@ -116,7 +118,7 @@ def test_retries_do_not_hide_a_fault():
         raise ZeroDivisionError("injected fault")
 
     with pytest.raises(ZeroDivisionError, match="injected fault"):
-        _sample_with_retries(10, 6, attempt_fn=attempt)
+        _sample_with_retries(Recorder(), 10, 6, attempt_fn=attempt)
     assert len(calls) == 1
 
 
@@ -217,10 +219,10 @@ def test_unexpected_exception_is_an_error_check(monkeypatch, tmp_path):
 
     spec = SUITES["COMMUTATIVITY"]
 
-    def flaky(seed, N):
+    def flaky(rec, seed, N):
         if N == 2:
             raise RuntimeError("injected fault")
-        return spec.check(seed=seed, N=N)
+        return spec.check(rec, seed=seed, N=N)
 
     monkeypatch.setitem(SUITES, "COMMUTATIVITY", spec._replace(check=flaky))
     monkeypatch.setenv("QKZ_THREADS", "1")

@@ -1,8 +1,9 @@
 """ScalarMatrix against plain triple-loop oracles, over the rationals and over
-truncated Lambda-series: the product, the difference, the exact solve, the
-inverse and the first nonzero entry, which every matrix identity of the
-package is written with.  The solve, which inverts each pivot once, is also
-pinned against the elimination that divides by the pivot at every use."""
+truncated Lambda-series: the product, the difference, the exact solve and
+the inverse, which every matrix identity of the package is written with,
+and the row-major order in which the suites compare two matrices.  The
+solve, which inverts each pivot once, is also pinned against the
+elimination that divides by the pivot at every use."""
 
 import random
 
@@ -13,6 +14,7 @@ from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
 from qkz.rmatrix import expansion_matrices
 from qkz.scalars import Rat, TruncatedSeries, invertible, sample_generic_point
+from qkz.suites import Recorder, _Mismatch
 
 ORDER = 2
 RINGS = ["rational", "series"]
@@ -96,8 +98,8 @@ def test_product_whose_entries_all_vanish():
     for a, b, ring in ((ones, alternating, "rational"), (square, square, "series")):
         prod = a @ b
         assert _as_rows(prod) == _product(_as_rows(a), _as_rows(b), ring)
-        assert prod.is_zero() and prod.first_nonzero() is None
-        assert (prod - prod).is_zero()
+        assert all(x == 0 for x in prod.entries)
+        assert all(x == 0 for x in (prod - prod).entries)
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -111,7 +113,13 @@ def test_first_nonzero_is_the_first_in_row_major_order(ring, seed):
         # further nonzero entries, all after (i, j) in row-major order
         k = rng.randrange(i * 3 + j, 9)
         rows[k // 3][k % 3] = _scalar(rng, ring, unit=True)
-    assert ScalarMatrix.from_rows(rows).first_nonzero() == (i, j, rows[i][j])
+    # the suites' recorder compares a matrix with zero entry by entry and
+    # stops at the first nonzero one
+    zero = ScalarMatrix.from_rows([[_zero(ring)] * 3 for _ in range(3)])
+    with pytest.raises(_Mismatch) as stop:
+        Recorder().matrix(ScalarMatrix.from_rows(rows), zero, {})
+    assert stop.value.args[0] == {"i": i, "j": j, "left": str(rows[i][j]),
+                                  "right": str(_zero(ring))}
 
 
 @pytest.mark.parametrize("ring", RINGS)

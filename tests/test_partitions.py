@@ -11,12 +11,17 @@ def partitions(draw, max_size=10):
     return draw(st.sampled_from(partitions_of(n))) if n >= 0 else Partition()
 
 
+def _part(lam, i):
+    """Row length lambda_i, 1-based; zero beyond the diagram."""
+    return lam.parts[i - 1] if 1 <= i <= len(lam) else 0
+
+
 @given(partitions())
 def test_transpose_involution(lam):
     conj = lam.transpose()
     assert lam.transpose() is conj  # computed once and kept
     assert conj.transpose() == lam
-    assert conj.size == lam.size
+    assert sum(conj.parts) == sum(lam.parts)
 
 
 def test_cached_conjugate_keeps_equality_and_hash():
@@ -30,14 +35,14 @@ def test_cached_conjugate_keeps_equality_and_hash():
 
 @given(partitions())
 def test_parity_row_sums(lam):
-    assert lam.odd_row_sum + lam.even_row_sum == lam.size
+    assert lam.odd_row_sum + lam.even_row_sum == sum(lam.parts)
     # |lam|_o - |lam|_e counts odd columns
-    odd_columns = sum(1 for j in range(1, lam.width + 1) if lam.transpose().part(j) % 2 == 1)
+    odd_columns = sum(1 for j in range(1, lam.width + 1) if _part(lam.transpose(), j) % 2 == 1)
     assert lam.odd_row_sum - lam.even_row_sum == odd_columns
     # row sums agree with floor sums over columns
     tr = lam.transpose()
-    assert lam.odd_row_sum == sum((tr.part(j) + 1) // 2 for j in range(1, lam.width + 1))
-    assert lam.even_row_sum == sum(tr.part(j) // 2 for j in range(1, lam.width + 1))
+    assert lam.odd_row_sum == sum((_part(tr, j) + 1) // 2 for j in range(1, lam.width + 1))
+    assert lam.even_row_sum == sum(_part(tr, j) // 2 for j in range(1, lam.width + 1))
 
 
 def test_enumerate_pairs_examples():

@@ -4,7 +4,6 @@ from qkz.errors import DegenerateParameterError
 from qkz.laumon import z_al_truncated
 from qkz.qseries import LambdaSeries, qpoch
 from qkz.rmatrix import (
-    defining_relation_residuals,
     dual_qkz_residuals,
     dual_v_prefactor,
     expansion_matrices,
@@ -56,12 +55,12 @@ def test_three_realizations_agree(window):
     a = r_via_linear_system(S, T)
     assert a == r_closed_form(m, n, D1, D4, LAM, Q)
     assert a == r_hg_matrix(m, n, D1, D4, LAM, Q)
-    assert defining_relation_residuals(S, T, a).is_zero()
-    # a matrix off in one entry leaves that entry's row nonzero, and only it
+    assert S == a @ T
+    # a matrix off in one entry breaks S = r T in that entry's row, and only it
     off = a.copy()
     off[m + n, 0] = off[m + n, 0] + 1
-    res = defining_relation_residuals(S, T, off)
-    assert [any(res[I, P] != 0 for P in range(m + n + 1))
+    rT = off @ T
+    assert [any(S[I, P] != rT[I, P] for P in range(m + n + 1))
             for I in range(m + n + 1)] == [False] * (m + n) + [True]
 
 
@@ -240,9 +239,10 @@ def test_expansion_matrices_hold_the_basis_polynomials(window, ring):
 def test_qkz_residual(window):
     m, n = window
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
-    res = qkz_residual(m, n, p, 4)
-    for series in res:
-        assert all(c == 0 for c in series.coeffs[:4])
+    left, right = qkz_residual(m, n, p, 4)
+    assert len(left) == len(right) == m + n + 1
+    for a, b in zip(left, right):
+        assert a.coeffs[:4] == b.coeffs[:4]
 
 
 def test_qkz_order_zero_triangular_consistency():
@@ -275,8 +275,9 @@ def test_fundamental_matrix_structure():
 def test_dual_qkz_residuals(window):
     m, n = window
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
-    res = dual_qkz_residuals(m, n, p, 3)
-    assert all(r.valuation() is None for r in res)
+    left, right = dual_qkz_residuals(m, n, p, 3)
+    assert len(left) == len(right) == (m + n + 1) ** 2
+    assert left == right
 
 
 def test_dual_v_prefactor_base_case():
@@ -304,8 +305,9 @@ def test_heine_pair_matches_truncated_components():
 
 def test_heine_dual_equations():
     p = sample_generic_point(11, guard=8).with_overrides(1, 0)
-    res1, res2 = heine_dual_residuals(p, heine_solution_pair(p, 4))
-    assert all(r.valuation() is None for r in res1 + res2)
+    for left, right in heine_dual_residuals(p, heine_solution_pair(p, 4)):
+        assert len(left) == len(right) == 2
+        assert left == right
 
 
 def test_r1_fourd_against_jets():

@@ -193,6 +193,22 @@ def test_sampling_is_memoized_and_overrides_leave_the_shared_point():
     assert p.m is None and p.n is None
 
 
+def test_derived_parameters_are_computed_once():
+    # each is computed on its first read and kept; equality, hashing and
+    # pickling still see the fourth roots and overrides alone
+    import pickle
+
+    p = sample_generic_point(6, guard=8).with_overrides(1, 2)
+    fresh = ParamPoint(p.rq, p.rt, p.rQ, p.rd1, p.rd2, p.rd3, p.rd4, m=1, n=2)
+    for name in ("q", "t", "Q", "d1", "d2", "d3", "d4"):
+        value = getattr(p, name)
+        assert getattr(p, name) is value
+        assert value == getattr(p, "r" + name) ** 4
+    assert p == fresh and hash(p) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p) and copy.q == p.q
+
+
 def test_point_monomial_guard():
     p = sample_generic_point(2, guard=8)
     assert p.q ** 2 * p.t != 1

@@ -1,13 +1,19 @@
 """The suite registry's expansion of a config into checks, pinned without
 running any check: every check is replaced by a stub that echoes its
 arguments as the report's ``orders``.  Then a few checks run for real
-beyond the acceptance configs: the empty window and higher orders."""
+beyond the acceptance configs: the empty window, higher orders and a sweep
+of the windowed suites.  Last, every comparison path is shown able to fail:
+each suite under a recorder that doubles one compared value, and the
+upstream computations of each check, one at a time."""
 
 import pytest
 
+from qkz.errors import DegenerateParameterError
+from qkz.scalars import ONE, is_plain
 from qkz.suites import (
-    SUITES, SuiteConfig, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_heine, chk_ito_qkz,
-    chk_nekrasov_3way, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
+    SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
+    chk_al_jackson, chk_coupled, chk_dual_qkz, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
+    chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -57,11 +63,30 @@ FIRST_ARGS = {
 }
 
 
+# the suite id of each check, to run it as its suite does
+SUITE_OF = {spec.check: sid for sid, spec in SUITES.items()}
+
+
+def _record(check, **kwargs):
+    """The report record of one check, run through the suite's own path."""
+    return _execute((SUITE_OF[check], kwargs))
+
+
+def _mismatch(check, **kwargs):
+    record = _record(check, **kwargs)
+    assert (record["status"] == "pass") == (record["mismatch"] is None), record
+    return record["mismatch"]
+
+
+def _echo(rec, **kwargs):
+    rec.orders = kwargs
+
+
 @pytest.fixture
 def expand(monkeypatch):
     monkeypatch.setenv("QKZ_THREADS", "1")
     for sid, spec in SUITES.items():
-        monkeypatch.setitem(SUITES, sid, spec._replace(check=lambda **kw: (None, kw, None)))
+        monkeypatch.setitem(SUITES, sid, spec._replace(check=_echo))
     return lambda **cfg: [(c["name"], c["orders"])
                           for c in run_suite(SuiteConfig(**cfg))["checks"]]
 
@@ -100,30 +125,41 @@ def test_empty_window_passes(monkeypatch, suite):
 @pytest.mark.parametrize("check", [chk_qkz_matrix, chk_al_jackson])
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 1)])
 def test_lambda_order_5(check, m, n):
-    assert check(seed=1, m=m, n=n, lmax=5)[2] is None
+    assert _mismatch(check, seed=1, m=m, n=n, lmax=5) is None
 
 
-@pytest.mark.parametrize("lmax", [1, 2, 3, 4, 5])
-def test_al_eq_jackson_at_every_low_lmax(monkeypatch, lmax):
-    # components that vanish through lmax on both sides are not compared,
-    # and every check still compares at least one component
+_SWEEP_LMAX = {"QKZ_MATRIX": 5, "ITO_QKZ": 5, "AL_EQ_JACKSON": 5, "DUAL_QKZ": 3}
+
+
+@pytest.mark.parametrize("suite", sorted(_SWEEP_LMAX))
+def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
+    # every window with m + n <= 3 at every lmax from 1 up, seed 1: each
+    # check runs the requested window and lmax, and passes on a comparison
+    # with a nonzero side
     monkeypatch.setenv("QKZ_THREADS", "1")
-    report = run_suite(SuiteConfig(suite="AL_EQ_JACKSON", seeds=(1,), lmax=lmax))
-    assert [c["name"] for c in report["checks"]] == NAMES["AL_EQ_JACKSON"]
-    for check in report["checks"]:
-        assert check["status"] == "pass", check["mismatch"]
-        leading = check["info"]["leading_orders"]
-        assert any(pair != (None, None) for pair in leading)
-        assert all((pair == (None, None)) == (const is None) for pair, const
-                   in zip(leading, check["info"]["component_constants"]))
+    for lmax in range(1, _SWEEP_LMAX[suite] + 1):
+        for m, n in _ALJ_WINDOWS:
+            [check] = run_suite(SuiteConfig(suite=suite, seeds=(1,), m=m, n=n,
+                                            lmax=lmax))["checks"]
+            assert check["status"] == "pass", (lmax, check)
+            assert (check["orders"]["m"], check["orders"]["n"]) == (m, n)
+            assert check["orders"]["lmax"] == lmax
+            assert check["stats"]["nonzero"] > 0, (lmax, check)
+            if suite == "AL_EQ_JACKSON":
+                # components that vanish through lmax on both sides are not
+                # compared, and every check compares at least one component
+                leading = check["info"]["leading_orders"]
+                assert any(pair != (None, None) for pair in leading)
+                assert all((pair == (None, None)) == (const is None) for pair, const
+                           in zip(leading, check["info"]["component_constants"]))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_nekrasov_3way_to_size_16(seed):
     # twice the acceptance max_size: pairs of up to 16 boxes each
-    point, orders, mismatch = chk_nekrasov_3way(seed, pair_count=200, max_size=16)
-    assert orders["max_size"] == 16
-    assert mismatch is None
+    record = _record(chk_nekrasov_3way, seed=seed, pair_count=200, max_size=16)
+    assert record["orders"]["max_size"] == 16
+    assert record["status"] == "pass", record["mismatch"]
 
 
 def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
@@ -135,7 +171,7 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
         real = getattr(suites, name)
         with monkeypatch.context() as patch:
             patch.setattr(suites, name, lambda *args, _real=real: 2 * _real(*args))
-            mismatch = chk_nekrasov_3way(1, pair_count=20)[2]
+            mismatch = _mismatch(chk_nekrasov_3way, seed=1, pair_count=20)
         assert mismatch is not None and key in mismatch, (name, mismatch)
 
 
@@ -147,19 +183,25 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
     ("_display_matrix_2x2", {"vs": "display", "window": [1, 0]}),
 ])
 def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
+    # the defining relation S = r T fails alone when all three realizations
+    # of r are off by the same entry, so that they still agree
     from qkz import suites
 
-    real = getattr(suites, patched)
-    if patched == "defining_relation_residuals":
-        def broken(*args):
-            res = real(*args)
-            res[0, res.cols - 1] = res[0, res.cols - 1] + 1
-            return res
-    else:
-        def broken(*args):
-            return real(*args).scale(2)
-    monkeypatch.setattr(suites, patched, broken)
-    mismatch = chk_rmatrix_3way(1)[2]
+    def broken(real):
+        if patched != "defining_relation_residuals":
+            return lambda *args: real(*args).scale(2)
+
+        def off_by_one_entry(*args):
+            r = real(*args).copy()
+            r[0, r.cols - 1] = r[0, r.cols - 1] + 1
+            return r
+        return off_by_one_entry
+
+    names = (("r_via_linear_system", "r_closed_form", "r_hg_matrix")
+             if patched == "defining_relation_residuals" else (patched,))
+    for name in names:
+        monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
+    mismatch = _mismatch(chk_rmatrix_3way, seed=1)
     assert mismatch is not None and want.items() <= mismatch.items(), mismatch
 
 
@@ -176,7 +218,7 @@ def test_every_shuffle_comparison_can_fail(monkeypatch):
             return values
         with monkeypatch.context() as patch:
             patch.setattr(suites, "matsuo_e", broken)
-            mismatch = chk_shuffle(1)[2]
+            mismatch = _mismatch(chk_shuffle, seed=1)
         assert mismatch is not None and (mismatch["N"], mismatch["k"]) == (N, k)
 
 
@@ -194,7 +236,7 @@ def test_every_heine_comparison_can_fail(monkeypatch, case):
     # equation; a doubled pair at the z2-shifted point breaks the z2 shift
     from qkz import rmatrix, suites
 
-    assert chk_heine(1)[2] is None
+    assert _mismatch(chk_heine, seed=1) is None
     if case == "cross":
         monkeypatch.setattr(suites, "heine_solution_pair",
                             _doubled_pair(suites.heine_solution_pair, {1}))
@@ -214,7 +256,7 @@ def test_every_heine_comparison_can_fail(monkeypatch, case):
         monkeypatch.setattr(rmatrix, "heine_solution_pair",
                             _doubled_pair(rmatrix.heine_solution_pair, {0, 1}))
         want = "z2-shift"
-    mismatch = chk_heine(1)[2]
+    mismatch = _mismatch(chk_heine, seed=1)
     assert mismatch is not None and mismatch["relation"] == want, mismatch
 
 
@@ -238,7 +280,7 @@ def test_a_doubled_column_is_named_by_its_index(monkeypatch, check, window, lmax
             return r
         with monkeypatch.context() as patch:
             patch.setattr(rmatrix, patched, broken)
-            mismatch = check(seed=1, m=m, n=n, lmax=lmax)[2]
+            mismatch = _mismatch(check, seed=1, m=m, n=n, lmax=lmax)
         assert mismatch is not None and mismatch[key] == column - n, (column, mismatch)
 
 
@@ -255,7 +297,7 @@ def test_shakirov_eq_can_fail(monkeypatch, cell):
         return psi
 
     monkeypatch.setattr(suites, "solve_shakirov", broken)
-    mismatch = chk_shakirov(1, 4, 4)[2]
+    mismatch = _mismatch(chk_shakirov, seed=1, kmax=4, lmax=4)
     assert mismatch is not None and (mismatch["k"], mismatch["l"]) == cell, mismatch
 
 
@@ -272,7 +314,7 @@ def test_every_coupled_relation_can_fail(monkeypatch, doubled, relation):
         return tuple(pair)
 
     monkeypatch.setattr(cone, "coupling_series", broken)
-    mismatch = chk_coupled(1)[2]
+    mismatch = _mismatch(chk_coupled, seed=1)
     assert mismatch is not None and mismatch["relation"] == relation, mismatch
 
 
@@ -306,12 +348,12 @@ def test_lmax_1_order_0_comparisons_can_fail(monkeypatch, window, check, patched
     import importlib
 
     m, n = window
-    point, orders, mismatch = check(seed=1, m=m, n=n, lmax=1)
-    assert orders["checked_through"] == 0 and mismatch is None
+    record = _record(check, seed=1, m=m, n=n, lmax=1)
+    assert record["orders"]["checked_through"] == 0 and record["status"] == "pass"
     module, name = patched.split(".")
     module = importlib.import_module(f"qkz.{module}")
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    mismatch = check(seed=1, m=m, n=n, lmax=1)[2]
+    mismatch = _mismatch(check, seed=1, m=m, n=n, lmax=1)
     assert mismatch is not None and mismatch["order"] == 0, mismatch
     assert mismatch.get("equation") == equation, mismatch
 
@@ -329,41 +371,32 @@ def test_windows_wider_than_the_order_pass(monkeypatch, check, window, factor):
     import importlib
 
     m, n = window
-    assert check(seed=1, m=m, n=n, lmax=1)[2] is None
+    assert _mismatch(check, seed=1, m=m, n=n, lmax=1) is None
     module, name = factor.split(".")
     module = importlib.import_module(f"qkz.{module}")
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: 2 * real(*args))
-    mismatch = check(seed=1, m=m, n=n, lmax=1)[2]
+    mismatch = _mismatch(check, seed=1, m=m, n=n, lmax=1)
     assert mismatch is not None and mismatch["order"] == 0, mismatch
 
 
 @pytest.mark.parametrize("check, orders", [
     (chk_shakirov, {"kmax": 6, "lmax": 6}), (chk_coupled, {"order": 8})])
 def test_cone_suites_above_the_acceptance_orders(check, orders):
-    assert check(seed=1, **orders)[2] is None
+    assert _mismatch(check, seed=1, **orders) is None
 
 
 def test_ito_qkz_window_3_2_at_order_3():
     # AL_EQ_JACKSON runs above its acceptance size in test_lambda_order_5
-    assert chk_ito_qkz(seed=1, m=3, n=2, lmax=3)[2] is None
+    assert _mismatch(chk_ito_qkz, seed=1, m=3, n=2, lmax=3) is None
 
 
 def test_dual_qkz_window_2_2_at_order_4():
-    assert chk_dual_qkz(seed=1, m=2, n=2, lmax=4)[2] is None
+    assert _mismatch(chk_dual_qkz, seed=1, m=2, n=2, lmax=4) is None
 
 
 def test_dual_qkz_window_3_2_at_order_3():
-    assert chk_dual_qkz(seed=1, m=3, n=2, lmax=3)[2] is None
-
-
-@pytest.mark.parametrize("suite", ["DUAL_QKZ", "ITO_QKZ", "AL_EQ_JACKSON"])
-def test_windowed_suites_run_the_requested_lmax(monkeypatch, suite):
-    # every default window, at an order above the acceptance configs
-    monkeypatch.setenv("QKZ_THREADS", "1")
-    report = run_suite(SuiteConfig(suite=suite, seeds=(1,), lmax=5))
-    assert [c["orders"]["lmax"] for c in report["checks"]] == [5] * len(NAMES[suite])
-    assert all(c["status"] == "pass" for c in report["checks"])
+    assert _mismatch(chk_dual_qkz, seed=1, m=3, n=2, lmax=3) is None
 
 
 def test_rmatrix_3way_solves_each_window_once(monkeypatch):
@@ -379,6 +412,100 @@ def test_rmatrix_3way_solves_each_window_once(monkeypatch):
 
         monkeypatch.setattr(suites, name, counted)
     for seed in (1, 2, 3):
-        point, orders, mismatch = suites.chk_rmatrix_3way(seed=seed)
-        assert mismatch is None
+        assert _mismatch(chk_rmatrix_3way, seed=seed) is None
     assert calls == {"expansion_matrices": 54, "r_via_linear_system": 54}
+
+
+# -- one mutation test for every suite -------------------------------------------
+
+def _comparisons(task):
+    """(left, where) of each comparison with a nonzero side that the check
+    of `task` makes, in order, and its record; every side is a plain
+    scalar."""
+    real = Recorder.compare
+    seen = []
+
+    def counted(self, left, right, where, *sides):
+        assert is_plain(left) and is_plain(right), (where, left, right)
+        if left or right:
+            seen.append((self.compared, left, where))
+        return real(self, left, right, where, *sides)
+
+    Recorder.compare = counted
+    try:
+        record = _execute(task)
+    finally:
+        Recorder.compare = real
+    return seen, record
+
+
+def _with_doubled_left(task, k):
+    """The record of `task` when its k-th comparison (counted from 0) sees
+    twice its left side, and the number of comparisons made."""
+    real = Recorder.compare
+    calls = []
+
+    def doubled(self, left, right, where, *sides):
+        calls.append(where)
+        return real(self, 2 * left if len(calls) == k + 1 else left, right, where, *sides)
+
+    Recorder.compare = doubled
+    try:
+        return _execute(task), len(calls)
+    finally:
+        Recorder.compare = real
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_fails_at_a_doubled_comparison(suite):
+    # mutation testing: the first, middle and last comparison with a nonzero
+    # side of each check at seed 1, each doubled in its own run, fails that
+    # check at that comparison and nowhere else
+    for kwargs in SUITES[suite].args(SuiteConfig(suite=suite, seeds=(1,))):
+        task = (suite, {"seed": 1, **kwargs})
+        seen, record = _comparisons(task)
+        assert record["status"] == "pass" and seen, record
+        assert record["stats"]["nonzero"] == len(seen)
+        for k, left, where in (seen[i] for i in sorted({0, len(seen) // 2, len(seen) - 1})):
+            mutant, calls = _with_doubled_left(task, k)
+            assert mutant["status"] == "fail" and calls == k + 1, (k, mutant)
+            assert where.items() <= mutant["mismatch"].items(), (k, where, mutant)
+            assert str(2 * left) in mutant["mismatch"].values(), (k, left, mutant)
+            assert mutant["point"] == record["point"], k
+
+
+def test_a_mismatch_before_a_degenerate_stage_is_not_retried(monkeypatch):
+    # the mismatch stops the attempt, so the degenerate stage after it can
+    # start no retry that would throw the mismatch away
+    attempts = []
+
+    def check(rec, seed):
+        rec.orders = {}
+
+        def attempt(p):
+            attempts.append(p)
+            rec.compare(ONE, 2 * ONE, {"stage": "first"})
+            raise DegenerateParameterError("a later stage is degenerate")
+
+        _sample_with_retries(rec, seed, 8, attempt)
+
+    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
+    record = _execute(("BAILEY", {"seed": 1}))
+    assert len(attempts) == 1
+    assert record["status"] == "fail"
+    assert record["mismatch"] == {"stage": "first", "left": "1", "right": "2"}
+    assert record["point"] == attempts[0].to_json()
+    assert record["stats"] == {"compared": 1, "nonzero": 1}
+
+
+def test_a_check_that_compares_only_zeros_fails(monkeypatch):
+    def check(rec, seed):
+        rec.orders = {}
+        rec.begin("{}")
+        rec.compare(0, ONE * 0, {"at": 0})
+
+    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
+    record = _execute(("BAILEY", {"seed": 1}))
+    assert record["status"] == "fail"
+    assert record["mismatch"] == {"reason": "no compared value is nonzero", "compared": 1}
+    assert record["stats"] == {"compared": 1, "nonzero": 0}
