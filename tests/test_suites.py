@@ -128,6 +128,23 @@ def test_lambda_order_5(check, m, n):
     assert _mismatch(check, seed=1, m=m, n=n, lmax=5) is None
 
 
+@pytest.mark.parametrize("lmax", [1, 2, 3, 4, 5])
+def test_al_eq_jackson_at_every_low_lmax(monkeypatch, lmax):
+    # the whole default suite at each low lmax: components that vanish
+    # through lmax on both sides are not compared, and every check still
+    # compares at least one component
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    report = run_suite(SuiteConfig(suite="AL_EQ_JACKSON", seeds=(1,), lmax=lmax))
+    assert [c["name"] for c in report["checks"]] == NAMES["AL_EQ_JACKSON"]
+    for check in report["checks"]:
+        assert check["status"] == "pass", check["mismatch"]
+        assert check["stats"]["nonzero"] > 0, check
+        leading = check["info"]["leading_orders"]
+        assert any(pair != (None, None) for pair in leading)
+        assert all((pair == (None, None)) == (const is None) for pair, const
+                   in zip(leading, check["info"]["component_constants"]))
+
+
 _SWEEP_LMAX = {"QKZ_MATRIX": 5, "ITO_QKZ": 5, "AL_EQ_JACKSON": 5, "DUAL_QKZ": 3}
 
 
