@@ -9,7 +9,7 @@ or series with invertible constant term).  A failed pivot chain raises
 from __future__ import annotations
 
 from .errors import SingularMatrixError
-from .scalars import dot, invertible, reciprocal
+from .scalars import ONE, dot, invertible, reciprocal
 
 
 class ScalarMatrix:
@@ -33,11 +33,8 @@ class ScalarMatrix:
         return cls(rows, cols, [x for r in rows_data for x in r])
 
     @classmethod
-    def identity(cls, size: int, one=1) -> "ScalarMatrix":
-        m = cls(size, size, [0 * one] * (size * size) if size else [])
-        for i in range(size):
-            m[i, i] = one
-        return m
+    def identity(cls, size: int) -> "ScalarMatrix":
+        return cls.diagonal([ONE] * size)
 
     @classmethod
     def diagonal(cls, values) -> "ScalarMatrix":
@@ -137,16 +134,6 @@ class ScalarMatrix:
                     b[r, j] = b[r, j] - factor * b[col, j]
         return ScalarMatrix(n, b.cols, [
             b[i, j] * inverses[i] for i in range(n) for j in range(b.cols)])
-
-    def inverse(self) -> "ScalarMatrix":
-        one = None
-        for x in self.entries:
-            if invertible(x):
-                one = x / x
-                break
-        if one is None:
-            raise SingularMatrixError("zero matrix has no inverse")
-        return self.solve(ScalarMatrix.identity(self.rows, one))
 
 
 def _swap_rows(m: ScalarMatrix, i: int, j: int) -> None:

@@ -18,7 +18,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -134,16 +133,19 @@ class Recorder:
         for b, (x, y) in enumerate(pairs):
             self.compare(x, y, {**where, "order": b}, sides)
 
-    def matrix(self, left, right, where: dict, sides=("left", "right")) -> None:
-        """Two matrices, entry by entry in row-major order, at "i" and "j"."""
+    def matrix(self, left, right, where: dict, sides=("left", "right"), first: int = 0) -> None:
+        """Two matrices, entry by entry in row-major order, at "i" and "j":
+        the indices of a window whose first row and column is `first`."""
         for i in range(left.rows):
             for j in range(left.cols):
-                self.compare(left[i, j], right[i, j], {"i": i, "j": j, **where}, sides)
+                self.compare(left[i, j], right[i, j],
+                             {"i": i + first, "j": j + first, **where}, sides)
 
     def cone(self, left, right, order: int, where: dict, sides=("left", "right")) -> None:
         """Two cone series on the cells k + l <= order, k-major, at "k" and "l"."""
-        for k, l in _cone_cells(left, order):
-            self.compare(left.c[k][l], right.c[k][l], {**where, "k": k, "l": l}, sides)
+        for k in range(min(left.kmax, order) + 1):
+            for l in range(min(left.lmax, order - k) + 1):
+                self.compare(left.c[k][l], right.c[k][l], {**where, "k": k, "l": l}, sides)
 
 
 def _coefficients(s, through: int):
@@ -151,11 +153,6 @@ def _coefficients(s, through: int):
     as the int 0 of a matrix-product entry with no nonzero term, is a
     constant series."""
     return s.coeffs[:through + 1] if isinstance(s, TruncatedSeries) else (s,) + (0,) * through
-
-
-def _cone_cells(s: ConeSeries, order: int):
-    return [(k, l) for k in range(min(s.kmax, order) + 1)
-            for l in range(min(s.lmax, order - k) + 1)]
 
 
 def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overrides=None):
@@ -251,16 +248,14 @@ def _rmatrix_3way_compare(rec: Recorder, p, lams):
             b = r_closed_form(m, n, d1, d4, lam, q)
             c = r_hg_matrix(m, n, d1, d4, lam, q)
             for other, tag in ((b, "closed"), (c, "hypergeometric")):
-                rec.matrix(a, other, {"window": [m, n], "lambda": str(lam), "vs": tag})
-            rT = a @ T
-            for i in range(S.rows):
-                where = {"window": [m, n], "row": i - n, "reason": "defining relation residual"}
-                for j in range(S.cols):
-                    rec.compare(S[i, j], rT[i, j], where)
+                rec.matrix(a, other, {"window": [m, n], "lambda": str(lam), "vs": tag},
+                           first=-n)
+            rec.matrix(S, a @ T, {"window": [m, n], "reason": "defining relation residual"},
+                       first=-n)
         for builder, (m, n) in ((_display_matrix_2x2, (1, 0)),
                                 (_display_matrix_3x3, (2, 0))):
             rec.matrix(solved[m, n], builder(d1, d4, lam, q),
-                       {"window": [m, n], "lambda": str(lam), "vs": "display"})
+                       {"window": [m, n], "lambda": str(lam), "vs": "display"}, first=-n)
 
 
 def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
@@ -289,8 +284,10 @@ def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 
     _, equations = _sample_with_retries(rec, seed, 8, attempt, overrides=(m, n))
     for name, (left, right) in equations.items():
+        # the Lambda^0 constants come as constant series: only order 0 can differ
+        through = 0 if name == "Lambda^0" else lmax - 1
         for index, (a, b) in enumerate(zip(left, right)):
-            rec.series(a, b, lmax - 1, {"equation": name, "index": index})
+            rec.series(a, b, through, {"equation": name, "index": index})
 
 
 _COMM_WINDOWS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (2, 1), 4: (2, 2)}
@@ -377,16 +374,14 @@ def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
                   .mul_phi(-q ** (-nn) * beta, q, AXIS_LX) \
                   .mul_phi(alpha * beta, q, AXIS_L, inverted=True) \
                   .scale(q ** ((nn * (nn + 1)) // 2))
-        for k, l in _cone_cells(lhs1, order):
-            rec.compare(lhs1.c[k][l], rhs1.c[k][l], {"variant": "borel", "n": nn})
+        rec.cone(lhs1, rhs1, order, {"variant": "borel", "n": nn})
         lhs2 = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX) \
                   .borel(q, direction=-1, x_offset=nn)
         rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True) \
                   .mul_phi(-q ** nn * beta, q, AXIS_LX, inverted=True) \
                   .mul_phi(alpha * beta / q, q, AXIS_L) \
                   .scale(q ** (-(nn * (nn + 1)) // 2))
-        for k, l in _cone_cells(lhs2, order):
-            rec.compare(lhs2.c[k][l], rhs2.c[k][l], {"variant": "borel inverse", "n": nn})
+        rec.cone(lhs2, rhs2, order, {"variant": "borel inverse", "n": nn})
 
 
 def chk_bailey(rec: Recorder, seed: int, nmax: int = 4):
@@ -438,39 +433,38 @@ def chk_fourd(rec: Recorder, seed: int, jet_order: int = 2):
     rec.begin(json.dumps({"m1": str(m1), "m4": str(m4), "kappa": str(kap),
                           "a": str(ac), "lambda": str(lam)}))
     for (m, n) in _FOURD_WINDOWS:
-        qj = exp_jet(1, jet_order)
-        d1j = exp_jet(m1, jet_order)
-        d4j = exp_jet(m4, jet_order)
-        rj = r_via_linear_system(
-            *expansion_matrices(m, n, d1j, d4j, HJet.constant(lam, jet_order), qj))
-        r1 = r1_fourd((m1, -m, -n, m4), m, n, lam)
-        size = m + n + 1
-        for i in range(size):
-            for j in range(size):
-                where = {"window": [m, n], "i": i - n, "j": j - n}
-                rec.compare(rj[i, j].coeffs[0], 1 if i == j else 0,
-                            {**where, "order": "h^0"}, ("value", "identity"))
-                rec.compare(rj[i, j].coeffs[1], r1[i, j],
-                            {**where, "order": "h^1"}, ("jet", "tridiagonal"))
-        H, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
-        rec.matrix(H, r1, {"relation": "H_4d vs h^1 matrix"})
-        kz = kz_form_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
-        rec.matrix(kz, A0 + A1.scale(lam / (lam - 1)),
-                   {"relation": "KZ form vs A0 + L A1/(L-1)"})
+        mvec = (m1, -m, -n, m4)
+        h0, h1 = _fourd_jets(m, n, m1, m4, lam, jet_order)
+        r1 = r1_fourd(mvec, m, n, lam)
+        window = {"window": [m, n]}
+        rec.matrix(h0, ScalarMatrix.identity(m + n + 1), {**window, "order": "h^0"},
+                   ("value", "identity"), first=-n)
+        rec.matrix(h1, r1, {**window, "order": "h^1"}, ("jet", "tridiagonal"), first=-n)
+        H, A0, A1 = h4d_matrix(mvec, (kap, ac), m, n, lam)
+        rec.matrix(H, r1, {**window, "relation": "H_4d vs h^1 matrix"}, first=-n)
+        split = A0 + A1.scale(lam / (lam - 1))
+        theta = ScalarMatrix.diagonal(range(-n, m + 1))
+        rec.matrix(H - theta.scale(kap + 1 + ac), split,
+                   {**window, "relation": "H_4d - (kappa+1+a) theta vs A0 + L A1/(L-1)"},
+                   first=-n)
+        rec.matrix(kz_form_matrix(mvec, (kap, ac), m, n, lam), split,
+                   {**window, "relation": "KZ form vs A0 + L A1/(L-1)"}, first=-n)
     # the tabulated 4x4 window (free masses m2, m4): m1 = -2, m3 = -1.
     m2v, m4v = _rng_rationals(seed + 43, 2)
     tab = _fourd_table_m2_n1(m2v, m4v, lam)
     rec.matrix(r1_fourd((-2, m2v, -1, m4v), 2, 1, lam), tab,
-               {"relation": "4x4 tabulated case"})
-    jq = exp_jet(1, jet_order)
+               {"relation": "4x4 tabulated case"}, first=-1)
+    _, h1 = _fourd_jets(2, 1, m2v, m4v, lam, jet_order)
+    rec.matrix(h1, tab, {"relation": "4x4 vs jets"}, ("jet", "tabulated"), first=-1)
+
+
+def _fourd_jets(m: int, n: int, mass1, mass4, lam, jet_order: int):
+    """The h^0 and h^1 coefficient matrices of the R-matrix on window (m, n)
+    at q = e^h, d1 = e^(mass1 h), d4 = e^(mass4 h), over h-jets."""
     rj = r_via_linear_system(*expansion_matrices(
-        2, 1, exp_jet(m2v, jet_order), exp_jet(m4v, jet_order),
-        HJet.constant(lam, jet_order), jq))
-    for i in range(4):
-        for j in range(4):
-            rec.compare(rj[i, j].coeffs[1], tab[i, j],
-                        {"relation": "4x4 vs jets", "i": i - 1, "j": j - 1},
-                        ("jet", "tabulated"))
+        m, n, exp_jet(mass1, jet_order), exp_jet(mass4, jet_order),
+        HJet.constant(lam, jet_order), exp_jet(1, jet_order)))
+    return [ScalarMatrix(rj.rows, rj.cols, [x.coeffs[b] for x in rj.entries]) for b in (0, 1)]
 
 
 def _fourd_table_m2_n1(m2, m4, lam):
@@ -505,8 +499,7 @@ def chk_heine(rec: Recorder, seed: int, lmax: int = 4):
     for left, right, relation in ((y0L * sh1, y1L * sh0, "cross-multiplied pair"),
                                   (y0L, sh0, "componentwise pair"),
                                   (y1L, sh1, "componentwise pair")):
-        for a, b in zip(left.coeffs, right.coeffs):
-            rec.compare(a, b, {"relation": relation})
+        rec.series(left, right, lmax, {"relation": relation}, ("left", "right"))
     for tag, (left, right) in zip(("z1-shift", "z2-shift"), equations):
         for index, (a, b) in enumerate(zip(left, right)):
             rec.series(a, b, lmax, {"relation": tag, "index": index})
@@ -618,6 +611,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
     tasks = [(cfg.suite, {"seed": s, **kwargs}) for s in seeds for kwargs in spec.args(cfg)]
     workers = worker_count(len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_execute, tasks))
     else:

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,14 @@ def test_unknown_suite_is_rejected_before_computation():
     with pytest.raises(ConfigError):
         SuiteConfig(suite="NO_SUCH_SUITE")
     assert main(["verify", "NO_SUCH_SUITE"]) == 2
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # a serial run never starts the pool, so it need not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, qkz.cli; sys.exit('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_verify_exit_code_and_report_schema(tmp_path):

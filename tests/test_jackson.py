@@ -24,6 +24,7 @@ from qkz.jackson import (
     matsuo_prefactors,
     weight_ratio,
 )
+from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries, qfactorial, qpoch
 from qkz.scalars import ONE, Rat, quotient, rat, sample_generic_point
 
@@ -202,8 +203,6 @@ def test_ito_matrix_shapes_and_base_case():
 
 def test_gauss_factor_triangularity_shapes():
     # both matrices admit exact LDU with unit-diagonal triangular factors
-    from qkz.linalg import ScalarMatrix
-
     p, jp = _params(37, 2, 1)
     lam = rat(3, 8)
     N = jp.N
@@ -213,7 +212,7 @@ def test_gauss_factor_triangularity_shapes():
         # assembled product against its own LDU re-decomposition
         M = build()
         # LDU via Gaussian elimination (Doolittle): exact, unit diagonals
-        L = ScalarMatrix.identity(N + 1, rat(1))
+        L = ScalarMatrix.identity(N + 1)
         U = ScalarMatrix(N + 1, N + 1, [rat(0)] * (N + 1) ** 2)
         A = M.copy()
         for k in range(N + 1):
@@ -225,7 +224,7 @@ def test_gauss_factor_triangularity_shapes():
                 for j in range(N + 1):
                     A[i, j] = A[i, j] - L[i, k] * A[k, j]
         D = ScalarMatrix.diagonal([U[k, k] for k in range(N + 1)])
-        Un = ScalarMatrix.identity(N + 1, rat(1))
+        Un = ScalarMatrix.identity(N + 1)
         for k in range(N + 1):
             for j in range(k + 1, N + 1):
                 Un[k, j] = U[k, j] / U[k, k]
@@ -242,7 +241,7 @@ def test_commutativity(window):
     D2 = d2_matrix(jp, lam)
     assert R @ D2 @ A == A @ R @ D2
     # consequence: K0 forms agree, R (D2 A D2^-1) = A R
-    lhs = R @ D2 @ A @ D2.inverse()
+    lhs = R @ D2 @ A @ D2.solve(ScalarMatrix.identity(jp.N + 1))
     assert lhs == A @ R
 
 

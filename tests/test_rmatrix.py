@@ -2,6 +2,7 @@ import pytest
 
 from qkz.errors import DegenerateParameterError
 from qkz.laumon import z_al_truncated
+from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries, qpoch
 from qkz.rmatrix import (
     dual_qkz_residuals,
@@ -362,6 +363,8 @@ def test_h4d_split_and_theta_column():
     m1, m4 = rat(5, 3), rat(7, 4)
     kap, ac = rat(2, 7), rat(5, 9)
     H, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
+    theta = ScalarMatrix.diagonal(range(-n, m + 1))
+    assert H - theta.scale(kap + 1 + ac) == A0 + A1.scale(LAM / (LAM - 1))
     # pure theta part has zero eigenvalue on x^0
     assert A0[1, 1] == 0  # i = 0 row: theta(theta - kap - a) = 0
     r1 = r1_fourd((m1, -m, -n, m4), m, n, LAM)

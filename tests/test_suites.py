@@ -12,7 +12,7 @@ from qkz.errors import DegenerateParameterError
 from qkz.scalars import ONE, is_plain
 from qkz.suites import (
     SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
-    chk_al_jackson, chk_coupled, chk_dual_qkz, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
+    chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
     chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
@@ -196,7 +196,7 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
     ("r_closed_form", {"vs": "closed"}),
     ("r_hg_matrix", {"vs": "hypergeometric"}),
     ("defining_relation_residuals",
-     {"reason": "defining relation residual", "window": [1, 0], "row": 0}),
+     {"reason": "defining relation residual", "window": [1, 0], "i": 0, "j": 0}),
     ("_display_matrix_2x2", {"vs": "display", "window": [1, 0]}),
 ])
 def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
@@ -220,6 +220,43 @@ def test_every_rmatrix_3way_comparison_can_fail(monkeypatch, patched, want):
         monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
     mismatch = _mismatch(chk_rmatrix_3way, seed=1)
     assert mismatch is not None and want.items() <= mismatch.items(), mismatch
+
+
+def test_rmatrix_3way_names_paper_indices(monkeypatch):
+    # storage row and column 0 of window (2,1) is the paper index -n = -1
+    from qkz import suites
+
+    real = suites.r_closed_form
+
+    def broken(m, n, *args):
+        r = real(m, n, *args)
+        if (m, n) == (2, 1):
+            r[0, 0] = r[0, 0] + 1
+        return r
+
+    monkeypatch.setattr(suites, "r_closed_form", broken)
+    mismatch = _mismatch(chk_rmatrix_3way, seed=1)
+    assert mismatch is not None, mismatch
+    assert {"window": [2, 1], "vs": "closed", "i": -1, "j": -1}.items() <= mismatch.items()
+
+
+def test_fourd_limit_fails_at_a_doubled_A1(monkeypatch):
+    # the KZ split H_4d - (kappa+1+a) theta = A0 + L A1/(L-1) is compared
+    # before the KZ form, and a mismatch names the paper indices of window
+    # (2,1), whose first row is i = -1
+    from qkz import suites
+
+    real = suites.h4d_matrix
+
+    def broken(mvec, kappa_a, m, n, lam):
+        H, A0, A1 = real(mvec, kappa_a, m, n, lam)
+        return H, A0, A1.scale(2) if (m, n) == (2, 1) else A1
+
+    monkeypatch.setattr(suites, "h4d_matrix", broken)
+    mismatch = _mismatch(chk_fourd, seed=1)
+    assert mismatch is not None, mismatch
+    assert mismatch["relation"] == "H_4d - (kappa+1+a) theta vs A0 + L A1/(L-1)", mismatch
+    assert (mismatch["window"], mismatch["i"], mismatch["j"]) == ([2, 1], -1, -1), mismatch
 
 
 def test_every_shuffle_comparison_can_fail(monkeypatch):
