@@ -43,11 +43,6 @@ class ConeSeries:
         s.c[0][0] = 1
         return s
 
-    def __add__(self, other: "ConeSeries") -> "ConeSeries":
-        self._check(other)
-        return ConeSeries(self.kmax, self.lmax, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)])
-
     def scale(self, value) -> "ConeSeries":
         return ConeSeries(self.kmax, self.lmax, [
             [a * value for a in row] for row in self.c])
@@ -67,10 +62,6 @@ class ConeSeries:
         ]
         return "ConeSeries(" + " + ".join(terms[:12]) + (" + ..." if len(terms) > 12 else "") + ")"
 
-    def _check(self, other: "ConeSeries") -> None:
-        if (self.kmax, self.lmax) != (other.kmax, other.lmax):
-            raise ValueError("truncation orders differ")
-
     # -- operators -----------------------------------------------------------
 
     def apply(self, stages) -> "ConeSeries":
@@ -88,16 +79,9 @@ class ConeSeries:
         """Substitute x -> p_x x, Lambda -> p_lambda Lambda."""
         return self.apply([_shift_stage(p_x, p_lambda, self.kmax, self.lmax)])
 
-    def mul_axis(self, coeffs, axis) -> "ConeSeries":
-        """Multiply by sum_j coeffs[j] m^j with m in {x, Lambda/x, Lambda}."""
-        return self.apply([Stage(coeffs, axis)])
-
     def mul_phi(self, c, q, axis, inverted: bool = False) -> "ConeSeries":
         """Multiply by phi(c*m) or 1/phi(c*m) truncated on the rectangle."""
         return self.apply([_phi_stage(c, q, axis, self.kmax, self.lmax, inverted)])
-
-    def mul_lambda_series(self, series: LambdaSeries) -> "ConeSeries":
-        return self.mul_axis(series.coeffs, AXIS_L)
 
     def dump_csv(self) -> str:
         """k, l, numerator, denominator rows."""
@@ -237,11 +221,6 @@ def _double_shift_stage(p: ParamPoint, kmax: int, lmax: int) -> Stage:
     return _shift_stage(1 / (p.q * p.t * p.Q), 1 / p.t, kmax, lmax)
 
 
-def apply_K(s: ConeSeries, p: ParamPoint) -> ConeSeries:
-    """K applied to the whole series."""
-    return s.apply(_k_stages(p, s.kmax, s.lmax))
-
-
 def _full_step_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
     """The full right-hand-side operator H_S T^-1_{qtQ,x} T^-1_{t,Lambda}."""
     return [_double_shift_stage(p, kmax, lmax)] + _hs_stages(p, kmax, lmax)
@@ -327,5 +306,5 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     chi = chi_raw.shift(fx, fx * -p.d4)
     g, tg = coupling_series(p, min(kmax, lmax))
     tk_t2 = [_double_shift_stage(p, kmax, lmax)] + _tk_stages(p, kmax, lmax)
-    return ((psi, apply_K(chi, p).mul_lambda_series(g)),
-            (chi, psi.apply(tk_t2).mul_lambda_series(tg)))
+    return ((psi, chi.apply(_k_stages(p, kmax, lmax) + [Stage(g.coeffs, AXIS_L)])),
+            (chi, psi.apply(tk_t2 + [Stage(tg.coeffs, AXIS_L)])))

@@ -18,7 +18,7 @@ from .cone import ConeSeries
 from .errors import QkzError
 from .partitions import Partition, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import Monomial, ParamPoint, Rat, product, quotient
+from .scalars import Monomial, ParamPoint, Rat, dot, product, quotient
 
 # The parameters as lattice monomials, each the fourth power of its root:
 # Q is q, QQ the instanton parameter Q, and KAPPA = t^(-1/2) = rt^-2.
@@ -223,9 +223,8 @@ def pair_weight(p: ParamPoint, pair, factors: PairFactors):
     vector factors depend on the pair."""
     lam1, lam2 = pair
     (num1, den1), (num2, den2) = factors.single(0, lam1), factors.single(1, lam2)
-    den = (den1 * den2
-           * nek_orb(1, 2, lam1, lam2, factors.vv[0][1], p)
-           * nek_orb(1, 2, lam2, lam1, factors.vv[1][0], p))
+    den = product([den1, den2, nek_orb(1, 2, lam1, lam2, factors.vv[0][1], p),
+                   nek_orb(1, 2, lam2, lam1, factors.vv[1][0], p)])
     return quotient(num1 * num2, den, "vector multiplet factor")
 
 
@@ -246,21 +245,24 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
     matter factor nek_orb(0, 2, lambda1, {}, sqrt(v1/w1)) holds the bracket
     [q^(l_(j+1) - m); q]_(l_j - l_(j+1)), l = lambda1, which meets [1] = 0
     at the last row j longer than m; u1/v2 = q^(n+1) kappa does the same to
-    lambda2 beyond n columns.
+    lambda2 beyond n columns.  Each cell is one `dot` of its weights with
+    the cell's monomial (-m1)^k (-m2)^l.
     """
-    m1, m2 = _expansion_monomials(p)
     factors = PairFactors(p)
     widths = (p.m, p.n)
-    out = ConeSeries(kmax, lmax)
+    weights = {}
     for total in range(kmax + lmax + 1):
         for pair in enumerate_pairs(total, widths):
             lam1, lam2 = pair
             a = lam1.odd_row_sum + lam2.even_row_sum
             b = lam1.even_row_sum + lam2.odd_row_sum
-            if a > kmax or b > lmax:
-                continue
-            wgt = pair_weight(p, pair, factors)
-            out.c[a][b] = out.c[a][b] + wgt * (-m1) ** a * (-m2) ** b
+            if a <= kmax and b <= lmax:
+                weights.setdefault((a, b), []).append(pair_weight(p, pair, factors))
+    m1, m2 = _expansion_monomials(p)
+    out = ConeSeries(kmax, lmax)
+    for (a, b), cell in weights.items():
+        mono = (-m1) ** a * (-m2) ** b
+        out.c[a][b] = dot((wgt, mono) for wgt in cell)
     return out
 
 

@@ -23,9 +23,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -34,9 +31,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
-
-    def __bool__(self):
-        return bool(self.parts)
 
     @property
     def width(self) -> int:

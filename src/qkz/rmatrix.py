@@ -182,10 +182,7 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int):
     """
     comps = z_al_truncated(m, n, p, lmax)
     lam_var = LambdaSeries.variable(lmax)
-    q_c = LambdaSeries.constant(p.q, lmax)
-    d1_c = LambdaSeries.constant(p.d1, lmax)
-    d4_c = LambdaSeries.constant(p.d4, lmax)
-    r = r_via_linear_system(*expansion_matrices(m, n, d1_c, d4_c, lam_var, q_c))
+    r = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, lam_var, p.q))
     qtQ = p.q * p.t * p.Q
     shifted = ScalarMatrix.from_rows(
         [[c.shift_variable(1 / p.t) * qtQ ** (n - ii) for ii, c in enumerate(comps)]])

@@ -236,9 +236,6 @@ class TruncatedSeries:
             return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
         return NotImplemented
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
-
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)})"
 

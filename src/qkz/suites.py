@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
-from .scalars import HJet, Rat, TruncatedSeries, exp_jet, product, sample_generic_point
+from .scalars import Rat, TruncatedSeries, exp_jet, product, sample_generic_point
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al, z_al_truncated
@@ -68,12 +68,20 @@ class SuiteConfig:
             raise ConfigError("need at least one seed")
         if self.points < 1:
             raise ConfigError(f"--points must be at least 1, got {self.points}")
+        seeds = self.expanded_seeds()
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"a seed repeats in {seeds} (each --seed S checks "
+                              f"S + {SEED_STRIDE} k for k < --points)")
         if (self.m is None) != (self.n is None):
             raise ConfigError("--m and --n must be given together")
         for opt in ("m", "n", "N"):
             if getattr(self, opt) is not None and opt not in spec.limits:
                 raise ConfigError(f"{self.suite} does not read --{opt}")
         check_limits(self.suite, spec.limits, self)
+
+    def expanded_seeds(self) -> list:
+        """Every seed the run checks: each --seed S with its --points draws."""
+        return [s + SEED_STRIDE * k for s in self.seeds for k in range(self.points)]
 
 
 def check_limits(owner: str, limits: dict, options) -> None:
@@ -357,9 +365,10 @@ def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
     q = p.q
     K = L = order
     one = ConeSeries.one(K, L)
-    lhs = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
-             .mul_phi(beta, q, AXIS_LX, inverted=True) \
-             .mul_phi(alpha * beta, q, AXIS_L)
+    # the two prefixes the main and Borel sides share, built once
+    inv = one.mul_phi(alpha, q, AXIS_X, inverted=True).mul_phi(beta, q, AXIS_LX, inverted=True)
+    fwd = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX)
+    lhs = inv.mul_phi(alpha * beta, q, AXIS_L)
     rhs = ConeSeries(K, L)
     for k in range(K + 1):
         for l in range(L + 1):
@@ -368,15 +377,13 @@ def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
     rec.cone(lhs, rhs, order, {})
     # Borel identities on x^n-shifted cones, n = -2..2, both directions
     for nn in range(-2, 3):
-        lhs1 = one.mul_phi(alpha, q, AXIS_X, inverted=True) \
-                  .mul_phi(beta, q, AXIS_LX, inverted=True).borel(q, x_offset=nn)
+        lhs1 = inv.borel(q, x_offset=nn)
         rhs1 = one.mul_phi(-q ** (1 + nn) * alpha, q, AXIS_X) \
                   .mul_phi(-q ** (-nn) * beta, q, AXIS_LX) \
                   .mul_phi(alpha * beta, q, AXIS_L, inverted=True) \
                   .scale(q ** ((nn * (nn + 1)) // 2))
         rec.cone(lhs1, rhs1, order, {"variant": "borel", "n": nn})
-        lhs2 = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX) \
-                  .borel(q, direction=-1, x_offset=nn)
+        lhs2 = fwd.borel(q, direction=-1, x_offset=nn)
         rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True) \
                   .mul_phi(-q ** nn * beta, q, AXIS_LX, inverted=True) \
                   .mul_phi(alpha * beta / q, q, AXIS_L) \
@@ -463,7 +470,7 @@ def _fourd_jets(m: int, n: int, mass1, mass4, lam, jet_order: int):
     at q = e^h, d1 = e^(mass1 h), d4 = e^(mass4 h), over h-jets."""
     rj = r_via_linear_system(*expansion_matrices(
         m, n, exp_jet(mass1, jet_order), exp_jet(mass4, jet_order),
-        HJet.constant(lam, jet_order), exp_jet(1, jet_order)))
+        lam, exp_jet(1, jet_order)))
     return [ScalarMatrix(rj.rows, rj.cols, [x.coeffs[b] for x in rj.entries]) for b in (0, 1)]
 
 
@@ -607,8 +614,8 @@ def worker_count(n_tasks: int) -> int:
 
 def run_suite(cfg: SuiteConfig) -> dict:
     spec = SUITES[cfg.suite]
-    seeds = [s + SEED_STRIDE * k for s in cfg.seeds for k in range(cfg.points)]
-    tasks = [(cfg.suite, {"seed": s, **kwargs}) for s in seeds for kwargs in spec.args(cfg)]
+    tasks = [(cfg.suite, {"seed": s, **kwargs})
+             for s in cfg.expanded_seeds() for kwargs in spec.args(cfg)]
     workers = worker_count(len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -184,6 +184,8 @@ def test_jackson_dump(tmp_path):
     (["BAILEY", "--N", "1"], None),
     (["FOURD_LIMIT", "--jet-order", "0"], None),
     (["BAILEY"], "abc"),
+    (["BAILEY", "--seed", "1", "--seed", "1"], None),
+    (["BAILEY", "--seed", "1", "--seed", "1000004", "--points", "2"], None),
 ])
 def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, env):
     from qkz import suites

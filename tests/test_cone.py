@@ -5,7 +5,9 @@ from qkz.cone import (
     AXIS_LX,
     AXIS_X,
     ConeSeries,
+    Stage,
     _hs_stages,
+    _k_stages,
     apply_full_step,
     coupled_step,
     solve_shakirov,
@@ -70,7 +72,7 @@ def test_commutation_relations():
             s.c[k][l] = next(it)
 
     def mul_x(series):
-        return series.mul_axis([0, 1], AXIS_X)
+        return series.apply([Stage([0, 1], AXIS_X)])
 
     left = mul_x(s).borel(Q)
     right = mul_x(s.borel(Q).shift(Q, 1)).scale(Q)
@@ -177,10 +179,26 @@ def test_coupled_system_residuals_vanish():
     assert chi.c[0][0] == 1
 
 
+def test_coupled_step_applies_each_relation_once(monkeypatch):
+    # chi's rescaling, then K and g as one list and T^2, T(K) and T(g) as
+    # another: 3 passes over 14 stages, where a separate g pass takes 5
+    psi = solve_shakirov(P, 4, 4)
+    stages = []
+    real = ConeSeries.apply
+
+    def counted(self, pipeline):
+        stages.append(len(pipeline))
+        return real(self, pipeline)
+
+    monkeypatch.setattr(ConeSeries, "apply", counted)
+    coupled_step(P, psi)
+    assert stages == [1, 6, 7]
+
+
 def test_coupled_k_constant_term():
-    from qkz.cone import apply_K, coupling_series
+    from qkz.cone import coupling_series
     one = ConeSeries.one(3, 3)
-    assert apply_K(one, P).c[0][0] == 1
+    assert one.apply(_k_stages(P, 3, 3)).c[0][0] == 1
     g, tg = coupling_series(P, 3)
     assert g.coeffs[0] == 1 and tg.coeffs[0] == 1
 
@@ -315,7 +333,7 @@ def test_stages_equal_their_cell_formulas(kmax, lmax):
     s = _random_series(rng, kmax, lmax)
     for axis in (AXIS_X, AXIS_LX, AXIS_L):
         for coeffs in ([0, 1], [rat(2, 3)] * 9, [rat(rng.randint(1, 9), 7) for _ in range(3)]):
-            assert s.mul_axis(coeffs, axis).c == _scatter_mul_axis(s, coeffs, axis).c
+            assert s.apply([Stage(coeffs, axis)]).c == _scatter_mul_axis(s, coeffs, axis).c
     for direction, offset in ((1, 0), (-1, 2), (1, -1)):
         borel = s.borel(Q, direction, offset)
         shifted = s.shift(rat(3, 5), rat(-2, 7))

@@ -122,6 +122,15 @@ def test_series_exp_and_shift_equal_their_loop_forms(coeffs, factor):
         assert s.shift_variable(factor).coeffs == tuple(c * w for c, w in zip(s.coeffs, powers))
 
 
+def test_series_are_unhashable():
+    # a series equals its plain constant (LambdaSeries((3, 0, 0)) == 3), so
+    # no hash of its coefficients could agree with the scalar's
+    assert LambdaSeries.constant(3, 2) == 3
+    for cls in (LambdaSeries, HJet):
+        with pytest.raises(TypeError):
+            hash(cls.constant(3, 2))
+
+
 def test_sampling_determinism_and_guards():
     p1 = sample_generic_point(1, guard=8)
     # a fresh draw, past the memo

@@ -13,7 +13,7 @@ from qkz.scalars import ONE, is_plain
 from qkz.suites import (
     SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
-    chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
+    chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
 
 ALJ = "partition sum = lattice sum"
 
@@ -468,6 +468,24 @@ def test_rmatrix_3way_solves_each_window_once(monkeypatch):
     for seed in (1, 2, 3):
         assert _mismatch(chk_rmatrix_3way, seed=seed) is None
     assert calls == {"expansion_matrices": 54, "r_via_linear_system": 54}
+
+
+def test_pentagon_builds_its_shared_prefixes_once(monkeypatch):
+    # 1/(phi(a x) phi(b L/x)) and phi(a x) phi(b L/x) are built once (4
+    # passes), then the main side (1) and the ten Borel pairs (1 + 3 each):
+    # 45 one-stage passes, where rebuilding the prefixes per side takes 63
+    from qkz.cone import ConeSeries
+
+    stages = []
+    real = ConeSeries.apply
+
+    def counted(self, pipeline):
+        stages.append(len(pipeline))
+        return real(self, pipeline)
+
+    monkeypatch.setattr(ConeSeries, "apply", counted)
+    assert _mismatch(chk_pentagon, seed=1) is None
+    assert stages == [1] * 45
 
 
 # -- one mutation test for every suite -------------------------------------------
