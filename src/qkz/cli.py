@@ -19,8 +19,9 @@ import math
 import sys
 
 from .errors import ConfigError, QkzError
-from .scalars import rat_from_str, sample_generic_point
-from .suites import SuiteConfig, check_limits, report_passed, run_suite, write_report
+from .scalars import Rat, sample_generic_point
+from .suites import (
+    SUITE_OPTIONS, SuiteConfig, check_limits, report_passed, run_suite, write_report)
 
 _NATURAL = (0, math.inf)
 _WINDOW = {"m": _NATURAL, "n": _NATURAL}
@@ -40,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          argument_default=argparse.SUPPRESS)
     ver.add_argument("suite", metavar="SUITE_ID")
     ver.add_argument("--seed", action="append", type=int, dest="seeds", metavar="SEED")
-    for name in ("--points", "--kmax", "--lmax", "--m", "--n", "--N", "--jet-order"):
-        ver.add_argument(name, type=int)
+    for name in ("points", *SUITE_OPTIONS):
+        ver.add_argument("--" + name.replace("_", "-"), type=int)
     ver.add_argument("--out")
     ver.add_argument("--format", choices=("json", "csv"))
 
@@ -82,7 +83,7 @@ def _emit(text: str, path) -> None:
 
 def _rational_option(text: str, flag: str):
     try:
-        return rat_from_str(text)
+        return Rat(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{flag} must be a rational p/s, got {text!r}") from None
 
@@ -91,8 +92,6 @@ def _check_dump_options(args) -> None:
     """Reject a dump command's invalid options with ConfigError before any
     point is sampled; the rational options are parsed in place."""
     check_limits(args.command, _DUMP_LIMITS[args.command], args)
-    if (args.m is None) != (args.n is None):
-        raise ConfigError("--m and --n must be given together")
     if args.command == "rmatrix" and args.lam is not None:
         args.lam = _rational_option(args.lam, "--lambda")
     if args.command == "jackson" and args.a2 is not None:
@@ -135,8 +134,8 @@ def cmd_rmatrix(args) -> int:
     if args.fourd:
         import random
         rng = random.Random(args.seed)
-        m1 = rat_from_str(f"{rng.randint(2, 30)}/{rng.randint(2, 30)}")
-        m4 = rat_from_str(f"{rng.randint(2, 30)}/{rng.randint(2, 30)}")
+        m1 = Rat(rng.randint(2, 30), rng.randint(2, 30))
+        m4 = Rat(rng.randint(2, 30), rng.randint(2, 30))
         mat = r1_fourd((m1, -args.m, -args.n, m4), args.m, args.n, lam)
         meta = {"kind": "small-h first order", "m1": str(m1), "m4": str(m4)}
     else:
@@ -159,7 +158,7 @@ def cmd_jackson(args) -> int:
     from .jackson import JacksonParams, ito_qkz_check, jackson_vector
 
     p = sample_generic_point(args.seed, guard=8).with_overrides(args.m, args.n)
-    a2 = args.a2 if args.a2 is not None else rat_from_str("5/7")
+    a2 = args.a2 if args.a2 is not None else Rat(5, 7)
     jp = JacksonParams.from_point(p, a2)
     vec, pivot = jackson_vector(jp, args.lmax)
     equations = ito_qkz_check(jp, args.lmax)

@@ -83,7 +83,7 @@ def cone_points(n: int, m: int, max_degree: int):
     and degree d is a partition of d with at most b parts, read from its
     smallest part and zero-padded."""
     def blocks(length, total):
-        return [(0,) * (length - len(lam)) + lam.parts[::-1]
+        return [(0,) * (length - len(lam)) + lam[::-1]
                 for lam in partitions_of(total) if len(lam) <= length]
 
     for d in range(max_degree + 1):

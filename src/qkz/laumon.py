@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .cone import ConeSeries
 from .errors import QkzError
-from .partitions import Partition, enumerate_pairs
+from .partitions import conjugate, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
 from .scalars import Monomial, ParamPoint, Rat, dot, product, quotient
 
@@ -80,7 +80,7 @@ def _padded(rows: tuple, size: int):
     return rows + (0,) * (size - len(rows))
 
 
-def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
+def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
     """Orbifolded Nekrasov factor, row form with base-q brackets:
 
         prod_{j >= i >= 1, j-i = k mod n}
@@ -89,9 +89,9 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
             [u q^(lam_a - mu_b) kappa^(a-b-1); q]_(mu_b - mu_{b+1})
     """
     k = k % n
-    ln, mn = len(lam.parts), len(mu.parts)
+    ln, mn = len(lam), len(mu)
     size = ln + mn + 1
-    lr, mr = _padded(lam.parts, size), _padded(mu.parts, size)
+    lr, mr = _padded(lam, size), _padded(mu, size)
     runs = []
     for j in range(ln):
         lo = lr[j + 1]
@@ -106,7 +106,7 @@ def nek_orb(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint
     return _bracket_product(sqrt_u, p, (1, 0), runs)
 
 
-def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
+def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
     """Same factor via the column/floor form with base-kappa^n brackets.
 
     With lv = lam^T, mv = mu^T the two products are
@@ -124,7 +124,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: Para
     difference of two equal floors, 0 for every i, so it is skipped.
     """
     k = k % n
-    lv, mv = lam.transpose().parts, mu.transpose().parts
+    lv, mv = conjugate(lam), conjugate(mu)
     size = len(lv) + len(mv) + 1
     lr, mr = _padded(lv, size), _padded(mv, size)
     runs = []
@@ -151,7 +151,7 @@ def nek_orb_floor(k: int, n: int, lam: Partition, mu: Partition, sqrt_u, p: Para
     return _bracket_product(sqrt_u, p, (0, n), runs)
 
 
-def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint):
+def total_nekrasov_bracket(lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
     """Bracket-normalized total factor as a product over boxes:
 
         prod_{(i,j) in lam} [u q^(lam_i - j) kappa^(-mu^T_j + i - 1)]
@@ -160,12 +160,12 @@ def total_nekrasov_bracket(lam: Partition, mu: Partition, sqrt_u, p: ParamPoint)
     with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Equals prod_k nek_orb(k | n)
     for any n.
     """
-    size = lam.width + mu.width
-    lv, mv = _padded(lam.transpose().parts, size), _padded(mu.transpose().parts, size)
+    size = len(conjugate(lam)) + len(conjugate(mu))
+    lv, mv = _padded(conjugate(lam), size), _padded(conjugate(mu), size)
     runs = [(row - j - 1, i - mv[j], 1)
-            for i, row in enumerate(lam.parts) for j in range(row)]
+            for i, row in enumerate(lam) for j in range(row)]
     runs += [(j - row, lv[j] - i - 1, 1)
-             for i, row in enumerate(mu.parts) for j in range(row)]
+             for i, row in enumerate(mu) for j in range(row)]
     return _bracket_product(sqrt_u, p, (0, 0), runs)
 
 
@@ -199,12 +199,12 @@ class PairFactors:
         self.vv = _sqrt_table(p, v, v)
         self._single = {}
 
-    def single(self, slot: int, lam: Partition):
+    def single(self, slot: int, lam: tuple):
         """(matter, diagonal vector) factor of `lam` as lambda_(slot+1)."""
         key = (slot, lam)
         got = self._single.get(key)
         if got is None:
-            p, empty = self.p, Partition()
+            p, empty = self.p, ()
             matter = product(
                 factor for i in range(2)
                 for factor in (nek_orb((slot - i) % 2, 2, empty, lam, self.uv[i][slot], p),
@@ -254,8 +254,8 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
     for total in range(kmax + lmax + 1):
         for pair in enumerate_pairs(total, widths):
             lam1, lam2 = pair
-            a = lam1.odd_row_sum + lam2.even_row_sum
-            b = lam1.even_row_sum + lam2.odd_row_sum
+            a = sum(lam1[0::2]) + sum(lam2[1::2])
+            b = sum(lam1[1::2]) + sum(lam2[0::2])
             if a <= kmax and b <= lmax:
                 weights.setdefault((a, b), []).append(pair_weight(p, pair, factors))
     m1, m2 = _expansion_monomials(p)

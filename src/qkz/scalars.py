@@ -37,11 +37,6 @@ def rat(num, den=1):
     return Rat(num, den)
 
 
-def rat_from_str(s: str):
-    """Parse "p/s" (or "p") into a Rat."""
-    return Rat(s)
-
-
 def is_plain(x) -> bool:
     """True for ground-ring scalars (int / Rat), False for jets and series."""
     return isinstance(x, int) or type(x) is type(ZERO)

@@ -41,6 +41,9 @@ DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
 RETRY_STRIDE = 7_777_777
 MAX_POINT_RETRIES = 12
+# the options a suite may read besides seeds and points, each with the
+# value it takes when left unset
+SUITE_OPTIONS = {"kmax": 4, "lmax": 4, "m": None, "n": None, "N": None, "jet_order": 2}
 
 
 @dataclass
@@ -48,12 +51,12 @@ class SuiteConfig:
     suite: str
     seeds: tuple = DEFAULT_SEEDS
     points: int = 1
-    kmax: int = 4
-    lmax: int = 4
+    kmax: int | None = None
+    lmax: int | None = None
     m: int | None = None
     n: int | None = None
     N: int | None = None
-    jet_order: int = 2
+    jet_order: int | None = None
     out: str | None = None
     format: str = "json"
 
@@ -72,12 +75,10 @@ class SuiteConfig:
         if len(set(seeds)) < len(seeds):
             raise ConfigError(f"a seed repeats in {seeds} (each --seed S checks "
                               f"S + {SEED_STRIDE} k for k < --points)")
-        if (self.m is None) != (self.n is None):
-            raise ConfigError("--m and --n must be given together")
-        for opt in ("m", "n", "N"):
-            if getattr(self, opt) is not None and opt not in spec.limits:
-                raise ConfigError(f"{self.suite} does not read --{opt}")
         check_limits(self.suite, spec.limits, self)
+        for opt, default in SUITE_OPTIONS.items():
+            if getattr(self, opt) is None:
+                setattr(self, opt, default)
 
     def expanded_seeds(self) -> list:
         """Every seed the run checks: each --seed S with its --points draws."""
@@ -85,12 +86,20 @@ class SuiteConfig:
 
 
 def check_limits(owner: str, limits: dict, options) -> None:
-    """ConfigError unless every option in `limits` that `options` sets (as
-    an attribute) lies within its (low, high) bounds."""
-    for opt, (lo, hi) in limits.items():
-        value = getattr(options, opt)
-        if value is not None and not lo <= value <= hi:
-            flag = "--" + opt.replace("_", "-")
+    """ConfigError unless --m and --n are set together, and every option of
+    SUITE_OPTIONS that `options` sets (as an attribute) is one that `limits`
+    names and lies within its (low, high) bounds."""
+    if (options.m is None) != (options.n is None):
+        raise ConfigError("--m and --n must be given together")
+    for opt in SUITE_OPTIONS:
+        value = getattr(options, opt, None)
+        if value is None:
+            continue
+        flag = "--" + opt.replace("_", "-")
+        if opt not in limits:
+            raise ConfigError(f"{owner} does not read {flag}")
+        lo, hi = limits[opt]
+        if not lo <= value <= hi:
             raise ConfigError(f"{owner} needs {lo} <= {flag} <= {hi}, got {value}")
 
 
@@ -345,7 +354,7 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
         lam = rng.choice(partitions_of(rng.randint(0, max_size)))
         mu = rng.choice(partitions_of(rng.randint(0, max_size - 0)))
         su = Rat(rng.randint(2, 30), rng.randint(2, 30))
-        pair = [list(lam.parts), list(mu.parts)]
+        pair = [list(lam), list(mu)]
         for order in (2, 3, 4):
             factors = []
             for k in range(order):
@@ -419,15 +428,15 @@ def chk_shuffle(rec: Recorder, seed: int, nmax: int = 4):
                         ("factored", "antisymmetrized"))
 
 
-def chk_coupled(rec: Recorder, seed: int, order: int = 4):
-    rec.orders = {"kmax": order, "lmax": order, "total_order": order}
+def chk_coupled(rec: Recorder, seed: int, kmax: int = 4, lmax: int = 4):
+    rec.orders = {"kmax": kmax, "lmax": lmax, "total_order": min(kmax, lmax)}
 
     def attempt(p):
-        return coupled_step(p, solve_shakirov(p, order, order))
+        return coupled_step(p, solve_shakirov(p, kmax, lmax))
 
-    _, relations = _sample_with_retries(rec, seed, 8, attempt)
+    _, relations = _sample_with_retries(rec, seed, max(8, kmax, lmax), attempt)
     for tag, (left, right) in zip(("psi = g K chi", "chi = T(g K chi)"), relations):
-        rec.cone(left, right, 2 * order, {"relation": tag}, RESIDUAL)
+        rec.cone(left, right, kmax + lmax, {"relation": tag}, RESIDUAL)
 
 
 _FOURD_WINDOWS = ((1, 0), (2, 1))
@@ -559,7 +568,7 @@ SUITES = {
     "BAILEY": Suite(chk_bailey, "10W9 transformation, seed {seed}"),
     "SHUFFLE": Suite(chk_shuffle, "factorized antisymmetrization, seed {seed}"),
     "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}",
-                     lambda c: [{"order": min(c.kmax, c.lmax)}], _SERIES_ORDERS),
+                     lambda c: [{"kmax": c.kmax, "lmax": c.lmax}], _SERIES_ORDERS),
     "FOURD_LIMIT": Suite(
         chk_fourd, "small-h limit, seed {seed}",
         lambda c: [{"jet_order": c.jet_order}], {"jet_order": (1, math.inf)}),

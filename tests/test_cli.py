@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,10 @@ def test_jackson_dump(tmp_path):
     (["BAILEY"], "abc"),
     (["BAILEY", "--seed", "1", "--seed", "1"], None),
     (["BAILEY", "--seed", "1", "--seed", "1000004", "--points", "2"], None),
+    (["BAILEY", "--kmax", "-5"], None),
+    (["PENTAGON", "--lmax", "9"], None),
+    (["SHAKIROV_EQ", "--jet-order", "2"], None),
+    (["FOURD_LIMIT", "--lmax", "3"], None),
 ])
 def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, env):
     from qkz import suites
@@ -201,6 +206,18 @@ def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, en
     assert main(["verify", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_readme_option_table_matches_the_registry():
+    # each `| `SUITE` | options | checks |` row names the flags its suite reads
+    from qkz.suites import SUITES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([A-Z0-9_]+)` \| ([^|]*) \|", readme, re.MULTILINE)
+    assert sorted(suite for suite, _ in rows) == sorted(SUITES) and len(SUITES) == 14
+    for suite, options in rows:
+        flags = {flag.replace("-", "_") for flag in re.findall(r"--([A-Za-z][\w-]*)", options)}
+        assert flags == set(SUITES[suite].limits), suite
 
 
 @pytest.mark.parametrize("flag, argv", [

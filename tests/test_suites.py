@@ -44,7 +44,8 @@ NAMES = {
     "HEINE_EXAMPLE": ["basic hypergeometric pair, seed 1"],
 }
 
-# arguments of the first check at kmax=5, lmax=6, seed 1
+# arguments of the first check at seed 1, with kmax=5 and lmax=6 where the
+# suite reads them
 FIRST_ARGS = {
     "SHAKIROV_EQ": {"seed": 1, "kmax": 5, "lmax": 6},
     "RMATRIX_3WAY": {"seed": 1},
@@ -57,7 +58,7 @@ FIRST_ARGS = {
     "PENTAGON": {"seed": 1},
     "BAILEY": {"seed": 1},
     "SHUFFLE": {"seed": 1},
-    "COUPLED": {"seed": 1, "order": 5},
+    "COUPLED": {"seed": 1, "kmax": 5, "lmax": 6},
     "FOURD_LIMIT": {"seed": 1, "jet_order": 2},
     "HEINE_EXAMPLE": {"seed": 1, "lmax": 6},
 }
@@ -98,7 +99,8 @@ def test_registry_covers_every_suite():
 @pytest.mark.parametrize("suite", sorted(NAMES))
 def test_registry_expansion_matches_reference(expand, suite):
     assert [name for name, _ in expand(suite=suite, seeds=(1,))] == NAMES[suite]
-    assert expand(suite=suite, seeds=(1,), kmax=5, lmax=6)[0][1] == FIRST_ARGS[suite]
+    orders = {k: v for k, v in {"kmax": 5, "lmax": 6}.items() if k in SUITES[suite].limits}
+    assert expand(suite=suite, seeds=(1,), **orders)[0][1] == FIRST_ARGS[suite]
 
 
 def test_registry_window_and_N_overrides(expand):
@@ -368,8 +370,9 @@ def test_every_coupled_relation_can_fail(monkeypatch, doubled, relation):
         return tuple(pair)
 
     monkeypatch.setattr(cone, "coupling_series", broken)
-    mismatch = _mismatch(chk_coupled, seed=1)
-    assert mismatch is not None and mismatch["relation"] == relation, mismatch
+    for kmax, lmax in ((4, 4), (4, 6)):
+        mismatch = _mismatch(chk_coupled, seed=1, kmax=kmax, lmax=lmax)
+        assert mismatch is not None and mismatch["relation"] == relation, mismatch
 
 
 def _doubled(real):
@@ -435,7 +438,8 @@ def test_windows_wider_than_the_order_pass(monkeypatch, check, window, factor):
 
 
 @pytest.mark.parametrize("check, orders", [
-    (chk_shakirov, {"kmax": 6, "lmax": 6}), (chk_coupled, {"order": 8})])
+    (chk_shakirov, {"kmax": 6, "lmax": 6}), (chk_coupled, {"kmax": 8, "lmax": 8}),
+    (chk_coupled, {"kmax": 4, "lmax": 6})])
 def test_cone_suites_above_the_acceptance_orders(check, orders):
     assert _mismatch(check, seed=1, **orders) is None
 
