@@ -11,6 +11,5 @@ from .scalars import (  # noqa: F401
     HJet,
     ParamPoint,
     exp_jet,
-    rat,
     sample_generic_point,
 )

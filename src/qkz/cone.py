@@ -12,6 +12,7 @@ monomials can never re-enter the window.
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from typing import NamedTuple
 
 from .errors import ResonanceError
@@ -263,10 +264,7 @@ def solve_shakirov(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
 def coupled_transform_point(p: ParamPoint) -> ParamPoint:
     """Parameter half of the substitution T:
     d2 -> q/(t Q d2), d4 -> q Q / d4 (exact on the fourth-root lattice)."""
-    return p.replace_roots(
-        rd2=p.rq / (p.rt * p.rQ * p.rd2),
-        rd4=p.rq * p.rQ / p.rd4,
-    )
+    return replace(p, rd2=p.rq / (p.rt * p.rQ * p.rd2), rd4=p.rq * p.rQ / p.rd4)
 
 
 def coupling_series(p: ParamPoint, order: int) -> tuple[LambdaSeries, LambdaSeries]:

@@ -10,9 +10,8 @@ to exact Lambda-degrees through base-point ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
 from .partitions import partitions_of
@@ -49,12 +48,10 @@ class JacksonParams:
             d1 = 1/(q^(m-1) a1 b1),  d4 = 1/(q^(n-1) a2 b2),
             Q  = q^(m-n) a1 / (t a2),
 
-        for (a1, b1, b2) given the free choice a2; the point must carry the
-        overrides d2 = q^-m, d3 = q^-n.
+        for (a1, b1, b2) given the free choice a2, on the window (m, n) of
+        the mass-truncated point p.
         """
-        if p.m is None or p.n is None:
-            raise QkzError("JacksonParams needs a mass-truncated point")
-        m, n = p.m, p.n
+        m, n = p.window
         q, t = p.q, p.t
         a1 = p.Q * t * a2 * q ** (n - m)
         b1 = 1 / (q ** (m - 1) * a1 * p.d1)
@@ -69,11 +66,9 @@ class JacksonParams:
     def shifted(self, which: int) -> "JacksonParams":
         """The T_i shift a_i -> t a_i, b_i -> b_i / t (i = 1 or 2)."""
         if which == 1:
-            return JacksonParams(self.a1 * self.t, self.a2, self.b1 / self.t,
-                                 self.b2, self.q, self.t, self.m, self.n)
+            return replace(self, a1=self.a1 * self.t, b1=self.b1 / self.t)
         if which == 2:
-            return JacksonParams(self.a1, self.a2 * self.t, self.b1,
-                                 self.b2 / self.t, self.q, self.t, self.m, self.n)
+            return replace(self, a2=self.a2 * self.t, b2=self.b2 / self.t)
         raise ValueError("which must be 1 or 2")
 
 
@@ -370,8 +365,7 @@ def ito_A_via_R(jp: JacksonParams, lam) -> ScalarMatrix:
     a1, a2, b1, b2, q = jp.a1, jp.a2, jp.b1, jp.b2, jp.q
     N = jp.N
     w = lam * q ** (N - 1)
-    shifted = JacksonParams(a1, a2 * w * a1 * b2, b1, b2 / (w * a1 * b2),
-                            q, jp.t, jp.m, jp.n)
+    shifted = replace(jp, a2=a2 * w * a1 * b2, b2=b2 / (w * a1 * b2))
     s = quotient(q ** (N * (N - 1) // 2) * (a1 * a2 * b2) ** N * qpoch(lam, q, N),
                  qpoch(lam * (a1 * a2 * b1 * b2 * q ** (N - 1)), q, N), "denominator of s")
     D = ScalarMatrix.diagonal([(a1 * b2) ** (-i) * ONE for i in range(N + 1)])
@@ -417,25 +411,25 @@ def al_jackson_compare(p: ParamPoint, a2, lmax: int):
     component pair is proportional with a Lambda-independent constant, so a
     comparison that cross-multiplies (z_J * lead(psi_J) == psi_J * lead(z_J))
     is immune to the overall and per-component normalizations.  Returns
-    (laumon, jackson, info): the two component lists and the observed
+    (laumon, jackson, info, pivot): the two component lists, the observed
     dictionary, leading orders (jackson, laumon) and constants, which are
-    recorded, not assumed.  A component that vanishes through lmax on both
-    sides has leading orders (None, None) and constant None, as does one
-    whose two leading orders differ.
+    recorded, not assumed, and the pivot <e_hat_n> before normalization
+    beside its closed form matsuo_leading_constant(jp, m).  A component
+    that vanishes through lmax on both sides has leading orders
+    (None, None) and constant None, as does one whose two leading orders
+    differ.
     """
-    if p.m is None or p.n is None:
-        raise QkzError("al_jackson_compare needs a mass-truncated point")
-    m, n = p.m, p.n
     jp = JacksonParams.from_point(p, a2)
-    psi, _ = jackson_vector(jp, lmax)
-    z = z_al_truncated(m, n, p, lmax)
-    g = p.t * p.d1 * p.d4 / p.q ** (m + n + 1)
+    psi, pivot = jackson_vector(jp, lmax)
+    z = z_al_truncated(p, lmax)
+    g = p.t * p.d1 * p.d4 / p.q ** (jp.N + 1)
     psig = [s.shift_variable(g) for s in psi]
     leading = [(s.valuation(), c.valuation()) for s, c in zip(psig, z)]
     constants = [None if vz is None or vz != vp else str(c.coeffs[vz] / s.coeffs[vp])
                  for (vp, vz), s, c in zip(leading, psig, z)]
-    return z, psig, {"lambda_dictionary": str(g), "component_constants": constants,
-                     "leading_orders": leading}
+    info = {"lambda_dictionary": str(g), "component_constants": constants,
+            "leading_orders": leading}
+    return z, psig, info, (pivot, matsuo_leading_constant(jp, jp.m))
 
 
 def ito_qkz_check(jp: JacksonParams, lmax: int):

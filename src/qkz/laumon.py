@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cone import ConeSeries
-from .errors import QkzError
 from .partitions import conjugate, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
 from .scalars import Monomial, ParamPoint, Rat, dot, product, quotient
@@ -214,17 +213,19 @@ class PairFactors:
         return got
 
 
-def pair_weight(p: ParamPoint, pair, factors: PairFactors):
-    """Weight of one fixed point (lambda1, lambda2) in the localization sum:
-    matter factors over vector-multiplet factors, order-2 orbifold.
+def pair_weight(pair, factors: PairFactors):
+    """Weight of one fixed point (lambda1, lambda2) in the localization sum
+    at the point factors.p: matter factors over vector-multiplet factors,
+    order-2 orbifold.
 
-    `factors` must be built at p; a sum passes one to all its calls so the
-    single-partition factors are computed once.  Only the two off-diagonal
-    vector factors depend on the pair."""
+    A sum passes one `factors` to all its calls so the single-partition
+    factors are computed once.  Only the two off-diagonal vector factors
+    depend on the pair."""
     lam1, lam2 = pair
     (num1, den1), (num2, den2) = factors.single(0, lam1), factors.single(1, lam2)
-    den = product([den1, den2, nek_orb(1, 2, lam1, lam2, factors.vv[0][1], p),
-                   nek_orb(1, 2, lam2, lam1, factors.vv[1][0], p)])
+    p, vv = factors.p, factors.vv
+    den = product([den1, den2, nek_orb(1, 2, lam1, lam2, vv[0][1], p),
+                   nek_orb(1, 2, lam2, lam1, vv[1][0], p)])
     return quotient(num1 * num2, den, "vector multiplet factor")
 
 
@@ -257,7 +258,7 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
             a = sum(lam1[0::2]) + sum(lam2[1::2])
             b = sum(lam1[1::2]) + sum(lam2[0::2])
             if a <= kmax and b <= lmax:
-                weights.setdefault((a, b), []).append(pair_weight(p, pair, factors))
+                weights.setdefault((a, b), []).append(pair_weight(pair, factors))
     m1, m2 = _expansion_monomials(p)
     out = ConeSeries(kmax, lmax)
     for (a, b), cell in weights.items():
@@ -266,17 +267,16 @@ def z_al(p: ParamPoint, kmax: int, lmax: int) -> ConeSeries:
     return out
 
 
-def z_al_truncated(m: int, n: int, p: ParamPoint, lmax: int):
+def z_al_truncated(p: ParamPoint, lmax: int):
     """Mass-truncated partition function as components psi_s(Lambda),
-    s in [-n, m]; requires overrides d2 = q^-m, d3 = q^-n on the point.
+    s in [-n, m] for the window (m, n) of p (d2 = q^-m, d3 = q^-n).
 
     The components regroup z_al by x-degree s = k - l: a summed pair has
     s in [-width(lambda2), width(lambda1)], inside the window, so the
     rectangle k <= m + lmax, l <= lmax holds every term through Lambda^lmax.
     Returns a list of LambdaSeries indexed by s + n.
     """
-    if p.m != m or p.n != n:
-        raise QkzError("point must carry overrides matching (m, n)")
+    m, n = p.window
     c = z_al(p, m + lmax, lmax).c
     return [LambdaSeries([c[s + b][b] if s + b >= 0 else 0 for b in range(lmax + 1)])
             for s in range(-n, m + 1)]

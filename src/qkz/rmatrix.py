@@ -8,6 +8,8 @@ I = i + n.  All reports print paper-convention indices.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import DegenerateParameterError, QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
@@ -172,15 +174,17 @@ def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
 
 # -- q-KZ residual on the partition-sum components ----------------------------
 
-def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int):
-    """The two sides of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i).
+def qkz_residual(p: ParamPoint, lmax: int):
+    """The two sides of psi_j(L) = sum_i psi_i(L/t) r_{i,j}(L) (qtQ)^(-i)
+    on the window (m, n) of p.
 
     The components come from the mass-truncated partition sum; the matrix is
     evaluated with Lambda as a truncated series scalar, and the right side is
     one row-times-matrix product.  Returns (left, right), two lists of
     LambdaSeries indexed by j + n, expected equal through order lmax - 1.
     """
-    comps = z_al_truncated(m, n, p, lmax)
+    m, n = p.window
+    comps = z_al_truncated(p, lmax)
     lam_var = LambdaSeries.variable(lmax)
     r = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, lam_var, p.q))
     qtQ = p.q * p.t * p.Q
@@ -194,31 +198,28 @@ def qkz_residual(m: int, n: int, p: ParamPoint, lmax: int):
 def coulomb_shifted_point(p: ParamPoint, i: int) -> ParamPoint:
     """Point for the i-th fundamental solution: the equivalent system at
     (m - i, n + i) with d1 -> d1 q^i, d4 -> d4 q^-i, Q -> Q q^(-2i)."""
-    return p.replace_roots(
-        rd1=p.rd1 * p.rq ** i,
-        rd4=p.rd4 * p.rq ** (-i),
-        rQ=p.rQ * p.rq ** (-2 * i),
-    )
+    return replace(p, rd1=p.rd1 * p.rq ** i, rd4=p.rd4 * p.rq ** (-i),
+                   rQ=p.rQ * p.rq ** (-2 * i))
 
 
-def fundamental_matrix(m: int, n: int, p: ParamPoint, lmax: int) -> list:
-    """Rows Y_{i, .} of the fundamental solution matrix, built from m+n+1
-    runs of the mass-truncated partition sum at Coulomb-shifted points.
+def fundamental_matrix(p: ParamPoint, lmax: int) -> list:
+    """Rows Y_{i, .} of the fundamental solution matrix on the window
+    (m, n) of p, built from m+n+1 runs of the mass-truncated partition sum
+    at Coulomb-shifted points.
 
     Row i (paper index, -n <= i <= m) comes from the run at (m-i, n+i);
     position J = j + n of that run's component list already matches the
     column convention, and the unit pivot Y_{i,i}(0) = 1 is automatic.
     """
-    rows = []
-    for ii in range(m + n + 1):
-        i = ii - n
-        p_i = coulomb_shifted_point(p, i).with_overrides(m - i, n + i)
-        rows.append(z_al_truncated(m - i, n + i, p_i, lmax))
-    return rows
+    m, n = p.window
+    return [z_al_truncated(coulomb_shifted_point(p, i).with_overrides(m - i, n + i), lmax)
+            for i in range(-n, m + 1)]
 
 
-def dual_v_prefactor(i: int, m: int, n: int, p: ParamPoint):
-    """v_i without its monomial q^(i(i+1)) (L d1 / q^(m+2))^i part."""
+def dual_v_prefactor(i: int, p: ParamPoint):
+    """v_i without its monomial q^(i(i+1)) (L d1 / q^(m+2))^i part, on the
+    window (m, n) of p."""
+    m, n = p.window
     q, d1, d4 = p.q, p.d1, p.d4
     qv = 1 / (q * p.t * p.Q)
     num = qpoch(qv * q ** (2 + 2 * i), q, m - i) * qpoch(d4 * qv * q ** (1 - n), q, n + i)
@@ -226,25 +227,25 @@ def dual_v_prefactor(i: int, m: int, n: int, p: ParamPoint):
     return quotient(num, den, "denominator of v_i")
 
 
-def dual_qkz_residuals(m: int, n: int, p: ParamPoint, lmax: int):
+def dual_qkz_residuals(p: ParamPoint, lmax: int):
     """The two sides of the dual equation, cleared of negative Lambda powers:
 
         sum_j Y_{i,j}(L, Qv/t) (L d1/q^(m+2))^(j+n) rt_{j,k}(Qv)
           = q^(i(i+1)) (L d1/q^(m+2))^(i+n) vhat_i Y_{i,k}(L, Qv),
 
     with rt the r-matrix at the swapped spectral value q^(m+2) Qv / d1, as
-    one matrix identity.  Returns (left, right), the entries of its two
-    sides as LambdaSeries, row-major in (i, k).
+    one matrix identity on the window (m, n) of p.  Returns (left, right),
+    the entries of its two sides as LambdaSeries, row-major in (i, k).
     """
+    m, n = p.window
     q, t, d1, d4 = p.q, p.t, p.d1, p.d4
     qv = 1 / (q * t * p.Q)
-    y_here = fundamental_matrix(m, n, p, lmax)
-    p_shift = p.replace_roots(rQ=p.rt * p.rQ)      # Qv -> Qv / t
-    y_shift = fundamental_matrix(m, n, p_shift, lmax)
+    y_here = fundamental_matrix(p, lmax)
+    y_shift = fundamental_matrix(replace(p, rQ=p.rt * p.rQ), lmax)      # Qv -> Qv / t
     lam_swap = q ** (m + 2) * qv / d1
     rt = r_closed_form(m, n, d1, d4, lam_swap, q)
     mono = d1 / q ** (m + 2)
-    v = [q ** (i * (i + 1)) * mono ** (i + n) * dual_v_prefactor(i, m, n, p)
+    v = [q ** (i * (i + 1)) * mono ** (i + n) * dual_v_prefactor(i, p)
          for i in range(-n, m + 1)]
     lhs = ScalarMatrix.from_rows(
         [[y.mul_variable_power(jj) * mono ** jj for jj, y in enumerate(row)]
@@ -312,8 +313,7 @@ def heine_dual_residuals(p: ParamPoint, pair):
 
     # (1 - t/(b z2)) T^-1_{t,z2} Y = Y M(t / z2); the z2 shift acts through
     # Q alone (z2 = Q t / d4), leaving a, b and the z1 variable untouched.
-    p_z2 = p.replace_roots(rQ=p.rQ / p.rt)
-    y0s, y1s, _ = heine_solution_pair(p_z2, lmax)
+    y0s, y1s, _ = heine_solution_pair(replace(p, rQ=p.rQ / p.rt), lmax)
     pref2 = 1 - t / (b * z2)
     z2_shift = ([y * pref2 for y in (y0s, y1s)],
                 (Y @ _dual_m_matrix(a, b, z1, z2, t / z2)).entries)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 
 from .errors import DegenerateParameterError, QkzError, SamplingError
@@ -31,10 +31,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(num, den=1):
-    return Rat(num, den)
 
 
 def is_plain(x) -> bool:
@@ -310,9 +306,12 @@ class Monomial(tuple):
 class ParamPoint:
     """Fourth-root parameterization of (q, t, Q, d1..d4).
 
-    q = rq^4 and so on; kappa = t^(-1/2) = rt^(-2).  Optional integer
-    overrides (m, n) force d2 = q^-m and d3 = q^-n exactly (rd2 = rq^-m,
-    rd3 = rq^-n), which is the mass truncation used throughout.
+    q = rq^4 and so on, each computed once at construction; kappa =
+    t^(-1/2) = rt^(-2).  Optional integer overrides (m, n) force
+    d2 = q^-m and d3 = q^-n exactly (rd2 = rq^-m, rd3 = rq^-n), which is
+    the mass truncation used throughout; `window` reads them.  Equality
+    and hashing see only the roots and the overrides; a derived point is
+    `dataclasses.replace` of this one.
     """
 
     rq: object
@@ -324,62 +323,37 @@ class ParamPoint:
     rd4: object
     m: int | None = None
     n: int | None = None
+    q: object = field(init=False, repr=False, compare=False)
+    t: object = field(init=False, repr=False, compare=False)
+    Q: object = field(init=False, repr=False, compare=False)
+    d1: object = field(init=False, repr=False, compare=False)
+    d2: object = field(init=False, repr=False, compare=False)
+    d3: object = field(init=False, repr=False, compare=False)
+    d4: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _ROOT_FIELDS:
-            if getattr(self, name) == 0:
+            root = getattr(self, name)
+            if root == 0:
                 raise DegenerateParameterError(f"fourth root {name} is zero")
+            object.__setattr__(self, name[1:], root ** 4)
 
-    # -- derived accessors, each computed on first read and kept -------------
-
-    @cached_property
-    def q(self):
-        return self.rq ** 4
-
-    @cached_property
-    def t(self):
-        return self.rt ** 4
-
-    @cached_property
-    def Q(self):
-        return self.rQ ** 4
-
-    @cached_property
-    def d1(self):
-        return self.rd1 ** 4
-
-    @cached_property
-    def d2(self):
-        return self.rd2 ** 4
-
-    @cached_property
-    def d3(self):
-        return self.rd3 ** 4
-
-    @cached_property
-    def d4(self):
-        return self.rd4 ** 4
+    @property
+    def window(self) -> tuple[int, int]:
+        """(m, n) of a mass-truncated point, or QkzError without overrides."""
+        if self.m is None or self.n is None:
+            raise QkzError("needs a mass-truncated point (d2 = q^-m, d3 = q^-n)")
+        return self.m, self.n
 
     def at(self, mono: Monomial):
         """The value of a lattice monomial at this point."""
         return product(getattr(self, name) ** e for name, e in zip(_ROOT_FIELDS, mono) if e)
 
-    # -- overrides ----------------------------------------------------------
-
     def with_overrides(self, m: int, n: int) -> "ParamPoint":
         """Force d2 = q^-m, d3 = q^-n exactly (mass truncation)."""
         if m < 0 or n < 0:
             raise ValueError("overrides require m, n >= 0")
-        return ParamPoint(
-            self.rq, self.rt, self.rQ,
-            self.rd1, self.rq ** (-m), self.rq ** (-n), self.rd4,
-            m=m, n=n,
-        )
-
-    def replace_roots(self, **kwargs) -> "ParamPoint":
-        fields = {name: getattr(self, name) for name in _ROOT_FIELDS}
-        fields.update(kwargs)
-        return ParamPoint(**fields, m=self.m, n=self.n)
+        return replace(self, rd2=self.rq ** (-m), rd3=self.rq ** (-n), m=m, n=n)
 
     # -- serialization -------------------------------------------------------
 

@@ -193,11 +193,16 @@ def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overr
     raise QkzError(f"no usable generic point after retries: {last}")
 
 
-def _rng_rationals(seed: int, count: int, lo=2, hi=61):
-    rng = random.Random(seed ^ 0x5EED)
+def _rng_rationals(seed: int, count: int):
+    return _draw_rationals(random.Random(seed ^ 0x5EED), count, 61)
+
+
+def _draw_rationals(rng: random.Random, count: int, hi: int) -> list:
+    """`count` rationals p/s with 2 <= p, s <= hi, drawn until p != s: none
+    is 1, where a bracket [1] = 0 would zero a comparison."""
     out = []
     while len(out) < count:
-        p, s = rng.randint(lo, hi), rng.randint(lo, hi)
+        p, s = rng.randint(2, hi), rng.randint(2, hi)
         if p != s:
             out.append(Rat(p, s))
     return out
@@ -278,7 +283,7 @@ def _rmatrix_3way_compare(rec: Recorder, p, lams):
 def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
     _, (left, right) = _sample_with_retries(
-        rec, seed, 8, lambda p: qkz_residual(m, n, p, lmax), overrides=(m, n))
+        rec, seed, 8, lambda p: qkz_residual(p, lmax), overrides=(m, n))
     for J, (a, b) in enumerate(zip(left, right)):
         rec.series(a, b, lmax - 1, {"component": J - n})
 
@@ -286,7 +291,7 @@ def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
     _, (left, right) = _sample_with_retries(
-        rec, seed, 8, lambda p: dual_qkz_residuals(m, n, p, lmax), overrides=(m, n))
+        rec, seed, 8, lambda p: dual_qkz_residuals(p, lmax), overrides=(m, n))
     for index, (a, b) in enumerate(zip(left, right)):
         i, k = divmod(index, m + n + 1)
         rec.series(a, b, lmax, {"i": i - n, "k": k - n})
@@ -332,7 +337,7 @@ def chk_commutativity(rec: Recorder, seed: int, N: int):
 def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
     a2 = _rng_rationals(seed + 43, 1)[0]
-    _, (laumon, jackson, info) = _sample_with_retries(
+    _, (laumon, jackson, info, pivot) = _sample_with_retries(
         rec, seed, 8, lambda p: al_jackson_compare(p, a2, lmax), overrides=(m, n))
     sides = ("jackson", "laumon")
     for J, (vp, vz) in enumerate(info["leading_orders"]):
@@ -342,6 +347,11 @@ def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
         rec.compare(vp, vz, {**where, "reason": "leading order"}, sides)
         rec.series(jackson[J] * laumon[J].coeffs[vz], laumon[J] * jackson[J].coeffs[vp],
                    lmax, where, sides)
+    # the two normalizations the cross-multiplied pairs cancel, each against
+    # its closed form: the empty pair alone gives x^0 Lambda^0 the weight 1
+    rec.compare(laumon[n].coeffs[0], 1, {"component": 0, "order": 0},
+                ("laumon", "empty_pair"))
+    rec.compare(*pivot, {"reason": "Jackson pivot"}, ("lattice_sum", "closed_form"))
     return info
 
 
@@ -352,8 +362,8 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
     rng = random.Random(seed ^ 0xA11CE)
     for trial in range(pair_count):
         lam = rng.choice(partitions_of(rng.randint(0, max_size)))
-        mu = rng.choice(partitions_of(rng.randint(0, max_size - 0)))
-        su = Rat(rng.randint(2, 30), rng.randint(2, 30))
+        mu = rng.choice(partitions_of(rng.randint(0, max_size)))
+        [su] = _draw_rationals(rng, 1, 30)
         pair = [list(lam), list(mu)]
         for order in (2, 3, 4):
             factors = []
@@ -502,7 +512,7 @@ def chk_heine(rec: Recorder, seed: int, lmax: int = 4):
     rec.orders = {"lmax": lmax}
 
     def attempt(p):
-        comps = z_al_truncated(1, 0, p, lmax)
+        comps = z_al_truncated(p, lmax)
         pair = heine_solution_pair(p, lmax)
         return comps, pair, heine_dual_residuals(p, pair)
 

@@ -1,12 +1,14 @@
 """Code that only tests call does not stay in the package: every function,
 class and method defined in ``src/qkz`` is referenced by name somewhere
-else in ``src/qkz``.  Exempt are dunder methods (Python calls them), the
+else in ``src/qkz``.  A re-export in ``__init__.py`` is not a caller, so it
+keeps no test-only code alive.  Exempt are dunder methods (Python calls them), the
 layers the benchmark traces (``LAYERS`` in ``perfbench/tracer.py``, read
 here and not edited), and ``cone.apply_full_step``, the solver's operator,
 which the Hamiltonian-representation check is to call."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,11 +55,14 @@ def _references(tree):
 
 def unreferenced():
     """Qualified names, as (module, name), of the definitions in the package
-    that nothing outside their own body refers to."""
+    that nothing outside their own body and the package's re-exports refers
+    to."""
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     sites = {}
     for module, tree in trees.items():
+        if module == "__init__":
+            continue
         for name, line in _references(tree):
             sites.setdefault(name, []).append((module, line))
     found = []
@@ -83,3 +88,15 @@ def test_the_scan_reports_a_definition_without_a_caller():
     found = unreferenced()
     assert ("cone", "apply_full_step") in found
     assert ("qseries", "qbracket_poch") in found
+
+
+def test_a_re_export_is_not_a_caller(tmp_path, monkeypatch):
+    # a function that only ``__init__.py`` names is reported
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "scalars.py", "a") as fh:
+        fh.write("\n\ndef exported_only():\n    return 1\n")
+    with open(tmp_path / "__init__.py", "a") as fh:
+        fh.write("\nfrom .scalars import exported_only  # noqa: F401\n")
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+    assert ("scalars", "exported_only") in unreferenced()

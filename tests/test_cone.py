@@ -14,7 +14,7 @@ from qkz.cone import (
 )
 from qkz.errors import ResonanceError
 from qkz.qseries import dbl_qt_poch_series
-from qkz.scalars import ParamPoint, rat, sample_generic_point, shakirov_eigenvalue
+from qkz.scalars import ParamPoint, Rat, sample_generic_point, shakirov_eigenvalue
 
 P = sample_generic_point(1, guard=8)
 Q = P.q
@@ -47,14 +47,14 @@ def test_borel_examples():
 
 
 def test_borel_inverse_is_identity():
-    s = ConeSeries(2, 2, [[rat(1), rat(2), rat(3)],
-                          [rat(5), rat(7), rat(11)],
-                          [rat(13), rat(17), rat(19)]])
+    s = ConeSeries(2, 2, [[Rat(1), Rat(2), Rat(3)],
+                          [Rat(5), Rat(7), Rat(11)],
+                          [Rat(13), Rat(17), Rat(19)]])
     assert s.borel(Q).borel(Q, direction=-1) == s
 
 
 def test_shift_examples():
-    s = _monomial(2, 1, 3, 3, value=rat(1))  # x^2 (L/x): a=1, l=1
+    s = _monomial(2, 1, 3, 3, value=Rat(1))  # x^2 (L/x): a=1, l=1
     px = 1 / (Q * P.t * P.Q)
     pl = 1 / P.t
     out = s.shift(px, pl)
@@ -65,7 +65,7 @@ def test_shift_examples():
 def test_commutation_relations():
     # B (x .) = q (x .) shift_x(q) B  on a random series
     s = ConeSeries(3, 3)
-    vals = [rat(3, 5), rat(2, 7), rat(1), rat(4, 9)]
+    vals = [Rat(3, 5), Rat(2, 7), Rat(1), Rat(4, 9)]
     it = iter(vals * 4)
     for k in range(3):
         for l in range(3):
@@ -83,7 +83,7 @@ def test_mul_phi_examples():
     one = ConeSeries.one(4, 4)
     assert one.mul_phi(0, Q, AXIS_X) == one
     assert one.mul_phi(Q, Q, AXIS_X).c[1][0] == -Q / (1 - Q)
-    prod = one.mul_phi(rat(2, 3), Q, AXIS_X).mul_phi(rat(2, 3), Q, AXIS_X, inverted=True)
+    prod = one.mul_phi(Rat(2, 3), Q, AXIS_X).mul_phi(Rat(2, 3), Q, AXIS_X, inverted=True)
     assert prod == one
 
 
@@ -95,7 +95,7 @@ def test_apply_hs_constant_and_first_order():
 
 @pytest.mark.parametrize("nn", range(-2, 3))
 def test_borel_lemma_both_forms(nn):
-    alpha, beta = rat(2, 5), rat(3, 7)
+    alpha, beta = Rat(2, 5), Rat(3, 7)
     one = ConeSeries.one(6, 6)
     lhs = one.mul_phi(alpha, Q, AXIS_X, inverted=True) \
              .mul_phi(beta, Q, AXIS_LX, inverted=True).borel(Q, x_offset=nn)
@@ -161,10 +161,10 @@ def test_solver_resonance_detection():
     # both solvers name the same resonant cell
     for rQ, cell in (
             # lambda_{1,0} = q^2 (qtQ)^-1 = 1 <=> Q = q / t
-            (rat(2) / rat(3), (1, 0)),
+            (Rat(2) / Rat(3), (1, 0)),
             # lambda_{2,1} = q^2 (qtQ)^-1 t^-1 = 1 <=> Q = q / t^2, met at level 3
-            (rat(2) / rat(3) ** 2, (2, 1))):
-        bad = ParamPoint(rat(2), rat(3), rQ, rat(3, 2), rat(5, 2), rat(7, 3), rat(9, 5))
+            (Rat(2) / Rat(3) ** 2, (2, 1))):
+        bad = ParamPoint(Rat(2), Rat(3), rQ, Rat(3, 2), Rat(5, 2), Rat(7, 3), Rat(9, 5))
         assert shakirov_eigenvalue(bad, *cell) == 1
         for solve in (solve_shakirov, _solve_full_rectangle):
             with pytest.raises(ResonanceError, match=rf"\(k, l\) = \({cell[0]}, {cell[1]}\)"):
@@ -321,7 +321,7 @@ def _scatter_mul_axis(s, coeffs, axis):
 def _random_series(rng, kmax, lmax):
     # about a third of the cells are zero, as on a mass-truncated window
     return ConeSeries(kmax, lmax, [
-        [rat(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else 0
+        [Rat(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else 0
          for _ in range(lmax + 1)] for _ in range(kmax + 1)])
 
 
@@ -332,13 +332,13 @@ def test_stages_equal_their_cell_formulas(kmax, lmax):
     rng = random.Random(kmax * 10 + lmax)
     s = _random_series(rng, kmax, lmax)
     for axis in (AXIS_X, AXIS_LX, AXIS_L):
-        for coeffs in ([0, 1], [rat(2, 3)] * 9, [rat(rng.randint(1, 9), 7) for _ in range(3)]):
+        for coeffs in ([0, 1], [Rat(2, 3)] * 9, [Rat(rng.randint(1, 9), 7) for _ in range(3)]):
             assert s.apply([Stage(coeffs, axis)]).c == _scatter_mul_axis(s, coeffs, axis).c
     for direction, offset in ((1, 0), (-1, 2), (1, -1)):
         borel = s.borel(Q, direction, offset)
-        shifted = s.shift(rat(3, 5), rat(-2, 7))
+        shifted = s.shift(Rat(3, 5), Rat(-2, 7))
         for k in range(kmax + 1):
             for l in range(lmax + 1):
                 a = k - l + offset
                 assert borel.c[k][l] == s.c[k][l] * Q ** (direction * (a * (a + 1) // 2))
-                assert shifted.c[k][l] == s.c[k][l] * rat(3, 5) ** (k - l) * rat(-2, 7) ** l
+                assert shifted.c[k][l] == s.c[k][l] * Rat(3, 5) ** (k - l) * Rat(-2, 7) ** l

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from qkz.errors import DegenerateParameterError, QkzError
+from qkz.errors import DegenerateParameterError
 from qkz.jackson import (
     JacksonParams,
     al_jackson_compare,
@@ -26,9 +27,9 @@ from qkz.jackson import (
 )
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries, qfactorial, qpoch
-from qkz.scalars import ONE, Rat, quotient, rat, sample_generic_point
+from qkz.scalars import ONE, Rat, quotient, sample_generic_point
 
-A2 = rat(5, 7)
+A2 = Rat(5, 7)
 
 
 def _params(seed, m, n, a2=A2):
@@ -78,7 +79,7 @@ def test_weight_ratio_base_point_and_additivity():
     xi = jp.cycle()
     i = 1  # the stepped coordinate
     z_now = xi[i] * t
-    direct = rat(1)
+    direct = Rat(1)
     direct = direct / ((1 - t * z_now / jp.a1) * (1 - t * z_now / jp.a2))
     direct = direct * (1 - jp.b1 * z_now) * (1 - jp.b2 * z_now)
     direct = direct * (q * q / t) ** (0)  # i is the last coordinate: N-1-i = 0
@@ -98,8 +99,8 @@ def test_one_step_weight_against_infinite_product_quotient():
     xi = jp.cycle()
     w = weight_ratio(jp, (1,))
     for M in (3, 11):
-        num = rat(1)
-        den = rat(1)
+        num = Rat(1)
+        den = Rat(1)
         z0, z1 = xi[0], xi[0] * t
         for s in range(M):
             num = num * (1 - t ** (s + 1) * z1 / jp.a1) * (1 - t ** (s + 1) * z1 / jp.a2)
@@ -119,20 +120,20 @@ def _e_hat(a, b, z, q):
 
 
 def test_matsuo_symmetric_under_permutation():
-    q = rat(3, 5)
-    z = [rat(2, 7), rat(5, 3), rat(9, 4)]
+    q = Rat(3, 5)
+    z = [Rat(2, 7), Rat(5, 3), Rat(9, 4)]
     rng = random.Random(1)
     for _ in range(4):
         perm = z[:]
         rng.shuffle(perm)
-        assert matsuo_e(rat(7, 3), rat(2, 9), z, q) == \
-            matsuo_e(rat(7, 3), rat(2, 9), perm, q)
+        assert matsuo_e(Rat(7, 3), Rat(2, 9), z, q) == \
+            matsuo_e(Rat(7, 3), Rat(2, 9), perm, q)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5])
 def test_matsuo_matches_antisymmetrization(N):
     rng = random.Random(N)
-    q, a, b = rat(3, 5), rat(7, 3), rat(2, 9)
+    q, a, b = Rat(3, 5), Rat(7, 3), Rat(2, 9)
     z = []
     while len(z) < N:
         v = Rat(rng.randint(2, 60), rng.randint(2, 60))
@@ -147,7 +148,7 @@ def test_matsuo_matches_antisymmetrization(N):
 def test_matsuo_geometric_specialization():
     # e_k(a, b; (x, xq, ..., x q^(N-1)))
     #   = [N]_{1/q}! prod_{i<k} (1 - q^i x/a) prod_{k<=i<N} (1 - q^i b x)
-    q, a, b, x = rat(3, 5), rat(7, 3), rat(2, 9), rat(4, 7)
+    q, a, b, x = Rat(3, 5), Rat(7, 3), Rat(2, 9), Rat(4, 7)
     for N in (1, 2, 3, 4):
         z = [x * q ** i for i in range(N)]
         for k in range(N + 1):
@@ -160,8 +161,8 @@ def test_matsuo_geometric_specialization():
 
 
 def test_matsuo_extreme_index_is_pure_product():
-    q, a, b = rat(3, 5), rat(7, 3), rat(2, 9)
-    z = [rat(2, 7), rat(5, 3), rat(9, 4)]
+    q, a, b = Rat(3, 5), Rat(7, 3), Rat(2, 9)
+    z = [Rat(2, 7), Rat(5, 3), Rat(9, 4)]
     full = _e_hat(a, b, z, q)[3]
     want = qfactorial(3, 1 / q)
     for v in z:
@@ -193,18 +194,18 @@ def test_jackson_vector_depth_stability():
 def test_ito_matrix_shapes_and_base_case():
     p, jp = _params(33, 0, 0)
     assert ito_R(jp)[0, 0] == 1
-    assert ito_A(jp, rat(2, 9))[0, 0] is not None
+    assert ito_A(jp, Rat(2, 9))[0, 0] is not None
     p, jp = _params(33, 2, 1)
     R = ito_R(jp)
     assert R == ito_R_alt(jp)
-    lam = rat(2, 9)
+    lam = Rat(2, 9)
     assert ito_A(jp, lam) == ito_A_via_R(jp, lam)
 
 
 def test_gauss_factor_triangularity_shapes():
     # both matrices admit exact LDU with unit-diagonal triangular factors
     p, jp = _params(37, 2, 1)
-    lam = rat(3, 8)
+    lam = Rat(3, 8)
     N = jp.N
     for build, name in ((lambda: ito_R(jp), "R"), (lambda: ito_A(jp, lam), "A")):
         # reconstruct the factors through the module internals by re-running
@@ -213,7 +214,7 @@ def test_gauss_factor_triangularity_shapes():
         M = build()
         # LDU via Gaussian elimination (Doolittle): exact, unit diagonals
         L = ScalarMatrix.identity(N + 1)
-        U = ScalarMatrix(N + 1, N + 1, [rat(0)] * (N + 1) ** 2)
+        U = ScalarMatrix(N + 1, N + 1, [Rat(0)] * (N + 1) ** 2)
         A = M.copy()
         for k in range(N + 1):
             for j in range(k, N + 1):
@@ -235,7 +236,7 @@ def test_gauss_factor_triangularity_shapes():
 def test_commutativity(window):
     m, n = window
     p, jp = _params(35 + m + n, m, n)
-    lam = rat(2, 9)
+    lam = Rat(2, 9)
     R = ito_R(jp)
     A = ito_A(jp, lam)
     D2 = d2_matrix(jp, lam)
@@ -265,7 +266,7 @@ def test_ito_difference_equations(window):
 
 def test_d_matrices_display():
     p, jp = _params(41, 1, 1)
-    lam = rat(2, 9)
+    lam = Rat(2, 9)
     N = jp.N
     D1 = d1_matrix(jp, lam)
     D2 = d2_matrix(jp, lam)
@@ -285,17 +286,18 @@ def _cross_multiplied_agree(laumon, jackson, leading):
 def test_al_jackson_componentwise(window):
     m, n = window
     p = sample_generic_point(51, guard=8).with_overrides(m, n)
-    laumon, jackson, info = al_jackson_compare(p, A2, 3)
+    laumon, jackson, info, (pivot, closed) = al_jackson_compare(p, A2, 3)
     # leading orders: max(0, n - J) on both sides
     for J, (vp, vz) in enumerate(info["leading_orders"]):
         assert vp == vz == max(0, n - J)
     assert _cross_multiplied_agree(laumon, jackson, info["leading_orders"])
+    assert laumon[n].coeffs[0] == 1 and pivot == closed
 
 
 def test_al_jackson_skips_components_zero_on_both_sides():
     # window (0, 2) at lmax 1: the component J = 0 starts at Lambda^2
     p = sample_generic_point(1, guard=8).with_overrides(0, 2)
-    laumon, jackson, info = al_jackson_compare(p, A2, 1)
+    laumon, jackson, info, _ = al_jackson_compare(p, A2, 1)
     assert info["leading_orders"] == [(None, None), (1, 1), (0, 0)]
     assert _cross_multiplied_agree(laumon, jackson, info["leading_orders"])
     assert info["component_constants"][0] is None
@@ -308,8 +310,8 @@ def test_al_jackson_one_side_zero_is_a_mismatch(monkeypatch):
 
     real = qkz.jackson.z_al_truncated
 
-    def laumon_with_a_zero_component(m, n, p, lmax):
-        comps = real(m, n, p, lmax)
+    def laumon_with_a_zero_component(p, lmax):
+        comps = real(p, lmax)
         comps[1] = comps[1] * 0
         return comps
 
@@ -321,10 +323,13 @@ def test_al_jackson_one_side_zero_is_a_mismatch(monkeypatch):
 
 
 def test_al_jackson_fails_when_nothing_is_compared(monkeypatch):
+    # no component is compared when both sides vanish, and the check then
+    # fails at the empty pair's constant, which the Laumon side lacks
     import qkz.jackson
     from qkz.suites import _execute
 
-    def zeros(m, n, p, lmax):
+    def zeros(p, lmax):
+        m, n = p.window
         return [LambdaSeries.constant(0, lmax) for _ in range(m + n + 1)]
 
     real = qkz.jackson.jackson_vector
@@ -334,21 +339,39 @@ def test_al_jackson_fails_when_nothing_is_compared(monkeypatch):
     p = sample_generic_point(51, guard=8).with_overrides(1, 1)
     assert al_jackson_compare(p, A2, 3)[2]["leading_orders"] == [(None, None)] * 3
     record = _execute(("AL_EQ_JACKSON", {"seed": 51, "m": 1, "n": 1, "lmax": 3}))
-    assert record["status"] == "fail" and record["stats"] == {"compared": 0, "nonzero": 0}
-    assert record["mismatch"] == {"reason": "no compared value is nonzero", "compared": 0}
+    assert record["status"] == "fail" and record["stats"] == {"compared": 1, "nonzero": 1}
+    assert record["mismatch"] == {"component": 0, "order": 0, "laumon": "0", "empty_pair": "1"}
+
+
+@pytest.mark.parametrize("doubled", ["laumon", "pivot"])
+def test_al_jackson_constants_can_fail_at_window_0_0(monkeypatch, doubled):
+    # at (0, 0) both sides are one constant series, and the cross-multiplied
+    # pair holds whatever they are: only the two constants can fail there
+    import qkz.jackson
+    from qkz.suites import _execute
+
+    task = ("AL_EQ_JACKSON", {"seed": 1, "m": 0, "n": 0, "lmax": 3})
+    assert _execute(task)["status"] == "pass"
+    if doubled == "laumon":
+        real = qkz.jackson.z_al_truncated
+        monkeypatch.setattr(qkz.jackson, "z_al_truncated",
+                            lambda p, lmax: [c * 2 for c in real(p, lmax)])
+        want = {"component": 0, "order": 0, "laumon": "2", "empty_pair": "1"}
+    else:
+        real = qkz.jackson.jackson_vector_raw
+        monkeypatch.setattr(qkz.jackson, "jackson_vector_raw",
+                            lambda jp, lmax: [c * 2 for c in real(jp, lmax)])
+        want = {"reason": "Jackson pivot", "lattice_sum": "2", "closed_form": "1"}
+    record = _execute(task)
+    assert record["status"] == "fail"
+    assert record["mismatch"] == want
 
 
 def test_al_jackson_constants_independent_of_a2():
     p = sample_generic_point(51, guard=8).with_overrides(1, 1)
-    info1 = al_jackson_compare(p, rat(5, 7), 3)[2]
-    info2 = al_jackson_compare(p, rat(9, 4), 3)[2]
+    info1 = al_jackson_compare(p, Rat(5, 7), 3)[2]
+    info2 = al_jackson_compare(p, Rat(9, 4), 3)[2]
     assert info1["component_constants"] == info2["component_constants"]
-
-
-def test_from_point_requires_overrides():
-    p = sample_generic_point(51, guard=6)
-    with pytest.raises(QkzError):
-        JacksonParams.from_point(p, A2)
 
 
 # -- oracles: the separate forms that the shared telescoping rule replaced -----
@@ -504,7 +527,7 @@ def test_base_shift_at_a_degenerate_point_raises(m, n):
     # denominator (b1 a2 q^r / t; t)_1 of the T_1 ratio
     base = sample_generic_point(1, guard=8)
     for r in range(n):
-        p = base.replace_roots(rd1=base.rq ** (r - n + 1) / (base.rQ * base.rt ** 2))
+        p = replace(base, rd1=base.rq ** (r - n + 1) / (base.rQ * base.rt ** 2))
         jp = JacksonParams.from_point(p.with_overrides(m, n), A2)
         assert jp.b1 * jp.a2 * jp.q ** r == jp.t
         with pytest.raises(DegenerateParameterError):
@@ -545,7 +568,7 @@ def test_table_and_per_point_forms_degenerate_at_the_same_cone(seed, m, n, lmax)
     # at s = lmax - 1, at (1, 1) the cross factor (t z1/(q z0); t) does: in
     # both, only at a cone point of degree lmax
     base = sample_generic_point(seed, guard=8)
-    p = base.replace_roots(rQ=base.rq / base.rt ** (lmax + 1)).with_overrides(m, n)
+    p = replace(base, rQ=base.rq / base.rt ** (lmax + 1)).with_overrides(m, n)
     jp = JacksonParams.from_point(p, A2)
     assert jp.a1 / jp.a2 == jp.q ** (n - m + 1) / jp.t ** lmax
     what = "telescoped factor" if n == 0 else "telescoped cross factor"

@@ -18,13 +18,13 @@ from qkz.qseries import (
     very_well_poised,
     w10_9,
 )
-from qkz.scalars import Rat, quotient, rat
+from qkz.scalars import Rat, quotient
 
 nonzero_rats = st.builds(Rat, st.integers(1, 30), st.integers(1, 30))
 
 
 def test_qpoch_examples():
-    a, q = rat(2), rat(3)
+    a, q = Rat(2), Rat(3)
     assert qpoch(a, q, 0) == 1
     assert qpoch(a, q, 2) == (1 - 2) * (1 - 6)
     # splitting (a)_{k+l} = (a)_k (a q^k)_l at k = l = 1
@@ -46,16 +46,16 @@ def test_qpoch_splitting(a, q, k, ell):
 
 
 def test_qbracket_examples():
-    assert qbracket_poch(rat(2), rat(3), 0) == 1
+    assert qbracket_poch(Rat(2), Rat(3), 0) == 1
     # [u]_1 = u^(-1/2) - u^(1/2) at u = 4
-    assert qbracket_poch(rat(2), rat(7), 1) == Rat(1, 2) - 2 == Rat(-3, 2)
-    assert qbracket_poch(rat(2), rat(3), 2) == Rat(35, 4)
+    assert qbracket_poch(Rat(2), Rat(7), 1) == Rat(1, 2) - 2 == Rat(-3, 2)
+    assert qbracket_poch(Rat(2), Rat(3), 2) == Rat(35, 4)
 
 
 @given(nonzero_rats, nonzero_rats, st.integers(0, 6))
 def test_qbracket_product_form(su, sq, n):
     # [u; q]_n = prod over [q^i u] with [v] = v^(-1/2) - v^(1/2)
-    expect = rat(1)
+    expect = Rat(1)
     for i in range(n):
         sv = su * sq ** i
         expect = expect * (1 / sv - sv)
@@ -99,25 +99,25 @@ def test_bracket_parts_zero_input_is_degenerate(args):
 
 
 def test_qbinom_examples():
-    q = rat(5, 7)
+    q = Rat(5, 7)
     assert qbinom(3, 0, q) == 1
     assert qbinom(2, 1, q) == 1 + q
-    for qv in (rat(2, 3), rat(5), rat(7, 2)):
+    for qv in (Rat(2, 3), Rat(5), Rat(7, 2)):
         assert qbinom(4, 2, qv) == (1 + qv ** 2) * (1 + qv + qv ** 2)
     with pytest.raises(ValueError):
         qbinom(2, 3, q)
 
 
 def test_phi_coeffs_examples():
-    q = rat(1, 2)
-    assert phi_coeffs(rat(3), q, 0) == [1]
+    q = Rat(1, 2)
+    assert phi_coeffs(Rat(3), q, 0) == [1]
     # Euler: coefficient of z^1 in (c z; q)_inf is -c/(1-q)
-    assert phi_coeffs(rat(3), q, 1)[1] == rat(-3) / (1 - q)
-    inv = phi_coeffs(rat(1), q, 2, inverted=True)
+    assert phi_coeffs(Rat(3), q, 1)[1] == Rat(-3) / (1 - q)
+    inv = phi_coeffs(Rat(1), q, 2, inverted=True)
     assert inv[2] == Rat(8, 3)
     # product of the two is 1 through the truncation order
     K = 6
-    c = rat(2, 5)
+    c = Rat(2, 5)
     direct = phi_coeffs(c, q, K)
     inverse = phi_coeffs(c, q, K, inverted=True)
     conv = [sum(direct[i] * inverse[k - i] for i in range(k + 1)) for k in range(K + 1)]
@@ -125,7 +125,7 @@ def test_phi_coeffs_examples():
 
 
 def test_dbl_qt_poch_series_examples():
-    q, t, c = rat(1, 2), rat(1, 3), rat(2, 7)
+    q, t, c = Rat(1, 2), Rat(1, 3), Rat(2, 7)
     s = dbl_qt_poch_series(c, q, t, 0)
     assert s.coeffs == (1,)
     s = dbl_qt_poch_series(c, q, t, 1)
@@ -134,7 +134,7 @@ def test_dbl_qt_poch_series_examples():
 
 def test_dbl_qt_poch_finite_product_oracle():
     # exact peel-off: (c L; q, t)_inf = [prod_{m<M} (c t^m L; q)_inf] (c t^M L; q, t)_inf
-    q, t, c = rat(1, 2), rat(1, 3), rat(2, 7)
+    q, t, c = Rat(1, 2), Rat(1, 3), Rat(2, 7)
     L = 5
     target = dbl_qt_poch_series(c, q, t, L)
     for M in (1, 3, 6):
@@ -147,12 +147,12 @@ def test_dbl_qt_poch_finite_product_oracle():
 @pytest.mark.parametrize("count", range(6))
 def test_hyper_terms_are_pochhammer_ratios(count):
     # t_k = z^k prod (a;q)_k / prod (b;q)_k, each term from qpoch directly
-    q, z = rat(2, 7), rat(5, 3)
-    nums, dens = (rat(3, 5), rat(9, 4), rat(7, 2)), (q, rat(4, 11))
+    q, z = Rat(2, 7), Rat(5, 3)
+    nums, dens = (Rat(3, 5), Rat(9, 4), Rat(7, 2)), (q, Rat(4, 11))
     terms = hyper_terms(nums, dens, q, z, count, "test denominator")
     assert len(terms) == count + 1
     for k, term in enumerate(terms):
-        num = den = rat(1)
+        num = den = Rat(1)
         for a in nums:
             num = num * qpoch(a, q, k)
         for b in dens:
@@ -162,31 +162,31 @@ def test_hyper_terms_are_pochhammer_ratios(count):
 
 def test_hyper_terms_vanishing_denominator_is_degenerate():
     # (q^-1; q)_k vanishes from k = 2 on
-    q = rat(2, 7)
-    assert len(hyper_terms((rat(3),), (1 / q,), q, 1, 1, "test")) == 2
+    q = Rat(2, 7)
+    assert len(hyper_terms((Rat(3),), (1 / q,), q, 1, 1, "test")) == 2
     with pytest.raises(DegenerateParameterError):
-        hyper_terms((rat(3),), (1 / q,), q, 1, 2, "test")
+        hyper_terms((Rat(3),), (1 / q,), q, 1, 2, "test")
 
 
 def test_heine_examples():
-    base = rat(1, 2)
-    a, b, c = rat(2), rat(3), rat(5)
+    base = Rat(1, 2)
+    a, b, c = Rat(2), Rat(3), Rat(5)
     assert heine_2phi1(a, b, c, base, 0).coeffs == (1,)
-    assert heine_2phi1(rat(1), b, c, base, 3).coeffs == (1, 0, 0, 0)
+    assert heine_2phi1(Rat(1), b, c, base, 3).coeffs == (1, 0, 0, 0)
     s = heine_2phi1(a, b, c, base, 1)
     assert s.coeffs[1] == -1
 
 
 def test_w10_9_terminates():
-    q = rat(1, 3)
-    args = [rat(2, 7), rat(3, 5), rat(5, 2), rat(7, 3), rat(2, 9), rat(4, 11), rat(8, 3)]
+    q = Rat(1, 3)
+    args = [Rat(2, 7), Rat(3, 5), Rat(5, 2), Rat(7, 3), Rat(2, 9), Rat(4, 11), Rat(8, 3)]
     assert w10_9(*args, 0, q) == 1
 
 
 def test_6w5_summation():
     # 6W5(a; b, c, q^-n; q, a q^(n+1)/(b c)) = (aq, aq/bc; q)_n / ((aq/b, aq/c; q)_n)
-    q = rat(2, 5)
-    a, b, c = rat(3, 7), rat(5, 3), rat(7, 2)
+    q = Rat(2, 5)
+    a, b, c = Rat(3, 7), Rat(5, 3), Rat(7, 2)
     for n in range(5):
         z = a * q ** (n + 1) / (b * c)
         lhs = very_well_poised(a, (b, c, q ** (-n)), n, q, z)
@@ -199,8 +199,8 @@ def test_6w5_matrix_transition_instance():
     # the summable instance behind the triangular-matrix transition law:
     # 6W5(b q^(2j); a q^(i+j), b/c, q^(j-i); q, c q/a)
     #   = (a/c, b q^(2j+1); q)_(i-j) / ((a/b, c q^(2j+1); q)_(i-j)) (c/b)^(i-j)
-    q = rat(2, 7)
-    a, b, c = rat(3, 5), rat(9, 4), rat(5, 11)
+    q = Rat(2, 7)
+    a, b, c = Rat(3, 5), Rat(9, 4), Rat(5, 11)
     for j in range(3):
         for i in range(j, j + 4):
             head = b * q ** (2 * j)
@@ -213,8 +213,8 @@ def test_6w5_matrix_transition_instance():
 
 
 def test_bailey_transformation():
-    q = rat(2, 7)
-    a, b, c, d, e, f = rat(3, 5), rat(5, 9), rat(7, 4), rat(2, 3), rat(9, 8), rat(4, 13)
+    q = Rat(2, 7)
+    a, b, c, d, e, f = Rat(3, 5), Rat(5, 9), Rat(7, 4), Rat(2, 3), Rat(9, 8), Rat(4, 13)
     for n in (0, 1, 4):
         lhs, rhs = bailey_check(a, b, c, d, e, f, n, q)
         assert lhs == rhs

@@ -21,11 +21,11 @@ from qkz.rmatrix import (
     ruw_entry,
     rwv_entry,
 )
-from qkz.scalars import HJet, exp_jet, quotient, rat, sample_generic_point
+from qkz.scalars import HJet, Rat, exp_jet, quotient, sample_generic_point
 
 P = sample_generic_point(5, guard=8)
 Q, D1, D4 = P.q, P.d1, P.d4
-LAM = rat(3, 11)
+LAM = Rat(3, 11)
 
 
 def test_two_by_two_display():
@@ -104,7 +104,7 @@ def _r_hg_entrywise(m, n, d1, d4, lam, q):
 
 def test_r_hg_entry_base_case():
     # N = 0 reduces to the empty-product prefactor
-    val = _r_hg_entry(0, 0, 0, rat(3, 7), rat(2, 5), rat(9, 4), rat(1, 2))
+    val = _r_hg_entry(0, 0, 0, Rat(3, 7), Rat(2, 5), Rat(9, 4), Rat(1, 2))
     assert val == 1
 
 
@@ -112,7 +112,7 @@ def test_r_hg_entry_base_case():
                                     (3, 1), (1, 3), (3, 3)])
 def test_hg_matrix_equals_its_entrywise_sum(window):
     m, n = window
-    for lam in (LAM, rat(7, 2), rat(-5, 13)):
+    for lam in (LAM, Rat(7, 2), Rat(-5, 13)):
         r = r_hg_matrix(m, n, D1, D4, lam, Q)
         want = _r_hg_entrywise(m, n, D1, D4, lam, Q)
         assert [[r[I, J] for J in range(m + n + 1)] for I in range(m + n + 1)] == want
@@ -179,7 +179,7 @@ def test_transition_matrix_shapes():
 
 
 def test_lambda_zero_triangularity():
-    r0 = r_via_linear_system(*expansion_matrices(2, 1, D1, D4, rat(0), Q))
+    r0 = r_via_linear_system(*expansion_matrices(2, 1, D1, D4, Rat(0), Q))
     for I in range(4):
         for J in range(4):
             i, j = I - 1, J - 1
@@ -240,7 +240,7 @@ def test_expansion_matrices_hold_the_basis_polynomials(window, ring):
 def test_qkz_residual(window):
     m, n = window
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
-    left, right = qkz_residual(m, n, p, 4)
+    left, right = qkz_residual(p, 4)
     assert len(left) == len(right) == m + n + 1
     for a, b in zip(left, right):
         assert a.coeffs[:4] == b.coeffs[:4]
@@ -251,11 +251,11 @@ def test_qkz_order_zero_triangular_consistency():
     # the triangular leading matrix
     m, n = 1, 0
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
-    comps = z_al_truncated(m, n, p, 2)
-    r0 = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, rat(0), p.q))
+    comps = z_al_truncated(p, 2)
+    r0 = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, Rat(0), p.q))
     qtQ = p.q * p.t * p.Q
     for j in range(m + n + 1):
-        total = rat(0)
+        total = Rat(0)
         for i in range(m + n + 1):
             total = total + comps[i].coeffs[0] * r0[i, j] * qtQ ** (-(i - n))
         assert total == comps[j].coeffs[0]
@@ -264,7 +264,7 @@ def test_qkz_order_zero_triangular_consistency():
 def test_fundamental_matrix_structure():
     m, n = 1, 1
     p = sample_generic_point(13, guard=8).with_overrides(m, n)
-    rows = fundamental_matrix(m, n, p, 2)
+    rows = fundamental_matrix(p, 2)
     N = m + n
     for ii in range(N + 1):
         assert rows[ii][ii].coeffs[0] == 1          # unit pivot
@@ -276,7 +276,7 @@ def test_fundamental_matrix_structure():
 def test_dual_qkz_residuals(window):
     m, n = window
     p = sample_generic_point(11, guard=8).with_overrides(m, n)
-    left, right = dual_qkz_residuals(m, n, p, 3)
+    left, right = dual_qkz_residuals(p, 3)
     assert len(left) == len(right) == (m + n + 1) ** 2
     assert left == right
 
@@ -289,12 +289,12 @@ def test_dual_v_prefactor_base_case():
     qv = 1 / (q * p.t * p.Q)
     want = qpoch(qv * q ** 2, q, m) * qpoch(p.d4 * qv * q ** (1 - n), q, n) \
         / (qpoch(qv * q ** 2 / p.d1, q, m) * qpoch(qv * q ** (1 - n), q, n))
-    assert dual_v_prefactor(0, m, n, p) == want
+    assert dual_v_prefactor(0, p) == want
 
 
 def test_heine_pair_matches_truncated_components():
     p = sample_generic_point(11, guard=8).with_overrides(1, 0)
-    comps = z_al_truncated(1, 0, p, 4)
+    comps = z_al_truncated(p, 4)
     y0, y1, (a, b, z2, c1) = heine_solution_pair(p, 4)
     y0L = y0.shift_variable(c1)
     y1L = y1.shift_variable(c1)
@@ -313,9 +313,9 @@ def test_heine_dual_equations():
 
 def test_r1_fourd_against_jets():
     m, n = 2, 1
-    m1, m4 = rat(5, 3), rat(7, 4)
+    m1, m4 = Rat(5, 3), Rat(7, 4)
     K = 2
-    qj = exp_jet(rat(1), K)
+    qj = exp_jet(Rat(1), K)
     rj = r_via_linear_system(*expansion_matrices(m, n, exp_jet(m1, K), exp_jet(m4, K),
                                                  HJet.constant(LAM, K), qj))
     r1 = r1_fourd((m1, -m, -n, m4), m, n, LAM)
@@ -327,8 +327,8 @@ def test_r1_fourd_against_jets():
 
 def test_r1_fourd_tabulated_window():
     # window [-1, 2] with masses (-2, m2, -1, m4); jet-verified signs
-    m2, m4 = rat(4, 9), rat(8, 5)
-    lam = rat(5, 13)
+    m2, m4 = Rat(4, 9), Rat(8, 5)
+    lam = Rat(5, 13)
     den = lam - 1
     r1 = r1_fourd((-2, m2, -1, m4), 2, 1, lam)
     assert r1[0, 0] == 3 * (lam * m2 - lam) / den
@@ -348,8 +348,8 @@ def test_r1_row_sum_is_affine_in_lambda():
     # sum_j r1_{i,j} (L - 1) is a polynomial of degree <= 1 in Lambda:
     # evaluate at three points and check the second difference vanishes
     m, n = 2, 1
-    m1, m4 = rat(5, 3), rat(7, 4)
-    lams = [rat(2, 5), rat(3, 5), rat(4, 5)]
+    m1, m4 = Rat(5, 3), Rat(7, 4)
+    lams = [Rat(2, 5), Rat(3, 5), Rat(4, 5)]
     for i in range(4):
         vals = []
         for lam in lams:
@@ -360,8 +360,8 @@ def test_r1_row_sum_is_affine_in_lambda():
 
 def test_h4d_split_and_theta_column():
     m, n = 2, 1
-    m1, m4 = rat(5, 3), rat(7, 4)
-    kap, ac = rat(2, 7), rat(5, 9)
+    m1, m4 = Rat(5, 3), Rat(7, 4)
+    kap, ac = Rat(2, 7), Rat(5, 9)
     H, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
     theta = ScalarMatrix.diagonal(range(-n, m + 1))
     assert H - theta.scale(kap + 1 + ac) == A0 + A1.scale(LAM / (LAM - 1))
@@ -370,13 +370,13 @@ def test_h4d_split_and_theta_column():
     r1 = r1_fourd((m1, -m, -n, m4), m, n, LAM)
     assert H == r1
     with pytest.raises(DegenerateParameterError):
-        h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, rat(1))
+        h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, Rat(1))
 
 
 def test_kz_spin_dictionary_identity():
     m, n = 2, 1
-    m1, m4 = rat(5, 3), rat(7, 4)
-    kap, ac = rat(2, 7), rat(5, 9)
+    m1, m4 = Rat(5, 3), Rat(7, 4)
+    kap, ac = Rat(2, 7), Rat(5, 9)
     _, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
     kz = kz_form_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
     assert kz == A0 + A1.scale(LAM / (LAM - 1))
@@ -389,7 +389,7 @@ def test_qkz_residual_series_scalars_match_rational_evaluation():
     q_c = LambdaSeries.constant(Q, 3)
     r_series = r_via_linear_system(*expansion_matrices(
         m, n, LambdaSeries.constant(D1, 3), LambdaSeries.constant(D4, 3), lam_series, q_c))
-    r_zero = r_via_linear_system(*expansion_matrices(m, n, D1, D4, rat(0), Q))
+    r_zero = r_via_linear_system(*expansion_matrices(m, n, D1, D4, Rat(0), Q))
     for i in range(3):
         for j in range(3):
             assert r_series[i, j].coeffs[0] == r_zero[i, j]

@@ -1,13 +1,17 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qkz.errors import DegenerateParameterError, QkzError, SingularMatrixError
+from qkz.jackson import JacksonParams
+from qkz.laumon import z_al_truncated
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
+from qkz.rmatrix import dual_qkz_residuals, qkz_residual
 from qkz.scalars import (
     ONE,
     HJet,
@@ -20,7 +24,6 @@ from qkz.scalars import (
     exp_jet,
     product,
     quotient,
-    rat,
     sample_generic_point,
     series_exp,
     shakirov_eigenvalue,
@@ -40,7 +43,7 @@ def test_rat_field_axioms(a, b, c):
 
 
 def _jet(coeffs):
-    return HJet([rat(x) for x in coeffs])
+    return HJet([Rat(x) for x in coeffs])
 
 
 @given(st.lists(small_rationals, min_size=4, max_size=4),
@@ -56,7 +59,7 @@ def test_hjet_ring_axioms(a, b, c):
 
 @given(small_rationals)
 def test_hjet_inverse(c0):
-    x = HJet([c0, rat(1), rat(2, 3), rat(-1, 5)])
+    x = HJet([c0, Rat(1), Rat(2, 3), Rat(-1, 5)])
     if c0 == 0:
         with pytest.raises(ZeroDivisionError):
             x.inverse()
@@ -64,10 +67,10 @@ def test_hjet_inverse(c0):
         assert x * x.inverse() == 1
 
 
-@pytest.mark.parametrize("den", [Rat(0), 0, LambdaSeries([0, rat(2), rat(-1, 3)])])
+@pytest.mark.parametrize("den", [Rat(0), 0, LambdaSeries([0, Rat(2), Rat(-1, 3)])])
 def test_quotient_by_a_non_invertible_denominator_is_degenerate(den):
     with pytest.raises(DegenerateParameterError, match="^test denominator vanishes$"):
-        quotient(rat(3, 5), den, "test denominator")
+        quotient(Rat(3, 5), den, "test denominator")
 
 
 @given(small_rationals, small_rationals, small_rationals)
@@ -81,9 +84,9 @@ def test_quotient_by_an_invertible_denominator_divides(a, b, c):
 
 
 def test_exp_jet_examples():
-    assert exp_jet(rat(0), 3).coeffs == (1, 0, 0, 0)
-    assert exp_jet(rat(1), 2).coeffs == (1, 1, Rat(1, 2))
-    assert exp_jet(rat(-2), 2).coeffs == (1, -2, 2)
+    assert exp_jet(Rat(0), 3).coeffs == (1, 0, 0, 0)
+    assert exp_jet(Rat(1), 2).coeffs == (1, 1, Rat(1, 2))
+    assert exp_jet(Rat(-2), 2).coeffs == (1, -2, 2)
 
 
 @given(small_rationals, small_rationals)
@@ -185,8 +188,8 @@ def test_guard_agrees_with_the_literal_search():
               for rng in (random.Random(seed) for seed in range(1, 201))]
     p = firsts[0]
     rq, rt = p.rq, p.rt
-    degenerate = [p.replace_roots(rQ=rQ) for rQ in (rq, 1 / rq, rt / rq, rq ** 2 / rt ** 3, ONE)]
-    degenerate += [p.replace_roots(rt=rq), p.replace_roots(rq=ONE)]
+    degenerate = [replace(p, rQ=rQ) for rQ in (rq, 1 / rq, rt / rq, rq ** 2 / rt ** 3, ONE)]
+    degenerate += [replace(p, rt=rq), replace(p, rq=ONE)]
     for point in firsts + degenerate:
         assert _passes_guards(point, 8) == _passes_guards_reference(point, 8), point
     assert not any(_passes_guards(point, 8) for point in degenerate)
@@ -203,8 +206,9 @@ def test_sampling_is_memoized_and_overrides_leave_the_shared_point():
 
 
 def test_derived_parameters_are_computed_once():
-    # each is computed on its first read and kept; equality, hashing and
-    # pickling still see the fourth roots and overrides alone
+    # each is set once, at construction; equality, hashing and pickling
+    # still see the fourth roots and overrides alone (a pickled copy is
+    # equal and carries the same values)
     import pickle
 
     p = sample_generic_point(6, guard=8).with_overrides(1, 2)
@@ -227,6 +231,22 @@ def test_overrides_and_dictionary():
     p = sample_generic_point(1, guard=6).with_overrides(1, 0)
     assert p.d2 * p.q == 1
     assert p.d3 == 1
+    assert p.window == (1, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: z_al_truncated(p, 1),
+    lambda p: qkz_residual(p, 1),
+    lambda p: dual_qkz_residuals(p, 1),
+    lambda p: JacksonParams.from_point(p, Rat(5, 7)),
+], ids=["z_al_truncated", "qkz_residual", "dual_qkz_residuals", "from_point"])
+def test_builders_need_a_mass_truncated_point(build):
+    # each windowed builder reads (m, n) from the point, through `window`
+    p = sample_generic_point(51, guard=6)
+    with pytest.raises(QkzError, match="needs a mass-truncated point"):
+        build(p)
+    with pytest.raises(QkzError, match="needs a mass-truncated point"):
+        build(replace(p.with_overrides(1, 0), n=None))
 
 
 exponent_vectors = st.builds(Monomial, st.lists(st.integers(-6, 6), min_size=7, max_size=7))
@@ -260,11 +280,11 @@ def test_point_serialization_round_trip():
 
 
 def test_matrix_solve_and_failure():
-    m = ScalarMatrix.from_rows([[rat(2), rat(1)], [rat(1), rat(1)]])
-    rhs = ScalarMatrix.from_rows([[rat(3)], [rat(2)]])
+    m = ScalarMatrix.from_rows([[Rat(2), Rat(1)], [Rat(1), Rat(1)]])
+    rhs = ScalarMatrix.from_rows([[Rat(3)], [Rat(2)]])
     sol = m.solve(rhs)
     assert sol[0, 0] == 1 and sol[1, 0] == 1
-    singular = ScalarMatrix.from_rows([[rat(1), rat(2)], [rat(2), rat(4)]])
+    singular = ScalarMatrix.from_rows([[Rat(1), Rat(2)], [Rat(2), Rat(4)]])
     with pytest.raises(SingularMatrixError):
         singular.solve(rhs)
     assert m.solve(ScalarMatrix.identity(2)) @ m == ScalarMatrix.identity(2)

@@ -181,6 +181,22 @@ def test_nekrasov_3way_to_size_16(seed):
     assert record["status"] == "pass", record["mismatch"]
 
 
+def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
+    # at sqrt(u) = 1 the bracket [u] is 0, and a product comparison of zero
+    # factors cannot fail: no trial at seeds 1-24 draws it.  The factor
+    # forms are stubs that record sqrt(u), so no factor is evaluated
+    from qkz import suites
+
+    drawn = []
+    for name, slot in (("nek_orb", 4), ("nek_orb_floor", 4), ("total_nekrasov_bracket", 2)):
+        monkeypatch.setattr(suites, name,
+                            lambda *args, _slot=slot: drawn.append(args[_slot]) or ONE)
+    for seed in range(1, 25):
+        assert _mismatch(chk_nekrasov_3way, seed=seed) is None
+    assert len(drawn) == 24 * 200 * 21
+    assert 1 not in drawn
+
+
 def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
     # a form that is off by a factor 2 is caught by the comparison it feeds
     from qkz import suites
