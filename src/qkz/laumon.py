@@ -6,8 +6,8 @@ bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are lattice Monomials, so their square roots are formed exactly
 (Monomial.half rejects an odd exponent).
 Each factor lists its elementary brackets [u q^a kappa^b], takes each
-distinct one once from a bounded memo as an unreduced int pair, and reduces
-the product once.
+distinct one once from a bounded memo as an unreduced int pair, and keeps
+the product an int pair until one final reduction.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cone import ConeSeries
+from .errors import DegenerateParameterError
 from .partitions import conjugate, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import Monomial, ParamPoint, Rat, dot, product, quotient
+from .scalars import Monomial, ParamPoint, Rat, dot
 
 # The parameters as lattice monomials, each the fourth power of its root:
 # Q is q, QQ the instanton parameter Q, and KAPPA = t^(-1/2) = rt^-2.
@@ -46,14 +47,23 @@ def elementary_bracket(un, ud, qn, qd, tn, td, a: int, b: int):
     return bracket_parts(*_scaled(x, y, td, tn, b))
 
 
-def _bracket_product(sqrt_u, p: ParamPoint, step, runs):
-    """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n.
+def _bracket_point(sqrt_u, p: ParamPoint):
+    """The ints of sqrt(u), sqrt(q) = rq^2 and rt that `elementary_bracket`
+    reads."""
+    rq, rt = p.rq, p.rt
+    return (sqrt_u.numerator, sqrt_u.denominator, rq.numerator ** 2,
+            rq.denominator ** 2, rt.numerator, rt.denominator)
+
+
+def _bracket_product(point, step, runs):
+    """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n,
+    as an unreduced int pair, at the bracket point `point`.
 
     The base is q^s_q kappa^s_kap for step = (s_q, s_kap), and
     [x; base]_n = prod_{i<n} [x base^i], so each run expands into the
     elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)].  Each
-    distinct one is taken once from `elementary_bracket`, raised to its
-    multiplicity, and the product is reduced once.
+    distinct one is taken once from `elementary_bracket` and raised to its
+    multiplicity.
     """
     s_q, s_kap = step
     counts = {}
@@ -61,9 +71,6 @@ def _bracket_product(sqrt_u, p: ParamPoint, step, runs):
         for i in range(n):
             key = (e_q + i * s_q, e_kap + i * s_kap)
             counts[key] = counts.get(key, 0) + 1
-    rq, rt = p.rq, p.rt
-    point = (sqrt_u.numerator, sqrt_u.denominator, rq.numerator ** 2,
-             rq.denominator ** 2, rt.numerator, rt.denominator)
     num = den = 1
     for (a, b), mult in counts.items():
         bn, bd = elementary_bracket(*point, a, b)
@@ -71,7 +78,7 @@ def _bracket_product(sqrt_u, p: ParamPoint, step, runs):
             bn, bd = bn ** mult, bd ** mult
         num *= bn
         den *= bd
-    return Rat(num, den)
+    return num, den
 
 
 def _padded(rows: tuple, size: int):
@@ -87,6 +94,11 @@ def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
       * prod_{b >= a >= 1, b-a = -k-1 mod n}
             [u q^(lam_a - mu_b) kappa^(a-b-1); q]_(mu_b - mu_{b+1})
     """
+    return Rat(*_orb_pair(k, n, lam, mu, _bracket_point(sqrt_u, p)))
+
+
+def _orb_pair(k: int, n: int, lam: tuple, mu: tuple, point):
+    """`nek_orb` as an unreduced int pair at the bracket point `point`."""
     k = k % n
     ln, mn = len(lam), len(mu)
     size = ln + mn + 1
@@ -102,7 +114,7 @@ def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
         cnt = hi - mr[b + 1]
         if cnt:
             runs += [(lr[a] - hi, a - b - 1, cnt) for a in range(b - n + 1 + k, -1, -n)]
-    return _bracket_product(sqrt_u, p, (1, 0), runs)
+    return _bracket_product(point, (1, 0), runs)
 
 
 def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -147,7 +159,7 @@ def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
             c2 = (top + r4) // n - (bot + r4) // n
             if c2:
                 runs.append((i - j - 1, l - hi + (k - l + hi) % n, c2))
-    return _bracket_product(sqrt_u, p, (0, n), runs)
+    return Rat(*_bracket_product(_bracket_point(sqrt_u, p), (0, n), runs))
 
 
 def total_nekrasov_bracket(lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -165,7 +177,7 @@ def total_nekrasov_bracket(lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
             for i, row in enumerate(lam) for j in range(row)]
     runs += [(j - row, lv[j] - i - 1, 1)
              for i, row in enumerate(mu) for j in range(row)]
-    return _bracket_product(sqrt_u, p, (0, 0), runs)
+    return Rat(*_bracket_product(_bracket_point(sqrt_u, p), (0, 0), runs))
 
 
 # -- affine Laumon partition function ----------------------------------------
@@ -183,33 +195,50 @@ def _sqrt_table(p: ParamPoint, left, right):
     return [[p.at((l - r).half()) for r in right] for l in left]
 
 
+@lru_cache(maxsize=1024)
+def _vector_pair(k: int, lam: tuple, mu: tuple, point):
+    """The order-2 vector factor nek_orb(k, 2, lam, mu) at the bracket point
+    `point`, as an unreduced int pair.
+
+    Memoized across sums: sqrt(v_i / v_j) is 1 on the diagonal and a
+    monomial in rt and rQ off it, so the factor reads only rq, rt, rQ and
+    the diagrams, and sums at points that differ in d1..d4 alone (the
+    windows of one seed) share it; on the diagonal, both slots share it.
+    """
+    return _orb_pair(k, 2, lam, mu, point)
+
+
 class PairFactors:
     """What the weights of one partition sum share at its point p: the 12
-    square-root monomials, and for each (slot, partition) the 10 factors
-    that depend on that partition alone (4 matter factors on each side and
-    the diagonal vector factor).  Build one per sum; it keeps every
-    partition the sum visits."""
+    square-root monomials, and for each (slot, partition) its 4 matter
+    factors over its diagonal vector factor.  Build one per sum; it keeps
+    every partition the sum visits."""
 
     def __init__(self, p: ParamPoint):
         u, v, w = _spectral_vectors()
         self.p = p
         self.uv = _sqrt_table(p, u, v)
         self.vw = _sqrt_table(p, v, w)
-        self.vv = _sqrt_table(p, v, v)
+        self.vv = [[_bracket_point(x, p) for x in row] for row in _sqrt_table(p, v, v)]
         self._single = {}
 
     def single(self, slot: int, lam: tuple):
-        """(matter, diagonal vector) factor of `lam` as lambda_(slot+1)."""
+        """Matter over diagonal vector factor of `lam` as lambda_(slot+1),
+        as an unreduced int pair; its second entry is 0 exactly when the
+        vector factor vanishes."""
         key = (slot, lam)
         got = self._single.get(key)
         if got is None:
             p, empty = self.p, ()
-            matter = product(
-                factor for i in range(2)
-                for factor in (nek_orb((slot - i) % 2, 2, empty, lam, self.uv[i][slot], p),
-                               nek_orb((i - slot) % 2, 2, lam, empty, self.vw[slot][i], p)))
-            diag = nek_orb(0, 2, lam, lam, self.vv[slot][slot], p)
-            got = self._single[key] = (matter, diag)
+            # the vector factor divides: its pair enters upside down
+            den, num = _vector_pair(0, lam, lam, self.vv[slot][slot])
+            for i in range(2):
+                for fn, fd in (
+                        _orb_pair((slot - i) % 2, 2, empty, lam, _bracket_point(self.uv[i][slot], p)),
+                        _orb_pair((i - slot) % 2, 2, lam, empty, _bracket_point(self.vw[slot][i], p))):
+                    num *= fn
+                    den *= fd
+            got = self._single[key] = (num, den)
         return got
 
 
@@ -220,13 +249,18 @@ def pair_weight(pair, factors: PairFactors):
 
     A sum passes one `factors` to all its calls so the single-partition
     factors are computed once.  Only the two off-diagonal vector factors
-    depend on the pair."""
+    depend on the pair.  The product stays an unreduced int pair and is
+    reduced once, into one Rat."""
     lam1, lam2 = pair
-    (num1, den1), (num2, den2) = factors.single(0, lam1), factors.single(1, lam2)
-    p, vv = factors.p, factors.vv
-    den = product([den1, den2, nek_orb(1, 2, lam1, lam2, vv[0][1], p),
-                   nek_orb(1, 2, lam2, lam1, vv[1][0], p)])
-    return quotient(num1 * num2, den, "vector multiplet factor")
+    num1, den1 = factors.single(0, lam1)
+    num2, den2 = factors.single(1, lam2)
+    vv = factors.vv
+    n12, d12 = _vector_pair(1, lam1, lam2, vv[0][1])
+    n21, d21 = _vector_pair(1, lam2, lam1, vv[1][0])
+    den = den1 * den2 * n12 * n21
+    if not den:
+        raise DegenerateParameterError("vector multiplet factor vanishes")
+    return Rat(num1 * num2 * d12 * d21, den)
 
 
 def _expansion_monomials(p: ParamPoint):

@@ -412,28 +412,70 @@ def _draw_root(rng: random.Random):
             return r
 
 
+def coprime_base(values) -> list:
+    """Pairwise coprime integers > 1 such that the numerator and the
+    denominator of each nonzero rational in `values` is a product of their
+    powers, by gcd refinement: two members with a common factor g > 1 give
+    way to a/g, g and b/g (dropping 1s), which keeps every number a product
+    of their powers, and the product of all members falls at each step, so
+    the refinement ends."""
+    pending = {abs(x) for v in values for x in (v.numerator, v.denominator)} - {1}
+    base = []
+    while pending:
+        a = pending.pop()
+        for b in base:
+            g = gcd(a, b)
+            if g > 1:
+                base.remove(b)
+                pending |= {a // g, g, b // g} - {1}
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
+def exponent_vector(x, base):
+    """The exponents e with |x| = prod base_i^e_i for a nonzero rational x,
+    or None when x is not such a product.  The base is pairwise coprime, so
+    the exponents are unique, and for rationals over one base,
+    prod x_j^c_j = +-1 exactly when sum c_j e_j = 0."""
+    num, den = abs(x.numerator), x.denominator
+    out = []
+    for b in base:
+        e = 0
+        while num % b == 0:
+            num //= b
+            e += 1
+        while den % b == 0:
+            den //= b
+            e -= 1
+        out.append(e)
+    return tuple(out) if num == den == 1 else None
+
+
 def _passes_guards(p: ParamPoint, guard: int) -> bool:
-    # q, t and Q are fourth powers, hence positive.  So Q^c = 1 for some
-    # c != 0 only at Q = 1, when the powers of Q collapse to {1}; otherwise
-    # they are distinct, and (the set being closed under inversion)
-    # q^a t^b Q^c = 1 for some c iff q^a t^b is one of them.
-    Q_powers = set(_power_table(p.Q, guard).values())
+    # q, t and Q are the fourth powers of rq, rt and rQ, so q^a t^b Q^c = 1
+    # exactly when a v_q + b v_t + c v_Q = 0 for the exponent vectors of the
+    # roots over one coprime base, and lambda_{k,l} = q^(a^2) t^(-k) Q^(-a)
+    # with a = k - l is 1 exactly when a^2 v_q - k v_t - a v_Q = 0.  The
+    # powers of Q are distinct unless v_Q = 0 (Q = 1), and the set is closed
+    # under negation, so a relation with a or b nonzero puts a v_q + b v_t
+    # in it.
+    roots = (p.rq, p.rt, p.rQ)
+    base = coprime_base(roots)
+    vq, vt, vQ = (exponent_vector(r, base) for r in roots)
+
+    def monomial(a, b, c):
+        # from a list: a tuple built from a generator is resized, and the
+        # tuple free list would keep each of them
+        return tuple([a * x + b * y + c * z for x, y, z in zip(vq, vt, vQ)])
+
+    span = range(-guard, guard + 1)
+    Q_powers = {monomial(0, 0, c) for c in span}
     if len(Q_powers) < 2 * guard + 1:
         return False
-    qa = _power_table(p.q, guard)
-    tb = _power_table(p.t, guard)
-    for a in range(-guard, guard + 1):
-        for b in range(-guard, guard + 1):
-            if (a or b) and qa[a] * tb[b] in Q_powers:
-                return False
-    for k in range(guard + 1):
-        for ell in range(guard + 1):
-            if k == 0 and ell == 0:
-                continue
-            if shakirov_eigenvalue(p, k, ell) == 1:
-                return False
-    return True
-
-
-def _power_table(base, guard: int) -> dict:
-    return {j: base ** j for j in range(-guard, guard + 1)}
+    if any(monomial(a, b, 0) in Q_powers for a in span for b in span if a or b):
+        return False
+    one = monomial(0, 0, 0)
+    return all(monomial((k - ell) ** 2, -k, ell - k) != one
+               for k in range(guard + 1) for ell in range(guard + 1) if k or ell)

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
-from .scalars import Rat, TruncatedSeries, exp_jet, product, sample_generic_point
+from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector, product,
+                      sample_generic_point)
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al, z_al_truncated
@@ -208,6 +209,25 @@ def _draw_rationals(rng: random.Random, count: int, hi: int) -> list:
     return out
 
 
+def _spectral_draws(rng: random.Random, p, bound: int):
+    """sqrt(u) values from `_draw_rationals(rng, 1, 30)`, each redrawn while
+    u = q^a kappa^b for some |a|, |b| <= bound: there a bracket
+    [u q^-a kappa^-b] = [1] is 0, and a comparison of zero factors cannot
+    fail.  With q = rq^4 and kappa = rt^-2 that is v_su = 2a v_rq - b v_rt
+    over the exponent vectors of the roots, so su is on the lattice exactly
+    when v_su + b v_rt is one of the vectors 2a v_rq."""
+    base = coprime_base((p.rq, p.rt))
+    vq, vt = exponent_vector(p.rq, base), exponent_vector(p.rt, base)
+    span = range(-bound, bound + 1)
+    q_powers = {tuple(2 * a * x for x in vq) for a in span}
+    while True:
+        [su] = _draw_rationals(rng, 1, 30)
+        v = exponent_vector(su, base)
+        if v is None or not any(tuple(s + b * y for s, y in zip(v, vt)) in q_powers
+                                for b in span):
+            yield su
+
+
 # -- individual checks ---------------------------------------------------------
 #
 # Each check is called with a Recorder and its arguments.  It sets the
@@ -360,10 +380,11 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
     p = sample_generic_point(seed, 8)
     rec.begin(p.to_json())
     rng = random.Random(seed ^ 0xA11CE)
+    draws = _spectral_draws(rng, p, 2 * max_size + 4)
     for trial in range(pair_count):
         lam = rng.choice(partitions_of(rng.randint(0, max_size)))
         mu = rng.choice(partitions_of(rng.randint(0, max_size)))
-        [su] = _draw_rationals(rng, 1, 30)
+        su = next(draws)
         pair = [list(lam), list(mu)]
         for order in (2, 3, 4):
             factors = []

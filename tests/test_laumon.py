@@ -17,7 +17,8 @@ from qkz.laumon import (
 from qkz.errors import DegenerateParameterError
 from qkz.partitions import conjugate, enumerate_pairs, partitions_of
 from qkz.qseries import qbracket_poch
-from qkz.scalars import ONE, Rat, sample_generic_point
+from qkz.rmatrix import coulomb_shifted_point
+from qkz.scalars import ONE, Rat, quotient, sample_generic_point
 from qkz.suites import _execute
 
 P = sample_generic_point(3, guard=8)
@@ -351,13 +352,13 @@ def test_spectral_monomials_are_pinned():
 
 
 def test_nekrasov_3way_bracket_count():
-    # 1333 elementary brackets evaluated for 4,200 factors; the memo is
+    # 1335 elementary brackets evaluated for 4,200 factors; the memo is
     # bounded, so a bracket evicted before it recurs is evaluated again
     laumon.elementary_bracket.cache_clear()
     assert _execute(("NEKRASOV_3WAY", {"seed": 1}))["status"] == "pass"
     info = laumon.elementary_bracket.cache_info()
     assert info.maxsize == 1024
-    assert info.misses == 1333
+    assert info.misses == 1335
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------
@@ -378,7 +379,7 @@ def _weight_12(p, pair):
             num = num * nek_orb(k, 2, lams[i], EMPTY, sv, p)
             svv = p.at((v[i] - v[j]).half())
             den = den * nek_orb(k, 2, lams[i], lams[j], svv, p)
-    return num / den
+    return quotient(num, den, "vector multiplet factor")
 
 
 def _reference_truncated(m, n, p, lmax):
@@ -450,11 +451,72 @@ def test_shared_factors_equal_twelve_factor_product(overrides):
             assert pair_weight(pair, factors) == _weight_12(p, pair)
 
 
+def _weights_against_the_oracle(p, size):
+    """Every pair weight up to `size` boxes at p, each equal to `_weight_12`."""
+    factors = PairFactors(p)
+    weights = []
+    for total in range(size + 1):
+        for pair in enumerate_pairs(total):
+            weights.append(pair_weight(pair, factors))
+            assert weights[-1] == _weight_12(p, pair), (p, pair)
+    return weights
+
+
+@pytest.mark.parametrize("points", [
+    [coulomb_shifted_point(P.with_overrides(2, 1), 1)],
+    [P.with_overrides(2, 1), P.with_overrides(1, 2)]])
+def test_vector_memo_cold_and_warm_weights_equal_the_oracle(points):
+    # two windows of one seed differ in d2 and d3 alone, so the second sum
+    # reads the first one's vector factors from the memo
+    laumon._vector_pair.cache_clear()
+    cold = [_weights_against_the_oracle(p, 5) for p in points]
+    assert laumon._vector_pair.cache_info().hits > 0
+    warm = [_weights_against_the_oracle(p, 5) for p in points]
+    assert cold == warm
+
+
+def test_vector_memo_key_holds_rQ():
+    # a key without rQ would hand the second point the first point's
+    # off-diagonal factors
+    other = replace(P, rQ=P.rQ * Rat(5, 3))
+    pairs = [pair for total in range(1, 5) for pair in enumerate_pairs(total)]
+    factors = [PairFactors(p) for p in (P, other)]
+    for lam1, lam2 in pairs:
+        first, second = (Rat(*laumon._vector_pair(1, lam1, lam2, f.vv[0][1]))
+                         * Rat(*laumon._vector_pair(1, lam2, lam1, f.vv[1][0]))
+                         for f in factors)
+        assert first != second, (lam1, lam2)
+    for p, f in zip((P, other), factors):
+        assert all(pair_weight(pair, f) == _weight_12(p, pair) for pair in pairs)
+
+
+@pytest.mark.parametrize("rQ", [P.rq, P.rq / P.rt])
+def test_vanishing_vector_factor_raises_as_the_oracle_does(rQ):
+    # at Q = q and at Q = q/t an off-diagonal vector factor meets the
+    # zero bracket; the fused weight raises where the twelve-factor product
+    # does, with the same error, and agrees with it everywhere else
+    p = replace(P, rQ=rQ)
+    factors = PairFactors(p)
+    raised = 0
+    for total in range(5):
+        for pair in enumerate_pairs(total):
+            try:
+                want = _weight_12(p, pair)
+            except DegenerateParameterError as exc:
+                with pytest.raises(DegenerateParameterError) as got:
+                    pair_weight(pair, factors)
+                assert str(got.value) == str(exc) == "vector multiplet factor vanishes"
+                raised += 1
+            else:
+                assert pair_weight(pair, factors) == want
+    assert raised
+
+
 # -- work counts: a return to full enumeration or per-pair recomputation fails --
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"pair_weight": 0, "nek_orb": 0}
+    counts = {"pair_weight": 0, "_orb_pair": 0}
     for name in counts:
         fn = getattr(laumon, name)
 
@@ -473,5 +535,9 @@ def test_truncated_sum_work_count(calls, lmax, pairs):
 
 
 def test_full_sum_work_count(calls):
+    # the row-form kernel behind every factor of the sum, with the vector
+    # memo cold: 4 matter factors per (slot, partition), one diagonal
+    # factor per partition and two off-diagonal factors per pair
+    laumon._vector_pair.cache_clear()
     z_al(sample_generic_point(1, guard=8), 4, 4)
-    assert calls["nek_orb"] <= 916
+    assert calls["_orb_pair"] <= 878

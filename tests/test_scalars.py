@@ -20,8 +20,10 @@ from qkz.scalars import (
     Rat,
     _draw_root,
     _passes_guards,
+    coprime_base,
     dot,
     exp_jet,
+    exponent_vector,
     product,
     quotient,
     sample_generic_point,
@@ -193,6 +195,39 @@ def test_guard_agrees_with_the_literal_search():
     for point in firsts + degenerate:
         assert _passes_guards(point, 8) == _passes_guards_reference(point, 8), point
     assert not any(_passes_guards(point, 8) for point in degenerate)
+
+
+SHARED_PRIMES = (Rat(6, 35), Rat(10, 21), Rat(15, 14))
+
+
+def test_coprime_base_splits_numbers_that_share_primes():
+    # each of 6, 35, 10, 21, 15, 14 shares a prime with four of the others,
+    # and gcd refinement splits them into 2, 3, 5, 7
+    base = coprime_base(SHARED_PRIMES)
+    assert base == [2, 3, 5, 7]
+    assert [exponent_vector(r, base) for r in SHARED_PRIMES] \
+        == [(1, 1, -1, -1), (1, -1, 1, -1), (-1, 1, 1, -1)]
+    assert exponent_vector(Rat(-12, 49), base) == (2, 1, 0, -2)
+    assert exponent_vector(Rat(22, 3), base) is None
+    # a factor that no two numbers share stays whole
+    assert coprime_base([6, 35, 1]) == [6, 35]
+    assert coprime_base([12, 18]) == [2, 3]
+    assert coprime_base([]) == []
+
+
+_S = SHARED_PRIMES[1]
+
+
+@pytest.mark.parametrize("rt, rQ, passes", [
+    (_S, Rat(15, 14), True), (_S, Rat(9, 25), False),
+    (_S ** 3, SHARED_PRIMES[0] ** 3 / _S ** 4, False)])
+def test_guard_on_roots_that_share_primes(rt, rQ, passes):
+    # rq = 6/35, rt = 10/21: with rQ = 9/25 = rq/rt, q t^-1 Q^-1 = 1 lies in
+    # the box; with rQ = 15/14 no relation does.  With rt = s^3 and
+    # rQ = rq^3 s^-4 (s = 10/21) the smallest relation is q^9 t^-4 Q^-3 = 1,
+    # outside the box, and only the eigenvalue lambda_{4,1} = 1 rejects it
+    p = replace(sample_generic_point(1, guard=8), rq=SHARED_PRIMES[0], rt=rt, rQ=rQ)
+    assert _passes_guards(p, 8) == _passes_guards_reference(p, 8) == passes
 
 
 def test_sampling_is_memoized_and_overrides_leave_the_shared_point():

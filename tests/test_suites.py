@@ -9,7 +9,7 @@ upstream computations of each check, one at a time."""
 import pytest
 
 from qkz.errors import DegenerateParameterError
-from qkz.scalars import ONE, is_plain
+from qkz.scalars import ONE, coprime_base, exponent_vector, is_plain, sample_generic_point
 from qkz.suites import (
     SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
@@ -182,19 +182,34 @@ def test_nekrasov_3way_to_size_16(seed):
 
 
 def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
-    # at sqrt(u) = 1 the bracket [u] is 0, and a product comparison of zero
-    # factors cannot fail: no trial at seeds 1-24 draws it.  The factor
-    # forms are stubs that record sqrt(u), so no factor is evaluated
+    # at u = q^a kappa^b the bracket [u q^-a kappa^-b] = [1] is 0, and a
+    # product comparison of zero factors cannot fail: no trial at seeds 1-24
+    # draws such a u with |a|, |b| <= 2 max_size + 4 = 20 (u = 1 included).
+    # The factor forms are stubs that record (sqrt(u), point), so no factor
+    # is evaluated
     from qkz import suites
 
     drawn = []
     for name, slot in (("nek_orb", 4), ("nek_orb_floor", 4), ("total_nekrasov_bracket", 2)):
         monkeypatch.setattr(suites, name,
-                            lambda *args, _slot=slot: drawn.append(args[_slot]) or ONE)
+                            lambda *args, _slot=slot: drawn.append(args[_slot:_slot + 2]) or ONE)
+    span = range(-20, 21)
+    count = 0
     for seed in range(1, 25):
+        drawn.clear()
         assert _mismatch(chk_nekrasov_3way, seed=seed) is None
-    assert len(drawn) == 24 * 200 * 21
-    assert 1 not in drawn
+        count += len(drawn)
+        p = sample_generic_point(seed, 8)
+        assert all(at is p for _, at in drawn)  # the sampler is memoized
+        values = {su for su, _ in drawn}
+        assert 1 not in values
+        # su^2 = q^a kappa^b = rq^(4a) rt^(-2b) iff v_su = 2a v_rq - b v_rt,
+        # over one coprime base of the roots and of every p/s the draw gives
+        base = coprime_base([*range(2, 31), p.rq, p.rt])
+        vq, vt = exponent_vector(p.rq, base), exponent_vector(p.rt, base)
+        lattice = {tuple(2 * a * x - b * y for x, y in zip(vq, vt)) for a in span for b in span}
+        assert not [su for su in values if exponent_vector(su, base) in lattice]
+    assert count == 24 * 200 * 21
 
 
 def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
@@ -455,7 +470,8 @@ def test_windows_wider_than_the_order_pass(monkeypatch, check, window, factor):
 
 @pytest.mark.parametrize("check, orders", [
     (chk_shakirov, {"kmax": 6, "lmax": 6}), (chk_coupled, {"kmax": 8, "lmax": 8}),
-    (chk_coupled, {"kmax": 4, "lmax": 6})])
+    (chk_coupled, {"kmax": 4, "lmax": 6}),
+    (chk_shakirov, {"kmax": 4, "lmax": 12}), (chk_shakirov, {"kmax": 12, "lmax": 4})])
 def test_cone_suites_above_the_acceptance_orders(check, orders):
     assert _mismatch(check, seed=1, **orders) is None
 
