@@ -15,20 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import ConfigError, QkzError
 from .scalars import Rat, sample_generic_point
 from .suites import (
-    SUITE_OPTIONS, SuiteConfig, check_limits, report_passed, run_suite, write_report)
+    SERIES_ORDERS, SUITE_OPTIONS, WINDOW, WINDOWED, SuiteConfig, check_limits, report_passed,
+    run_suite, write_report)
 
-_NATURAL = (0, math.inf)
-_WINDOW = {"m": _NATURAL, "n": _NATURAL}
-_SERIES = {"kmax": _NATURAL, "lmax": _NATURAL, **_WINDOW}
 # (low, high) bounds of the integer options of each dump command
-_DUMP_LIMITS = {"solve": _SERIES, "laumon": _SERIES, "rmatrix": _WINDOW,
-                "jackson": {**_WINDOW, "lmax": (1, math.inf)}}
+_DUMP_LIMITS = {"solve": {**SERIES_ORDERS, **WINDOW}, "laumon": {**SERIES_ORDERS, **WINDOW},
+                "rmatrix": WINDOW, "jackson": WINDOWED}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, path) -> None:
+    """Write a command's output to the file `path`, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -103,12 +101,10 @@ def _check_dump_options(args) -> None:
 def cmd_verify(args) -> int:
     cfg = SuiteConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     report = run_suite(cfg)
-    text = write_report(report, cfg.out, cfg.format)
+    _emit(write_report(report, cfg.format), cfg.out)
     if cfg.out:
         summary = "PASS" if report_passed(report) else "FAIL"
         print(f"{cfg.suite}: {summary} ({len(report['checks'])} checks) -> {cfg.out}")
-    else:
-        sys.stdout.write(text)
     return 0 if report_passed(report) else 1
 
 

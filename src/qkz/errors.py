@@ -1,8 +1,8 @@
 """Typed errors. Every failure mode is an exception; no silent wrong answers.
 
-``DegenerateParameterError`` signals a non-generic parameter point (some
-denominator or resonance condition collapsed); callers are expected to
-resample and retry rather than recover in place.
+``DegenerateParameterError`` is the one signal of a non-generic parameter
+point (some denominator, resonance condition or pivot chain collapsed);
+callers are expected to resample and retry rather than recover in place.
 """
 
 
@@ -26,5 +26,5 @@ class ResonanceError(DegenerateParameterError):
     """A diagonal eigenvalue of the level-by-level solve hit 1."""
 
 
-class SingularMatrixError(QkzError):
+class SingularMatrixError(DegenerateParameterError):
     """Exact linear solve met a non-invertible pivot chain."""

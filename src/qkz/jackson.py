@@ -184,47 +184,19 @@ def matsuo_prefactors(N: int, q) -> list:
 def matsuo_e_brute(k: int, a, b, z, q):
     """Independent oracle: antisymmetrize prod f over all permutations.
 
-    (1/Delta(1,z)) A( prod_{i<=k} (1 - b z_i) prod_{i>k} (1 - z_i/a) Delta(q, z) ).
+    (1/Delta(1,z)) A( prod_{i<=k} (1 - b z_i) prod_{i>k} (1 - z_i/a) Delta(q, z) ),
+    each permutation signed by the parity of its inversions.
     """
-    from itertools import permutations
+    from itertools import combinations, permutations
 
-    z = list(z)
-    N = len(z)
     total = 0
-    for perm in permutations(range(N)):
-        sign = _perm_sign(perm)
+    for perm in permutations(range(len(z))):
         w = [z[p] for p in perm]
-        term = ONE
-        for i in range(k):
-            term = term * (1 - b * w[i])
-        for i in range(k, N):
-            term = term * (1 - w[i] / a)
-        for i in range(N):
-            for j in range(i + 1, N):
-                term = term * (w[i] - w[j] / q)
-        total = total + sign * term
-    delta = ONE
-    for i in range(N):
-        for j in range(i + 1, N):
-            delta = delta * (z[i] - z[j])
-    return total / delta
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        term = product([*(1 - b * x for x in w[:k]), *(1 - x / a for x in w[k:]),
+                        *(x - y / q for x, y in combinations(w, 2))])
+        inversions = sum(i > j for i, j in combinations(perm, 2))
+        total += -term if inversions % 2 else term
+    return total / product(x - y for x, y in combinations(z, 2))
 
 
 def jackson_vector_raw(jp: JacksonParams, lmax: int):

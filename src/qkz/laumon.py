@@ -6,8 +6,8 @@ bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are lattice Monomials, so their square roots are formed exactly
 (Monomial.half rejects an odd exponent).
 Each factor lists its elementary brackets [u q^a kappa^b], takes each
-distinct one once from a bounded memo as an unreduced int pair, and keeps
-the product an int pair until one final reduction.
+from a bounded memo as an unreduced int pair, and keeps the product an
+int pair until one final reduction.
 """
 
 from __future__ import annotations
@@ -61,23 +61,17 @@ def _bracket_product(point, step, runs):
 
     The base is q^s_q kappa^s_kap for step = (s_q, s_kap), and
     [x; base]_n = prod_{i<n} [x base^i], so each run expands into the
-    elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)].  Each
-    distinct one is taken once from `elementary_bracket` and raised to its
-    multiplicity.
+    elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)], each
+    multiplied in as `elementary_bracket` gives it: a repeated bracket is
+    one memo lookup.
     """
     s_q, s_kap = step
-    counts = {}
+    num = den = 1
     for e_q, e_kap, n in runs:
         for i in range(n):
-            key = (e_q + i * s_q, e_kap + i * s_kap)
-            counts[key] = counts.get(key, 0) + 1
-    num = den = 1
-    for (a, b), mult in counts.items():
-        bn, bd = elementary_bracket(*point, a, b)
-        if mult > 1:
-            bn, bd = bn ** mult, bd ** mult
-        num *= bn
-        den *= bd
+            bn, bd = elementary_bracket(*point, e_q + i * s_q, e_kap + i * s_kap)
+            num *= bn
+            den *= bd
     return num, den
 
 

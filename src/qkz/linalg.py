@@ -3,7 +3,8 @@
 Solving is plain Gaussian elimination with exact division; a pivot is
 acceptable iff it is invertible in the coefficient ring (nonzero rational,
 or series with invertible constant term).  A failed pivot chain raises
-``SingularMatrixError`` -- never a wrong answer.
+``SingularMatrixError`` -- never a wrong answer.  A non-square system is a
+fault of the caller, not of the point: it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class ScalarMatrix:
             [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_shape(other)
+        self.check_shape(other)
         return ScalarMatrix(
             self.rows, self.cols,
             [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_shape(other)
+        self.check_shape(other)
         return ScalarMatrix(
             self.rows, self.cols,
             [a - b for a, b in zip(self.entries, other.entries)])
@@ -96,14 +97,16 @@ class ScalarMatrix:
             for i in range(self.rows))
         return f"ScalarMatrix[{body}]"
 
-    def _check_shape(self, other):
+    def check_shape(self, other):
+        """ValueError unless `other` has this matrix's shape."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
     def solve(self, rhs: "ScalarMatrix") -> "ScalarMatrix":
-        """Solve self @ X = rhs exactly; raises SingularMatrixError."""
+        """Solve self @ X = rhs exactly; raises SingularMatrixError when no
+        pivot of a column is invertible."""
         if self.rows != self.cols:
-            raise SingularMatrixError("solve requires a square matrix")
+            raise ValueError("solve requires a square matrix")
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         n = self.rows

@@ -33,9 +33,12 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
+_PLAIN_TYPES = frozenset({int, bool, type(ZERO)})
+
+
 def is_plain(x) -> bool:
     """True for ground-ring scalars (int / Rat), False for jets and series."""
-    return isinstance(x, int) or type(x) is type(ZERO)
+    return type(x) in _PLAIN_TYPES
 
 
 def invertible(x) -> bool:
@@ -56,9 +59,6 @@ def quotient(num, den, what: str):
 def reciprocal(x):
     """1 / x in the ring of x: an exact rational, or the series inverse."""
     return ONE / x if is_plain(x) else x.inverse()
-
-
-_PLAIN_TYPES = frozenset({int, bool, type(ZERO)})
 
 
 def dot(pairs):

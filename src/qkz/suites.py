@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import ConfigError, DegenerateParameterError, QkzError, SingularMatrixError
+from .errors import ConfigError, DegenerateParameterError, QkzError
 from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector, product,
                       sample_generic_point)
 from .qseries import bailey_check, qpoch
@@ -45,6 +45,13 @@ MAX_POINT_RETRIES = 12
 # the options a suite may read besides seeds and points, each with the
 # value it takes when left unset
 SUITE_OPTIONS = {"kmax": 4, "lmax": 4, "m": None, "n": None, "N": None, "jet_order": 2}
+# (low, high) bounds of those options, shared by the suite registry and the
+# dump commands
+_NATURAL = (0, math.inf)
+_LAMBDA_ORDER = {"lmax": (1, math.inf)}
+WINDOW = {"m": _NATURAL, "n": _NATURAL}
+SERIES_ORDERS = {"kmax": _NATURAL, "lmax": _NATURAL}
+WINDOWED = {**WINDOW, **_LAMBDA_ORDER}
 
 
 @dataclass
@@ -146,21 +153,27 @@ class Recorder:
             raise _Mismatch({**where, **{name: str(v) for name, v in zip(sides, values)}})
 
     def series(self, left, right, through: int, where: dict, sides=RESIDUAL) -> None:
-        """Two truncated series, coefficients 0..through, at "order"."""
+        """Two truncated series, coefficients 0..through, at "order"; a
+        side that ends below `through` raises ValueError."""
         pairs = zip(_coefficients(left, through), _coefficients(right, through))
         for b, (x, y) in enumerate(pairs):
             self.compare(x, y, {**where, "order": b}, sides)
 
     def matrix(self, left, right, where: dict, sides=("left", "right"), first: int = 0) -> None:
-        """Two matrices, entry by entry in row-major order, at "i" and "j":
-        the indices of a window whose first row and column is `first`."""
+        """Two matrices of one shape (else ValueError), entry by entry in
+        row-major order, at "i" and "j": the indices of a window whose first
+        row and column is `first`."""
+        left.check_shape(right)
         for i in range(left.rows):
             for j in range(left.cols):
                 self.compare(left[i, j], right[i, j],
                              {"i": i + first, "j": j + first, **where}, sides)
 
     def cone(self, left, right, order: int, where: dict, sides=("left", "right")) -> None:
-        """Two cone series on the cells k + l <= order, k-major, at "k" and "l"."""
+        """Two cone series of one shape (else ValueError) on the cells
+        k + l <= order, k-major, at "k" and "l"."""
+        if (left.kmax, left.lmax) != (right.kmax, right.lmax):
+            raise ValueError("cone shapes differ")
         for k in range(min(left.kmax, order) + 1):
             for l in range(min(left.lmax, order - k) + 1):
                 self.compare(left.c[k][l], right.c[k][l], {**where, "k": k, "l": l}, sides)
@@ -169,15 +182,20 @@ class Recorder:
 def _coefficients(s, through: int):
     """Coefficients 0..through of a truncated series; a plain scalar, such
     as the int 0 of a matrix-product entry with no nonzero term, is a
-    constant series."""
-    return s.coeffs[:through + 1] if isinstance(s, TruncatedSeries) else (s,) + (0,) * through
+    constant series.  A series of lower order raises ValueError: the
+    coefficients it lacks are unknown, not 0."""
+    if not isinstance(s, TruncatedSeries):
+        return (s,) + (0,) * through
+    if s.order < through:
+        raise ValueError(f"a series of order {s.order} compared through order {through}")
+    return s.coeffs[:through + 1]
 
 
 def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overrides=None):
     """Sample a point; on a degeneracy signal in attempt_fn, retry with
     deterministically derived seeds (sampling guards cover only a finite
     window, so downstream denominators may still collapse at unlucky points).
-    Only DegenerateParameterError and SingularMatrixError signal degeneracy;
+    Only DegenerateParameterError (with its subclasses) signals degeneracy;
     any other exception is a fault and propagates from the first attempt,
     as does a mismatch.  Each attempt begins afresh on `rec`."""
     last = None
@@ -189,7 +207,7 @@ def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overr
         rec.begin(p.to_json())
         try:
             return p, attempt_fn(p)
-        except (DegenerateParameterError, SingularMatrixError) as exc:
+        except DegenerateParameterError as exc:
             last = exc
     raise QkzError(f"no usable generic point after retries: {last}")
 
@@ -459,7 +477,7 @@ def chk_shuffle(rec: Recorder, seed: int, nmax: int = 4):
                         ("factored", "antisymmetrized"))
 
 
-def chk_coupled(rec: Recorder, seed: int, kmax: int = 4, lmax: int = 4):
+def chk_coupled(rec: Recorder, seed: int, kmax: int, lmax: int):
     rec.orders = {"kmax": kmax, "lmax": lmax, "total_order": min(kmax, lmax)}
 
     def attempt(p):
@@ -473,7 +491,7 @@ def chk_coupled(rec: Recorder, seed: int, kmax: int = 4, lmax: int = 4):
 _FOURD_WINDOWS = ((1, 0), (2, 1))
 
 
-def chk_fourd(rec: Recorder, seed: int, jet_order: int = 2):
+def chk_fourd(rec: Recorder, seed: int, jet_order: int):
     rec.orders = {"jet_order": jet_order, "windows": list(_FOURD_WINDOWS)}
     m1, m4, kap, ac = _rng_rationals(seed + 37, 4)
     lam = _rng_rationals(seed + 41, 1)[0]
@@ -529,7 +547,7 @@ def _fourd_table_m2_n1(m2, m4, lam):
     return ScalarMatrix.from_rows(rows)
 
 
-def chk_heine(rec: Recorder, seed: int, lmax: int = 4):
+def chk_heine(rec: Recorder, seed: int, lmax: int):
     rec.orders = {"lmax": lmax}
 
     def attempt(p):
@@ -555,57 +573,58 @@ def chk_heine(rec: Recorder, seed: int, lmax: int = 4):
 # -- suite registry -------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """A check (called with a Recorder and its arguments), its name template
-    (formatted with the check's arguments), the config -> per-seed argument
-    dicts map, and the (low, high) bounds of each option the suite reads
-    besides seeds and points."""
+    """A check (called with a Recorder, a seed and the options it reads),
+    its name template (formatted with the check's arguments), the
+    (low, high) bounds of each option the suite reads besides seeds and
+    points, and its sweep: option values, one check per entry, for a run
+    that leaves those options unset."""
     check: Callable
     name: str
-    args: Callable = lambda cfg: [{}]
     limits: dict = {}
+    sweep: tuple = ()
 
 
-def _windows(default):
-    return lambda cfg: [{"m": m, "n": n, "lmax": cfg.lmax}
-                        for m, n in (default if cfg.m is None else ((cfg.m, cfg.n),))]
+def _window_sweep(windows):
+    return tuple({"m": m, "n": n} for m, n in windows)
 
 
 _QKZ_WINDOWS = ((1, 0), (1, 1), (2, 1))
-_DUAL_WINDOWS = ((1, 0), (1, 1))
 _ALJ_WINDOWS = tuple((m, s - m) for s in range(4) for m in range(s + 1))
-_SERIES_ORDERS = {"kmax": (0, math.inf), "lmax": (0, math.inf)}
-_LAMBDA_ORDER = {"lmax": (1, math.inf)}
-_WINDOWED = {"m": (0, math.inf), "n": (0, math.inf), **_LAMBDA_ORDER}
 
 SUITES = {
-    "SHAKIROV_EQ": Suite(chk_shakirov, "solver = partition sum, seed {seed}",
-                         lambda c: [{"kmax": c.kmax, "lmax": c.lmax}], _SERIES_ORDERS),
+    "SHAKIROV_EQ": Suite(chk_shakirov, "solver = partition sum, seed {seed}", SERIES_ORDERS),
     "RMATRIX_3WAY": Suite(chk_rmatrix_3way, "three realizations agree, seed {seed}"),
     "QKZ_MATRIX": Suite(chk_qkz_matrix, "q-KZ window ({m},{n}), seed {seed}",
-                        _windows(_QKZ_WINDOWS), _WINDOWED),
+                        WINDOWED, _window_sweep(_QKZ_WINDOWS)),
     "DUAL_QKZ": Suite(chk_dual_qkz, "dual q-KZ window ({m},{n}), seed {seed}",
-                      _windows(_DUAL_WINDOWS), _WINDOWED),
+                      WINDOWED, _window_sweep(_QKZ_WINDOWS[:2])),
     "ITO_QKZ": Suite(chk_ito_qkz, "lattice-sum equations ({m},{n}), seed {seed}",
-                     _windows(_QKZ_WINDOWS), _WINDOWED),
+                     WINDOWED, _window_sweep(_QKZ_WINDOWS)),
     "COMMUTATIVITY": Suite(
         chk_commutativity, "R D2 A = A R D2 at N={N}, seed {seed}",
-        lambda c: [{"N": N} for N in (_COMM_WINDOWS if c.N is None else (c.N,))],
-        {"N": (min(_COMM_WINDOWS), max(_COMM_WINDOWS))}),
+        {"N": (min(_COMM_WINDOWS), max(_COMM_WINDOWS))}, tuple({"N": N} for N in _COMM_WINDOWS)),
     "AL_EQ_JACKSON": Suite(
         chk_al_jackson, "partition sum = lattice sum ({m},{n}), seed {seed}",
-        _windows(_ALJ_WINDOWS), _WINDOWED),
+        WINDOWED, _window_sweep(_ALJ_WINDOWS)),
     "NEKRASOV_3WAY": Suite(chk_nekrasov_3way, "orbifolded factor forms, seed {seed}"),
     "PENTAGON": Suite(chk_pentagon, "dilogarithm expansion, seed {seed}"),
     "BAILEY": Suite(chk_bailey, "10W9 transformation, seed {seed}"),
     "SHUFFLE": Suite(chk_shuffle, "factorized antisymmetrization, seed {seed}"),
-    "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}",
-                     lambda c: [{"kmax": c.kmax, "lmax": c.lmax}], _SERIES_ORDERS),
-    "FOURD_LIMIT": Suite(
-        chk_fourd, "small-h limit, seed {seed}",
-        lambda c: [{"jet_order": c.jet_order}], {"jet_order": (1, math.inf)}),
-    "HEINE_EXAMPLE": Suite(chk_heine, "basic hypergeometric pair, seed {seed}",
-                           lambda c: [{"lmax": c.lmax}], _LAMBDA_ORDER),
+    "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}", SERIES_ORDERS),
+    "FOURD_LIMIT": Suite(chk_fourd, "small-h limit, seed {seed}", {"jet_order": (1, math.inf)}),
+    "HEINE_EXAMPLE": Suite(chk_heine, "basic hypergeometric pair, seed {seed}", _LAMBDA_ORDER),
 }
+
+
+def suite_tasks(cfg: SuiteConfig) -> list:
+    """(suite, arguments) of every check of a run, seed by seed.  A check
+    reads the options its suite bounds from `cfg`; where the options of the
+    suite's sweep are unset, each sweep entry sets them for one check."""
+    spec = SUITES[cfg.suite]
+    given = {opt: getattr(cfg, opt) for opt in spec.limits}
+    sweep = [entry for entry in spec.sweep if all(given[opt] is None for opt in entry)]
+    return [(cfg.suite, {"seed": s, **given, **entry})
+            for s in cfg.expanded_seeds() for entry in sweep or [{}]]
 
 
 def _execute(task):
@@ -653,9 +672,7 @@ def worker_count(n_tasks: int) -> int:
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    spec = SUITES[cfg.suite]
-    tasks = [(cfg.suite, {"seed": s, **kwargs})
-             for s in cfg.expanded_seeds() for kwargs in spec.args(cfg)]
+    tasks = suite_tasks(cfg)
     workers = worker_count(len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -678,18 +695,14 @@ def report_passed(report: dict) -> bool:
     return all(c["status"] == "pass" for c in report["checks"])
 
 
-def write_report(report: dict, path: str | None, fmt: str) -> str:
+def write_report(report: dict, fmt: str) -> str:
+    """The report as the text of format `fmt`, "json" or "csv"."""
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=False) + "\n"
-    else:
-        lines = ["name,status,point,orders,mismatch,time_ms"]
-        for c in report["checks"]:
-            cells = [c["name"], c["status"],
-                     json.dumps(c.get("point")), json.dumps(c.get("orders")),
-                     json.dumps(c.get("mismatch")), str(c["time_ms"])]
-            lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
-        text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    lines = ["name,status,point,orders,mismatch,time_ms"]
+    for c in report["checks"]:
+        cells = [c["name"], c["status"],
+                 json.dumps(c.get("point")), json.dumps(c.get("orders")),
+                 json.dumps(c.get("mismatch")), str(c["time_ms"])]
+        lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
+    return "\n".join(lines) + "\n"

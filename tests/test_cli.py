@@ -57,7 +57,7 @@ def test_report_determinism_modulo_timing():
 def test_csv_report_format():
     cfg = SuiteConfig(suite="SHUFFLE", seeds=(1,), format="csv")
     rep = run_suite(cfg)
-    text = write_report(rep, None, "csv")
+    text = write_report(rep, "csv")
     lines = text.strip().splitlines()
     assert lines[0] == "name,status,point,orders,mismatch,time_ms"
     assert len(lines) == 1 + len(rep["checks"])
@@ -70,7 +70,7 @@ def test_failure_reports_first_mismatch_location():
     rep["checks"][0]["status"] = "fail"
     rep["checks"][0]["mismatch"] = {"N": 2, "k": 1, "factored": "3/5",
                                     "antisymmetrized": "2/5"}
-    text = write_report(rep, None, "json")
+    text = write_report(rep, "json")
     obj = json.loads(text)
     assert obj["checks"][0]["mismatch"]["factored"] == "3/5"
 

@@ -8,12 +8,16 @@ upstream computations of each check, one at a time."""
 
 import pytest
 
+from qkz.cone import ConeSeries
 from qkz.errors import DegenerateParameterError
+from qkz.linalg import ScalarMatrix
+from qkz.qseries import LambdaSeries
 from qkz.scalars import ONE, coprime_base, exponent_vector, is_plain, sample_generic_point
 from qkz.suites import (
-    SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
+    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
-    chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite)
+    chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite,
+    suite_tasks)
 
 ALJ = "partition sum = lattice sum"
 
@@ -112,6 +116,20 @@ def test_registry_window_and_N_overrides(expand):
         ("R D2 A = A R D2 at N=3, seed 1", {"seed": 1, "N": 3}),
         ("R D2 A = A R D2 at N=3, seed 5", {"seed": 5, "N": 3}),
     ]
+
+
+@pytest.mark.parametrize("suite", sorted(NAMES))
+def test_registry_rows_sweep_only_their_bounded_unset_options(suite):
+    # a sweep entry sets options the row bounds, within their bounds, and
+    # only options that are unset by default (else the sweep never runs);
+    # no two entries are the same check
+    spec = SUITES[suite]
+    for entry in spec.sweep:
+        for opt, value in entry.items():
+            assert opt in spec.limits and SUITE_OPTIONS[opt] is None, (opt, entry)
+            lo, hi = spec.limits[opt]
+            assert lo <= value <= hi, (opt, entry)
+    assert len({tuple(sorted(entry.items())) for entry in spec.sweep}) == len(spec.sweep)
 
 
 # -- real checks outside the acceptance configs -------------------------------
@@ -286,7 +304,7 @@ def test_fourd_limit_fails_at_a_doubled_A1(monkeypatch):
         return H, A0, A1.scale(2) if (m, n) == (2, 1) else A1
 
     monkeypatch.setattr(suites, "h4d_matrix", broken)
-    mismatch = _mismatch(chk_fourd, seed=1)
+    mismatch = _mismatch(chk_fourd, seed=1, jet_order=2)
     assert mismatch is not None, mismatch
     assert mismatch["relation"] == "H_4d - (kappa+1+a) theta vs A0 + L A1/(L-1)", mismatch
     assert (mismatch["window"], mismatch["i"], mismatch["j"]) == ([2, 1], -1, -1), mismatch
@@ -323,7 +341,7 @@ def test_every_heine_comparison_can_fail(monkeypatch, case):
     # equation; a doubled pair at the z2-shifted point breaks the z2 shift
     from qkz import rmatrix, suites
 
-    assert _mismatch(chk_heine, seed=1) is None
+    assert _mismatch(chk_heine, seed=1, lmax=4) is None
     if case == "cross":
         monkeypatch.setattr(suites, "heine_solution_pair",
                             _doubled_pair(suites.heine_solution_pair, {1}))
@@ -343,7 +361,7 @@ def test_every_heine_comparison_can_fail(monkeypatch, case):
         monkeypatch.setattr(rmatrix, "heine_solution_pair",
                             _doubled_pair(rmatrix.heine_solution_pair, {0, 1}))
         want = "z2-shift"
-    mismatch = _mismatch(chk_heine, seed=1)
+    mismatch = _mismatch(chk_heine, seed=1, lmax=4)
     assert mismatch is not None and mismatch["relation"] == want, mismatch
 
 
@@ -569,8 +587,7 @@ def test_every_suite_fails_at_a_doubled_comparison(suite):
     # mutation testing: the first, middle and last comparison with a nonzero
     # side of each check at seed 1, each doubled in its own run, fails that
     # check at that comparison and nowhere else
-    for kwargs in SUITES[suite].args(SuiteConfig(suite=suite, seeds=(1,))):
-        task = (suite, {"seed": 1, **kwargs})
+    for task in suite_tasks(SuiteConfig(suite=suite, seeds=(1,))):
         seen, record = _comparisons(task)
         assert record["status"] == "pass" and seen, record
         assert record["stats"]["nonzero"] == len(seen)
@@ -617,3 +634,72 @@ def test_a_check_that_compares_only_zeros_fails(monkeypatch):
     assert record["status"] == "fail"
     assert record["mismatch"] == {"reason": "no compared value is nonzero", "compared": 1}
     assert record["stats"] == {"compared": 1, "nonzero": 0}
+
+
+def _stub_record(monkeypatch, check):
+    """The report record of `check`, run in place of BAILEY's check at seed 1."""
+    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
+    return _execute(("BAILEY", {"seed": 1}))
+
+
+def _walker_fault(monkeypatch, walk):
+    """The record of a check whose one step is `walk(recorder)`."""
+    def check(rec, seed):
+        rec.orders = {}
+        rec.begin("{}")
+        walk(rec)
+
+    record = _stub_record(monkeypatch, check)
+    assert record["status"] == "error", record
+    return record["mismatch"]
+
+
+def test_a_series_side_that_ends_below_through_is_a_fault(monkeypatch):
+    # coefficients 1 and 2 of the left side are unknown, not 0
+    mismatch = _walker_fault(monkeypatch, lambda rec: rec.series(
+        LambdaSeries([1]), LambdaSeries([1, 0, 5]), 2, {}))
+    assert mismatch["type"] == "ValueError", mismatch
+    assert mismatch["message"] == "a series of order 0 compared through order 2"
+
+
+def test_matrices_of_different_shapes_are_a_fault(monkeypatch):
+    mismatch = _walker_fault(monkeypatch, lambda rec: rec.matrix(
+        ScalarMatrix.identity(2), ScalarMatrix.identity(3), {}))
+    assert (mismatch["type"], mismatch["message"]) == ("ValueError", "shape mismatch")
+
+
+def test_cones_of_different_shapes_are_a_fault(monkeypatch):
+    bigger = ConeSeries.one(3, 3)
+    bigger.c[3][0] = 7
+    mismatch = _walker_fault(monkeypatch, lambda rec: rec.cone(
+        ConeSeries.one(2, 2), bigger, 3, {}))
+    assert (mismatch["type"], mismatch["message"]) == ("ValueError", "cone shapes differ")
+
+
+def test_only_a_singular_pivot_chain_moves_to_the_next_seed(monkeypatch):
+    # a non-square solve is a fault of the program: one attempt, status
+    # error; a pivot chain with no invertible pivot is a degenerate point,
+    # and the check moves to the point of the next seed
+    def check_with(matrix, attempts):
+        def check(rec, seed):
+            rec.orders = {}
+
+            def attempt(p):
+                attempts.append(p)
+                if len(attempts) == 1:
+                    matrix.solve(ScalarMatrix.identity(2))
+                rec.compare(ONE, ONE, {})
+
+            _sample_with_retries(rec, seed, 8, attempt)
+        return check
+
+    attempts = []
+    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 3, [ONE] * 6), attempts))
+    assert len(attempts) == 1 and record["status"] == "error", record
+    assert (record["mismatch"]["type"], record["mismatch"]["message"]) == (
+        "ValueError", "solve requires a square matrix")
+
+    attempts = []
+    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 2, [ONE] * 4), attempts))
+    assert len(attempts) == 2 and record["status"] == "pass", record
+    assert record["point"] == attempts[1].to_json() != attempts[0].to_json()
