@@ -33,15 +33,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # options left out of the command line take SuiteConfig's defaults
+    # the run's options left out of the command line take SuiteConfig's
+    # defaults; --out and --format belong to the command, not to the run
     ver = sub.add_parser("verify", help="run a verification suite",
                          argument_default=argparse.SUPPRESS)
     ver.add_argument("suite", metavar="SUITE_ID")
     ver.add_argument("--seed", action="append", type=int, dest="seeds", metavar="SEED")
     for name in ("points", *SUITE_OPTIONS):
         ver.add_argument("--" + name.replace("_", "-"), type=int)
-    ver.add_argument("--out")
-    ver.add_argument("--format", choices=("json", "csv"))
+    ver.add_argument("--out", default=None)
+    ver.add_argument("--format", choices=("json", "csv"), default="json")
 
     for name in ("solve", "laumon"):
         cmd = sub.add_parser(name, help="dump the series coefficient table")
@@ -99,12 +100,13 @@ def _check_dump_options(args) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = SuiteConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+    cfg = SuiteConfig(**{k: v for k, v in vars(args).items()
+                         if k not in ("command", "out", "format")})
     report = run_suite(cfg)
-    _emit(write_report(report, cfg.format), cfg.out)
-    if cfg.out:
+    _emit(write_report(report, args.format), args.out)
+    if args.out:
         summary = "PASS" if report_passed(report) else "FAIL"
-        print(f"{cfg.suite}: {summary} ({len(report['checks'])} checks) -> {cfg.out}")
+        print(f"{cfg.suite}: {summary} ({len(report['checks'])} checks) -> {args.out}")
     return 0 if report_passed(report) else 1
 
 

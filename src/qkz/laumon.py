@@ -184,9 +184,9 @@ def _spectral_vectors():
             (-D2, QQ - D4 - KAPPA))
 
 
-def _sqrt_table(p: ParamPoint, left, right):
-    """sqrt(left_i / right_j) for i, j in {0, 1}."""
-    return [[p.at((l - r).half()) for r in right] for l in left]
+def _bracket_table(p: ParamPoint, left, right):
+    """The bracket points of sqrt(left_i / right_j) for i, j in {0, 1}."""
+    return [[_bracket_point(p.at((l - r).half()), p) for r in right] for l in left]
 
 
 @lru_cache(maxsize=1024)
@@ -203,17 +203,16 @@ def _vector_pair(k: int, lam: tuple, mu: tuple, point):
 
 
 class PairFactors:
-    """What the weights of one partition sum share at its point p: the 12
-    square-root monomials, and for each (slot, partition) its 4 matter
-    factors over its diagonal vector factor.  Build one per sum; it keeps
-    every partition the sum visits."""
+    """What the weights of one partition sum share at its point p: the
+    bracket points of its 12 square-root monomials, and for each (slot,
+    partition) its 4 matter factors over its diagonal vector factor.  Build
+    one per sum; it keeps every partition the sum visits."""
 
     def __init__(self, p: ParamPoint):
         u, v, w = _spectral_vectors()
-        self.p = p
-        self.uv = _sqrt_table(p, u, v)
-        self.vw = _sqrt_table(p, v, w)
-        self.vv = [[_bracket_point(x, p) for x in row] for row in _sqrt_table(p, v, v)]
+        self.uv = _bracket_table(p, u, v)
+        self.vw = _bracket_table(p, v, w)
+        self.vv = _bracket_table(p, v, v)
         self._single = {}
 
     def single(self, slot: int, lam: tuple):
@@ -223,13 +222,11 @@ class PairFactors:
         key = (slot, lam)
         got = self._single.get(key)
         if got is None:
-            p, empty = self.p, ()
             # the vector factor divides: its pair enters upside down
             den, num = _vector_pair(0, lam, lam, self.vv[slot][slot])
             for i in range(2):
-                for fn, fd in (
-                        _orb_pair((slot - i) % 2, 2, empty, lam, _bracket_point(self.uv[i][slot], p)),
-                        _orb_pair((i - slot) % 2, 2, lam, empty, _bracket_point(self.vw[slot][i], p))):
+                for fn, fd in (_orb_pair((slot - i) % 2, 2, (), lam, self.uv[i][slot]),
+                               _orb_pair((i - slot) % 2, 2, lam, (), self.vw[slot][i])):
                     num *= fn
                     den *= fd
             got = self._single[key] = (num, den)
@@ -238,7 +235,7 @@ class PairFactors:
 
 def pair_weight(pair, factors: PairFactors):
     """Weight of one fixed point (lambda1, lambda2) in the localization sum
-    at the point factors.p: matter factors over vector-multiplet factors,
+    at the point of `factors`: matter factors over vector-multiplet factors,
     order-2 orbifold.
 
     A sum passes one `factors` to all its calls so the single-partition

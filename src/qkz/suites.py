@@ -18,7 +18,7 @@ import random
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -56,6 +56,9 @@ WINDOWED = {**WINDOW, **_LAMBDA_ORDER}
 
 @dataclass
 class SuiteConfig:
+    """A run's inputs, which its report gives as `config`: the suite, the
+    seeds with their point count, and the options in the suite's `limits`,
+    each set to its SUITE_OPTIONS value when left unset."""
     suite: str
     seeds: tuple = DEFAULT_SEEDS
     points: int = 1
@@ -65,15 +68,11 @@ class SuiteConfig:
     n: int | None = None
     N: int | None = None
     jet_order: int | None = None
-    out: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
         spec = SUITES.get(self.suite)
         if spec is None:
             raise ConfigError(f"unknown suite id {self.suite!r}")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"unknown report format {self.format!r}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("need at least one seed")
@@ -84,9 +83,13 @@ class SuiteConfig:
             raise ConfigError(f"a seed repeats in {seeds} (each --seed S checks "
                               f"S + {SEED_STRIDE} k for k < --points)")
         check_limits(self.suite, spec.limits, self)
-        for opt, default in SUITE_OPTIONS.items():
+        for opt in spec.limits:
             if getattr(self, opt) is None:
-                setattr(self, opt, default)
+                setattr(self, opt, SUITE_OPTIONS[opt])
+
+    def options(self) -> dict:
+        """The options its suite reads, by name; the others stay None."""
+        return {opt: getattr(self, opt) for opt in SUITES[self.suite].limits}
 
     def expanded_seeds(self) -> list:
         """Every seed the run checks: each --seed S with its --points draws."""
@@ -404,6 +407,8 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
         mu = rng.choice(partitions_of(rng.randint(0, max_size)))
         su = next(draws)
         pair = [list(lam), list(mu)]
+        # the box product does not depend on the orbifold order
+        box = total_nekrasov_bracket(lam, mu, su, p)
         for order in (2, 3, 4):
             factors = []
             for k in range(order):
@@ -411,8 +416,8 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
                 rec.compare(a, nek_orb_floor(k, order, lam, mu, su, p),
                             {"pair": pair, "n": order, "k": k}, ("row_form", "floor_form"))
                 factors.append(a)
-            rec.compare(product(factors), total_nekrasov_bracket(lam, mu, su, p),
-                        {"pair": pair, "n": order}, ("k_product", "box_product"))
+            rec.compare(product(factors), box, {"pair": pair, "n": order},
+                        ("k_product", "box_product"))
 
 
 def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
@@ -620,9 +625,9 @@ def suite_tasks(cfg: SuiteConfig) -> list:
     """(suite, arguments) of every check of a run, seed by seed.  A check
     reads the options its suite bounds from `cfg`; where the options of the
     suite's sweep are unset, each sweep entry sets them for one check."""
-    spec = SUITES[cfg.suite]
-    given = {opt: getattr(cfg, opt) for opt in spec.limits}
-    sweep = [entry for entry in spec.sweep if all(given[opt] is None for opt in entry)]
+    given = cfg.options()
+    sweep = [entry for entry in SUITES[cfg.suite].sweep
+             if all(given[opt] is None for opt in entry)]
     return [(cfg.suite, {"seed": s, **given, **entry})
             for s in cfg.expanded_seeds() for entry in sweep or [{}]]
 
@@ -686,7 +691,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
         "version": __version__,
         "env": {"backend": f"{Rat.__module__}.{Rat.__name__}",
                 "python": sys.version.split()[0], "workers": workers},
-        "config": {**asdict(cfg), "seeds": list(cfg.seeds)},
+        "config": {"suite": cfg.suite, "seeds": list(cfg.seeds), "points": cfg.points,
+                   **cfg.options()},
         "checks": records,
     }
 

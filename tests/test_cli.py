@@ -54,8 +54,30 @@ def test_report_determinism_modulo_timing():
     assert strip(rep1) == strip(rep2)
 
 
+def test_a_report_does_not_depend_on_where_it_is_written(monkeypatch, tmp_path):
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["verify", "BAILEY", "--seed", "1", "--out", str(out)]) == 0
+        texts.append(re.sub(r'"time_ms": \d+', '"time_ms": 0', out.read_text()))
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["config"] == {"suite": "BAILEY", "seeds": [1], "points": 1}
+
+
+def test_an_unknown_format_is_rejected_by_the_parser(capsys):
+    # the parser's choices are the one check of --format: the run's config
+    # has no format to check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "BAILEY", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        SuiteConfig(suite="BAILEY", format="json")
+
+
 def test_csv_report_format():
-    cfg = SuiteConfig(suite="SHUFFLE", seeds=(1,), format="csv")
+    cfg = SuiteConfig(suite="SHUFFLE", seeds=(1,))
     rep = run_suite(cfg)
     text = write_report(rep, "csv")
     lines = text.strip().splitlines()

@@ -280,7 +280,8 @@ def test_matter_factor_meets_the_zero_bracket():
     # at d2 = q^-2, sqrt(v1/w1) = q^-1 and lambda1 = (3, 1) wider than m = 2
     # reaches the bracket [q^-1; q]_2 = [q^-1][1] = 0
     p = P.with_overrides(2, 1)
-    su = PairFactors(p).vw[0][0]
+    _, v, w = laumon._spectral_vectors()
+    su = p.at((v[0] - w[0]).half())
     wide, narrow = (3, 1), (2, 1)
     assert _nek_orb_slow(0, 2, wide, EMPTY, su, p) == 0
     assert nek_orb(0, 2, wide, EMPTY, su, p) == 0
@@ -541,3 +542,14 @@ def test_full_sum_work_count(calls):
     laumon._vector_pair.cache_clear()
     z_al(sample_generic_point(1, guard=8), 4, 4)
     assert calls["_orb_pair"] <= 878
+
+
+def test_bracket_points_are_built_once_per_sum(monkeypatch):
+    # the 12 square roots of one PairFactors each become a bracket point
+    # once, and no partition the sum visits builds another
+    built = []
+    real = laumon._bracket_point
+    monkeypatch.setattr(laumon, "_bracket_point",
+                        lambda *args: built.append(args) or real(*args))
+    z_al(sample_generic_point(1, guard=8), 4, 4)
+    assert len(built) == 12

@@ -107,6 +107,19 @@ def test_registry_expansion_matches_reference(expand, suite):
     assert expand(suite=suite, seeds=(1,), **orders)[0][1] == FIRST_ARGS[suite]
 
 
+@pytest.mark.usefixtures("expand")
+@pytest.mark.parametrize("suite", sorted(NAMES))
+def test_report_config_is_what_the_checks_read(suite):
+    # the suite, seeds and points, and the options the suite's row bounds:
+    # no option it does not read, and nothing about where or how the
+    # report is written (the checks are stubs)
+    report = run_suite(SuiteConfig(suite=suite, seeds=(1,)))
+    config = report["config"]
+    assert set(config) == {"suite", "seeds", "points", *SUITES[suite].limits}
+    assert (config["suite"], config["seeds"], config["points"]) == (suite, [1], 1)
+    assert all(config[opt] == SUITE_OPTIONS[opt] for opt in SUITES[suite].limits)
+
+
 def test_registry_window_and_N_overrides(expand):
     assert expand(suite="AL_EQ_JACKSON", seeds=(1,), points=2, m=2, n=1) == [
         (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 4}),
@@ -146,6 +159,17 @@ def test_empty_window_passes(monkeypatch, suite):
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 1)])
 def test_lambda_order_5(check, m, n):
     assert _mismatch(check, seed=1, m=m, n=n, lmax=5) is None
+
+
+@pytest.mark.parametrize("check, m, n, lmax", [
+    (chk_al_jackson, 0, 4, 5), (chk_al_jackson, 1, 3, 5), (chk_al_jackson, 4, 0, 5),
+    (chk_qkz_matrix, 2, 1, 7)])
+def test_larger_windows_and_orders(check, m, n, lmax):
+    # with test_lambda_order_5: every AL_EQ_JACKSON window with m + n = 4
+    # at lmax 5, and QKZ_MATRIX on its largest default window at lmax 7
+    record = _record(check, seed=1, m=m, n=n, lmax=lmax)
+    assert record["status"] == "pass", record["mismatch"]
+    assert record["orders"]["lmax"] == lmax
 
 
 @pytest.mark.parametrize("lmax", [1, 2, 3, 4, 5])
@@ -203,23 +227,25 @@ def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
     # at u = q^a kappa^b the bracket [u q^-a kappa^-b] = [1] is 0, and a
     # product comparison of zero factors cannot fail: no trial at seeds 1-24
     # draws such a u with |a|, |b| <= 2 max_size + 4 = 20 (u = 1 included).
-    # The factor forms are stubs that record (sqrt(u), point), so no factor
-    # is evaluated
+    # The factor forms are stubs that record (form, sqrt(u), point), so no
+    # factor is evaluated
+    from collections import Counter
+
     from qkz import suites
 
     drawn = []
     for name, slot in (("nek_orb", 4), ("nek_orb_floor", 4), ("total_nekrasov_bracket", 2)):
-        monkeypatch.setattr(suites, name,
-                            lambda *args, _slot=slot: drawn.append(args[_slot:_slot + 2]) or ONE)
+        monkeypatch.setattr(suites, name, lambda *args, _name=name, _slot=slot:
+                            drawn.append((_name, *args[_slot:_slot + 2])) or ONE)
     span = range(-20, 21)
-    count = 0
+    count = Counter()
     for seed in range(1, 25):
         drawn.clear()
         assert _mismatch(chk_nekrasov_3way, seed=seed) is None
-        count += len(drawn)
+        count.update(name for name, _, _ in drawn)
         p = sample_generic_point(seed, 8)
-        assert all(at is p for _, at in drawn)  # the sampler is memoized
-        values = {su for su, _ in drawn}
+        assert all(at is p for _, _, at in drawn)  # the sampler is memoized
+        values = {su for _, su, _ in drawn}
         assert 1 not in values
         # su^2 = q^a kappa^b = rq^(4a) rt^(-2b) iff v_su = 2a v_rq - b v_rt,
         # over one coprime base of the roots and of every p/s the draw gives
@@ -227,7 +253,10 @@ def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
         vq, vt = exponent_vector(p.rq, base), exponent_vector(p.rt, base)
         lattice = {tuple(2 * a * x - b * y for x, y in zip(vq, vt)) for a in span for b in span}
         assert not [su for su in values if exponent_vector(su, base) in lattice]
-    assert count == 24 * 200 * 21
+    # per trial: k = 0..n-1 in both k-forms at n = 2, 3, 4, and one box product
+    assert count == {"nek_orb": 24 * 200 * 9, "nek_orb_floor": 24 * 200 * 9,
+                     "total_nekrasov_bracket": 24 * 200}
+    assert count.total() == 24 * 200 * 19
 
 
 def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
