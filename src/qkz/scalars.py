@@ -3,7 +3,8 @@
 Three kinds of scalars circulate in this package:
 
 * ``Rat`` -- arbitrary-precision rationals (gmpy2.mpq when available,
-  ``fractions.Fraction`` otherwise).  All identities are certified by exact
+  otherwise a ``fractions.Fraction`` subclass with fast same-type
+  arithmetic).  All identities are certified by exact
   equality of such numbers; nothing is ever rounded.
 * ``HJet`` -- truncated power series in a formal variable h, used to take
   the small-h (four-dimensional) limit order by order.
@@ -27,7 +28,153 @@ from .errors import DegenerateParameterError, QkzError, SamplingError
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rat
+    from fractions import Fraction
+
+    def _rat(n: int, d: int, _new=object.__new__):
+        """The Rat n/d of a reduced pair with d > 0, built without checks."""
+        r = _new(Rat)
+        r._numerator = n
+        r._denominator = d
+        return r
+
+    def _lift(x):
+        """The result of a Fraction method, with a plain Fraction as a Rat."""
+        return _rat(x._numerator, x._denominator) if type(x) is Fraction else x
+
+    class Rat(Fraction):
+        """`fractions.Fraction` with fast same-type arithmetic.
+
+        For a Rat or int operand (bool included) +, -, *, /, negation,
+        int powers, == and bool take the reductions of Fraction (Henrici's,
+        Knuth TAOCP vol. 2 4.5.1) with none of its operand dispatch, and
+        build the result directly.  Any other operand goes to the Fraction
+        method, whose Fraction result comes back as a Rat; for a series it
+        is NotImplemented, so the series' reflected operator runs.  A zero
+        divisor takes the Fraction path too, which raises ZeroDivisionError.
+        Construction, str, hash, ordering and pickling are Fraction's; so
+        are the operators qkz does not use (abs, %, //, round and a Rat
+        exponent), which may return a Fraction."""
+
+        __slots__ = ()
+
+        def __add__(a, b):
+            if type(b) is Rat:
+                na, da = a._numerator, a._denominator
+                nb, db = b._numerator, b._denominator
+                g = gcd(da, db)
+                if g == 1:
+                    return _rat(na * db + da * nb, da * db)
+                s = da // g
+                t = na * (db // g) + nb * s
+                g2 = gcd(t, g)
+                if g2 == 1:
+                    return _rat(t, s * db)
+                return _rat(t // g2, s * (db // g2))
+            if isinstance(b, int):
+                return _rat(a._numerator + a._denominator * b, a._denominator)
+            return _lift(Fraction.__add__(a, b))
+
+        __radd__ = __add__
+
+        def __sub__(a, b):
+            if type(b) is Rat:
+                na, da = a._numerator, a._denominator
+                nb, db = b._numerator, b._denominator
+                g = gcd(da, db)
+                if g == 1:
+                    return _rat(na * db - da * nb, da * db)
+                s = da // g
+                t = na * (db // g) - nb * s
+                g2 = gcd(t, g)
+                if g2 == 1:
+                    return _rat(t, s * db)
+                return _rat(t // g2, s * (db // g2))
+            if isinstance(b, int):
+                return _rat(a._numerator - a._denominator * b, a._denominator)
+            return _lift(Fraction.__sub__(a, b))
+
+        def __rsub__(a, b):
+            if isinstance(b, int):
+                return _rat(a._denominator * b - a._numerator, a._denominator)
+            return _lift(Fraction.__rsub__(a, b))
+
+        def __mul__(a, b):
+            if type(b) is Rat:
+                na, da = a._numerator, a._denominator
+                nb, db = b._numerator, b._denominator
+                g1 = gcd(na, db)
+                if g1 > 1:
+                    na //= g1
+                    db //= g1
+                g2 = gcd(nb, da)
+                if g2 > 1:
+                    nb //= g2
+                    da //= g2
+                return _rat(na * nb, db * da)
+            if isinstance(b, int):
+                da = a._denominator
+                g = gcd(b, da)
+                if g > 1:
+                    return _rat(a._numerator * (b // g), da // g)
+                return _rat(a._numerator * b, da)
+            return _lift(Fraction.__mul__(a, b))
+
+        __rmul__ = __mul__
+
+        def __truediv__(a, b):
+            if type(b) is Rat and b._numerator:
+                na, da = a._numerator, a._denominator
+                nb, db = b._numerator, b._denominator
+                g1 = gcd(na, nb)
+                if g1 > 1:
+                    na //= g1
+                    nb //= g1
+                g2 = gcd(db, da)
+                if g2 > 1:
+                    da //= g2
+                    db //= g2
+                n, d = na * db, nb * da
+            elif isinstance(b, int) and b:
+                g = gcd(a._numerator, b)
+                n, d = a._numerator // g, a._denominator * (b // g)
+            else:
+                return _lift(Fraction.__truediv__(a, b))
+            return _rat(-n, -d) if d < 0 else _rat(n, d)
+
+        def __rtruediv__(a, b):
+            na = a._numerator
+            if isinstance(b, int) and na:
+                g = gcd(b, na)
+                n, d = (b // g) * a._denominator, na // g
+                return _rat(-n, -d) if d < 0 else _rat(n, d)
+            return _lift(Fraction.__rtruediv__(a, b))
+
+        def __neg__(a):
+            return _rat(-a._numerator, a._denominator)
+
+        def __pow__(a, b):
+            if isinstance(b, int):
+                na, da = a._numerator, a._denominator
+                if b >= 0:
+                    return _rat(na ** b, da ** b)
+                if na > 0:
+                    return _rat(da ** -b, na ** -b)
+                if na < 0:
+                    return _rat((-da) ** -b, (-na) ** -b)
+            return _lift(Fraction.__pow__(a, b))
+
+        def __eq__(a, b):
+            if type(b) is Rat:
+                return a._numerator == b._numerator and a._denominator == b._denominator
+            if isinstance(b, int):
+                return a._numerator == b and a._denominator == 1
+            return Fraction.__eq__(a, b)
+
+        # defining __eq__ clears the inherited hash
+        __hash__ = Fraction.__hash__
+
+        def __bool__(a):
+            return a._numerator != 0
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -130,14 +130,17 @@ class Recorder:
     equal, one pair at a time, with the pair's location.  The recorder
     counts the pairs (`compared`) and the pairs with a side that is not 0
     (`nonzero`), and stops the check at the first unequal pair by raising
-    `_Mismatch`.  It also keeps the check's `orders` and the `point` of
-    the current attempt, which the report of a mismatch carries."""
+    `_Mismatch`.  It also keeps the check's `orders`, the `point` of
+    the current attempt, which the report of a mismatch carries, and the
+    `retries`: a `{seed, exception, message}` record of each point that
+    `_sample_with_retries` rejected as degenerate."""
 
-    __slots__ = ("compared", "nonzero", "point", "orders")
+    __slots__ = ("compared", "nonzero", "point", "orders", "retries")
 
     def __init__(self):
         self.compared = self.nonzero = 0
         self.point = self.orders = None
+        self.retries = []
 
     def begin(self, point: str) -> None:
         """Start an attempt at `point` (as JSON); the counts restart."""
@@ -200,7 +203,8 @@ def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overr
     window, so downstream denominators may still collapse at unlucky points).
     Only DegenerateParameterError (with its subclasses) signals degeneracy;
     any other exception is a fault and propagates from the first attempt,
-    as does a mismatch.  Each attempt begins afresh on `rec`."""
+    as does a mismatch.  Each attempt begins afresh on `rec`, and each
+    rejected point is added to `rec.retries`."""
     last = None
     for k in range(MAX_POINT_RETRIES):
         s = seed + RETRY_STRIDE * k
@@ -212,6 +216,8 @@ def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overr
             return p, attempt_fn(p)
         except DegenerateParameterError as exc:
             last = exc
+            rec.retries.append({"seed": s, "exception": type(exc).__name__,
+                                "message": str(exc)})
     raise QkzError(f"no usable generic point after retries: {last}")
 
 
@@ -664,15 +670,20 @@ def _execute(task):
             "orders": rec.orders, "mismatch": mismatch,
             "time_ms": int((time.monotonic() - start) * 1000),
             "stats": {"compared": rec.compared, "nonzero": rec.nonzero},
+            "retries": rec.retries,
             **({"info": info} if info is not None else {})}
 
 
 def worker_count(n_tasks: int) -> int:
+    """The size of the worker pool: QKZ_THREADS (an integer >= 1, else
+    ConfigError) or the CPU count, and at most one worker per task."""
     env = os.environ.get("QKZ_THREADS")
     try:
-        cap = max(1, int(env)) if env else os.cpu_count() or 1
+        cap = int(env) if env else os.cpu_count() or 1
     except ValueError:
         raise ConfigError(f"QKZ_THREADS must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ConfigError(f"QKZ_THREADS must be at least 1, got {env!r}")
     return max(1, min(cap, n_tasks))
 
 
@@ -705,10 +716,12 @@ def write_report(report: dict, fmt: str) -> str:
     """The report as the text of format `fmt`, "json" or "csv"."""
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=False) + "\n"
-    lines = ["name,status,point,orders,mismatch,time_ms"]
+    lines = ["name,status,point,orders,mismatch,time_ms,compared,nonzero,retries"]
     for c in report["checks"]:
         cells = [c["name"], c["status"],
                  json.dumps(c.get("point")), json.dumps(c.get("orders")),
-                 json.dumps(c.get("mismatch")), str(c["time_ms"])]
+                 json.dumps(c.get("mismatch")), str(c["time_ms"]),
+                 str(c["stats"]["compared"]), str(c["stats"]["nonzero"]),
+                 json.dumps(c["retries"])]
         lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
     return "\n".join(lines) + "\n"

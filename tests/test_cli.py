@@ -35,7 +35,7 @@ def test_verify_exit_code_and_report_schema(tmp_path):
     report = json.loads(out.read_text())
     assert set(report) == {"suite", "version", "env", "config", "checks"}
     assert report["suite"] == "PENTAGON"
-    assert report["env"]["backend"] in ("fractions.Fraction", "gmpy2.mpq")
+    assert report["env"]["backend"] in ("qkz.scalars.Rat", "gmpy2.mpq")
     assert report["env"]["python"] == platform.python_version()
     assert report["env"]["workers"] == 1
     for check in report["checks"]:
@@ -81,8 +81,10 @@ def test_csv_report_format():
     rep = run_suite(cfg)
     text = write_report(rep, "csv")
     lines = text.strip().splitlines()
-    assert lines[0] == "name,status,point,orders,mismatch,time_ms"
+    assert lines[0] == "name,status,point,orders,mismatch,time_ms,compared,nonzero,retries"
     assert len(lines) == 1 + len(rep["checks"])
+    compared, nonzero = rep["checks"][0]["stats"].values()
+    assert lines[1].endswith(f',"{compared}","{nonzero}","[]"')
 
 
 def test_failure_reports_first_mismatch_location():
@@ -141,6 +143,9 @@ def test_degenerate_point_retry_is_deterministic():
     # the third sampled point is the one derived from seed + 2*stride
     from qkz.scalars import sample_generic_point
     assert p == sample_generic_point(10 + 2 * RETRY_STRIDE, 6)
+    assert rec.retries == [
+        {"seed": 10 + k * RETRY_STRIDE, "exception": "DegenerateParameterError",
+         "message": "synthetic degeneracy"} for k in range(2)]
 
 
 def test_retries_do_not_hide_a_fault():
@@ -152,9 +157,10 @@ def test_retries_do_not_hide_a_fault():
         calls.append(p)
         raise ZeroDivisionError("injected fault")
 
+    rec = Recorder()
     with pytest.raises(ZeroDivisionError, match="injected fault"):
-        _sample_with_retries(Recorder(), 10, 6, attempt_fn=attempt)
-    assert len(calls) == 1
+        _sample_with_retries(rec, 10, 6, attempt_fn=attempt)
+    assert len(calls) == 1 and rec.retries == []
 
 
 def test_worker_pool_cap(monkeypatch):
@@ -213,6 +219,8 @@ def test_jackson_dump(tmp_path):
     (["PENTAGON", "--lmax", "9"], None),
     (["SHAKIROV_EQ", "--jet-order", "2"], None),
     (["FOURD_LIMIT", "--lmax", "3"], None),
+    (["BAILEY"], "0"),
+    (["BAILEY"], "-1"),
 ])
 def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, env):
     from qkz import suites

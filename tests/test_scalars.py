@@ -1,6 +1,13 @@
 import json
+import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -42,6 +49,106 @@ def test_rat_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     if c != 0:
         assert (a / c) * c == a
+
+
+fraction_backend = pytest.mark.skipif(
+    Rat.__module__ != "qkz.scalars", reason="Rat is gmpy2.mpq, not the Fraction subclass")
+
+
+def _draw_operand(rng, kind):
+    """A Rat (small, large, signed or 0), an int or a bool."""
+    bits = rng.choice((4, 4, 40, 130))
+    n = 0 if rng.random() < 0.15 else rng.randint(-2 ** bits, 2 ** bits)
+    if kind is int:
+        return n
+    if kind is bool:
+        return bool(n % 2)
+    return Rat(n, rng.randint(1, 2 ** bits))
+
+
+def _as_fraction(x):
+    return Fraction(x) if type(x) is Rat else x
+
+
+def _agrees_with_fraction(op, *args):
+    """op on Rat operands gives what it gives on their Fractions, as a Rat,
+    or raises the same exception."""
+    try:
+        want = op(*map(_as_fraction, args))
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)) as got:
+            op(*args)
+        assert str(got.value) == str(exc), args
+        return
+    got = op(*args)
+    assert got == want and type(got) is (Rat if type(want) is Fraction else type(want)), (
+        op, args, got, want)
+
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne)
+
+
+@fraction_backend
+def test_rat_arithmetic_equals_fraction_arithmetic():
+    rng = random.Random(20)
+    for _ in range(3000):
+        x = _draw_operand(rng, Rat)
+        y = _draw_operand(rng, rng.choice((Rat, Rat, int, bool)))
+        for op in BINARY:
+            _agrees_with_fraction(op, x, y)
+            _agrees_with_fraction(op, y, x)
+        _agrees_with_fraction(operator.neg, x)
+        _agrees_with_fraction(bool, x)
+        e = rng.randint(-4, 4)
+        for power in (e, Rat(e), e > 0):
+            _agrees_with_fraction(operator.pow, x, power)
+
+
+@fraction_backend
+@pytest.mark.parametrize("x", [Rat(0), Rat(-3), Rat(-7, 3), Rat(2 ** 100 + 1, 3 ** 50)])
+def test_rat_with_a_foreign_operand_takes_the_fraction_path(x):
+    # a Fraction result comes back as a Rat; a float stays a float
+    for y in (Fraction(5, 4), Fraction(0), 0.5, -2.0):
+        _agrees_with_fraction(operator.pow, x, y)
+        for op in BINARY:
+            _agrees_with_fraction(op, x, y)
+            _agrees_with_fraction(op, y, x)
+
+
+@fraction_backend
+def test_rat_hash_pickle_and_zero_division():
+    for n, d in ((0, 1), (3, 4), (-5, 6), (2 ** 80, 3 ** 40), (7, 2 ** 61 - 1)):
+        x = Rat(n, d)
+        assert hash(x) == hash(Fraction(n, d))
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and type(back) is Rat
+    assert {Rat(6, 3): "two"}[2] == "two"
+    for fault in (lambda: Rat(3, 4) / 0, lambda: Rat(3, 4) / Rat(0), lambda: 1 / Rat(0),
+                  lambda: Rat(0) ** -2, lambda: Rat(0, 5) ** -1):
+        with pytest.raises(ZeroDivisionError):
+            fault()
+
+
+def test_an_importable_gmpy2_gives_its_mpq(tmp_path):
+    # the Fraction subclass exists only where gmpy2 is missing
+    (tmp_path / "gmpy2.py").write_text("from fractions import Fraction as mpq\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import gmpy2, qkz.scalars as s; assert s.Rat is gmpy2.mpq and not hasattr(s, '_rat')"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"})
+    assert done.returncode == 0
+
+
+def test_rat_with_a_series_gives_the_series():
+    s = LambdaSeries([Rat(1, 2), Rat(-3), Rat(2, 7)])
+    x = Rat(3, 5)
+    for got, want in ((s * x, [Rat(3, 10), Rat(-9, 5), Rat(6, 35)]),
+                      (x * s, [Rat(3, 10), Rat(-9, 5), Rat(6, 35)]),
+                      (x - s, [Rat(1, 10), Rat(3), Rat(-2, 7)])):
+        assert type(got) is LambdaSeries and list(got.coeffs) == want
+    assert type(x / s) is LambdaSeries and x / s * s == x
+    jet = x + HJet([Rat(1), Rat(2, 3)])
+    assert type(jet) is HJet and jet.coeffs == (Rat(8, 5), Rat(2, 3))
 
 
 def _jet(coeffs):

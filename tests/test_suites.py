@@ -12,9 +12,10 @@ from qkz.cone import ConeSeries
 from qkz.errors import DegenerateParameterError
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
-from qkz.scalars import ONE, coprime_base, exponent_vector, is_plain, sample_generic_point
+from qkz.scalars import (ONE, coprime_base, exponent_vector, is_plain, quotient,
+                         sample_generic_point)
 from qkz.suites import (
-    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
+    MAX_POINT_RETRIES, RETRY_STRIDE, SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
     chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite,
     suite_tasks)
@@ -650,6 +651,42 @@ def test_a_mismatch_before_a_degenerate_stage_is_not_retried(monkeypatch):
     assert record["mismatch"] == {"stage": "first", "left": "1", "right": "2"}
     assert record["point"] == attempts[0].to_json()
     assert record["stats"] == {"compared": 1, "nonzero": 1}
+
+
+def test_a_rejected_point_is_a_retry_of_the_report(monkeypatch):
+    # the first point is degenerate, the second compares one nonzero pair
+    attempts = []
+
+    def check(rec, seed):
+        rec.orders = {}
+
+        def attempt(p):
+            attempts.append(p)
+            if len(attempts) == 1:
+                raise DegenerateParameterError("first point is degenerate")
+            rec.compare(ONE, ONE, {})
+
+        _sample_with_retries(rec, seed, 8, attempt)
+
+    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
+    record = _execute(("BAILEY", {"seed": 1}))
+    assert record["status"] == "pass" and record["point"] == attempts[1].to_json()
+    assert record["retries"] == [{"seed": 1, "exception": "DegenerateParameterError",
+                                  "message": "first point is degenerate"}]
+    assert record["stats"] == {"compared": 1, "nonzero": 1}
+
+
+def test_a_check_that_runs_out_of_points_reports_every_retry(monkeypatch):
+    def check(rec, seed):
+        rec.orders = {}
+        _sample_with_retries(rec, seed, 8, lambda p: quotient(ONE, 0, "the pivot"))
+
+    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
+    record = _execute(("BAILEY", {"seed": 1}))
+    assert record["status"] == "fail" and record["point"] is None
+    assert record["retries"] == [
+        {"seed": 1 + k * RETRY_STRIDE, "exception": "DegenerateParameterError",
+         "message": "the pivot vanishes"} for k in range(MAX_POINT_RETRIES)]
 
 
 def test_a_check_that_compares_only_zeros_fails(monkeypatch):
