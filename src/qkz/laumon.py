@@ -5,14 +5,19 @@ All products are finite.  Monomial square roots needed by the balanced
 bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are lattice Monomials, so their square roots are formed exactly
 (Monomial.half rejects an odd exponent).
-Each factor lists its elementary brackets [u q^a kappa^b], takes each
-from a bounded memo as an unreduced int pair, and keeps the product an
-int pair until one final reduction.
+Each factor lists its elementary brackets [u q^a kappa^b] as runs, and
+one sweep over the diagrams builds the runs of every residue k of an
+orbifold order n.  A `BracketTable` holds the brackets of one
+(sqrt(u), point), each computed once as an unreduced int pair; the
+partition sum takes its brackets from the bounded `elementary_bracket`
+memo instead, which its sums at the points of one seed share.  A product
+stays an int pair until one final reduction, or none: NEKRASOV_3WAY
+compares the pairs by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cone import ConeSeries
 from .errors import DegenerateParameterError
@@ -39,37 +44,73 @@ def _scaled(a, b, xn, xd, e: int):
     return a * xd ** -e, b * xn ** -e
 
 
-@lru_cache(maxsize=1024)
-def elementary_bracket(un, ud, qn, qd, tn, td, a: int, b: int):
-    """[u q^a kappa^b] as an unreduced int pair, for sqrt(u) = un/ud,
+def _bracket_at(point, key):
+    """[u q^a kappa^b] as an unreduced int pair for key = (a, b), at the
+    bracket point (un, ud, qn, qd, tn, td): sqrt(u) = un/ud,
     sqrt(q) = rq^2 = qn/qd and rt = tn/td, so sqrt(kappa) = td/tn."""
-    x, y = _scaled(un, ud, qn, qd, a)
-    return bracket_parts(*_scaled(x, y, td, tn, b))
+    un, ud, qn, qd, tn, td = point
+    x, y = _scaled(un, ud, qn, qd, key[0])
+    return bracket_parts(*_scaled(x, y, td, tn, key[1]))
+
+
+# the partition sum's bounded memo, which its sums at the windows of one seed share
+elementary_bracket = lru_cache(maxsize=1024)(_bracket_at)
 
 
 def _bracket_point(sqrt_u, p: ParamPoint):
-    """The ints of sqrt(u), sqrt(q) = rq^2 and rt that `elementary_bracket`
+    """The ints of sqrt(u), sqrt(q) = rq^2 and rt that `_bracket_at`
     reads."""
     rq, rt = p.rq, p.rt
     return (sqrt_u.numerator, sqrt_u.denominator, rq.numerator ** 2,
             rq.denominator ** 2, rt.numerator, rt.denominator)
 
 
-def _bracket_product(point, step, runs):
+class BracketTable(dict):
+    """The elementary brackets at one (sqrt(u), point), keyed by (a, b):
+    each is computed on its first lookup, as an unreduced int pair, and
+    kept as long as the table.  Every factor form at that (sqrt(u), point)
+    reads the one table, which needs no bound, and returns unreduced int
+    pairs: the row and floor forms one per residue k of the order n."""
+
+    def __init__(self, sqrt_u, p: ParamPoint):
+        super().__init__()
+        self.point = _bracket_point(sqrt_u, p)
+
+    def __missing__(self, key):
+        got = self[key] = _bracket_at(self.point, key)
+        return got
+
+    def rows(self, n: int, lam: tuple, mu: tuple):
+        """`nek_orb` at k = 0..n-1."""
+        return [_bracket_product(self.__getitem__, (1, 0), runs)
+                for runs in _row_runs(n, lam, mu)]
+
+    def floors(self, n: int, lam: tuple, mu: tuple):
+        """`nek_orb_floor` at k = 0..n-1."""
+        return [_bracket_product(self.__getitem__, (0, n), runs)
+                for runs in _floor_runs(n, lam, mu)]
+
+    def box(self, lam: tuple, mu: tuple):
+        """The box product of `_box_runs`, which is prod_k nek_orb(k | n)
+        for every n."""
+        return _bracket_product(self.__getitem__, (0, 0), _box_runs(lam, mu))
+
+
+def _bracket_product(bracket, step, runs):
     """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n,
-    as an unreduced int pair, at the bracket point `point`.
+    as an unreduced int pair; `bracket((a, b))` gives [u q^a kappa^b].
 
     The base is q^s_q kappa^s_kap for step = (s_q, s_kap), and
     [x; base]_n = prod_{i<n} [x base^i], so each run expands into the
     elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)], each
-    multiplied in as `elementary_bracket` gives it: a repeated bracket is
-    one memo lookup.
+    multiplied in as `bracket` gives it: a repeated bracket is one memo
+    lookup.
     """
     s_q, s_kap = step
     num = den = 1
     for e_q, e_kap, n in runs:
         for i in range(n):
-            bn, bd = elementary_bracket(*point, e_q + i * s_q, e_kap + i * s_kap)
+            bn, bd = bracket((e_q + i * s_q, e_kap + i * s_kap))
             num *= bn
             den *= bd
     return num, den
@@ -78,6 +119,91 @@ def _bracket_product(point, step, runs):
 def _padded(rows: tuple, size: int):
     """Rows as a 0-based tuple, zero-padded to `size`."""
     return rows + (0,) * (size - len(rows))
+
+
+def _row_runs(n: int, lam: tuple, mu: tuple):
+    """The runs of `nek_orb` for every residue k = 0..n-1, in one sweep:
+    the lambda runs go to k = j - i and the mu runs to k = a - b - 1
+    (mod n).  Each run list is expanded with the step (1, 0)."""
+    ln, mn = len(lam), len(mu)
+    size = ln + mn + 1
+    lr, mr = _padded(lam, size), _padded(mu, size)
+    runs = [[] for _ in range(n)]
+    for j in range(ln):
+        lo = lr[j + 1]
+        cnt = lr[j] - lo
+        if cnt:
+            for i in range(j + 1):
+                runs[(j - i) % n].append((lo - mr[i], j - i, cnt))
+    for b in range(mn):
+        hi = mr[b]
+        cnt = hi - mr[b + 1]
+        if cnt:
+            for a in range(b + 1):
+                runs[(a - b - 1) % n].append((lr[a] - hi, a - b - 1, cnt))
+    return runs
+
+
+def _residue_counts(lo: int, hi: int, n: int):
+    """#{x in (lo, hi] : x = r mod n} for r = 0..n-1."""
+    counts = [0] * n
+    for x in range(lo + 1, hi + 1):
+        counts[x % n] += 1
+    return counts
+
+
+def _floor_runs(n: int, lam: tuple, mu: tuple):
+    """The runs of `nek_orb_floor` for every residue k = 0..n-1, in one
+    sweep.  Each run list is expanded with the step (0, n).
+
+    The floor differences c1 and c2 of `nek_orb_floor` count the x in
+    (lv_{j+1}, lv_j] (or (mv_{j+1}, mv_j]) in one residue class:
+    c1(k) = #{x : x = k + 1 + mv_i} and c2(k) = #{x : x = lv_i - k}
+    (mod n), so each row's x are binned by residue once, for every k."""
+    lv, mv = conjugate(lam), conjugate(mu)
+    size = len(lv) + len(mv) + 1
+    lr, mr = _padded(lv, size), _padded(mv, size)
+    runs = [[] for _ in range(n)]
+    for j in range(len(lv)):
+        hi, lo = lr[j], lr[j + 1]
+        if hi == lo:
+            continue
+        counts = _residue_counts(lo, hi, n)
+        for i, m in enumerate(mr[:j + 1]):
+            for k in range(n):
+                c1 = counts[(k + 1 + m) % n]
+                if c1:
+                    runs[k].append((j - i, lo - m + (k - lo + m) % n, c1))
+    for j in range(len(mv)):
+        hi, lo = mr[j], mr[j + 1]
+        if hi == lo:
+            continue
+        counts = _residue_counts(lo, hi, n)
+        for i, l in enumerate(lr[:j + 1]):
+            for k in range(n):
+                c2 = counts[(l - k) % n]
+                if c2:
+                    runs[k].append((i - j - 1, l - hi + (k - l + hi) % n, c2))
+    return runs
+
+
+def _box_runs(lam: tuple, mu: tuple):
+    """The runs of the bracket-normalized total factor, a product over
+    boxes, expanded with the step (0, 0):
+
+        prod_{(i,j) in lam} [u q^(lam_i - j) kappa^(-mu^T_j + i - 1)]
+      * prod_{(i,j) in mu}  [u q^(-mu_i + j - 1) kappa^(lam^T_j - i)]
+
+    with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Its product equals
+    prod_k nek_orb(k | n) for any n.
+    """
+    size = len(conjugate(lam)) + len(conjugate(mu))
+    lv, mv = _padded(conjugate(lam), size), _padded(conjugate(mu), size)
+    runs = [(row - j - 1, i - mv[j], 1)
+            for i, row in enumerate(lam) for j in range(row)]
+    runs += [(j - row, lv[j] - i - 1, 1)
+             for i, row in enumerate(mu) for j in range(row)]
+    return runs
 
 
 def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -92,23 +218,10 @@ def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
 
 
 def _orb_pair(k: int, n: int, lam: tuple, mu: tuple, point):
-    """`nek_orb` as an unreduced int pair at the bracket point `point`."""
-    k = k % n
-    ln, mn = len(lam), len(mu)
-    size = ln + mn + 1
-    lr, mr = _padded(lam, size), _padded(mu, size)
-    runs = []
-    for j in range(ln):
-        lo = lr[j + 1]
-        cnt = lr[j] - lo
-        if cnt:
-            runs += [(lo - mr[i], j - i, cnt) for i in range(j - k, -1, -n)]
-    for b in range(mn):
-        hi = mr[b]
-        cnt = hi - mr[b + 1]
-        if cnt:
-            runs += [(lr[a] - hi, a - b - 1, cnt) for a in range(b - n + 1 + k, -1, -n)]
-    return _bracket_product(point, (1, 0), runs)
+    """`nek_orb` as an unreduced int pair at the bracket point `point`,
+    with its brackets from the `elementary_bracket` memo."""
+    return _bracket_product(partial(elementary_bracket, point), (1, 0),
+                            _row_runs(n, lam, mu)[k % n])
 
 
 def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -128,50 +241,8 @@ def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
     A row j with lv_j = lv_{j+1} (mv_j = mv_{j+1}) makes c1 (c2) the
     difference of two equal floors, 0 for every i, so it is skipped.
     """
-    k = k % n
-    lv, mv = conjugate(lam), conjugate(mu)
-    size = len(lv) + len(mv) + 1
-    lr, mr = _padded(lv, size), _padded(mv, size)
-    runs = []
-    for j in range(len(lv)):
-        hi, lo = lr[j], lr[j + 1]
-        if hi == lo:
-            continue
-        top, bot = hi + n - 1 - k, lo + n - 1 - k
-        for i, m in enumerate(mr[:j + 1]):
-            r1 = m % n
-            c1 = (top - r1) // n - (bot - r1) // n
-            if c1:
-                runs.append((j - i, lo - m + (k - lo + m) % n, c1))
-    for j in range(len(mv)):
-        hi, lo = mr[j], mr[j + 1]
-        if hi == lo:
-            continue
-        top, bot = hi + k, lo + k
-        for i, l in enumerate(lr[:j + 1]):
-            r4 = -l % n
-            c2 = (top + r4) // n - (bot + r4) // n
-            if c2:
-                runs.append((i - j - 1, l - hi + (k - l + hi) % n, c2))
-    return Rat(*_bracket_product(_bracket_point(sqrt_u, p), (0, n), runs))
-
-
-def total_nekrasov_bracket(lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
-    """Bracket-normalized total factor as a product over boxes:
-
-        prod_{(i,j) in lam} [u q^(lam_i - j) kappa^(-mu^T_j + i - 1)]
-      * prod_{(i,j) in mu}  [u q^(-mu_i + j - 1) kappa^(lam^T_j - i)]
-
-    with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Equals prod_k nek_orb(k | n)
-    for any n.
-    """
-    size = len(conjugate(lam)) + len(conjugate(mu))
-    lv, mv = _padded(conjugate(lam), size), _padded(conjugate(mu), size)
-    runs = [(row - j - 1, i - mv[j], 1)
-            for i, row in enumerate(lam) for j in range(row)]
-    runs += [(j - row, lv[j] - i - 1, 1)
-             for i, row in enumerate(mu) for j in range(row)]
-    return Rat(*_bracket_product(_bracket_point(sqrt_u, p), (0, 0), runs))
+    bracket = partial(elementary_bracket, _bracket_point(sqrt_u, p))
+    return Rat(*_bracket_product(bracket, (0, n), _floor_runs(n, lam, mu)[k % n]))
 
 
 # -- affine Laumon partition function ----------------------------------------
@@ -184,7 +255,7 @@ def _spectral_vectors():
             (-D2, QQ - D4 - KAPPA))
 
 
-def _bracket_table(p: ParamPoint, left, right):
+def _root_points(p: ParamPoint, left, right):
     """The bracket points of sqrt(left_i / right_j) for i, j in {0, 1}."""
     return [[_bracket_point(p.at((l - r).half()), p) for r in right] for l in left]
 
@@ -210,9 +281,9 @@ class PairFactors:
 
     def __init__(self, p: ParamPoint):
         u, v, w = _spectral_vectors()
-        self.uv = _bracket_table(p, u, v)
-        self.vw = _bracket_table(p, v, w)
-        self.vv = _bracket_table(p, v, v)
+        self.uv = _root_points(p, u, v)
+        self.vw = _root_points(p, v, w)
+        self.vv = _root_points(p, v, v)
         self._single = {}
 
     def single(self, slot: int, lam: tuple):

@@ -47,12 +47,13 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
         For a Rat or int operand (bool included) +, -, *, /, negation,
         int powers, == and bool take the reductions of Fraction (Henrici's,
         Knuth TAOCP vol. 2 4.5.1) with none of its operand dispatch, and
-        build the result directly.  Any other operand goes to the Fraction
-        method, whose Fraction result comes back as a Rat; for a series it
-        is NotImplemented, so the series' reflected operator runs.  A zero
+        build the result directly; unary + and abs build theirs from the
+        reduced parts.  Any other operand goes to the Fraction method,
+        whose Fraction result comes back as a Rat; for a series it is
+        NotImplemented, so the series' reflected operator runs.  A zero
         divisor takes the Fraction path too, which raises ZeroDivisionError.
         Construction, str, hash, ordering and pickling are Fraction's; so
-        are the operators qkz does not use (abs, %, //, round and a Rat
+        are the operators qkz does not use (%, //, divmod, round and a Rat
         exponent), which may return a Fraction."""
 
         __slots__ = ()
@@ -151,6 +152,12 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
         def __neg__(a):
             return _rat(-a._numerator, a._denominator)
+
+        def __pos__(a):
+            return a
+
+        def __abs__(a):
+            return _rat(abs(a._numerator), a._denominator)
 
         def __pow__(a, b):
             if isinstance(b, int):

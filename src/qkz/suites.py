@@ -23,11 +23,11 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, DegenerateParameterError, QkzError
-from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector, product,
+from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector,
                       sample_generic_point)
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
-from .laumon import nek_orb, nek_orb_floor, total_nekrasov_bracket, z_al, z_al_truncated
+from .laumon import BracketTable, z_al, z_al_truncated
 from .partitions import partitions_of
 from .linalg import ScalarMatrix
 from .rmatrix import (
@@ -127,12 +127,15 @@ class Recorder:
     """The one comparison path of a check.
 
     A check feeds `compare` every pair of exact scalars that it claims
-    equal, one pair at a time, with the pair's location.  The recorder
-    counts the pairs (`compared`) and the pairs with a side that is not 0
-    (`nonzero`), and stops the check at the first unequal pair by raising
-    `_Mismatch`.  It also keeps the check's `orders`, the `point` of
-    the current attempt, which the report of a mismatch carries, and the
-    `retries`: a `{seed, exception, message}` record of each point that
+    equal, one pair at a time, with the pair's location, or feeds
+    `compare_fractions` a pair of fractions given as unreduced int pairs,
+    which it compares by cross-multiplication and reduces only to write a
+    mismatch record (NEKRASOV_3WAY compares all of its pairs so).  The
+    recorder counts the pairs (`compared`) and the pairs with a side that
+    is not 0 (`nonzero`), and stops the check at the first unequal pair by
+    raising `_Mismatch`.  It also keeps the check's `orders`, the `point`
+    of the current attempt, which the report of a mismatch carries, and
+    the `retries`: a `{seed, exception, message}` record of each point that
     `_sample_with_retries` rejected as degenerate."""
 
     __slots__ = ("compared", "nonzero", "point", "orders", "retries")
@@ -157,6 +160,21 @@ class Recorder:
         if left != right:
             values = (left, right) if len(sides) == 2 else (left - right, left, right)
             raise _Mismatch({**where, **{name: str(v) for name, v in zip(sides, values)}})
+
+    def compare_fractions(self, left, right, where: dict, sides=("left", "right")) -> None:
+        """`compare` for two fractions given as unreduced int pairs
+        (num, den), by cross-multiplication: nothing is reduced unless the
+        pair is unequal, and then each side is written as its Rat.  A zero
+        denominator raises ValueError, since a d == c b would then hold
+        whatever the other side is."""
+        (a, b), (c, d) = left, right
+        if not b or not d:
+            raise ValueError(f"zero denominator in a compared fraction at {where}")
+        self.compared += 1
+        if a or c:
+            self.nonzero += 1
+        if a * d != c * b:
+            raise _Mismatch({**where, sides[0]: str(Rat(a, b)), sides[1]: str(Rat(c, d))})
 
     def series(self, left, right, through: int, where: dict, sides=RESIDUAL) -> None:
         """Two truncated series, coefficients 0..through, at "order"; a
@@ -413,17 +431,17 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
         mu = rng.choice(partitions_of(rng.randint(0, max_size)))
         su = next(draws)
         pair = [list(lam), list(mu)]
+        table = BracketTable(su, p)
         # the box product does not depend on the orbifold order
-        box = total_nekrasov_bracket(lam, mu, su, p)
+        box = table.box(lam, mu)
         for order in (2, 3, 4):
-            factors = []
-            for k in range(order):
-                a = nek_orb(k, order, lam, mu, su, p)
-                rec.compare(a, nek_orb_floor(k, order, lam, mu, su, p),
-                            {"pair": pair, "n": order, "k": k}, ("row_form", "floor_form"))
-                factors.append(a)
-            rec.compare(product(factors), box, {"pair": pair, "n": order},
-                        ("k_product", "box_product"))
+            rows = table.rows(order, lam, mu)
+            for k, (row, floor) in enumerate(zip(rows, table.floors(order, lam, mu))):
+                rec.compare_fractions(row, floor, {"pair": pair, "n": order, "k": k},
+                                      ("row_form", "floor_form"))
+            k_product = (math.prod(num for num, _ in rows), math.prod(den for _, den in rows))
+            rec.compare_fractions(k_product, box, {"pair": pair, "n": order},
+                                  ("k_product", "box_product"))
 
 
 def chk_pentagon(rec: Recorder, seed: int, order: int = 6):

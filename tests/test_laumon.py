@@ -1,16 +1,17 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from qkz import laumon
 from qkz.cone import solve_shakirov
 from qkz.laumon import (
+    BracketTable,
     PairFactors,
     nek_orb,
     nek_orb_floor,
     pair_weight,
-    total_nekrasov_bracket,
     z_al,
     z_al_truncated,
 )
@@ -35,12 +36,19 @@ def _boxes(lam):
     return [(i, j) for i, row in enumerate(lam, start=1) for j in range(1, row + 1)]
 
 
+def _box(lam, mu, su, p):
+    """The box product, as a Rat, from the `elementary_bracket` memo as
+    the row and floor forms take their brackets."""
+    bracket = partial(laumon.elementary_bracket, laumon._bracket_point(su, p))
+    return Rat(*laumon._bracket_product(bracket, (0, 0), laumon._box_runs(lam, mu)))
+
+
 def test_empty_pair_is_one():
     for n in (1, 2, 3, 4):
         for k in range(n):
             assert nek_orb(k, n, EMPTY, EMPTY, Rat(3, 5), P) == 1
             assert nek_orb_floor(k, n, EMPTY, EMPTY, Rat(3, 5), P) == 1
-    assert total_nekrasov_bracket(EMPTY, EMPTY, Rat(3, 5), P) == 1
+    assert _box(EMPTY, EMPTY, Rat(3, 5), P) == 1
 
 
 def test_single_box_floor_value():
@@ -95,7 +103,7 @@ def test_three_way_agreement_random():
                 assert a == nek_orb_floor(k, n, lam, mu, su, P)
                 assert a == _nek_orb_floor_slow(k, n, lam, mu, su, P, extra_bound=3)
                 total = total * a
-            assert total == total_nekrasov_bracket(lam, mu, su, P)
+            assert total == _box(lam, mu, su, P)
 
 
 def test_residue_reduction():
@@ -272,8 +280,7 @@ def test_nekrasov_forms_equal_their_slow_forms(sqrt_u):
                 assert _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, P) == want
                 assert nek_orb_floor(k, n, lam, mu, sqrt_u, P) == want
                 assert _nek_orb_floor_slow(k, n, lam, mu, sqrt_u, P, extra_bound=2) == want
-        assert (total_nekrasov_bracket(lam, mu, sqrt_u, P)
-                == _total_nekrasov_bracket_slow(lam, mu, sqrt_u, P))
+        assert _box(lam, mu, sqrt_u, P) == _total_nekrasov_bracket_slow(lam, mu, sqrt_u, P)
 
 
 def test_matter_factor_meets_the_zero_bracket():
@@ -292,7 +299,7 @@ def test_matter_factor_meets_the_zero_bracket():
 @pytest.mark.parametrize("form", [
     lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P),
     lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P),
-    lambda lam, mu, su: total_nekrasov_bracket(lam, mu, su, P),
+    lambda lam, mu, su: _box(lam, mu, su, P),
 ], ids=["row", "floor", "box"])
 @pytest.mark.parametrize("sqrt_u", [0, Rat(0)])
 def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
@@ -316,7 +323,7 @@ def _three_forms(lam, mu, su, p):
             yield nek_orb(k, n, lam, mu, su, p), _nek_orb_slow(k, n, lam, mu, su, p)
             yield (nek_orb_floor(k, n, lam, mu, su, p),
                    _nek_orb_floor_slow(k, n, lam, mu, su, p))
-    yield total_nekrasov_bracket(lam, mu, su, p), _total_nekrasov_bracket_slow(lam, mu, su, p)
+    yield _box(lam, mu, su, p), _total_nekrasov_bracket_slow(lam, mu, su, p)
 
 
 def test_memo_cold_and_warm_values_are_identical():
@@ -352,14 +359,67 @@ def test_spectral_monomials_are_pinned():
     assert m2 == (P.rd3 * P.rd4 / (P.rq ** 2 * P.rQ)) ** 2
 
 
-def test_nekrasov_3way_bracket_count():
-    # 1335 elementary brackets evaluated for 4,200 factors; the memo is
-    # bounded, so a bracket evicted before it recurs is evaluated again
+def test_nekrasov_3way_bracket_count(monkeypatch):
+    # one table per trial: 1465 elementary brackets evaluated for the 3,800
+    # factors of seed 1, 1327 of them distinct.  The bounded memo the
+    # check read before evaluated 1335, as it also served a sqrt(u) that
+    # two trials draw; each trial's table evaluates that sqrt(u)'s
+    # brackets again.  The check leaves the memo alone
+    evaluated = []
+    real = laumon._bracket_at
+    monkeypatch.setattr(laumon, "_bracket_at",
+                        lambda point, key: evaluated.append((point, key)) or real(point, key))
     laumon.elementary_bracket.cache_clear()
     assert _execute(("NEKRASOV_3WAY", {"seed": 1}))["status"] == "pass"
+    assert len(evaluated) == 1465
+    assert len(set(evaluated)) == 1327
     info = laumon.elementary_bracket.cache_info()
     assert info.maxsize == 1024
-    assert info.misses == 1335
+    assert info.misses == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_residue_of_a_sweep_equals_its_slow_form(n):
+    # one table and one sweep per form give every residue k, and a k >= n
+    # reads the residue k mod n, as the slow forms do
+    su = Rat(5, 7)
+    for lam, mu in FIXED_PAIRS + _random_pairs(13, 40):
+        table = BracketTable(su, P)
+        rows, floors = table.rows(n, lam, mu), table.floors(n, lam, mu)
+        assert len(rows) == len(floors) == n
+        for k in range(2 * n + 1):
+            want = _nek_orb_slow(k, n, lam, mu, su, P)
+            assert Rat(*rows[k % n]) == want == nek_orb(k, n, lam, mu, su, P)
+            assert Rat(*floors[k % n]) == _nek_orb_floor_slow(k, n, lam, mu, su, P) == want
+            assert nek_orb_floor(k, n, lam, mu, su, P) == want
+        assert Rat(*table.box(lam, mu)) == _total_nekrasov_bracket_slow(lam, mu, su, P)
+
+
+@pytest.mark.parametrize("sqrt_u", [0, Rat(0)])
+def test_a_table_at_a_zero_sqrt_u_raises_and_stores_nothing(sqrt_u):
+    table = BracketTable(sqrt_u, P)
+    for form in (lambda: table.rows(2, (2, 1), (1,)), lambda: table.floors(3, (2, 1), (1,)),
+                 lambda: table.box((2, 1), (1,))):
+        with pytest.raises(DegenerateParameterError):
+            form()
+    assert not table
+
+
+def test_residue_bins_equal_the_floor_differences():
+    # c1(k) = #{x in (lo, hi] : x = k + 1 + m} and c2(k) = #{x : x = l - k}
+    # (mod n) are the floor differences of nek_orb_floor, for every residue
+    for n in range(1, 6):
+        for hi in range(1, 13):
+            for lo in range(hi):
+                counts = laumon._residue_counts(lo, hi, n)
+                assert sum(counts) == hi - lo
+                for k in range(n):
+                    for v in range(13):
+                        r1, r4 = v % n, -v % n
+                        c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
+                        c2 = (hi + k + r4) // n - (lo + k + r4) // n
+                        assert counts[(k + 1 + v) % n] == c1, (lo, hi, n, k, v)
+                        assert counts[(v - k) % n] == c2, (lo, hi, n, k, v)
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------

@@ -97,7 +97,8 @@ def test_rat_arithmetic_equals_fraction_arithmetic():
         for op in BINARY:
             _agrees_with_fraction(op, x, y)
             _agrees_with_fraction(op, y, x)
-        _agrees_with_fraction(operator.neg, x)
+        for unary in (operator.neg, operator.pos, operator.abs):
+            _agrees_with_fraction(unary, x)
         _agrees_with_fraction(bool, x)
         e = rng.randint(-4, 4)
         for power in (e, Rat(e), e > 0):

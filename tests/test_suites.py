@@ -12,10 +12,10 @@ from qkz.cone import ConeSeries
 from qkz.errors import DegenerateParameterError
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
-from qkz.scalars import (ONE, coprime_base, exponent_vector, is_plain, quotient,
+from qkz.scalars import (ONE, Rat, coprime_base, exponent_vector, is_plain, quotient,
                          sample_generic_point)
 from qkz.suites import (
-    MAX_POINT_RETRIES, RETRY_STRIDE, SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _execute, _sample_with_retries,
+    MAX_POINT_RETRIES, RETRY_STRIDE, SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _execute, _sample_with_retries,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
     chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite,
     suite_tasks)
@@ -224,29 +224,40 @@ def test_nekrasov_3way_to_size_16(seed):
     assert record["status"] == "pass", record["mismatch"]
 
 
+class _UnitTable:
+    """A stand-in for the bracket table whose every form is 1 = 1/1."""
+
+    def __init__(self, drawn, su, p):
+        drawn.append((su, p))
+
+    def rows(self, n, lam, mu):
+        return [(1, 1)] * n
+
+    floors = rows
+
+    def box(self, lam, mu):
+        return 1, 1
+
+
 def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
     # at u = q^a kappa^b the bracket [u q^-a kappa^-b] = [1] is 0, and a
     # product comparison of zero factors cannot fail: no trial at seeds 1-24
     # draws such a u with |a|, |b| <= 2 max_size + 4 = 20 (u = 1 included).
-    # The factor forms are stubs that record (form, sqrt(u), point), so no
+    # The bracket table is a stub that records (sqrt(u), point), so no
     # factor is evaluated
-    from collections import Counter
-
     from qkz import suites
 
     drawn = []
-    for name, slot in (("nek_orb", 4), ("nek_orb_floor", 4), ("total_nekrasov_bracket", 2)):
-        monkeypatch.setattr(suites, name, lambda *args, _name=name, _slot=slot:
-                            drawn.append((_name, *args[_slot:_slot + 2])) or ONE)
+    monkeypatch.setattr(suites, "BracketTable", lambda su, p: _UnitTable(drawn, su, p))
     span = range(-20, 21)
-    count = Counter()
+    tables = 0
     for seed in range(1, 25):
         drawn.clear()
         assert _mismatch(chk_nekrasov_3way, seed=seed) is None
-        count.update(name for name, _, _ in drawn)
+        tables += len(drawn)
         p = sample_generic_point(seed, 8)
-        assert all(at is p for _, _, at in drawn)  # the sampler is memoized
-        values = {su for _, su, _ in drawn}
+        assert all(at is p for _, at in drawn)  # the sampler is memoized
+        values = {su for su, _ in drawn}
         assert 1 not in values
         # su^2 = q^a kappa^b = rq^(4a) rt^(-2b) iff v_su = 2a v_rq - b v_rt,
         # over one coprime base of the roots and of every p/s the draw gives
@@ -254,23 +265,87 @@ def test_nekrasov_3way_never_draws_the_unit_spectral_value(monkeypatch):
         vq, vt = exponent_vector(p.rq, base), exponent_vector(p.rt, base)
         lattice = {tuple(2 * a * x - b * y for x, y in zip(vq, vt)) for a in span for b in span}
         assert not [su for su in values if exponent_vector(su, base) in lattice]
-    # per trial: k = 0..n-1 in both k-forms at n = 2, 3, 4, and one box product
-    assert count == {"nek_orb": 24 * 200 * 9, "nek_orb_floor": 24 * 200 * 9,
-                     "total_nekrasov_bracket": 24 * 200}
-    assert count.total() == 24 * 200 * 19
+    # one table per trial, which gives every form at orders 2, 3 and 4
+    assert tables == 24 * 200
 
 
 def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
     # a form that is off by a factor 2 is caught by the comparison it feeds
-    from qkz import suites
+    from qkz.laumon import BracketTable
 
-    for name, key in (("nek_orb_floor", "floor_form"),
-                      ("total_nekrasov_bracket", "box_product")):
-        real = getattr(suites, name)
+    def doubled(pair):
+        return 2 * pair[0], pair[1]
+
+    real_floors, real_box = BracketTable.floors, BracketTable.box
+    for name, key, broken in (
+            ("floors", "floor_form",
+             lambda *args: [doubled(f) for f in real_floors(*args)]),
+            ("box", "box_product", lambda *args: doubled(real_box(*args)))):
         with monkeypatch.context() as patch:
-            patch.setattr(suites, name, lambda *args, _real=real: 2 * _real(*args))
+            patch.setattr(BracketTable, name, broken)
             mismatch = _mismatch(chk_nekrasov_3way, seed=1, pair_count=20)
         assert mismatch is not None and key in mismatch, (name, mismatch)
+
+
+def test_a_passing_nekrasov_3way_run_reduces_no_factor(monkeypatch):
+    # every comparison of seed 1 is one cross-multiplication of int pairs:
+    # no factor becomes a Rat, and `compare`, which takes Rats, is not called
+    from qkz import laumon
+
+    def no_rat(*args):
+        raise AssertionError(f"a Rat was built from {args}")
+
+    calls = {"compare": 0, "compare_fractions": 0}
+    for name in calls:
+        real = getattr(Recorder, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Recorder, name, counted)
+    monkeypatch.setattr(laumon, "Rat", no_rat)
+    record = _record(chk_nekrasov_3way, seed=1)
+    assert record["status"] == "pass", record
+    assert record["stats"] == {"compared": 2400, "nonzero": 2400}
+    assert calls == {"compare": 0, "compare_fractions": 2400}
+
+
+# -- the cross-multiplied comparison of int pairs -------------------------------
+
+def test_equal_fractions_in_different_forms_pass_and_count_once():
+    rec = Recorder()
+    for left, right in (((2, 4), (-3, -6)), ((6, 8), (3, 4)), ((-10, 4), (5, -2)),
+                        ((2 ** 90, 3 ** 40 * 2 ** 90), (1, 3 ** 40))):
+        before = rec.compared
+        rec.compare_fractions(left, right, {})
+        assert rec.compared == rec.nonzero == before + 1
+
+
+def test_unequal_fractions_fail_with_reduced_strings():
+    rec = Recorder()
+    with pytest.raises(_Mismatch) as got:
+        rec.compare_fractions((4, 6), (-6, -8), {"n": 2}, ("row_form", "floor_form"))
+    assert got.value.args[0] == {"n": 2, "row_form": "2/3", "floor_form": "3/4"}
+    with pytest.raises(_Mismatch) as got:
+        rec.compare_fractions((0, 5), (1, -1), {})
+    assert got.value.args[0] == {"left": "0", "right": "-1"}
+    assert rec.compared == rec.nonzero == 2
+
+
+def test_zero_numerators_count_as_compared_but_not_nonzero():
+    rec = Recorder()
+    rec.compare_fractions((0, 7), (0, -3), {})
+    assert (rec.compared, rec.nonzero) == (1, 0)
+
+
+@pytest.mark.parametrize("left, right", [((1, 0), (1, 1)), ((1, 1), (1, 0)),
+                                         ((0, 0), (0, 0)), ((3, 0), (5, 0))])
+def test_a_zero_denominator_raises_and_is_not_counted(left, right):
+    # a d == c b holds for any c/d when b = 0 and a = 0, so it cannot pass
+    rec = Recorder()
+    with pytest.raises(ValueError):
+        rec.compare_fractions(left, right, {})
+    assert (rec.compared, rec.nonzero) == (0, 0)
 
 
 @pytest.mark.parametrize("patched, want", [
@@ -577,8 +652,9 @@ def test_pentagon_builds_its_shared_prefixes_once(monkeypatch):
 def _comparisons(task):
     """(left, where) of each comparison with a nonzero side that the check
     of `task` makes, in order, and its record; every side is a plain
-    scalar."""
-    real = Recorder.compare
+    scalar, or an int pair for `compare_fractions`, whose left side is
+    given as its Rat."""
+    real, real_fractions = Recorder.compare, Recorder.compare_fractions
     seen = []
 
     def counted(self, left, right, where, *sides):
@@ -587,29 +663,38 @@ def _comparisons(task):
             seen.append((self.compared, left, where))
         return real(self, left, right, where, *sides)
 
-    Recorder.compare = counted
-    try:
-        record = _execute(task)
-    finally:
-        Recorder.compare = real
-    return seen, record
+    def counted_fractions(self, left, right, where, *sides):
+        assert all(type(x) is int for x in (*left, *right)), (where, left, right)
+        if left[0] or right[0]:
+            seen.append((self.compared, Rat(*left), where))
+        return real_fractions(self, left, right, where, *sides)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Recorder, "compare", counted)
+        patch.setattr(Recorder, "compare_fractions", counted_fractions)
+        return seen, _execute(task)
 
 
 def _with_doubled_left(task, k):
     """The record of `task` when its k-th comparison (counted from 0) sees
     twice its left side, and the number of comparisons made."""
-    real = Recorder.compare
+    real, real_fractions = Recorder.compare, Recorder.compare_fractions
     calls = []
 
     def doubled(self, left, right, where, *sides):
         calls.append(where)
         return real(self, 2 * left if len(calls) == k + 1 else left, right, where, *sides)
 
-    Recorder.compare = doubled
-    try:
+    def doubled_fractions(self, left, right, where, *sides):
+        calls.append(where)
+        if len(calls) == k + 1:
+            left = 2 * left[0], left[1]
+        return real_fractions(self, left, right, where, *sides)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Recorder, "compare", doubled)
+        patch.setattr(Recorder, "compare_fractions", doubled_fractions)
         return _execute(task), len(calls)
-    finally:
-        Recorder.compare = real
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
