@@ -4,7 +4,7 @@
                [--m M --n N] [--N N] [--jet-order J] [--out PATH] [--format json|csv]
     qkz solve   --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
     qkz laumon  --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
-    qkz rmatrix --m M --n N --seed S [--lambda p/s] [--fourd]
+    qkz rmatrix --m M --n N --seed S [--lambda p/s] [--fourd] [--out FILE]
     qkz jackson --m M --n N --lmax L --seed S [--a2 p/s] [--out FILE]
 
 Exit code 0 iff every check passes, 2 on an invalid configuration.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, QkzError
@@ -78,6 +79,18 @@ def _emit(text: str, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path) -> None:
+    """Reject an --out that cannot be written as a file, before any work:
+    a directory, or a path whose parent directory is missing."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path!r}: no directory {parent!r}")
 
 
 def _rational_option(text: str, flag: str):
@@ -184,6 +197,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "verify":
             return cmd_verify(args)
         _check_dump_options(args)

@@ -5,14 +5,13 @@ All products are finite.  Monomial square roots needed by the balanced
 bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are lattice Monomials, so their square roots are formed exactly
 (Monomial.half rejects an odd exponent).
-Each factor lists its elementary brackets [u q^a kappa^b] as runs, and
-one sweep over the diagrams builds the runs of every residue k of an
-orbifold order n.  A `BracketTable` holds the brackets of one
-(sqrt(u), point), each computed once as an unreduced int pair; the
-partition sum takes its brackets from the bounded `elementary_bracket`
-memo instead, which its sums at the points of one seed share.  A product
-stays an int pair until one final reduction, or none: NEKRASOV_3WAY
-compares the pairs by cross-multiplication.
+Each factor lists its brackets [u q^a kappa^e] as runs, in one sweep for
+every orbifold order n: residue k keeps those with e = k (mod n).  A
+`BracketTable` computes each bracket of one (sqrt(u), point) once, and
+multiplies them into one pair per e; the partition sum reads the bounded
+`elementary_bracket` memo, which its sums at one seed share.  Products stay
+unreduced int pairs until one final reduction, or none: NEKRASOV_3WAY
+compares them by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -67,10 +66,9 @@ def _bracket_point(sqrt_u, p: ParamPoint):
 
 class BracketTable(dict):
     """The elementary brackets at one (sqrt(u), point), keyed by (a, b):
-    each is computed on its first lookup, as an unreduced int pair, and
-    kept as long as the table.  Every factor form at that (sqrt(u), point)
-    reads the one table, which needs no bound, and returns unreduced int
-    pairs: the row and floor forms one per residue k of the order n."""
+    each is computed once, on its first lookup, as an unreduced int pair.
+    Every factor form at that (sqrt(u), point) reads the one table, which
+    needs no bound; the row and floor forms give a pair per kappa exponent."""
 
     def __init__(self, sqrt_u, p: ParamPoint):
         super().__init__()
@@ -80,15 +78,13 @@ class BracketTable(dict):
         got = self[key] = _bracket_at(self.point, key)
         return got
 
-    def rows(self, n: int, lam: tuple, mu: tuple):
-        """`nek_orb` at k = 0..n-1."""
-        return [_bracket_product(self.__getitem__, (1, 0), runs)
-                for runs in _row_runs(n, lam, mu)]
+    def rows(self, lam: tuple, mu: tuple):
+        """`nek_orb`'s brackets as {kappa exponent e: int pair}."""
+        return _kappa_groups(self.__getitem__, (1, 0), _row_runs(lam, mu))
 
-    def floors(self, n: int, lam: tuple, mu: tuple):
-        """`nek_orb_floor` at k = 0..n-1."""
-        return [_bracket_product(self.__getitem__, (0, n), runs)
-                for runs in _floor_runs(n, lam, mu)]
+    def floors(self, lam: tuple, mu: tuple):
+        """`nek_orb_floor`'s brackets as {kappa exponent e: int pair}."""
+        return _kappa_groups(self.__getitem__, (0, 1), _floor_runs(lam, mu))
 
     def box(self, lam: tuple, mu: tuple):
         """The box product of `_box_runs`, which is prod_k nek_orb(k | n)
@@ -98,14 +94,8 @@ class BracketTable(dict):
 
 def _bracket_product(bracket, step, runs):
     """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n,
-    as an unreduced int pair; `bracket((a, b))` gives [u q^a kappa^b].
-
-    The base is q^s_q kappa^s_kap for step = (s_q, s_kap), and
-    [x; base]_n = prod_{i<n} [x base^i], so each run expands into the
-    elementary brackets [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)], each
-    multiplied in as `bracket` gives it: a repeated bracket is one memo
-    lookup.
-    """
+    base = q^s_q kappa^s_kap for step = (s_q, s_kap), as an unreduced int
+    pair, with each elementary bracket [u q^a kappa^b] from `bracket((a, b))`."""
     s_q, s_kap = step
     num = den = 1
     for e_q, e_kap, n in runs:
@@ -116,75 +106,82 @@ def _bracket_product(bracket, step, runs):
     return num, den
 
 
+def _kappa_groups(bracket, step, runs):
+    """`_bracket_product` with one int pair per kappa exponent e."""
+    s_q, s_kap = step
+    groups = {}
+    for e_q, e_kap, n in runs:
+        for i in range(n):
+            e = e_kap + i * s_kap
+            bn, bd = bracket((e_q + i * s_q, e))
+            num, den = groups.get(e, (1, 1))
+            groups[e] = num * bn, den * bd
+    return groups
+
+
+def residues(groups: dict, n: int):
+    """The int pairs of residues k = 0..n-1 of orbifold order n: each the
+    product of a form's kappa groups {e: int pair} with e = k (mod n)."""
+    nums, dens = [1] * n, [1] * n
+    for e, (num, den) in groups.items():
+        nums[e % n] *= num
+        dens[e % n] *= den
+    return list(zip(nums, dens))
+
+
 def _padded(rows: tuple, size: int):
     """Rows as a 0-based tuple, zero-padded to `size`."""
     return rows + (0,) * (size - len(rows))
 
 
-def _row_runs(n: int, lam: tuple, mu: tuple):
-    """The runs of `nek_orb` for every residue k = 0..n-1, in one sweep:
-    the lambda runs go to k = j - i and the mu runs to k = a - b - 1
-    (mod n).  Each run list is expanded with the step (1, 0)."""
+def _row_runs(lam: tuple, mu: tuple):
+    """The runs of `nek_orb` at every order, stepping q by 1, with kappa
+    exponent e = j - i (lambda runs) or e = a - b - 1 (mu runs)."""
     ln, mn = len(lam), len(mu)
     size = ln + mn + 1
     lr, mr = _padded(lam, size), _padded(mu, size)
-    runs = [[] for _ in range(n)]
+    runs = []
     for j in range(ln):
         lo = lr[j + 1]
         cnt = lr[j] - lo
         if cnt:
             for i in range(j + 1):
-                runs[(j - i) % n].append((lo - mr[i], j - i, cnt))
+                runs.append((lo - mr[i], j - i, cnt))
     for b in range(mn):
         hi = mr[b]
         cnt = hi - mr[b + 1]
         if cnt:
             for a in range(b + 1):
-                runs[(a - b - 1) % n].append((lr[a] - hi, a - b - 1, cnt))
+                runs.append((lr[a] - hi, a - b - 1, cnt))
     return runs
 
 
-def _residue_counts(lo: int, hi: int, n: int):
-    """#{x in (lo, hi] : x = r mod n} for r = 0..n-1."""
-    counts = [0] * n
-    for x in range(lo + 1, hi + 1):
-        counts[x % n] += 1
-    return counts
-
-
-def _floor_runs(n: int, lam: tuple, mu: tuple):
-    """The runs of `nek_orb_floor` for every residue k = 0..n-1, in one
-    sweep.  Each run list is expanded with the step (0, n).
-
-    The floor differences c1 and c2 of `nek_orb_floor` count the x in
-    (lv_{j+1}, lv_j] (or (mv_{j+1}, mv_j]) in one residue class:
-    c1(k) = #{x : x = k + 1 + mv_i} and c2(k) = #{x : x = lv_i - k}
-    (mod n), so each row's x are binned by residue once, for every k."""
+def _floor_runs(lam: tuple, mu: tuple):
+    """The runs of `nek_orb_floor` at every order, stepping kappa by 1: for
+    i <= j, [u q^(j-i) kappa^(x-mv_i-1)], x in (lv_(j+1), lv_j], and
+    [u q^(i-j-1) kappa^(lv_i-x)], x in (mv_(j+1), mv_j]; lv, mv = lam^T, mu^T."""
     lv, mv = conjugate(lam), conjugate(mu)
     size = len(lv) + len(mv) + 1
     lr, mr = _padded(lv, size), _padded(mv, size)
-    runs = [[] for _ in range(n)]
+    runs = []
     for j in range(len(lv)):
         hi, lo = lr[j], lr[j + 1]
-        if hi == lo:
-            continue
-        counts = _residue_counts(lo, hi, n)
-        for i, m in enumerate(mr[:j + 1]):
-            for k in range(n):
-                c1 = counts[(k + 1 + m) % n]
-                if c1:
-                    runs[k].append((j - i, lo - m + (k - lo + m) % n, c1))
+        if hi != lo:
+            runs += [(j - i, lo - m, hi - lo) for i, m in enumerate(mr[:j + 1])]
     for j in range(len(mv)):
         hi, lo = mr[j], mr[j + 1]
-        if hi == lo:
-            continue
-        counts = _residue_counts(lo, hi, n)
-        for i, l in enumerate(lr[:j + 1]):
-            for k in range(n):
-                c2 = counts[(l - k) % n]
-                if c2:
-                    runs[k].append((i - j - 1, l - hi + (k - l + hi) % n, c2))
+        if hi != lo:
+            runs += [(i - j - 1, l - hi, hi - lo) for i, l in enumerate(lr[:j + 1])]
     return runs
+
+
+def _floor_residue(runs, k: int, n: int):
+    """The floor runs' brackets with kappa exponent k (mod n), as runs that
+    step kappa^n; their lengths are `nek_orb_floor`'s c1 and c2."""
+    for e_q, e, cnt in runs:
+        skip = (k - e) % n
+        if skip < cnt:
+            yield e_q, e + skip, (cnt - skip - 1) // n + 1
 
 
 def _box_runs(lam: tuple, mu: tuple):
@@ -218,10 +215,16 @@ def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
 
 
 def _orb_pair(k: int, n: int, lam: tuple, mu: tuple, point):
-    """`nek_orb` as an unreduced int pair at the bracket point `point`,
-    with its brackets from the `elementary_bracket` memo."""
-    return _bracket_product(partial(elementary_bracket, point), (1, 0),
-                            _row_runs(n, lam, mu)[k % n])
+    """`nek_orb` as an unreduced int pair at the bracket point `point`: the
+    row runs with kappa exponent k (mod n), from the `elementary_bracket` memo."""
+    num = den = 1
+    for e_q, e, cnt in _row_runs(lam, mu):
+        if (e - k) % n == 0:
+            for i in range(cnt):
+                bn, bd = elementary_bracket(point, (e_q + i, e))
+                num *= bn
+                den *= bd
+    return num, den
 
 
 def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -237,12 +240,9 @@ def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
             l0' = (k - lv_i + mv_j) mod n,
             c2 = floor((mv_j + k + ((-lv_i) mod n))/n)
                - floor((mv_{j+1} + k + ((-lv_i) mod n))/n)
-
-    A row j with lv_j = lv_{j+1} (mv_j = mv_{j+1}) makes c1 (c2) the
-    difference of two equal floors, 0 for every i, so it is skipped.
     """
     bracket = partial(elementary_bracket, _bracket_point(sqrt_u, p))
-    return Rat(*_bracket_product(bracket, (0, n), _floor_runs(n, lam, mu)[k % n]))
+    return Rat(*_bracket_product(bracket, (0, n), _floor_residue(_floor_runs(lam, mu), k, n)))
 
 
 # -- affine Laumon partition function ----------------------------------------

@@ -27,7 +27,7 @@ from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vect
                       sample_generic_point)
 from .qseries import bailey_check, qpoch
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
-from .laumon import BracketTable, z_al, z_al_truncated
+from .laumon import BracketTable, residues, z_al, z_al_truncated
 from .partitions import partitions_of
 from .linalg import ScalarMatrix
 from .rmatrix import (
@@ -432,11 +432,13 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
         su = next(draws)
         pair = [list(lam), list(mu)]
         table = BracketTable(su, p)
-        # the box product does not depend on the orbifold order
+        # each form's brackets are multiplied once, grouped by kappa
+        # exponent, and every orbifold order reads its residues from them
+        row_groups, floor_groups = table.rows(lam, mu), table.floors(lam, mu)
         box = table.box(lam, mu)
         for order in (2, 3, 4):
-            rows = table.rows(order, lam, mu)
-            for k, (row, floor) in enumerate(zip(rows, table.floors(order, lam, mu))):
+            rows = residues(row_groups, order)
+            for k, (row, floor) in enumerate(zip(rows, residues(floor_groups, order))):
                 rec.compare_fractions(row, floor, {"pair": pair, "n": order, "k": k},
                                       ("row_form", "floor_form"))
             k_product = (math.prod(num for num, _ in rows), math.prod(den for _, den in rows))

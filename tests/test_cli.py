@@ -221,8 +221,13 @@ def test_jackson_dump(tmp_path):
     (["FOURD_LIMIT", "--lmax", "3"], None),
     (["BAILEY"], "0"),
     (["BAILEY"], "-1"),
+    # an --out that cannot be written: {tmp} is an existing empty directory
+    (["BAILEY", "--out", "{tmp}/missing/r.json"], None),
+    (["NEKRASOV_3WAY", "--seed", "1", "--out", "{tmp}/missing/x.json"], None),
+    (["BAILEY", "--format", "csv", "--out", "{tmp}/missing/r.csv"], None),
+    (["BAILEY", "--out", "{tmp}"], None),
 ])
-def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, env):
+def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, tmp_path, argv, env):
     from qkz import suites
 
     def no_check(task):
@@ -233,7 +238,7 @@ def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, argv, en
         monkeypatch.delenv("QKZ_THREADS", raising=False)
     else:
         monkeypatch.setenv("QKZ_THREADS", env)
-    assert main(["verify", *argv]) == 2
+    assert main(["verify", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
 
@@ -261,14 +266,16 @@ def test_readme_option_table_matches_the_registry():
     ("--kmax", ["solve", "--kmax", "-1"]),
     ("--lmax", ["laumon", "--lmax", "-1"]),
     ("--m", ["laumon", "--m", "1"]),
+    ("--out", ["laumon", "--kmax", "1", "--lmax", "1", "--out", "{tmp}/missing/x.csv"]),
 ])
-def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, flag, argv):
+def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, tmp_path, flag, argv):
     import qkz.cli
 
     def no_point(*args, **kwargs):
         raise AssertionError("a point was sampled")
 
     monkeypatch.setattr(qkz.cli, "sample_generic_point", no_point)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main([*argv, "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -12,6 +12,7 @@ from qkz.laumon import (
     nek_orb,
     nek_orb_floor,
     pair_weight,
+    residues,
     z_al,
     z_al_truncated,
 )
@@ -378,27 +379,47 @@ def test_nekrasov_3way_bracket_count(monkeypatch):
     assert info.misses == 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nekrasov_3way_lookup_count(monkeypatch):
+    # each trial looks up each form's brackets once, whatever the orbifold
+    # orders: the row, floor and box forms each hold |lam| + |mu| brackets,
+    # 1558 per form over the 200 trials of seed 1
+    lookups = []
+    real = BracketTable.__getitem__
+    monkeypatch.setattr(BracketTable, "__getitem__",
+                        lambda table, key: lookups.append(key) or real(table, key))
+    assert _execute(("NEKRASOV_3WAY", {"seed": 1}))["status"] == "pass"
+    assert len(lookups) == 3 * 1558 == 4674
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_every_residue_of_a_sweep_equals_its_slow_form(n):
-    # one table and one sweep per form give every residue k, and a k >= n
-    # reads the residue k mod n, as the slow forms do
+    # one table and one sweep per form give the kappa groups of every
+    # order: residue k of order n multiplies the groups with e = k (mod n),
+    # and a k >= n reads the residue k mod n, as the slow forms do
     su = Rat(5, 7)
     for lam, mu in FIXED_PAIRS + _random_pairs(13, 40):
         table = BracketTable(su, P)
-        rows, floors = table.rows(n, lam, mu), table.floors(n, lam, mu)
+        row_groups, floor_groups = table.rows(lam, mu), table.floors(lam, mu)
+        rows, floors = residues(row_groups, n), residues(floor_groups, n)
         assert len(rows) == len(floors) == n
         for k in range(2 * n + 1):
             want = _nek_orb_slow(k, n, lam, mu, su, P)
             assert Rat(*rows[k % n]) == want == nek_orb(k, n, lam, mu, su, P)
             assert Rat(*floors[k % n]) == _nek_orb_floor_slow(k, n, lam, mu, su, P) == want
             assert nek_orb_floor(k, n, lam, mu, su, P) == want
-        assert Rat(*table.box(lam, mu)) == _total_nekrasov_bracket_slow(lam, mu, su, P)
+        box = Rat(*table.box(lam, mu))
+        # the product of all row groups is the whole factor, which at n = 1
+        # is the single residue
+        total = Rat(*residues(row_groups, 1)[0])
+        assert total == _total_nekrasov_bracket_slow(lam, mu, su, P) == box
+        if n == 1:
+            assert Rat(*rows[0]) == Rat(*floors[0]) == box
 
 
 @pytest.mark.parametrize("sqrt_u", [0, Rat(0)])
 def test_a_table_at_a_zero_sqrt_u_raises_and_stores_nothing(sqrt_u):
     table = BracketTable(sqrt_u, P)
-    for form in (lambda: table.rows(2, (2, 1), (1,)), lambda: table.floors(3, (2, 1), (1,)),
+    for form in (lambda: table.rows((2, 1), (1,)), lambda: table.floors((2, 1), (1,)),
                  lambda: table.box((2, 1), (1,))):
         with pytest.raises(DegenerateParameterError):
             form()
@@ -406,20 +427,23 @@ def test_a_table_at_a_zero_sqrt_u_raises_and_stores_nothing(sqrt_u):
 
 
 def test_residue_bins_equal_the_floor_differences():
-    # c1(k) = #{x in (lo, hi] : x = k + 1 + m} and c2(k) = #{x : x = l - k}
-    # (mod n) are the floor differences of nek_orb_floor, for every residue
+    # a floor run holds the kappa exponents x - m - 1 (lambda side, m = mv_i)
+    # or m - x (mu side, m = lv_i) for x in (lo, hi]; its part with e = k
+    # (mod n) starts at nek_orb_floor's l0 (l0') and has length c1 (c2),
+    # for every residue k, and is absent when that length is 0
     for n in range(1, 6):
         for hi in range(1, 13):
             for lo in range(hi):
-                counts = laumon._residue_counts(lo, hi, n)
-                assert sum(counts) == hi - lo
                 for k in range(n):
-                    for v in range(13):
-                        r1, r4 = v % n, -v % n
+                    for m in range(13):
+                        r1, r4 = m % n, -m % n
                         c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
                         c2 = (hi + k + r4) // n - (lo + k + r4) // n
-                        assert counts[(k + 1 + v) % n] == c1, (lo, hi, n, k, v)
-                        assert counts[(v - k) % n] == c2, (lo, hi, n, k, v)
+                        where = (lo, hi, n, k, m)
+                        got = list(laumon._floor_residue([(0, lo - m, hi - lo)], k, n))
+                        assert got == ([(0, lo - m + (k - lo + m) % n, c1)] if c1 else []), where
+                        got = list(laumon._floor_residue([(0, m - hi, hi - lo)], k, n))
+                        assert got == ([(0, m - hi + (k - m + hi) % n, c2)] if c2 else []), where
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------

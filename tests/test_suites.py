@@ -225,13 +225,14 @@ def test_nekrasov_3way_to_size_16(seed):
 
 
 class _UnitTable:
-    """A stand-in for the bracket table whose every form is 1 = 1/1."""
+    """A stand-in for the bracket table whose every form is 1 = 1/1: the
+    row and floor forms have no kappa group, so each residue is 1/1."""
 
     def __init__(self, drawn, su, p):
         drawn.append((su, p))
 
-    def rows(self, n, lam, mu):
-        return [(1, 1)] * n
+    def rows(self, lam, mu):
+        return {}
 
     floors = rows
 
@@ -279,7 +280,7 @@ def test_every_nekrasov_3way_comparison_can_fail(monkeypatch):
     real_floors, real_box = BracketTable.floors, BracketTable.box
     for name, key, broken in (
             ("floors", "floor_form",
-             lambda *args: [doubled(f) for f in real_floors(*args)]),
+             lambda *args: {e: doubled(f) for e, f in real_floors(*args).items()}),
             ("box", "box_product", lambda *args: doubled(real_box(*args)))):
         with monkeypatch.context() as patch:
             patch.setattr(BracketTable, name, broken)
