@@ -1,8 +1,9 @@
 """Typed errors. Every failure mode is an exception; no silent wrong answers.
 
 ``DegenerateParameterError`` is the one signal of a non-generic parameter
-point (some denominator, resonance condition or pivot chain collapsed);
-callers are expected to resample and retry rather than recover in place.
+point (some denominator, resonance condition or pivot chain collapsed).
+Nothing recovers from it: a check that meets it fails, and its report
+names the point and the exception.
 """
 
 
@@ -27,4 +28,5 @@ class ResonanceError(DegenerateParameterError):
 
 
 class SingularMatrixError(DegenerateParameterError):
-    """Exact linear solve met a non-invertible pivot chain."""
+    """Exact linear solve met a non-invertible pivot chain: the point is
+    degenerate.  A non-square solve is a fault instead (ValueError)."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import ConfigError, DegenerateParameterError, QkzError
+from .errors import ConfigError, QkzError
 from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector,
                       sample_generic_point)
 from .qseries import bailey_check, qpoch
@@ -40,8 +40,6 @@ from .jackson import (
 
 DEFAULT_SEEDS = (1, 2, 3)
 SEED_STRIDE = 1_000_003
-RETRY_STRIDE = 7_777_777
-MAX_POINT_RETRIES = 12
 # the options a suite may read besides seeds and points, each with the
 # value it takes when left unset
 SUITE_OPTIONS = {"kmax": 4, "lmax": 4, "m": None, "n": None, "N": None, "jet_order": 2}
@@ -133,22 +131,19 @@ class Recorder:
     mismatch record (NEKRASOV_3WAY compares all of its pairs so).  The
     recorder counts the pairs (`compared`) and the pairs with a side that
     is not 0 (`nonzero`), and stops the check at the first unequal pair by
-    raising `_Mismatch`.  It also keeps the check's `orders`, the `point`
-    of the current attempt, which the report of a mismatch carries, and
-    the `retries`: a `{seed, exception, message}` record of each point that
-    `_sample_with_retries` rejected as degenerate."""
+    raising `_Mismatch`.  It also keeps the check's `orders` and its one
+    `point`, which the report carries whether the check passes, meets a
+    mismatch or meets a degenerate point."""
 
-    __slots__ = ("compared", "nonzero", "point", "orders", "retries")
+    __slots__ = ("compared", "nonzero", "point", "orders")
 
     def __init__(self):
         self.compared = self.nonzero = 0
         self.point = self.orders = None
-        self.retries = []
 
     def begin(self, point: str) -> None:
-        """Start an attempt at `point` (as JSON); the counts restart."""
+        """Record the check's point (as JSON), before it builds anything."""
         self.point = point
-        self.compared = self.nonzero = 0
 
     def compare(self, left, right, where: dict, sides=("left", "right")) -> None:
         """Record left == right at `where`.  The mismatch record is `where`
@@ -215,28 +210,17 @@ def _coefficients(s, through: int):
     return s.coeffs[:through + 1]
 
 
-def _sample_with_retries(rec: Recorder, seed: int, guard: int, attempt_fn, overrides=None):
-    """Sample a point; on a degeneracy signal in attempt_fn, retry with
-    deterministically derived seeds (sampling guards cover only a finite
-    window, so downstream denominators may still collapse at unlucky points).
-    Only DegenerateParameterError (with its subclasses) signals degeneracy;
-    any other exception is a fault and propagates from the first attempt,
-    as does a mismatch.  Each attempt begins afresh on `rec`, and each
-    rejected point is added to `rec.retries`."""
-    last = None
-    for k in range(MAX_POINT_RETRIES):
-        s = seed + RETRY_STRIDE * k
-        p = sample_generic_point(s, guard)
-        if overrides is not None:
-            p = p.with_overrides(*overrides)
-        rec.begin(p.to_json())
-        try:
-            return p, attempt_fn(p)
-        except DegenerateParameterError as exc:
-            last = exc
-            rec.retries.append({"seed": s, "exception": type(exc).__name__,
-                                "message": str(exc)})
-    raise QkzError(f"no usable generic point after retries: {last}")
+def _sample_point(rec: Recorder, seed: int, guard: int, overrides=None):
+    """The check's one generic point at `seed`, on the window `overrides`
+    (m, n) if given, begun on `rec`.  The sampler's guard covers only a
+    finite window, so a denominator downstream may still vanish there; the
+    DegenerateParameterError that says so fails the check, whose report
+    names this point: no check moves past a degenerate point."""
+    p = sample_generic_point(seed, guard)
+    if overrides is not None:
+        p = p.with_overrides(*overrides)
+    rec.begin(p.to_json())
+    return p
 
 
 def _rng_rationals(seed: int, count: int):
@@ -276,19 +260,15 @@ def _spectral_draws(rng: random.Random, p, bound: int):
 # -- individual checks ---------------------------------------------------------
 #
 # Each check is called with a Recorder and its arguments.  It sets the
-# recorder's orders, begins an attempt at each point it tries, feeds every
+# recorder's orders, begins its one point on the recorder, feeds every
 # comparison to the recorder, and returns its info (or None).
 
 
 def chk_shakirov(rec: Recorder, seed: int, kmax: int, lmax: int):
     rec.orders = {"kmax": kmax, "lmax": lmax}
-    guard = max(8, kmax, lmax)
-
-    def attempt(p):
-        return z_al(p, kmax, lmax), solve_shakirov(p, kmax, lmax)
-
-    _, (za, ps) = _sample_with_retries(rec, seed, guard, attempt)
-    rec.cone(za, ps, kmax + lmax, {}, ("laumon", "solver"))
+    p = _sample_point(rec, seed, max(8, kmax, lmax))
+    rec.cone(z_al(p, kmax, lmax), solve_shakirov(p, kmax, lmax), kmax + lmax, {},
+             ("laumon", "solver"))
 
 
 _THREEWAY_WINDOWS = ((1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2))
@@ -322,10 +302,7 @@ def _display_matrix_3x3(d1, d4, lam, q):
 def chk_rmatrix_3way(rec: Recorder, seed: int):
     rec.orders = {"windows": list(_THREEWAY_WINDOWS)}
     lams = _rng_rationals(seed, 3)
-    _sample_with_retries(rec, seed, 8, lambda p: _rmatrix_3way_compare(rec, p, lams))
-
-
-def _rmatrix_3way_compare(rec: Recorder, p, lams):
+    p = _sample_point(rec, seed, 8)
     q, d1, d4 = p.q, p.d1, p.d4
     for lam in lams:
         solved = {}
@@ -347,16 +324,14 @@ def _rmatrix_3way_compare(rec: Recorder, p, lams):
 
 def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
-    _, (left, right) = _sample_with_retries(
-        rec, seed, 8, lambda p: qkz_residual(p, lmax), overrides=(m, n))
+    left, right = qkz_residual(_sample_point(rec, seed, 8, (m, n)), lmax)
     for J, (a, b) in enumerate(zip(left, right)):
         rec.series(a, b, lmax - 1, {"component": J - n})
 
 
 def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
-    _, (left, right) = _sample_with_retries(
-        rec, seed, 8, lambda p: dual_qkz_residuals(p, lmax), overrides=(m, n))
+    left, right = dual_qkz_residuals(_sample_point(rec, seed, 8, (m, n)), lmax)
     for index, (a, b) in enumerate(zip(left, right)):
         i, k = divmod(index, m + n + 1)
         rec.series(a, b, lmax, {"i": i - n, "k": k - n})
@@ -365,12 +340,8 @@ def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
     a2 = _rng_rationals(seed + 17, 1)[0]
-
-    def attempt(p):
-        return ito_qkz_check(JacksonParams.from_point(p, a2), lmax)
-
-    _, equations = _sample_with_retries(rec, seed, 8, attempt, overrides=(m, n))
-    for name, (left, right) in equations.items():
+    jp = JacksonParams.from_point(_sample_point(rec, seed, 8, (m, n)), a2)
+    for name, (left, right) in ito_qkz_check(jp, lmax).items():
         # the Lambda^0 constants come as constant series: only order 0 can differ
         through = 0 if name == "Lambda^0" else lmax - 1
         for index, (a, b) in enumerate(zip(left, right)):
@@ -385,25 +356,20 @@ def chk_commutativity(rec: Recorder, seed: int, N: int):
     m, n = _COMM_WINDOWS[N]
     a2 = _rng_rationals(seed + 29, 1)[0]
     lam = _rng_rationals(seed + 31, 1)[0]
-
-    def attempt(p):
-        jp = JacksonParams.from_point(p, a2)
-        return (ito_R(jp), ito_A(jp, lam), d2_matrix(jp, lam), ito_R_alt(jp),
-                ito_A_via_R(jp, lam))
-
-    _, (R, A, D2, alt, via) = _sample_with_retries(rec, seed, 8, attempt, overrides=(m, n))
+    jp = JacksonParams.from_point(_sample_point(rec, seed, 8, (m, n)), a2)
+    R, A, D2 = ito_R(jp), ito_A(jp, lam), d2_matrix(jp, lam)
     if N:
         # at N = 0 the three matrices are 1x1, and commute whatever they hold
         rec.matrix(R @ D2 @ A, A @ R @ D2, {"relation": "R D2 A - A R D2"}, RESIDUAL)
-    rec.matrix(alt, R, {"relation": "U'D'L' vs LDU"})
-    rec.matrix(via, A, {"relation": "A vs s T(R) D"})
+    rec.matrix(ito_R_alt(jp), R, {"relation": "U'D'L' vs LDU"})
+    rec.matrix(ito_A_via_R(jp, lam), A, {"relation": "A vs s T(R) D"})
 
 
 def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
     a2 = _rng_rationals(seed + 43, 1)[0]
-    _, (laumon, jackson, info, pivot) = _sample_with_retries(
-        rec, seed, 8, lambda p: al_jackson_compare(p, a2, lmax), overrides=(m, n))
+    laumon, jackson, info, pivot = al_jackson_compare(
+        _sample_point(rec, seed, 8, (m, n)), a2, lmax)
     sides = ("jackson", "laumon")
     for J, (vp, vz) in enumerate(info["leading_orders"]):
         if vp is None and vz is None:
@@ -422,8 +388,7 @@ def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 
 def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size: int = 8):
     rec.orders = {"pairs": pair_count, "max_size": max_size, "orbifold_orders": [2, 3, 4]}
-    p = sample_generic_point(seed, 8)
-    rec.begin(p.to_json())
+    p = _sample_point(rec, seed, 8)
     rng = random.Random(seed ^ 0xA11CE)
     draws = _spectral_draws(rng, p, 2 * max_size + 4)
     for trial in range(pair_count):
@@ -448,8 +413,7 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
 
 def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
     rec.orders = {"total_order": order}
-    p = sample_generic_point(seed, 8)
-    rec.begin(p.to_json())
+    p = _sample_point(rec, seed, 8)
     alpha, beta = _rng_rationals(seed + 3, 2)
     q = p.q
     K = L = order
@@ -510,11 +474,8 @@ def chk_shuffle(rec: Recorder, seed: int, nmax: int = 4):
 
 def chk_coupled(rec: Recorder, seed: int, kmax: int, lmax: int):
     rec.orders = {"kmax": kmax, "lmax": lmax, "total_order": min(kmax, lmax)}
-
-    def attempt(p):
-        return coupled_step(p, solve_shakirov(p, kmax, lmax))
-
-    _, relations = _sample_with_retries(rec, seed, max(8, kmax, lmax), attempt)
+    p = _sample_point(rec, seed, max(8, kmax, lmax))
+    relations = coupled_step(p, solve_shakirov(p, kmax, lmax))
     for tag, (left, right) in zip(("psi = g K chi", "chi = T(g K chi)"), relations):
         rec.cone(left, right, kmax + lmax, {"relation": tag}, RESIDUAL)
 
@@ -580,14 +541,10 @@ def _fourd_table_m2_n1(m2, m4, lam):
 
 def chk_heine(rec: Recorder, seed: int, lmax: int):
     rec.orders = {"lmax": lmax}
-
-    def attempt(p):
-        comps = z_al_truncated(p, lmax)
-        pair = heine_solution_pair(p, lmax)
-        return comps, pair, heine_dual_residuals(p, pair)
-
-    p, (comps, pair, equations) = _sample_with_retries(
-        rec, seed, 8, attempt, overrides=(1, 0))
+    p = _sample_point(rec, seed, 8, (1, 0))
+    comps = z_al_truncated(p, lmax)
+    pair = heine_solution_pair(p, lmax)
+    equations = heine_dual_residuals(p, pair)
     # the explicit pair solves the Lambda-shifted form: y_j(L) = psi_j(L / t)
     y0, y1, (_, _, _, c1) = pair
     y0L, y1L = y0.shift_variable(c1), y1.shift_variable(c1)
@@ -661,9 +618,11 @@ def suite_tasks(cfg: SuiteConfig) -> list:
 def _execute(task):
     """Run one check and build its report record.  The check passes iff it
     compares no unequal pair and at least one pair with a nonzero side.  A
-    QkzError fails it; any other exception is a fault in the program: it
-    fails this check with status "error" and leaves the other checks
-    running.  A check that raises reports no point or orders."""
+    QkzError, such as the DegenerateParameterError of a degenerate point,
+    fails it, and its mismatch gives the exception's type and message
+    beside the check's point and orders.  Any other exception is a fault in
+    the program: it fails this check with status "error", reports no point
+    or orders, and leaves the other checks running."""
     suite, kwargs = task
     spec = SUITES[suite]
     start = time.monotonic()
@@ -678,8 +637,7 @@ def _execute(task):
     except _Mismatch as exc:
         status, mismatch, info = "fail", exc.args[0], None
     except QkzError as exc:
-        status, mismatch = "fail", {"error": str(exc)}
-        rec.point = rec.orders = None
+        status, mismatch = "fail", {"type": type(exc).__name__, "message": str(exc)}
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         status, mismatch = "error", {
@@ -690,7 +648,6 @@ def _execute(task):
             "orders": rec.orders, "mismatch": mismatch,
             "time_ms": int((time.monotonic() - start) * 1000),
             "stats": {"compared": rec.compared, "nonzero": rec.nonzero},
-            "retries": rec.retries,
             **({"info": info} if info is not None else {})}
 
 
@@ -736,12 +693,11 @@ def write_report(report: dict, fmt: str) -> str:
     """The report as the text of format `fmt`, "json" or "csv"."""
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=False) + "\n"
-    lines = ["name,status,point,orders,mismatch,time_ms,compared,nonzero,retries"]
+    lines = ["name,status,point,orders,mismatch,time_ms,compared,nonzero"]
     for c in report["checks"]:
         cells = [c["name"], c["status"],
                  json.dumps(c.get("point")), json.dumps(c.get("orders")),
                  json.dumps(c.get("mismatch")), str(c["time_ms"]),
-                 str(c["stats"]["compared"]), str(c["stats"]["nonzero"]),
-                 json.dumps(c["retries"])]
+                 str(c["stats"]["compared"]), str(c["stats"]["nonzero"])]
         lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
     return "\n".join(lines) + "\n"

@@ -81,10 +81,10 @@ def test_csv_report_format():
     rep = run_suite(cfg)
     text = write_report(rep, "csv")
     lines = text.strip().splitlines()
-    assert lines[0] == "name,status,point,orders,mismatch,time_ms,compared,nonzero,retries"
+    assert lines[0] == "name,status,point,orders,mismatch,time_ms,compared,nonzero"
     assert len(lines) == 1 + len(rep["checks"])
     compared, nonzero = rep["checks"][0]["stats"].values()
-    assert lines[1].endswith(f',"{compared}","{nonzero}","[]"')
+    assert lines[1].endswith(f',"{compared}","{nonzero}"')
 
 
 def test_failure_reports_first_mismatch_location():
@@ -124,43 +124,60 @@ def test_rmatrix_dump(tmp_path):
     assert obj["kind"] == "small-h first order"
 
 
-def test_degenerate_point_retry_is_deterministic():
+def test_degenerate_point_retry_is_deterministic(monkeypatch, capsys, tmp_path):
+    # a builder that meets a degenerate point fails its check there, with no
+    # retry: `qkz verify` exits 1 without a traceback, and every run reports
+    # the same sampled point and the exception
+    import qkz.suites
     from qkz.errors import DegenerateParameterError
-    from qkz.suites import RETRY_STRIDE, Recorder, _sample_with_retries
-
-    seen = []
-
-    def attempt(p):
-        seen.append(p)
-        if len(seen) < 3:
-            raise DegenerateParameterError("synthetic degeneracy")
-        return "ok"
-
-    rec = Recorder()
-    p, result = _sample_with_retries(rec, 10, 6, attempt_fn=attempt)
-    assert result == "ok" and len(seen) == 3
-    assert rec.point == p.to_json()
-    # the third sampled point is the one derived from seed + 2*stride
     from qkz.scalars import sample_generic_point
-    assert p == sample_generic_point(10 + 2 * RETRY_STRIDE, 6)
-    assert rec.retries == [
-        {"seed": 10 + k * RETRY_STRIDE, "exception": "DegenerateParameterError",
-         "message": "synthetic degeneracy"} for k in range(2)]
-
-
-def test_retries_do_not_hide_a_fault():
-    from qkz.suites import Recorder, _sample_with_retries
 
     calls = []
 
-    def attempt(p):
+    def degenerate(p, lmax):
         calls.append(p)
-        raise ZeroDivisionError("injected fault")
+        raise DegenerateParameterError("synthetic degeneracy")
 
-    rec = Recorder()
-    with pytest.raises(ZeroDivisionError, match="injected fault"):
-        _sample_with_retries(rec, 10, 6, attempt_fn=attempt)
-    assert len(calls) == 1 and rec.retries == []
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    monkeypatch.setattr(qkz.suites, "heine_solution_pair", degenerate)
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["verify", "HEINE_EXAMPLE", "--seed", "10", "--out", str(out)]) == 1
+        texts.append(re.sub(r'"time_ms": \d+', '"time_ms": 0', out.read_text()))
+    assert "Traceback" not in capsys.readouterr().err
+    assert texts[0] == texts[1] and len(calls) == 2
+    [check] = json.loads(texts[0])["checks"]
+    assert check["status"] == "fail"
+    assert check["point"] == calls[0].to_json() == \
+        sample_generic_point(10, 8).with_overrides(1, 0).to_json()
+    assert check["orders"] == {"lmax": 4}
+    assert check["mismatch"] == {"type": "DegenerateParameterError",
+                                 "message": "synthetic degeneracy"}
+    assert "retries" not in check
+
+
+def test_retries_do_not_hide_a_fault(monkeypatch):
+    # a builder's unexpected exception is a fault: its check reports status
+    # error after one call, and the other checks still run
+    import qkz.suites
+
+    real, calls = qkz.suites.qkz_residual, []
+
+    def faulty(p, lmax):
+        calls.append(p)
+        if p.window == (1, 1):
+            raise ZeroDivisionError("injected fault")
+        return real(p, lmax)
+
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    monkeypatch.setattr(qkz.suites, "qkz_residual", faulty)
+    report = run_suite(SuiteConfig(suite="QKZ_MATRIX", seeds=(10,)))
+    assert [c["status"] for c in report["checks"]] == ["pass", "error", "pass"]
+    assert [p.window for p in calls] == [(1, 0), (1, 1), (2, 1)]
+    fault = report["checks"][1]["mismatch"]
+    assert (fault["type"], fault["message"]) == ("ZeroDivisionError", "injected fault")
+    assert all("retries" not in c for c in report["checks"])
 
 
 def test_worker_pool_cap(monkeypatch):
@@ -253,6 +270,13 @@ def test_readme_option_table_matches_the_registry():
     for suite, options in rows:
         flags = {flag.replace("-", "_") for flag in re.findall(r"--([A-Za-z][\w-]*)", options)}
         assert flags == set(SUITES[suite].limits), suite
+
+
+def test_readme_csv_header_is_the_report_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    report = run_suite(SuiteConfig(suite="BAILEY", seeds=(1,)))
+    header = write_report(report, "csv").splitlines()[0]
+    assert re.findall(r"^name,status,.*$", readme, re.MULTILINE) == [header]
 
 
 @pytest.mark.parametrize("flag, argv", [

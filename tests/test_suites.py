@@ -6,6 +6,8 @@ of the windowed suites.  Last, every comparison path is shown able to fail:
 each suite under a recorder that doubles one compared value, and the
 upstream computations of each check, one at a time."""
 
+import json
+
 import pytest
 
 from qkz.cone import ConeSeries
@@ -14,8 +16,9 @@ from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
 from qkz.scalars import (ONE, Rat, coprime_base, exponent_vector, is_plain, quotient,
                          sample_generic_point)
+from qkz import suites
 from qkz.suites import (
-    MAX_POINT_RETRIES, RETRY_STRIDE, SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _execute, _sample_with_retries,
+    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _execute, _sample_point,
     chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
     chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite,
     suite_tasks)
@@ -715,64 +718,108 @@ def test_every_suite_fails_at_a_doubled_comparison(suite):
             assert mutant["point"] == record["point"], k
 
 
+def _sampled_points(monkeypatch):
+    """The points `sample_generic_point` returns to the checks, in order."""
+    real, points = suites.sample_generic_point, []
+
+    def sampled(*args):
+        points.append(real(*args))
+        return points[-1]
+
+    monkeypatch.setattr(suites, "sample_generic_point", sampled)
+    return points
+
+
+# the suites whose checks sample a ParamPoint; the others begin a point of
+# their own rationals
+SAMPLING = set(SUITES) - {"BAILEY", "SHUFFLE", "FOURD_LIMIT"}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_no_check_moves_past_a_degenerate_point(monkeypatch, suite):
+    # a point that is degenerate as soon as it is begun fails every check of
+    # the suite there, and the report names the point and the exception; a
+    # check of a sampling suite samples that one point and no other
+    points = _sampled_points(monkeypatch)
+    begun, real_begin = [], Recorder.begin
+
+    def degenerate_begin(self, point):
+        real_begin(self, point)
+        begun.append(point)
+        raise DegenerateParameterError("injected")
+
+    monkeypatch.setattr(Recorder, "begin", degenerate_begin)
+    for task in suite_tasks(SuiteConfig(suite=suite, seeds=(1,))):
+        points.clear()
+        begun.clear()
+        record = _execute(task)
+        assert record["status"] == "fail" and len(begun) == 1, record
+        assert record["mismatch"] == {"type": "DegenerateParameterError", "message": "injected"}
+        assert record["point"] == begun[0] and record["orders"] is not None
+        assert len(points) == (suite in SAMPLING), record
+        if points:
+            window = json.loads(begun[0])
+            first = points[0] if "m" not in window else points[0].with_overrides(
+                window["m"], window["n"])
+            assert begun[0] == first.to_json()
+
+
 def test_a_mismatch_before_a_degenerate_stage_is_not_retried(monkeypatch):
-    # the mismatch stops the attempt, so the degenerate stage after it can
-    # start no retry that would throw the mismatch away
-    attempts = []
+    # the mismatch stops the check, so the degenerate stage after it is
+    # never reached, and the report gives the mismatch at the one point
+    points = _sampled_points(monkeypatch)
 
     def check(rec, seed):
         rec.orders = {}
+        _sample_point(rec, seed, 8)
+        rec.compare(ONE, 2 * ONE, {"stage": "first"})
+        raise DegenerateParameterError("a later stage is degenerate")
 
-        def attempt(p):
-            attempts.append(p)
-            rec.compare(ONE, 2 * ONE, {"stage": "first"})
-            raise DegenerateParameterError("a later stage is degenerate")
-
-        _sample_with_retries(rec, seed, 8, attempt)
-
-    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
-    record = _execute(("BAILEY", {"seed": 1}))
-    assert len(attempts) == 1
+    record = _stub_record(monkeypatch, check)
+    assert len(points) == 1
     assert record["status"] == "fail"
     assert record["mismatch"] == {"stage": "first", "left": "1", "right": "2"}
-    assert record["point"] == attempts[0].to_json()
+    assert record["point"] == points[0].to_json()
     assert record["stats"] == {"compared": 1, "nonzero": 1}
 
 
 def test_a_rejected_point_is_a_retry_of_the_report(monkeypatch):
-    # the first point is degenerate, the second compares one nonzero pair
-    attempts = []
+    # no retry: a degenerate point after a passing comparison fails the
+    # check, and the report keeps that point, the orders and the counts
+    points = _sampled_points(monkeypatch)
 
     def check(rec, seed):
-        rec.orders = {}
+        rec.orders = {"lmax": 3}
+        _sample_point(rec, seed, 8, (1, 0))
+        rec.compare(ONE, ONE, {})
+        raise DegenerateParameterError("first point is degenerate")
 
-        def attempt(p):
-            attempts.append(p)
-            if len(attempts) == 1:
-                raise DegenerateParameterError("first point is degenerate")
-            rec.compare(ONE, ONE, {})
-
-        _sample_with_retries(rec, seed, 8, attempt)
-
-    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
-    record = _execute(("BAILEY", {"seed": 1}))
-    assert record["status"] == "pass" and record["point"] == attempts[1].to_json()
-    assert record["retries"] == [{"seed": 1, "exception": "DegenerateParameterError",
-                                  "message": "first point is degenerate"}]
+    record = _stub_record(monkeypatch, check)
+    assert len(points) == 1 and record["status"] == "fail"
+    assert record["point"] == points[0].with_overrides(1, 0).to_json()
+    assert record["orders"] == {"lmax": 3}
+    assert record["mismatch"] == {"type": "DegenerateParameterError",
+                                  "message": "first point is degenerate"}
     assert record["stats"] == {"compared": 1, "nonzero": 1}
+    assert "retries" not in record
 
 
 def test_a_check_that_runs_out_of_points_reports_every_retry(monkeypatch):
+    # a check has one point: a vanishing denominator there fails the check
+    # at once, which names the point and the exception
+    points = _sampled_points(monkeypatch)
+
     def check(rec, seed):
         rec.orders = {}
-        _sample_with_retries(rec, seed, 8, lambda p: quotient(ONE, 0, "the pivot"))
+        _sample_point(rec, seed, 8)
+        quotient(ONE, 0, "the pivot")
 
-    monkeypatch.setitem(SUITES, "BAILEY", SUITES["BAILEY"]._replace(check=check))
-    record = _execute(("BAILEY", {"seed": 1}))
-    assert record["status"] == "fail" and record["point"] is None
-    assert record["retries"] == [
-        {"seed": 1 + k * RETRY_STRIDE, "exception": "DegenerateParameterError",
-         "message": "the pivot vanishes"} for k in range(MAX_POINT_RETRIES)]
+    record = _stub_record(monkeypatch, check)
+    assert len(points) == 1 and record["status"] == "fail"
+    assert record["point"] == points[0].to_json() == sample_generic_point(1, 8).to_json()
+    assert record["mismatch"] == {"type": "DegenerateParameterError",
+                                  "message": "the pivot vanishes"}
+    assert "retries" not in record
 
 
 def test_a_check_that_compares_only_zeros_fails(monkeypatch):
@@ -829,29 +876,28 @@ def test_cones_of_different_shapes_are_a_fault(monkeypatch):
 
 
 def test_only_a_singular_pivot_chain_moves_to_the_next_seed(monkeypatch):
-    # a non-square solve is a fault of the program: one attempt, status
-    # error; a pivot chain with no invertible pivot is a degenerate point,
-    # and the check moves to the point of the next seed
-    def check_with(matrix, attempts):
+    # neither solve moves to another point: a non-square solve is a fault of
+    # the program, status error; a pivot chain with no invertible pivot is a
+    # degenerate point, status fail, and the report names the point and the
+    # SingularMatrixError
+    def check_with(matrix):
         def check(rec, seed):
             rec.orders = {}
-
-            def attempt(p):
-                attempts.append(p)
-                if len(attempts) == 1:
-                    matrix.solve(ScalarMatrix.identity(2))
-                rec.compare(ONE, ONE, {})
-
-            _sample_with_retries(rec, seed, 8, attempt)
+            _sample_point(rec, seed, 8)
+            matrix.solve(ScalarMatrix.identity(2))
+            rec.compare(ONE, ONE, {})
         return check
 
-    attempts = []
-    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 3, [ONE] * 6), attempts))
-    assert len(attempts) == 1 and record["status"] == "error", record
+    points = _sampled_points(monkeypatch)
+    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 3, [ONE] * 6)))
+    assert len(points) == 1 and record["status"] == "error", record
     assert (record["mismatch"]["type"], record["mismatch"]["message"]) == (
         "ValueError", "solve requires a square matrix")
 
-    attempts = []
-    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 2, [ONE] * 4), attempts))
-    assert len(attempts) == 2 and record["status"] == "pass", record
-    assert record["point"] == attempts[1].to_json() != attempts[0].to_json()
+    points.clear()
+    record = _stub_record(monkeypatch, check_with(ScalarMatrix(2, 2, [ONE] * 4)))
+    assert len(points) == 1 and record["status"] == "fail", record
+    assert record["point"] == points[0].to_json()
+    assert record["mismatch"] == {"type": "SingularMatrixError",
+                                  "message": "no invertible pivot in column 1"}
+    assert record["stats"] == {"compared": 0, "nonzero": 0}
