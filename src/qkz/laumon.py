@@ -6,23 +6,25 @@ bracket [u; q]_n live on the fourth-root lattice of ParamPoint; spectral
 parameters are lattice Monomials, so their square roots are formed exactly
 (Monomial.half rejects an odd exponent).
 Each factor lists its brackets [u q^a kappa^e] as runs, in one sweep for
-every orbifold order n: residue k keeps those with e = k (mod n).  A
-`BracketTable` computes each bracket of one (sqrt(u), point) once, and
-multiplies them into one pair per e; the partition sum reads the bounded
-`elementary_bracket` memo, which its sums at one seed share.  Products stay
+every orbifold order n: residue k keeps those with e = k (mod n).  The three
+forms read a `BracketTable`, which computes each bracket of one (sqrt(u),
+point) once.  The partition sum takes one residue per factor: `_orb_pair`
+reads the row runs with e = k (mod n) from the bounded `elementary_bracket`
+memo, which the sums at one seed share.  Products stay
 unreduced int pairs until one final reduction, or none: NEKRASOV_3WAY
 compares them by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
+from math import prod
 
 from .cone import ConeSeries
 from .errors import DegenerateParameterError
 from .partitions import conjugate, enumerate_pairs
 from .qseries import LambdaSeries, bracket_parts
-from .scalars import Monomial, ParamPoint, Rat, dot
+from .scalars import Monomial, ParamPoint, Rat, _reduced, dot
 
 # The parameters as lattice monomials, each the fourth power of its root:
 # Q is q, QQ the instanton parameter Q, and KAPPA = t^(-1/2) = rt^-2.
@@ -87,27 +89,15 @@ class BracketTable(dict):
         return _kappa_groups(self.__getitem__, (0, 1), _floor_runs(lam, mu))
 
     def box(self, lam: tuple, mu: tuple):
-        """The box product of `_box_runs`, which is prod_k nek_orb(k | n)
-        for every n."""
-        return _bracket_product(self.__getitem__, (0, 0), _box_runs(lam, mu))
-
-
-def _bracket_product(bracket, step, runs):
-    """prod over (e_q, e_kap, n) in runs of [u q^e_q kappa^e_kap; base]_n,
-    base = q^s_q kappa^s_kap for step = (s_q, s_kap), as an unreduced int
-    pair, with each elementary bracket [u q^a kappa^b] from `bracket((a, b))`."""
-    s_q, s_kap = step
-    num = den = 1
-    for e_q, e_kap, n in runs:
-        for i in range(n):
-            bn, bd = bracket((e_q + i * s_q, e_kap + i * s_kap))
-            num *= bn
-            den *= bd
-    return num, den
+        """The int pair of the box product, prod_k nek_orb(k | n) for every n."""
+        pairs = [self[key] for key in _box_keys(lam, mu)]
+        return prod(num for num, _ in pairs), prod(den for _, den in pairs)
 
 
 def _kappa_groups(bracket, step, runs):
-    """`_bracket_product` with one int pair per kappa exponent e."""
+    """The brackets of `runs` as {kappa exponent e: unreduced int pair}: a
+    run (e_q, e_kap, n) holds [u q^(e_q + i s_q) kappa^(e_kap + i s_kap)]
+    for i < n and step = (s_q, s_kap), each from `bracket((a, b))`."""
     s_q, s_kap = step
     groups = {}
     for e_q, e_kap, n in runs:
@@ -175,32 +165,20 @@ def _floor_runs(lam: tuple, mu: tuple):
     return runs
 
 
-def _floor_residue(runs, k: int, n: int):
-    """The floor runs' brackets with kappa exponent k (mod n), as runs that
-    step kappa^n; their lengths are `nek_orb_floor`'s c1 and c2."""
-    for e_q, e, cnt in runs:
-        skip = (k - e) % n
-        if skip < cnt:
-            yield e_q, e + skip, (cnt - skip - 1) // n + 1
-
-
-def _box_runs(lam: tuple, mu: tuple):
-    """The runs of the bracket-normalized total factor, a product over
-    boxes, expanded with the step (0, 0):
+def _box_keys(lam: tuple, mu: tuple):
+    """The bracket keys (a, b) of the bracket-normalized total factor, a
+    product over boxes:
 
         prod_{(i,j) in lam} [u q^(lam_i - j) kappa^(-mu^T_j + i - 1)]
       * prod_{(i,j) in mu}  [u q^(-mu_i + j - 1) kappa^(lam^T_j - i)]
 
-    with [w] = w^(-1/2) - w^(1/2) = [w; 1]_1.  Its product equals
-    prod_k nek_orb(k | n) for any n.
+    with [w] = w^(-1/2) - w^(1/2); it equals prod_k nek_orb(k | n) for any n.
     """
     size = len(conjugate(lam)) + len(conjugate(mu))
     lv, mv = _padded(conjugate(lam), size), _padded(conjugate(mu), size)
-    runs = [(row - j - 1, i - mv[j], 1)
-            for i, row in enumerate(lam) for j in range(row)]
-    runs += [(j - row, lv[j] - i - 1, 1)
-             for i, row in enumerate(mu) for j in range(row)]
-    return runs
+    keys = [(row - j - 1, i - mv[j]) for i, row in enumerate(lam) for j in range(row)]
+    keys += [(j - row, lv[j] - i - 1) for i, row in enumerate(mu) for j in range(row)]
+    return keys
 
 
 def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
@@ -241,8 +219,7 @@ def nek_orb_floor(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
             c2 = floor((mv_j + k + ((-lv_i) mod n))/n)
                - floor((mv_{j+1} + k + ((-lv_i) mod n))/n)
     """
-    bracket = partial(elementary_bracket, _bracket_point(sqrt_u, p))
-    return Rat(*_bracket_product(bracket, (0, n), _floor_residue(_floor_runs(lam, mu), k, n)))
+    return Rat(*residues(BracketTable(sqrt_u, p).floors(lam, mu), n)[k % n])
 
 
 # -- affine Laumon partition function ----------------------------------------
@@ -322,7 +299,7 @@ def pair_weight(pair, factors: PairFactors):
     den = den1 * den2 * n12 * n21
     if not den:
         raise DegenerateParameterError("vector multiplet factor vanishes")
-    return Rat(num1 * num2 * d12 * d21, den)
+    return _reduced(num1 * num2 * d12 * d21, den)
 
 
 def _expansion_monomials(p: ParamPoint):

@@ -8,7 +8,7 @@ truncated Lambda-series, as long as the required divisions exist.
 from __future__ import annotations
 
 from .errors import DegenerateParameterError
-from .scalars import (ONE, Rat, TruncatedSeries, dot, is_plain, product, quotient,
+from .scalars import (ONE, TruncatedSeries, _reduced, dot, is_plain, product, quotient,
                       series_exp)
 
 
@@ -31,7 +31,7 @@ def qpoch(a, q, n: int):
             num *= ad - an
             an *= qn
             ad *= qd
-        return Rat(num, den)
+        return _reduced(num, den)
     out = ONE
     aq = a
     for _ in range(n):

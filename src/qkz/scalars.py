@@ -27,6 +27,7 @@ from .errors import DegenerateParameterError, QkzError, SamplingError
 
 try:
     from gmpy2 import mpq as Rat
+    _reduced = Rat
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction
 
@@ -41,6 +42,11 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
         """The result of a Fraction method, with a plain Fraction as a Rat."""
         return _rat(x._numerator, x._denominator) if type(x) is Fraction else x
 
+    def _reduced(n: int, d: int):
+        """The Rat n/d of an int pair with d != 0, reduced by one gcd."""
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        return _rat(n // g, d // g)
+
     class Rat(Fraction):
         """`fractions.Fraction` with fast same-type arithmetic.
 
@@ -52,9 +58,8 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
         whose Fraction result comes back as a Rat; for a series it is
         NotImplemented, so the series' reflected operator runs.  A zero
         divisor takes the Fraction path too, which raises ZeroDivisionError.
-        Construction, str, hash, ordering and pickling are Fraction's; so
-        are the operators qkz does not use (%, //, divmod, round and a Rat
-        exponent), which may return a Fraction."""
+        So do %, divmod, round and a Rat exponent, which qkz does not use.
+        Construction, str, hash, ordering and pickling are Fraction's."""
 
         __slots__ = ()
 
@@ -170,6 +175,27 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                     return _rat((-da) ** -b, (-na) ** -b)
             return _lift(Fraction.__pow__(a, b))
 
+        def __rpow__(b, a):
+            # Fraction's own computes Fraction(a) ** b, which would come back here
+            return Rat(a) ** b if isinstance(a, (int, Fraction)) else Fraction.__rpow__(b, a)
+
+        def __mod__(a, b):
+            return _lift(Fraction.__mod__(a, b))
+
+        def __rmod__(a, b):
+            return _lift(Fraction.__rmod__(a, b))
+
+        def __divmod__(a, b):
+            got = Fraction.__divmod__(a, b)
+            return got if got is NotImplemented else (got[0], _lift(got[1]))
+
+        def __rdivmod__(a, b):
+            got = Fraction.__rdivmod__(a, b)
+            return got if got is NotImplemented else (got[0], _lift(got[1]))
+
+        def __round__(a, ndigits=None):
+            return _lift(Fraction.__round__(a, ndigits))
+
         def __eq__(a, b):
             if type(b) is Rat:
                 return a._numerator == b._numerator and a._denominator == b._denominator
@@ -220,7 +246,7 @@ def dot(pairs):
     skipped, and with none left the result is the int 0.
 
     The plain terms (int / Rat) are summed as one int pair over the least
-    common multiple of their denominators and reduced once, into one Rat;
+    common multiple of their denominators and reduced once (`_reduced`);
     the others use their ring's + and *."""
     num, den = 0, 1
     plain = False
@@ -240,7 +266,7 @@ def dot(pairs):
             rest = x * y if rest is None else rest + x * y
     if not plain:
         return 0 if rest is None else rest
-    total = Rat(num, den)
+    total = _reduced(num, den)
     return total if rest is None else rest + total
 
 
@@ -255,7 +281,7 @@ def product(values):
             den *= v.denominator
         else:
             rest = v if rest is None else rest * v
-    total = Rat(num, den)
+    total = _reduced(num, den)
     return total if rest is None else rest * total
 
 

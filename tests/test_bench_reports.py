@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from qkz import cli
 from qkz.cli import main
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+GATE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
-def _load_run():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name
     sys.modules[spec.name] = module
@@ -25,7 +27,7 @@ def _load_run():
     return module
 
 
-BENCH = _load_run()
+BENCH = _load("perfbench_run", RUN)
 SUITES = [(workload, suite, options) for workload, spec in BENCH.WORKLOADS.items()
           for suite, options in spec.suites]
 
@@ -42,3 +44,37 @@ def test_report_matches_the_recorded_digests(monkeypatch, tmp_path, workload, su
     assert sorted(c["name"] for c in report["checks"]) == sorted(expected)
     for check in report["checks"]:
         assert BENCH.check_digest(check) == expected[check["name"]], check["name"]
+
+
+class _Built(Exception):
+    """Carries the SuiteConfig that `qkz verify` built, before any check runs."""
+
+
+def _gate_configs():
+    """The SuiteConfig of each suite in the acceptance gate, collected by
+    running its criteria with a `_run` that only records them."""
+    gate = _load("acceptance_gate", GATE)
+    configs = {}
+    gate._run = lambda tag, cfg, **budgets: configs.setdefault(cfg.suite, cfg)
+    for name, criterion in vars(gate).items():
+        if name.startswith("test_criterion_"):
+            criterion()
+    return configs
+
+
+def test_the_workloads_run_the_acceptance_configs(monkeypatch):
+    # WORKLOADS copies the gate's options by hand: each suite's command line
+    # must build the config its criterion runs, and the suites must be the same
+    gate = _gate_configs()
+    assert sorted(gate) == sorted(suite for _, suite, _ in SUITES)
+
+    def built(cfg):
+        raise _Built(cfg)
+
+    monkeypatch.setattr(cli, "run_suite", built)
+    for _, suite, options in SUITES:
+        want = gate[suite]
+        seeds = [arg for seed in want.seeds for arg in ("--seed", str(seed))]
+        with pytest.raises(_Built) as got:
+            main(["verify", suite, *options, *seeds])
+        assert got.value.args[0] == want, suite

@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
@@ -38,10 +37,8 @@ def _boxes(lam):
 
 
 def _box(lam, mu, su, p):
-    """The box product, as a Rat, from the `elementary_bracket` memo as
-    the row and floor forms take their brackets."""
-    bracket = partial(laumon.elementary_bracket, laumon._bracket_point(su, p))
-    return Rat(*laumon._bracket_product(bracket, (0, 0), laumon._box_runs(lam, mu)))
+    """The box product, as a Rat, from a fresh table at (su, p)."""
+    return Rat(*BracketTable(su, p).box(lam, mu))
 
 
 def test_empty_pair_is_one():
@@ -297,20 +294,22 @@ def test_matter_factor_meets_the_zero_bracket():
     assert nek_orb(0, 2, narrow, EMPTY, su, p) == _nek_orb_slow(0, 2, narrow, EMPTY, su, p) != 0
 
 
-@pytest.mark.parametrize("form", [
-    lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P),
-    lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P),
-    lambda lam, mu, su: _box(lam, mu, su, P),
-], ids=["row", "floor", "box"])
+@pytest.mark.parametrize("form, reads_memo", [
+    pytest.param(lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P), True, id="row"),
+    pytest.param(lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P), False, id="floor"),
+    pytest.param(lambda lam, mu, su: _box(lam, mu, su, P), False, id="box"),
+])
 @pytest.mark.parametrize("sqrt_u", [0, Rat(0)])
-def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
-    # with a cold memo, and with one warmed at the same pair
+def test_zero_sqrt_u_is_a_degenerate_point(form, reads_memo, sqrt_u):
+    # the row form with a cold memo, and with one warmed at the same pair;
+    # the floor and box forms with a fresh table, and after a good sqrt_u
+    # warmed a table of its own, which leaves the memo alone
     lam, mu = (2, 1), (1,)
     laumon.elementary_bracket.cache_clear()
     with pytest.raises(DegenerateParameterError):
         form(lam, mu, sqrt_u)
     form(lam, mu, Rat(3, 5))
-    assert laumon.elementary_bracket.cache_info().currsize > 0
+    assert (laumon.elementary_bracket.cache_info().currsize > 0) is reads_memo
     with pytest.raises(DegenerateParameterError):
         form(lam, mu, sqrt_u)
 
@@ -426,6 +425,16 @@ def test_a_table_at_a_zero_sqrt_u_raises_and_stores_nothing(sqrt_u):
     assert not table
 
 
+def _residue_bins(runs, k, n):
+    """The kappa exponents of floor runs (e_q, e, cnt), which step kappa by
+    1 from e, binned by residue: per run, (e_q, the first exponent that is
+    k (mod n), how many are), or nothing when none is."""
+    for e_q, e, cnt in runs:
+        hits = [x for x in range(e, e + cnt) if (x - k) % n == 0]
+        if hits:
+            yield e_q, hits[0], len(hits)
+
+
 def test_residue_bins_equal_the_floor_differences():
     # a floor run holds the kappa exponents x - m - 1 (lambda side, m = mv_i)
     # or m - x (mu side, m = lv_i) for x in (lo, hi]; its part with e = k
@@ -440,10 +449,35 @@ def test_residue_bins_equal_the_floor_differences():
                         c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
                         c2 = (hi + k + r4) // n - (lo + k + r4) // n
                         where = (lo, hi, n, k, m)
-                        got = list(laumon._floor_residue([(0, lo - m, hi - lo)], k, n))
+                        got = list(_residue_bins([(0, lo - m, hi - lo)], k, n))
                         assert got == ([(0, lo - m + (k - lo + m) % n, c1)] if c1 else []), where
-                        got = list(laumon._floor_residue([(0, m - hi, hi - lo)], k, n))
+                        got = list(_residue_bins([(0, m - hi, hi - lo)], k, n))
                         assert got == ([(0, m - hi + (k - m + hi) % n, c2)] if c2 else []), where
+    # and `_floor_runs` of whole diagrams bins into exactly nek_orb_floor's
+    # products, one [u q^(j-i) ...]_c1 and one [u q^(i-j-1) ...]_c2 per i <= j
+    for lam, mu in FIXED_PAIRS + _random_pairs(17, 30):
+        lv, mv = conjugate(lam), conjugate(mu)
+        for n in range(1, 6):
+            for k in range(n):
+                want = []
+                for j in range(1, len(lv) + 1):
+                    hi, lo = _part(lv, j), _part(lv, j + 1)
+                    for i in range(1, j + 1):
+                        m = _part(mv, i)
+                        r1 = m % n
+                        c1 = (hi + n - 1 - k - r1) // n - (lo + n - 1 - k - r1) // n
+                        if c1:
+                            want.append((j - i, lo - m + (k - lo + m) % n, c1))
+                for j in range(1, len(mv) + 1):
+                    hi, lo = _part(mv, j), _part(mv, j + 1)
+                    for i in range(1, j + 1):
+                        l = _part(lv, i)
+                        r4 = -l % n
+                        c2 = (hi + k + r4) // n - (lo + k + r4) // n
+                        if c2:
+                            want.append((i - j - 1, l - hi + (k - l + hi) % n, c2))
+                got = _residue_bins(laumon._floor_runs(lam, mu), k, n)
+                assert sorted(got) == sorted(want), (lam, mu, n, k)
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------

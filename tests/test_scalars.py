@@ -27,10 +27,12 @@ from qkz.scalars import (
     Rat,
     _draw_root,
     _passes_guards,
+    _reduced,
     coprime_base,
     dot,
     exp_jet,
     exponent_vector,
+    is_plain,
     product,
     quotient,
     sample_generic_point,
@@ -88,6 +90,14 @@ def _agrees_with_fraction(op, *args):
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne)
 
 
+def _remainder(a, b):
+    return divmod(a, b)[1]
+
+
+# % and the remainder of divmod, which Fraction gives as a plain Fraction
+REMAINDERS = (operator.mod, _remainder)
+
+
 @fraction_backend
 def test_rat_arithmetic_equals_fraction_arithmetic():
     rng = random.Random(20)
@@ -103,6 +113,28 @@ def test_rat_arithmetic_equals_fraction_arithmetic():
         e = rng.randint(-4, 4)
         for power in (e, Rat(e), e > 0):
             _agrees_with_fraction(operator.pow, x, power)
+        for op in REMAINDERS:
+            _agrees_with_fraction(op, x, y)
+            _agrees_with_fraction(op, y, x)
+        for ndigits in (-2, 0, 3):
+            _agrees_with_fraction(round, x, ndigits)
+
+
+@fraction_backend
+def test_an_int_to_a_rat_power_is_a_rat():
+    # Fraction keeps int ** Fraction an int for an exponent >= 0, and makes
+    # it a Fraction below 0 or a float off the integers
+    for base in range(-3, 4):
+        for e in (-3, -1, 0, 1, 2, Rat(1, 2), Rat(-2, 3)):
+            try:
+                want = base ** Fraction(e)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    base ** Rat(e)
+                continue
+            got = base ** Rat(e)
+            assert got == want, (base, e)
+            assert type(got) is (type(want) if type(want) in (float, complex) else Rat), (base, e)
 
 
 @fraction_backend
@@ -111,7 +143,8 @@ def test_rat_with_a_foreign_operand_takes_the_fraction_path(x):
     # a Fraction result comes back as a Rat; a float stays a float
     for y in (Fraction(5, 4), Fraction(0), 0.5, -2.0):
         _agrees_with_fraction(operator.pow, x, y)
-        for op in BINARY:
+        _agrees_with_fraction(operator.pow, y, x)
+        for op in BINARY + REMAINDERS:
             _agrees_with_fraction(op, x, y)
             _agrees_with_fraction(op, y, x)
 
@@ -134,7 +167,8 @@ def test_an_importable_gmpy2_gives_its_mpq(tmp_path):
     # the Fraction subclass exists only where gmpy2 is missing
     (tmp_path / "gmpy2.py").write_text("from fractions import Fraction as mpq\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import gmpy2, qkz.scalars as s; assert s.Rat is gmpy2.mpq and not hasattr(s, '_rat')"
+    code = ("import gmpy2, qkz.scalars as s; "
+            "assert s.Rat is s._reduced is gmpy2.mpq and not hasattr(s, '_rat')")
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"})
     assert done.returncode == 0
@@ -491,11 +525,18 @@ def _kernel_cases():
             "sparse": [(Rat(0), r()), (r(), r()), (0, 5), (r(), Rat(0))]}
 
 
+def _kernel_type(want):
+    """The type a kernel gives where the one-at-a-time form gives `want`: a
+    plain result is a Rat, even when the int operands made it an int."""
+    return Rat if is_plain(want) else type(want)
+
+
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
 def test_dot_equals_the_sum_of_products(case):
     pairs = _kernel_cases()[case]
-    assert dot(pairs) == _sum_of_products(pairs)
-    assert dot(iter(pairs)) == _sum_of_products(pairs)
+    want = _sum_of_products(pairs)
+    for got in (dot(pairs), dot(iter(pairs))):
+        assert got == want and type(got) is _kernel_type(want)
 
 
 def test_dot_of_no_nonzero_term_is_the_int_zero():
@@ -514,9 +555,22 @@ def test_dot_of_no_nonzero_term_is_the_int_zero():
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
 def test_product_equals_the_one_at_a_time_product(case):
     values = [v for pair in _kernel_cases()[case] for v in pair]
-    assert product(values) == _product_one_at_a_time(values)
+    want = _product_one_at_a_time(values)
+    got = product(values)
+    assert got == want and type(got) is _kernel_type(want)
     assert product([]) == 1 and type(product([])) is Rat
     assert type(product([2, -3])) is Rat
+
+
+def test_reduced_equals_the_rat_of_its_pair():
+    # the kernels' one reduction: any sign, a zero numerator, large ints
+    rng = random.Random(8)
+    pairs = [(0, 5), (0, -7), (5, 1), (-5, -1), (6, -4), (-6, -4), (2 ** 90 * 3, -(2 ** 70) * 9)]
+    pairs += [(rng.randint(-2 ** 70, 2 ** 70), rng.choice((-1, 1)) * rng.randint(1, 2 ** 70))
+              for _ in range(200)]
+    for n, d in pairs:
+        got = _reduced(n, d)
+        assert got == Rat(n, d) and type(got) is Rat, (n, d)
 
 
 def _convolution(a, b):
