@@ -9,15 +9,14 @@ Each factor lists its brackets [u q^a kappa^e] as runs, in one sweep for
 every orbifold order n: residue k keeps those with e = k (mod n).  The three
 forms read a `BracketTable`, which computes each bracket of one (sqrt(u),
 point) once.  The partition sum takes one residue per factor: `_orb_pair`
-reads the row runs with e = k (mod n) from the bounded `elementary_bracket`
-memo, which the sums at one seed share.  Products stay
-unreduced int pairs until one final reduction, or none: NEKRASOV_3WAY
-compares them by cross-multiplication.
+reads the row runs with e = k (mod n) from the table of the factor's square
+root, one of the 12 tables its `PairFactors` builds, so no bracket is
+shared between sums.  Products stay unreduced int pairs until one final
+reduction, or none: NEKRASOV_3WAY compares them by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 from .cone import ConeSeries
@@ -52,10 +51,6 @@ def _bracket_at(point, key):
     un, ud, qn, qd, tn, td = point
     x, y = _scaled(un, ud, qn, qd, key[0])
     return bracket_parts(*_scaled(x, y, td, tn, key[1]))
-
-
-# the partition sum's bounded memo, which its sums at the windows of one seed share
-elementary_bracket = lru_cache(maxsize=1024)(_bracket_at)
 
 
 def _bracket_point(sqrt_u, p: ParamPoint):
@@ -189,17 +184,17 @@ def nek_orb(k: int, n: int, lam: tuple, mu: tuple, sqrt_u, p: ParamPoint):
       * prod_{b >= a >= 1, b-a = -k-1 mod n}
             [u q^(lam_a - mu_b) kappa^(a-b-1); q]_(mu_b - mu_{b+1})
     """
-    return Rat(*_orb_pair(k, n, lam, mu, _bracket_point(sqrt_u, p)))
+    return Rat(*_orb_pair(k, n, lam, mu, BracketTable(sqrt_u, p)))
 
 
-def _orb_pair(k: int, n: int, lam: tuple, mu: tuple, point):
-    """`nek_orb` as an unreduced int pair at the bracket point `point`: the
-    row runs with kappa exponent k (mod n), from the `elementary_bracket` memo."""
+def _orb_pair(k: int, n: int, lam: tuple, mu: tuple, table: BracketTable):
+    """`nek_orb` as an unreduced int pair at the (sqrt(u), point) of `table`:
+    the row runs with kappa exponent k (mod n), each bracket from `table`."""
     num = den = 1
     for e_q, e, cnt in _row_runs(lam, mu):
         if (e - k) % n == 0:
             for i in range(cnt):
-                bn, bd = elementary_bracket(point, (e_q + i, e))
+                bn, bd = table[e_q + i, e]
                 num *= bn
                 den *= bd
     return num, den
@@ -232,35 +227,23 @@ def _spectral_vectors():
             (-D2, QQ - D4 - KAPPA))
 
 
-def _root_points(p: ParamPoint, left, right):
-    """The bracket points of sqrt(left_i / right_j) for i, j in {0, 1}."""
-    return [[_bracket_point(p.at((l - r).half()), p) for r in right] for l in left]
-
-
-@lru_cache(maxsize=1024)
-def _vector_pair(k: int, lam: tuple, mu: tuple, point):
-    """The order-2 vector factor nek_orb(k, 2, lam, mu) at the bracket point
-    `point`, as an unreduced int pair.
-
-    Memoized across sums: sqrt(v_i / v_j) is 1 on the diagonal and a
-    monomial in rt and rQ off it, so the factor reads only rq, rt, rQ and
-    the diagrams, and sums at points that differ in d1..d4 alone (the
-    windows of one seed) share it; on the diagonal, both slots share it.
-    """
-    return _orb_pair(k, 2, lam, mu, point)
+def _root_tables(p: ParamPoint, left, right):
+    """The bracket tables of sqrt(left_i / right_j) for i, j in {0, 1}."""
+    return [[BracketTable(p.at((l - r).half()), p) for r in right] for l in left]
 
 
 class PairFactors:
-    """What the weights of one partition sum share at its point p: the
-    bracket points of its 12 square-root monomials, and for each (slot,
+    """What the weights of one partition sum share at its point p: one
+    `BracketTable` per square-root monomial, 12 in all, and for each (slot,
     partition) its 4 matter factors over its diagonal vector factor.  Build
-    one per sum; it keeps every partition the sum visits."""
+    one per sum; it keeps every partition and bracket the sum visits, and
+    shares none with another sum."""
 
     def __init__(self, p: ParamPoint):
         u, v, w = _spectral_vectors()
-        self.uv = _root_points(p, u, v)
-        self.vw = _root_points(p, v, w)
-        self.vv = _root_points(p, v, v)
+        self.uv = _root_tables(p, u, v)
+        self.vw = _root_tables(p, v, w)
+        self.vv = _root_tables(p, v, v)
         self._single = {}
 
     def single(self, slot: int, lam: tuple):
@@ -271,7 +254,7 @@ class PairFactors:
         got = self._single.get(key)
         if got is None:
             # the vector factor divides: its pair enters upside down
-            den, num = _vector_pair(0, lam, lam, self.vv[slot][slot])
+            den, num = _orb_pair(0, 2, lam, lam, self.vv[slot][slot])
             for i in range(2):
                 for fn, fd in (_orb_pair((slot - i) % 2, 2, (), lam, self.uv[i][slot]),
                                _orb_pair((i - slot) % 2, 2, lam, (), self.vw[slot][i])):
@@ -286,16 +269,16 @@ def pair_weight(pair, factors: PairFactors):
     at the point of `factors`: matter factors over vector-multiplet factors,
     order-2 orbifold.
 
-    A sum passes one `factors` to all its calls so the single-partition
-    factors are computed once.  Only the two off-diagonal vector factors
-    depend on the pair.  The product stays an unreduced int pair and is
-    reduced once, into one Rat."""
+    A sum passes one `factors` to all its calls, so the single-partition
+    factors are computed once, and each bracket once per table.  Only the
+    two off-diagonal vector factors depend on the pair.  The product stays
+    an unreduced int pair and is reduced once, into one Rat."""
     lam1, lam2 = pair
     num1, den1 = factors.single(0, lam1)
     num2, den2 = factors.single(1, lam2)
     vv = factors.vv
-    n12, d12 = _vector_pair(1, lam1, lam2, vv[0][1])
-    n21, d21 = _vector_pair(1, lam2, lam1, vv[1][0])
+    n12, d12 = _orb_pair(1, 2, lam1, lam2, vv[0][1])
+    n21, d21 = _orb_pair(1, 2, lam2, lam1, vv[1][0])
     den = den1 * den2 * n12 * n21
     if not den:
         raise DegenerateParameterError("vector multiplet factor vanishes")

@@ -401,8 +401,7 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return type(self) is type(other) and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs))
+            return type(self) is type(other) and self.coeffs == other.coeffs
         if is_plain(other):
             return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
         return NotImplemented

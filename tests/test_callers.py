@@ -4,16 +4,27 @@ else in ``src/qkz``.  A re-export in ``__init__.py`` is not a caller, so it
 keeps no test-only code alive.  Exempt are dunder methods (Python calls them), the
 layers the benchmark traces (``LAYERS`` in ``perfbench/tracer.py``, read
 here and not edited), and ``cone.apply_full_step``, the solver's operator,
-which the Hamiltonian-representation check is to call."""
+which the Hamiltonian-representation check is to call.
+
+The README names no code that is gone: every backticked ``_name`` and
+``module.name`` (for a module of the package) in it is defined in the
+package, apart from the few it quotes from elsewhere."""
 
 import ast
+import fractions
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qkz"
 EXEMPT = {("cone", "apply_full_step")}
+# private names the README quotes from outside the package, each with the
+# file that defines it: Fraction's operator wrapper and the partition
+# sum's twelve-factor oracle
+QUOTED_ELSEWHERE = {"_operator_fallbacks": Path(fractions.__file__),
+                    "_weight_12": ROOT / "tests" / "test_laumon.py"}
 
 
 def _traced_layers():
@@ -100,3 +111,44 @@ def test_a_re_export_is_not_a_caller(tmp_path, monkeypatch):
         fh.write("\nfrom .scalars import exported_only  # noqa: F401\n")
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
     assert ("scalars", "exported_only") in unreferenced()
+
+
+def _defined_names(tree):
+    """Every function and class name of a module, nested ones too, and the
+    names its top level assigns."""
+    names = {node.name for _, node in _definitions(tree)}
+    return names | {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+
+
+def undefined_readme_names(text):
+    """The backticked names of `text`, as (module or None, name), that the
+    package does not define: a ``module.name`` in that module of the
+    package, a ``_name`` (not a dunder) in any of its modules."""
+    defined = {path.stem: _defined_names(ast.parse(path.read_text(), str(path)))
+               for path in PACKAGE.glob("*.py")}
+    anywhere = set().union(*defined.values())
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for name in re.findall(r"(?<![\w.])(_[A-Za-z]\w*)", span):
+            if name not in anywhere and name not in QUOTED_ELSEWHERE:
+                found.append((None, name))
+        for module, name in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span):
+            if module in defined and name != "py" and name not in defined[module]:
+                found.append((module, name))
+    return found
+
+
+def test_the_readme_names_only_defined_code():
+    assert undefined_readme_names((ROOT / "README.md").read_text()) == []
+    for name, path in QUOTED_ELSEWHERE.items():
+        assert name in _defined_names(ast.parse(path.read_text(), str(path))), (name, path)
+
+
+def test_the_readme_scan_reports_a_deleted_name():
+    # names of code that is gone, bare and module-qualified, are reported;
+    # a module's file name, a dunder and a public bare name are not names
+    # of this form
+    text = ("`_floor_residue` and `Rat(*laumon._vector_pair(k, lam))`, "
+            "`laumon._orb_pair`, `suites.py`, `__init__`, `elementary_bracket`")
+    assert undefined_readme_names(text) == [(None, "_floor_residue"), ("laumon", "_vector_pair")]

@@ -294,27 +294,24 @@ def test_matter_factor_meets_the_zero_bracket():
     assert nek_orb(0, 2, narrow, EMPTY, su, p) == _nek_orb_slow(0, 2, narrow, EMPTY, su, p) != 0
 
 
-@pytest.mark.parametrize("form, reads_memo", [
-    pytest.param(lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P), True, id="row"),
-    pytest.param(lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P), False, id="floor"),
-    pytest.param(lambda lam, mu, su: _box(lam, mu, su, P), False, id="box"),
+@pytest.mark.parametrize("form", [
+    pytest.param(lambda lam, mu, su: nek_orb(0, 2, lam, mu, su, P), id="row"),
+    pytest.param(lambda lam, mu, su: nek_orb_floor(1, 3, lam, mu, su, P), id="floor"),
+    pytest.param(lambda lam, mu, su: _box(lam, mu, su, P), id="box"),
 ])
 @pytest.mark.parametrize("sqrt_u", [0, Rat(0)])
-def test_zero_sqrt_u_is_a_degenerate_point(form, reads_memo, sqrt_u):
-    # the row form with a cold memo, and with one warmed at the same pair;
-    # the floor and box forms with a fresh table, and after a good sqrt_u
-    # warmed a table of its own, which leaves the memo alone
+def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
+    # each form raises at a fresh table, and again after a good sqrt_u
+    # filled a table of its own at the same pair
     lam, mu = (2, 1), (1,)
-    laumon.elementary_bracket.cache_clear()
     with pytest.raises(DegenerateParameterError):
         form(lam, mu, sqrt_u)
-    form(lam, mu, Rat(3, 5))
-    assert (laumon.elementary_bracket.cache_info().currsize > 0) is reads_memo
+    assert form(lam, mu, Rat(3, 5)) != 0
     with pytest.raises(DegenerateParameterError):
         form(lam, mu, sqrt_u)
 
 
-# -- the elementary-bracket memo: its key, its cold and warm values ------------
+# -- the bracket table: its point, its cold and warm values --------------------
 
 def _three_forms(lam, mu, su, p):
     """Each form at every k of orders 2 and 3, against its slow oracle."""
@@ -326,21 +323,41 @@ def _three_forms(lam, mu, su, p):
     yield _box(lam, mu, su, p), _total_nekrasov_bracket_slow(lam, mu, su, p)
 
 
-def test_memo_cold_and_warm_values_are_identical():
+def _three_table_forms(table, lam, mu, su, p):
+    """`_three_forms` read from one table at (su, p)."""
+    for n in (2, 3):
+        for k in range(n):
+            yield (Rat(*laumon._orb_pair(k, n, lam, mu, table)),
+                   _nek_orb_slow(k, n, lam, mu, su, p))
+            yield (Rat(*residues(table.floors(lam, mu), n)[k]),
+                   _nek_orb_floor_slow(k, n, lam, mu, su, p))
+    yield Rat(*table.box(lam, mu)), _total_nekrasov_bracket_slow(lam, mu, su, p)
+
+
+def test_memo_cold_and_warm_values_are_identical(monkeypatch):
+    # one table, read cold and then warm: the cold read evaluates each of
+    # its brackets once, the warm read none, and both give the oracle's values
+    evaluated = []
+    real = laumon._bracket_at
+    monkeypatch.setattr(laumon, "_bracket_at",
+                        lambda point, key: evaluated.append(key) or real(point, key))
     su = Rat(4, 9)
     for lam, mu in FIXED_PAIRS + _random_pairs(5, 6):
-        laumon.elementary_bracket.cache_clear()
-        cold = list(_three_forms(lam, mu, su, P))
-        assert laumon.elementary_bracket.cache_info().hits > 0
-        warm = list(_three_forms(lam, mu, su, P))
+        table = BracketTable(su, P)
+        evaluated.clear()
+        cold = list(_three_table_forms(table, lam, mu, su, P))
+        assert sorted(evaluated) == sorted(table)
+        evaluated.clear()
+        warm = list(_three_table_forms(table, lam, mu, su, P))
+        assert not evaluated
         assert cold == warm
         assert all(got == want for got, want in cold)
 
 
 @pytest.mark.parametrize("root", ["rt", "rq"])
 def test_memo_key_holds_the_whole_point(root):
-    # the same sqrt_u at two points that differ in one root: a key without
-    # that root would hand the second point the first point's brackets
+    # the same sqrt_u at two points that differ in one root: a table that
+    # dropped that root would hand the second point the first point's brackets
     su = Rat(4, 9)
     other = replace(P, **{root: getattr(P, root) * Rat(5, 3)})
     for lam, mu in FIXED_PAIRS:
@@ -361,21 +378,15 @@ def test_spectral_monomials_are_pinned():
 
 def test_nekrasov_3way_bracket_count(monkeypatch):
     # one table per trial: 1465 elementary brackets evaluated for the 3,800
-    # factors of seed 1, 1327 of them distinct.  The bounded memo the
-    # check read before evaluated 1335, as it also served a sqrt(u) that
-    # two trials draw; each trial's table evaluates that sqrt(u)'s
-    # brackets again.  The check leaves the memo alone
+    # factors of seed 1, 1327 of them distinct: two trials draw one
+    # sqrt(u), and each trial's table evaluates its brackets again
     evaluated = []
     real = laumon._bracket_at
     monkeypatch.setattr(laumon, "_bracket_at",
                         lambda point, key: evaluated.append((point, key)) or real(point, key))
-    laumon.elementary_bracket.cache_clear()
     assert _execute(("NEKRASOV_3WAY", {"seed": 1}))["status"] == "pass"
     assert len(evaluated) == 1465
     assert len(set(evaluated)) == 1327
-    info = laumon.elementary_bracket.cache_info()
-    assert info.maxsize == 1024
-    assert info.misses == 0
 
 
 def test_nekrasov_3way_lookup_count(monkeypatch):
@@ -585,24 +596,23 @@ def _weights_against_the_oracle(p, size):
     [coulomb_shifted_point(P.with_overrides(2, 1), 1)],
     [P.with_overrides(2, 1), P.with_overrides(1, 2)]])
 def test_vector_memo_cold_and_warm_weights_equal_the_oracle(points):
-    # two windows of one seed differ in d2 and d3 alone, so the second sum
-    # reads the first one's vector factors from the memo
-    laumon._vector_pair.cache_clear()
-    cold = [_weights_against_the_oracle(p, 5) for p in points]
-    assert laumon._vector_pair.cache_info().hits > 0
-    warm = [_weights_against_the_oracle(p, 5) for p in points]
-    assert cold == warm
+    # two windows of one seed differ in d2 and d3 alone, and share their
+    # vector factors' square roots; each sum reads its own tables, so the
+    # sums at its points, run in either order, give the oracle's weights
+    forward = [_weights_against_the_oracle(p, 5) for p in points]
+    backward = [_weights_against_the_oracle(p, 5) for p in reversed(points)]
+    assert forward == backward[::-1]
 
 
 def test_vector_memo_key_holds_rQ():
-    # a key without rQ would hand the second point the first point's
-    # off-diagonal factors
+    # a table that dropped rQ would hand the second point the first
+    # point's off-diagonal factors
     other = replace(P, rQ=P.rQ * Rat(5, 3))
     pairs = [pair for total in range(1, 5) for pair in enumerate_pairs(total)]
     factors = [PairFactors(p) for p in (P, other)]
     for lam1, lam2 in pairs:
-        first, second = (Rat(*laumon._vector_pair(1, lam1, lam2, f.vv[0][1]))
-                         * Rat(*laumon._vector_pair(1, lam2, lam1, f.vv[1][0]))
+        first, second = (Rat(*laumon._orb_pair(1, 2, lam1, lam2, f.vv[0][1]))
+                         * Rat(*laumon._orb_pair(1, 2, lam2, lam1, f.vv[1][0]))
                          for f in factors)
         assert first != second, (lam1, lam2)
     for p, f in zip((P, other), factors):
@@ -654,17 +664,17 @@ def test_truncated_sum_work_count(calls, lmax, pairs):
 
 
 def test_full_sum_work_count(calls):
-    # the row-form kernel behind every factor of the sum, with the vector
-    # memo cold: 4 matter factors per (slot, partition), one diagonal
-    # factor per partition and two off-diagonal factors per pair
-    laumon._vector_pair.cache_clear()
+    # the row-form kernel behind every factor of the sum: 4 matter factors
+    # and one diagonal factor per (slot, partition), 76 of them, and two
+    # off-diagonal factors per pair, 268 of them
     z_al(sample_generic_point(1, guard=8), 4, 4)
-    assert calls["_orb_pair"] <= 878
+    assert calls["_orb_pair"] == 916
 
 
 def test_bracket_points_are_built_once_per_sum(monkeypatch):
-    # the 12 square roots of one PairFactors each become a bracket point
-    # once, and no partition the sum visits builds another
+    # the 12 square roots of one PairFactors each become a bracket table,
+    # with its bracket point, once, and no partition the sum visits builds
+    # another
     built = []
     real = laumon._bracket_point
     monkeypatch.setattr(laumon, "_bracket_point",

@@ -278,6 +278,16 @@ def test_series_are_unhashable():
             hash(cls.constant(3, 2))
 
 
+def test_series_of_different_orders_are_unequal():
+    # the coefficients past the shorter series are unknown, not 0, so
+    # neither the series nor matrices over them compare equal
+    short, long = LambdaSeries([1, 2]), LambdaSeries([1, 2, 3])
+    assert short != long and long != short
+    assert LambdaSeries([1, 2]) != LambdaSeries([1, 2, 0])
+    assert ScalarMatrix(1, 1, [short]) != ScalarMatrix(1, 1, [long])
+    assert LambdaSeries([1, 2]) == LambdaSeries([Rat(1), 2]) != HJet([1, 2])
+
+
 def test_sampling_determinism_and_guards():
     p1 = sample_generic_point(1, guard=8)
     # a fresh draw, past the memo
