@@ -313,18 +313,9 @@ def test_zero_sqrt_u_is_a_degenerate_point(form, sqrt_u):
 
 # -- the bracket table: its point, its cold and warm values --------------------
 
-def _three_forms(lam, mu, su, p):
-    """Each form at every k of orders 2 and 3, against its slow oracle."""
-    for n in (2, 3):
-        for k in range(n):
-            yield nek_orb(k, n, lam, mu, su, p), _nek_orb_slow(k, n, lam, mu, su, p)
-            yield (nek_orb_floor(k, n, lam, mu, su, p),
-                   _nek_orb_floor_slow(k, n, lam, mu, su, p))
-    yield _box(lam, mu, su, p), _total_nekrasov_bracket_slow(lam, mu, su, p)
-
-
-def _three_table_forms(table, lam, mu, su, p):
-    """`_three_forms` read from one table at (su, p)."""
+def _three_forms(table, lam, mu, su, p):
+    """Each form at every k of orders 2 and 3, read from `table` at (su, p),
+    against its slow oracle."""
     for n in (2, 3):
         for k in range(n):
             yield (Rat(*laumon._orb_pair(k, n, lam, mu, table)),
@@ -345,10 +336,10 @@ def test_memo_cold_and_warm_values_are_identical(monkeypatch):
     for lam, mu in FIXED_PAIRS + _random_pairs(5, 6):
         table = BracketTable(su, P)
         evaluated.clear()
-        cold = list(_three_table_forms(table, lam, mu, su, P))
+        cold = list(_three_forms(table, lam, mu, su, P))
         assert sorted(evaluated) == sorted(table)
         evaluated.clear()
-        warm = list(_three_table_forms(table, lam, mu, su, P))
+        warm = list(_three_forms(table, lam, mu, su, P))
         assert not evaluated
         assert cold == warm
         assert all(got == want for got, want in cold)
@@ -362,7 +353,8 @@ def test_memo_key_holds_the_whole_point(root):
     other = replace(P, **{root: getattr(P, root) * Rat(5, 3)})
     for lam, mu in FIXED_PAIRS:
         for p in (P, other):
-            assert all(got == want for got, want in _three_forms(lam, mu, su, p))
+            table = BracketTable(su, p)
+            assert all(got == want for got, want in _three_forms(table, lam, mu, su, p))
 
 
 def test_spectral_monomials_are_pinned():
