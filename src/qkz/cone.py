@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import ResonanceError
 from .qseries import LambdaSeries, dbl_qt_poch_series, phi_coeffs
-from .scalars import ParamPoint, dot, is_plain, shakirov_eigenvalue
+from .scalars import ParamPoint, TruncatedSeries, dot, is_plain, shakirov_eigenvalue
 
 # Each axis monomial x, Lambda/x, Lambda as its (k, l) step on the grid.
 AXIS_X = (1, 0)
@@ -65,24 +65,33 @@ class ConeSeries:
 
     # -- operators -----------------------------------------------------------
 
-    def apply(self, stages) -> "ConeSeries":
-        """The image under the composite of `stages`, first stage first."""
+    def apply(self, stages, top: int | None = None) -> "ConeSeries":
+        """The image under the composite of `stages`, first stage first, on
+        the levels k + l <= top (every level when top is None); the cells
+        above `top` are left the int 0.  No stage lowers k or l, so those
+        levels read only the input's levels up to `top` and equal the
+        levels of the whole image."""
         bufs = [self.c] + [_grid(self.kmax, self.lmax) for _ in stages]
-        for level in range(self.kmax + self.lmax + 1):
+        last = self.kmax + self.lmax if top is None else min(top, self.kmax + self.lmax)
+        for level in range(last + 1):
             _fill_level(stages, bufs, level)
         return ConeSeries(self.kmax, self.lmax, bufs[-1])
 
-    def borel(self, q, direction: int = 1, x_offset: int = 0) -> "ConeSeries":
-        """q-Borel transformation (see `_borel_stage`)."""
-        return self.apply([_borel_stage(q, self.kmax, self.lmax, direction, x_offset)])
+    def borel(self, q, direction: int = 1, x_offset: int = 0,
+              top: int | None = None) -> "ConeSeries":
+        """q-Borel transformation (see `_borel_stage`) on the levels up to
+        `top` (see `apply`)."""
+        return self.apply([_borel_stage(q, self.kmax, self.lmax, direction, x_offset)], top)
 
     def shift(self, p_x, p_lambda) -> "ConeSeries":
         """Substitute x -> p_x x, Lambda -> p_lambda Lambda."""
         return self.apply([_shift_stage(p_x, p_lambda, self.kmax, self.lmax)])
 
-    def mul_phi(self, c, q, axis, inverted: bool = False) -> "ConeSeries":
-        """Multiply by phi(c*m) or 1/phi(c*m) truncated on the rectangle."""
-        return self.apply([_phi_stage(c, q, axis, self.kmax, self.lmax, inverted)])
+    def mul_phi(self, c, q, axis, inverted: bool = False,
+                top: int | None = None) -> "ConeSeries":
+        """Multiply by phi(c*m) or 1/phi(c*m) truncated on the rectangle, on
+        the levels up to `top` (see `apply`)."""
+        return self.apply([_phi_stage(c, q, axis, self.kmax, self.lmax, inverted)], top)
 
     def dump_csv(self) -> str:
         """k, l, numerator, denominator rows."""
@@ -154,6 +163,13 @@ def _phi_stage(c, q, axis, kmax: int, lmax: int, inverted: bool = False) -> Stag
     return Stage(phi_coeffs(c, q, _reach(axis, kmax, lmax), inverted=inverted), axis)
 
 
+def _merged(first: Stage, second: Stage) -> Stage:
+    """One stage for two multiplications along one axis: the product of
+    their series, truncated at their common reach."""
+    product = TruncatedSeries(first.values) * TruncatedSeries(second.values)
+    return Stage(list(product.coeffs), first.axis)
+
+
 def _fill_level(stages, bufs, level: int) -> None:
     """Set level `level` of every stage's output bufs[i + 1] from its input
     bufs[i], whose levels up to `level` must already be set."""
@@ -207,14 +223,16 @@ def _hs_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
         1/(phi(d1 d2 x / q) phi(d3 d4 L/x))
 
     as K . phi(L) phi(d1 d2 d3 d4 L / q) . T(K): the multiplications between
-    the two Borel maps commute on the rectangle.  All factors have unit
-    constant term and the Borel transformation fixes degree zero, so c00 is
-    preserved."""
+    the two Borel maps commute on the rectangle, so the two along x, the two
+    along L/x and the two along L are each one stage.  All factors have
+    unit constant term and the Borel transformation fixes degree zero, so
+    c00 is preserved."""
     q = p.q
-    return (_tk_stages(p, kmax, lmax)
-            + [_phi_stage(1, q, AXIS_L, kmax, lmax),
-               _phi_stage(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L, kmax, lmax)]
-            + _k_stages(p, kmax, lmax))
+    tk, k = _tk_stages(p, kmax, lmax), _k_stages(p, kmax, lmax)
+    along_l = _merged(_phi_stage(1, q, AXIS_L, kmax, lmax),
+                      _phi_stage(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L, kmax, lmax))
+    # tk and k are each: along x, along L/x, the Borel map, along x, along L/x
+    return tk[:3] + [_merged(tk[3], k[0]), _merged(tk[4], k[1]), along_l] + k[2:]
 
 
 def _double_shift_stage(p: ParamPoint, kmax: int, lmax: int) -> Stage:

@@ -20,8 +20,9 @@ from .qseries import (
     qbinom,
     qfactorial,
     qpoch,
+    qpoch_run,
 )
-from .scalars import ONE, ParamPoint, dot, product, quotient
+from .scalars import ONE, ParamPoint, dot, int_pairs, pair_sum, product, quotient
 
 
 @dataclass(frozen=True)
@@ -155,22 +156,40 @@ def matsuo_e(a, b, z, q) -> list:
         s_k(a, b; z) = sum_{|J| = k} prod_{i in I} (1 - z_i/a) prod_{j in J} (1 - b z_j)
                        prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i),
 
-    I the complement of J.  The single factors and cross ratios are built
-    once, and each subset J is summed once, into s_|J|.
+    I the complement of J, at rational a, b, z and q.  The single factors
+    and cross ratios are built once, and `_subset_sums` sums each subset J
+    once, into s_|J|.
     """
     z = list(z)
-    N = len(z)
-    left = [1 - v / a for v in z]
-    right = [1 - b * v for v in z]
-    cross = [[quotient(zj - zi / q, zj - zi, "difference of z values") if i != j else None
-              for j, zj in enumerate(z)] for i, zi in enumerate(z)]
+    # the diagonal of the cross ratios is never read
+    cross = [[_cross_ratio(zi, zj, q) if i != j else 1 for j, zj in enumerate(z)]
+             for i, zi in enumerate(z)]
+    return _subset_sums(int_pairs([1 - v / a for v in z]), int_pairs([1 - b * v for v in z]),
+                        [int_pairs(row) for row in cross])
+
+
+def _cross_ratio(zi, zj, q):
+    """(z_j - z_i/q)/(z_j - z_i), which depends on z_j/z_i alone."""
+    return quotient(zj - zi / q, zj - zi, "difference of z values")
+
+
+def _subset_sums(left, right, cross) -> list:
+    """The subset sums of `matsuo_e` from the int pairs (`int_pairs`) of its
+    factors left[i] = 1 - z_i/a, right[j] = 1 - b z_j and cross[i][j] =
+    (z_j - z_i/q)/(z_j - z_i): each subset's term is one unreduced pair,
+    and each sum one `pair_sum`, reduced once."""
+    N = len(left)
     terms = [[] for _ in range(N + 1)]
     for mask in range(1 << N):
         J = [j for j in range(N) if mask >> j & 1]
         I = [i for i in range(N) if not mask >> i & 1]
-        terms[len(J)].append((product([*(left[i] for i in I), *(right[j] for j in J)]),
-                              product([cross[i][j] for i in I for j in J])))
-    return [dot(pairs) for pairs in terms]
+        num = den = 1
+        for n, d in [*(left[i] for i in I), *(right[j] for j in J),
+                     *(cross[i][j] for i in I for j in J)]:
+            num *= n
+            den *= d
+        terms[len(J)].append((num, den))
+    return [pair_sum(pairs) for pairs in terms]
 
 
 def matsuo_prefactors(N: int, q) -> list:
@@ -204,16 +223,33 @@ def jackson_vector_raw(jp: JacksonParams, lmax: int):
     (base-point normalization only), position J holding the x^(J-n) slice.
 
     The weights come from one `_weight_rule` over the whole cone, and the
-    prefactors of the cocycles multiply each component once."""
-    t = jp.t
+    prefactors of the cocycles multiply each component once.  The subset
+    sums of `matsuo_e` at z_i = xi_i t^(e_i) read their single factors from
+    one table per (i, e_i) and their cross ratios from one per (i, j,
+    e_j - e_i), each over the exponents the cone uses."""
+    t, q, N = jp.t, jp.q, jp.N
     xi = jp.cycle()
     points = list(cone_points(jp.n, jp.m, lmax))
     weight = _weight_rule(jp, points)
-    prefactors = matsuo_prefactors(jp.N, jp.q)
+    prefactors = matsuo_prefactors(N, q)
+    z = [[x * t ** e for e in range(max(nu[i] for nu in points) + 1)]
+         for i, x in enumerate(xi)]
+    left = [int_pairs([1 - v / jp.a2 for v in row]) for row in z]
+    right = [int_pairs([1 - jp.b1 * v for v in row]) for row in z]
+    cross = {}
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                gaps = sorted({nu[j] - nu[i] for nu in points})
+                ratios = int_pairs([_cross_ratio(xi[i], xi[j] * t ** gap, q) for gap in gaps])
+                cross[i, j] = dict(zip(gaps, ratios))
     by_degree = [[] for _ in range(lmax + 1)]
     for nu in points:
-        z = [x * t ** e for x, e in zip(xi, nu)]
-        by_degree[sum(nu)].append((weight(nu), matsuo_e(jp.a2, jp.b1, z, jp.q)))
+        sums = _subset_sums([row[e] for row, e in zip(left, nu)],
+                            [row[e] for row, e in zip(right, nu)],
+                            [[cross[i, j][nu[j] - nu[i]] if i != j else None
+                              for j in range(N)] for i in range(N)])
+        by_degree[sum(nu)].append((weight(nu), sums))
     return [LambdaSeries(dot((w, sums[k]) for w, sums in terms) for terms in by_degree)
             * prefactor for k, prefactor in enumerate(prefactors)]
 
@@ -312,22 +348,26 @@ def ito_A(jp: JacksonParams, lam) -> ScalarMatrix:
     truncated Lambda-series."""
     a1, a2, b1, b2, q = jp.a1, jp.a2, jp.b1, jp.b2, jp.q
     N = jp.N
+    # (lam a2 b2 q^(2j); q)_k for k <= N - j, which L, D and U share, and
+    # (lam; q)_j: one prefix run per base
+    shared = [qpoch_run(lam * (a2 * b2 * q ** (2 * j)), q, N - j) for j in range(N + 1)]
+    lam_run = qpoch_run(lam, q, N)
     L, D, U = _gauss_factors(
         N,
         lower=lambda i, j: quotient(
             (-1) ** (i - j) * q ** (_c2(N - i) - _c2(N - j)) * qbinom(N - j, N - i, q)
             * qpoch(a2 * b2 * q ** j, q, i - j),
-            qpoch(lam * (a2 * b2 * q ** (2 * j)), q, i - j), "L_A denominator"),
+            shared[j][i - j], "L_A denominator"),
         diag=lambda j: quotient(
             a1 ** (N - j) * a2 ** j * q ** (_c2(j) + _c2(N - j))
-            * qpoch(lam, q, j) * qpoch(lam * (a2 * b2 * q ** (2 * j)), q, N - j),
+            * lam_run[j] * shared[j][N - j],
             qpoch(lam * (a2 * b2 * q ** (j - 1)), q, j)
             * qpoch(lam * (a1 * a2 * b1 * b2 * q ** (N + j - 1)), q, N - j),
             "D_A denominator"),
         upper=lambda i, j: quotient(
             (lam * (-a2 / a1)) ** (j - i) * q ** (_c2(j) - _c2(i)) * qbinom(j, i, q)
             * qpoch(a1 * b1 * q ** (N - j), q, j - i),
-            qpoch(lam * (a2 * b2 * q ** (2 * i)), q, j - i), "U_A denominator"))
+            shared[i][j - i], "U_A denominator"))
     return L @ D @ U
 
 

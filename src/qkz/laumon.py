@@ -234,10 +234,10 @@ def _root_tables(p: ParamPoint, left, right):
 
 class PairFactors:
     """What the weights of one partition sum share at its point p: one
-    `BracketTable` per square-root monomial, 12 in all, and for each (slot,
-    partition) its 4 matter factors over its diagonal vector factor.  Build
-    one per sum; it keeps every partition and bracket the sum visits, and
-    shares none with another sum."""
+    `BracketTable` per square-root monomial, 12 in all, for each partition
+    its diagonal vector factor, and for each (slot, partition) its 4 matter
+    factors over that factor.  Build one per sum; it keeps every partition
+    and bracket the sum visits, and shares none with another sum."""
 
     def __init__(self, p: ParamPoint):
         u, v, w = _spectral_vectors()
@@ -245,6 +245,7 @@ class PairFactors:
         self.vw = _root_tables(p, v, w)
         self.vv = _root_tables(p, v, v)
         self._single = {}
+        self._diagonal = {}
 
     def single(self, slot: int, lam: tuple):
         """Matter over diagonal vector factor of `lam` as lambda_(slot+1),
@@ -253,8 +254,12 @@ class PairFactors:
         key = (slot, lam)
         got = self._single.get(key)
         if got is None:
+            vector = self._diagonal.get(lam)
+            if vector is None:
+                # vv[0][0] and vv[1][1] are both sqrt(1): one bracket point
+                vector = self._diagonal[lam] = _orb_pair(0, 2, lam, lam, self.vv[0][0])
             # the vector factor divides: its pair enters upside down
-            den, num = _orb_pair(0, 2, lam, lam, self.vv[slot][slot])
+            den, num = vector
             for i in range(2):
                 for fn, fd in (_orb_pair((slot - i) % 2, 2, (), lam, self.uv[i][slot]),
                                _orb_pair((i - slot) % 2, 2, lam, (), self.vw[slot][i])):

@@ -40,6 +40,32 @@ def qpoch(a, q, n: int):
     return out
 
 
+def qpoch_run(a, q, n: int) -> list:
+    """[(a; q)_0, ..., (a; q)_n], each equal to `qpoch(a, q, j)` in value and
+    type, by the prefix rule (a; q)_(j+1) = (a; q)_j (1 - a q^j).  For
+    rational a and q the prefixes are int pairs, each reduced once."""
+    if n < 0:
+        raise ValueError("qpoch_run needs n >= 0")
+    if is_plain(a) and is_plain(q):
+        an, ad = a.numerator, a.denominator
+        qn, qd = q.numerator, q.denominator
+        num = den = 1
+        out = [_reduced(1, 1)]
+        for _ in range(n):
+            num *= ad - an
+            den *= ad
+            an *= qn
+            ad *= qd
+            out.append(_reduced(num, den))
+        return out
+    out = [ONE]
+    aq = a
+    for _ in range(n):
+        out.append(out[-1] * (1 - aq))
+        aq = aq * q
+    return out
+
+
 def qbracket_poch(sqrt_u, sqrt_q, n: int):
     """[u; q]_n = u^(-n/2) q^(-n(n-1)/4) (u; q)_n, via exact square roots.
 
@@ -77,12 +103,12 @@ def phi_coeffs(c, q, order: int, inverted: bool = False):
     """Series coefficients of phi(c z) = (c z; q)_infty, or of 1/phi(c z).
 
     Euler: phi(cz) has z^j coefficient (-1)^j q^(j(j-1)/2) c^j / (q;q)_j,
-    and 1/phi(cz) has c^j / (q;q)_j.
+    and 1/phi(cz) has c^j / (q;q)_j; the (q;q)_j are one prefix run.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     return [quotient(c ** j if inverted else (-c) ** j * q ** (j * (j - 1) // 2),
-                     qpoch(q, q, j), f"(q;q)_{j}") for j in range(order + 1)]
+                     qq, f"(q;q)_{j}") for j, qq in enumerate(qpoch_run(q, q, order))]
 
 
 def dbl_qt_poch_series(c, q, t, order: int) -> LambdaSeries:

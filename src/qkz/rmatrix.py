@@ -9,12 +9,15 @@ I = i + n.  All reports print paper-convention indices.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError, QkzError
 from .laumon import z_al_truncated
 from .linalg import ScalarMatrix
-from .qseries import LambdaSeries, heine_2phi1, hyper_terms, qpoch
-from .scalars import ONE, ParamPoint, invertible, product, quotient
+from .qseries import LambdaSeries, heine_2phi1, hyper_terms, qpoch, qpoch_run
+from .scalars import ONE, ParamPoint, invertible, quotient
 
 
 def _neg_qpoch_coeffs(base, q, count: int) -> list:
@@ -77,25 +80,55 @@ def r_via_linear_system(S: ScalarMatrix, T: ScalarMatrix) -> ScalarMatrix:
 
 # -- closed form via the two triangular transition matrices -------------------
 
-def ruw_entry(i: int, k: int, m: int, n: int, d1, d4, lam, q, qq):
-    """Upper-triangular transition coefficient (zero for k < i); qq[j] is
-    (q; q)_j for 0 <= j <= m + n."""
+class TransitionRuns(NamedTuple):
+    """The q-Pochhammer families of the transition entries on the window
+    (m, n) that vary along one index, each one prefix run over j = 0..m+n
+    (`transition_runs`)."""
+    qq: list      # (q; q)_j
+    uw_gap: list  # (d1 L q^(-n-j); q)_j, at j = k - i in r^UW
+    uw_col: list  # (d1 d4 L q^(-m-n-1); q)_j, at j = m - k
+    uw_row: list  # (d4 q^-m; q)_j, at j = m - i
+    wv_gap: list  # prod_{s<j} (q^(m+1+s)/d4 - L), at j = k + j' - m + n in r^WV
+    wv_col: list  # (q^(m+1-j)/d4; q)_j, at j = m - j'
+    wv_row: list  # (L q^-j; q)_j, at j = k + n
+
+
+def transition_runs(m: int, n: int, d1, d4, lam, q) -> TransitionRuns:
+    """Each family of `TransitionRuns` from its prefix rule; a family whose
+    base moves with its length, such as (d1 L q^(-n-j); q)_j, is the run
+    (d1 L q^(-n-1); 1/q)_j of the same factors."""
+    N = m + n
+    qi = 1 / q
+    return TransitionRuns(
+        qq=qpoch_run(q, q, N),
+        uw_gap=qpoch_run(d1 * lam * q ** (-n - 1), qi, N),
+        uw_col=qpoch_run(d1 * d4 * lam * q ** (-m - n - 1), q, N),
+        uw_row=qpoch_run(d4 * q ** (-m), q, N),
+        wv_gap=list(accumulate((q ** (m + 1 + s) / d4 - lam for s in range(N)), mul,
+                               initial=ONE)),
+        wv_col=qpoch_run(q ** m / d4, qi, N),
+        wv_row=qpoch_run(lam * qi, qi, N))
+
+
+def ruw_entry(i: int, k: int, m: int, n: int, d4, q, runs: TransitionRuns):
+    """Upper-triangular transition coefficient (zero for k < i), its
+    q-Pochhammer factors read from `runs`."""
     if k < i:
         return ONE * 0
     num = (
         q ** (((i - k) * (2 * m + 1 + i - k)) // 2)
         * (-d4) ** (k - i)
-        * qq[m - i]
-        * qpoch(d1 * lam * q ** (i - k - n), q, k - i)
-        * qpoch(d1 * d4 * lam * q ** (-m - n - 1), q, m - k)
+        * runs.qq[m - i]
+        * runs.uw_gap[k - i]
+        * runs.uw_col[m - k]
     )
-    den = qq[k - i] * qq[m - k] * qpoch(d4 * q ** (-m), q, m - i)
+    den = runs.qq[k - i] * runs.qq[m - k] * runs.uw_row[m - i]
     return quotient(num, den, "denominator of r^UW")
 
 
-def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q, qq):
-    """Anti-diagonal lower-triangular coefficient (zero for k + j < m - n);
-    qq[j] is (q; q)_j for 0 <= j <= m + n."""
+def rwv_entry(k: int, j: int, m: int, n: int, q, runs: TransitionRuns):
+    """Anti-diagonal lower-triangular coefficient (zero for k + j < m - n),
+    its q-Pochhammer factors read from `runs`."""
     M = k + j - m + n
     if M < 0:
         return ONE * 0
@@ -103,11 +136,11 @@ def rwv_entry(k: int, j: int, m: int, n: int, d4, lam, q, qq):
     # prod_s (q^(m+1+s)/d4 - L), safe at L -> 0.
     num = (
         q ** (((j - k - m - n - 1) * (j + k - m + n)) // 2)
-        * qq[k + n]
-        * product(q ** (m + 1 + s) / d4 - lam for s in range(M))
-        * qpoch(q ** (j + 1) / d4, q, m - j)
+        * runs.qq[k + n]
+        * runs.wv_gap[M]
+        * runs.wv_col[m - j]
     )
-    den = qq[M] * qq[m - j] * qpoch(lam * q ** (-k - n), q, k + n)
+    den = runs.qq[M] * runs.qq[m - j] * runs.wv_row[k + n]
     return quotient(num, den, "denominator of r^WV")
 
 
@@ -123,11 +156,11 @@ def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
     if not invertible(lam):
         raise DegenerateParameterError("closed form needs invertible Lambda")
     window = range(-n, m + 1)
-    qq = [qpoch(q, q, j) for j in range(m + n + 1)]
+    runs = transition_runs(m, n, d1, d4, lam, q)
     uw = ScalarMatrix.from_rows(
-        [[ruw_entry(i, k, m, n, d1, d4, lam, q, qq) for k in window] for i in window])
+        [[ruw_entry(i, k, m, n, d4, q, runs) for k in window] for i in window])
     wv = ScalarMatrix.from_rows(
-        [[rwv_entry(k, j, m, n, d4, lam, q, qq) for j in window] for k in window])
+        [[rwv_entry(k, j, m, n, q, runs) for j in window] for k in window])
     left = ScalarMatrix.diagonal([q ** (-i * n) * d4 ** (i + n) * lam ** i for i in window])
     right = ScalarMatrix.diagonal([q ** j * lam ** (-j) for j in window])
     return left @ uw @ wv @ right
@@ -159,15 +192,17 @@ def r_hg_matrix(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
                     "R sum denominator") + [0] * (N - J) for J in window)
     c = hyper_terms((q ** (1 - N) * z, z / (alpha * beta)), (q, q ** (-N)), q, q, N,
                     "R sum denominator")
-    const = quotient(qpoch(q, q, N), qpoch(1 / z, q, N), "R entry prefactor denominator")
+    # each prefactor family is one prefix run, read at N - I, N - J or J
+    qq = qpoch_run(q, q, N)
+    const = quotient(qq[N], qpoch(1 / z, q, N), "R entry prefactor denominator")
+    over_z, inv_beta, beta_z = (qpoch_run(a, q, N) for a in (alpha / z, 1 / beta, beta / z))
     left = ScalarMatrix.diagonal(
-        quotient(const * d1 ** (N - I) * q ** ((m + 1) * (I - n))
-                 * qpoch(alpha / z, q, N - I),
-                 qpoch(1 / beta, q, N - I), "R entry prefactor denominator")
+        quotient(const * d1 ** (N - I) * q ** ((m + 1) * (I - n)) * over_z[N - I],
+                 inv_beta[N - I], "R entry prefactor denominator")
         for I in window)
     right = ScalarMatrix.diagonal(
-        quotient(beta ** (-J) * qpoch(1 / beta, q, N - J) * qpoch(beta / z, q, J),
-                 qpoch(q, q, J) * qpoch(q, q, N - J), "R entry prefactor denominator")
+        quotient(beta ** (-J) * inv_beta[N - J] * beta_z[J], qq[J] * qq[N - J],
+                 "R entry prefactor denominator")
         for J in window)
     return left @ a_rows @ ScalarMatrix.diagonal(c) @ b_rows.transpose() @ right
 

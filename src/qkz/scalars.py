@@ -241,33 +241,56 @@ def reciprocal(x):
     return ONE / x if is_plain(x) else x.inverse()
 
 
+def pair_sum(terms):
+    """The sum of the fractions n/d given as int pairs (n, d), d != 0, as
+    one int pair over the least common multiple of the denominators,
+    reduced once (`_reduced`); the int 0 when every n is 0."""
+    num, den = 0, 1
+    nonzero = False
+    for n, d in terms:
+        if n:
+            nonzero = True
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den *= d // g
+    return _reduced(num, den) if nonzero else 0
+
+
 def dot(pairs):
     """sum(x * y for x, y in pairs), exactly; terms with a zero factor are
     skipped, and with none left the result is the int 0.
 
-    The plain terms (int / Rat) are summed as one int pair over the least
-    common multiple of their denominators and reduced once (`_reduced`);
-    the others use their ring's + and *."""
-    num, den = 0, 1
-    plain = False
+    The plain terms (int / Rat) are summed as int pairs by `pair_sum`; the
+    others use their ring's + and *."""
+    plain = []
     rest = None
     for x, y in pairs:
         if type(x) in _PLAIN_TYPES and type(y) in _PLAIN_TYPES:
             if x and y:
-                plain = True
-                d = x.denominator * y.denominator
-                if d == den:
-                    num += x.numerator * y.numerator
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + x.numerator * y.numerator * (den // g)
-                    den *= d // g
+                plain.append((x.numerator * y.numerator, x.denominator * y.denominator))
         elif x != 0 and y != 0:
             rest = x * y if rest is None else rest + x * y
-    if not plain:
-        return 0 if rest is None else rest
-    total = _reduced(num, den)
-    return total if rest is None else rest + total
+    total = pair_sum(plain)
+    if rest is None:
+        return total
+    return rest if type(total) is int else rest + total
+
+
+def int_pairs(values):
+    """The (numerator, denominator) of each value, or None when one of them
+    is not plain (int / Rat): the kernels below read each operand once."""
+    if _PLAIN_TYPES.issuperset(map(type, values)):
+        return [(v.numerator, v.denominator) for v in values]
+    return None
+
+
+def pair_dot(xs, ys):
+    """`dot(zip(x, y))` for the plain values x, y given by their int pairs
+    (`int_pairs`), in value and type."""
+    return pair_sum([(xn * yn, xd * yd) for (xn, xd), (yn, yd) in zip(xs, ys) if xn and yn])
 
 
 def product(values):
@@ -354,7 +377,10 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        return self._wrap(dot(zip(a, b[k::-1])) for k in range(len(a)))
+        pa, pb = int_pairs(a), int_pairs(b)
+        if pa is None or pb is None:
+            return self._wrap(dot(zip(a, b[k::-1])) for k in range(len(a)))
+        return self._wrap(pair_dot(pa, pb[k::-1]) for k in range(len(a)))
 
     __rmul__ = __mul__
 

@@ -25,7 +25,7 @@ from . import __version__
 from .errors import ConfigError, QkzError
 from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector,
                       sample_generic_point)
-from .qseries import bailey_check, qpoch
+from .qseries import bailey_check, qpoch_run
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
 from .laumon import BracketTable, residues, z_al, z_al_truncated
 from .partitions import partitions_of
@@ -418,28 +418,30 @@ def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
     q = p.q
     K = L = order
     one = ConeSeries.one(K, L)
-    # the two prefixes the main and Borel sides share, built once
-    inv = one.mul_phi(alpha, q, AXIS_X, inverted=True).mul_phi(beta, q, AXIS_LX, inverted=True)
-    fwd = one.mul_phi(alpha, q, AXIS_X).mul_phi(beta, q, AXIS_LX)
-    lhs = inv.mul_phi(alpha * beta, q, AXIS_L)
+    # every side is filled only on the levels k + l <= order that it compares;
+    # the two prefixes the main and Borel sides share are built once
+    inv = one.mul_phi(alpha, q, AXIS_X, inverted=True, top=order) \
+             .mul_phi(beta, q, AXIS_LX, inverted=True, top=order)
+    fwd = one.mul_phi(alpha, q, AXIS_X, top=order).mul_phi(beta, q, AXIS_LX, top=order)
+    lhs = inv.mul_phi(alpha * beta, q, AXIS_L, top=order)
+    qq = qpoch_run(q, q, order)
     rhs = ConeSeries(K, L)
     for k in range(K + 1):
-        for l in range(L + 1):
-            rhs.c[k][l] = alpha ** k * beta ** l * q ** (k * l) \
-                / (qpoch(q, q, k) * qpoch(q, q, l))
+        for l in range(order - k + 1):
+            rhs.c[k][l] = alpha ** k * beta ** l * q ** (k * l) / (qq[k] * qq[l])
     rec.cone(lhs, rhs, order, {})
     # Borel identities on x^n-shifted cones, n = -2..2, both directions
     for nn in range(-2, 3):
-        lhs1 = inv.borel(q, x_offset=nn)
-        rhs1 = one.mul_phi(-q ** (1 + nn) * alpha, q, AXIS_X) \
-                  .mul_phi(-q ** (-nn) * beta, q, AXIS_LX) \
-                  .mul_phi(alpha * beta, q, AXIS_L, inverted=True) \
+        lhs1 = inv.borel(q, x_offset=nn, top=order)
+        rhs1 = one.mul_phi(-q ** (1 + nn) * alpha, q, AXIS_X, top=order) \
+                  .mul_phi(-q ** (-nn) * beta, q, AXIS_LX, top=order) \
+                  .mul_phi(alpha * beta, q, AXIS_L, inverted=True, top=order) \
                   .scale(q ** ((nn * (nn + 1)) // 2))
         rec.cone(lhs1, rhs1, order, {"variant": "borel", "n": nn})
-        lhs2 = fwd.borel(q, direction=-1, x_offset=nn)
-        rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True) \
-                  .mul_phi(-q ** nn * beta, q, AXIS_LX, inverted=True) \
-                  .mul_phi(alpha * beta / q, q, AXIS_L) \
+        lhs2 = fwd.borel(q, direction=-1, x_offset=nn, top=order)
+        rhs2 = one.mul_phi(-alpha / q ** (1 + nn), q, AXIS_X, inverted=True, top=order) \
+                  .mul_phi(-q ** nn * beta, q, AXIS_LX, inverted=True, top=order) \
+                  .mul_phi(alpha * beta / q, q, AXIS_L, top=order) \
                   .scale(q ** (-(nn * (nn + 1)) // 2))
         rec.cone(lhs2, rhs2, order, {"variant": "borel inverse", "n": nn})
 

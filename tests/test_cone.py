@@ -6,8 +6,12 @@ from qkz.cone import (
     AXIS_X,
     ConeSeries,
     Stage,
+    _double_shift_stage,
+    _full_step_stages,
     _hs_stages,
     _k_stages,
+    _phi_stage,
+    _tk_stages,
     apply_full_step,
     coupled_step,
     solve_shakirov,
@@ -342,3 +346,68 @@ def test_stages_equal_their_cell_formulas(kmax, lmax):
                 a = k - l + offset
                 assert borel.c[k][l] == s.c[k][l] * Q ** (direction * (a * (a + 1) // 2))
                 assert shifted.c[k][l] == s.c[k][l] * Rat(3, 5) ** (k - l) * Rat(-2, 7) ** l
+
+
+# -- oracles: the merged stages and the level cap ---------------------------------
+
+def _typed(grid):
+    """The cells of a grid with their types: int 0 and a Rat 0 differ."""
+    return [[(type(v), v) for v in row] for row in grid]
+
+
+def _unmerged_full_step(p, kmax, lmax):
+    """The full step with every factor its own stage: the double shift, the
+    five of T(K), phi(L), phi(d1 d2 d3 d4 L/q) and the five of K."""
+    q = p.q
+    return ([_double_shift_stage(p, kmax, lmax)] + _tk_stages(p, kmax, lmax)
+            + [_phi_stage(1, q, AXIS_L, kmax, lmax),
+               _phi_stage(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L, kmax, lmax)]
+            + _k_stages(p, kmax, lmax))
+
+
+def test_the_full_step_merges_its_same_axis_stages():
+    # X.X, LX.LX and L.L between the Borel maps are one stage each
+    for stages, count, axis_passes in ((_full_step_stages(P, 4, 4), 10, 7),
+                                       (_unmerged_full_step(P, 4, 4), 13, 10)):
+        assert len(stages) == count
+        assert sum(stage.axis is not None for stage in stages) == axis_passes
+
+
+@pytest.mark.parametrize("seed,window", ORACLE_POINTS[::3])
+def test_merged_full_step_equals_the_unmerged_list(seed, window):
+    import random
+
+    p = _oracle_point(seed, window)
+    rng = random.Random(seed)
+    for kmax, lmax in ((0, 3), (3, 0), (3, 4), (5, 2)):
+        s = _random_series(rng, kmax, lmax)
+        merged = s.apply(_full_step_stages(p, kmax, lmax))
+        assert _typed(merged.c) == _typed(s.apply(_unmerged_full_step(p, kmax, lmax)).c)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_solver_on_the_merged_stages_equals_the_solver_on_the_unmerged(monkeypatch, seed):
+    import qkz.cone as cone
+
+    p = sample_generic_point(seed, guard=8)
+    shapes = ((0, 0), (0, 3), (3, 0), (2, 5), (4, 4), (6, 6))
+    merged = [solve_shakirov(p, kmax, lmax).c for kmax, lmax in shapes]
+    monkeypatch.setattr(cone, "_full_step_stages", _unmerged_full_step)
+    for (kmax, lmax), got in zip(shapes, merged):
+        assert _typed(got) == _typed(solve_shakirov(p, kmax, lmax).c)
+
+
+@pytest.mark.parametrize("kmax, lmax", [(0, 3), (3, 0), (3, 4), (6, 6)])
+def test_apply_stopped_at_a_level_equals_the_full_apply_below_it(kmax, lmax):
+    import random
+
+    rng = random.Random(kmax * 10 + lmax)
+    s = _random_series(rng, kmax, lmax)
+    for stages in (_full_step_stages(P, kmax, lmax), _k_stages(P, kmax, lmax),
+                   [_phi_stage(Rat(2, 3), Q, AXIS_L, kmax, lmax, inverted=True)]):
+        full = _typed(s.apply(stages).c)
+        for top in range(kmax + lmax + 2):
+            got = _typed(s.apply(stages, top).c)
+            for k in range(kmax + 1):
+                for l in range(lmax + 1):
+                    assert got[k][l] == (full[k][l] if k + l <= top else (int, 0))

@@ -26,7 +26,7 @@ from qkz.jackson import (
     weight_ratio,
 )
 from qkz.linalg import ScalarMatrix
-from qkz.qseries import LambdaSeries, qfactorial, qpoch
+from qkz.qseries import LambdaSeries, qbinom, qfactorial, qpoch
 from qkz.scalars import ONE, Rat, quotient, sample_generic_point
 
 A2 = Rat(5, 7)
@@ -200,6 +200,50 @@ def test_ito_matrix_shapes_and_base_case():
     assert R == ito_R_alt(jp)
     lam = Rat(2, 9)
     assert ito_A(jp, lam) == ito_A_via_R(jp, lam)
+
+
+def _typed(x):
+    """x with the type of every scalar in it, series coefficients included."""
+    if isinstance(x, LambdaSeries):
+        return type(x), [_typed(c) for c in x.coeffs]
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return type(x), x
+
+
+def _ito_A_per_entry(jp, lam):
+    """ito_A with every q-Pochhammer factor of every entry on its own."""
+    a1, a2, b1, b2, q = jp.a1, jp.a2, jp.b1, jp.b2, jp.q
+    N = jp.N
+    c2 = lambda k: k * (k - 1) // 2  # noqa: E731
+    L, U = ScalarMatrix.identity(N + 1), ScalarMatrix.identity(N + 1)
+    for i in range(N + 1):
+        for j in range(i):
+            L[i, j] = quotient(
+                (-1) ** (i - j) * q ** (c2(N - i) - c2(N - j)) * qbinom(N - j, N - i, q)
+                * qpoch(a2 * b2 * q ** j, q, i - j),
+                qpoch(lam * (a2 * b2 * q ** (2 * j)), q, i - j), "L_A denominator")
+            U[j, i] = quotient(
+                (lam * (-a2 / a1)) ** (i - j) * q ** (c2(i) - c2(j)) * qbinom(i, j, q)
+                * qpoch(a1 * b1 * q ** (N - i), q, i - j),
+                qpoch(lam * (a2 * b2 * q ** (2 * j)), q, i - j), "U_A denominator")
+    D = ScalarMatrix.diagonal(quotient(
+        a1 ** (N - j) * a2 ** j * q ** (c2(j) + c2(N - j))
+        * qpoch(lam, q, j) * qpoch(lam * (a2 * b2 * q ** (2 * j)), q, N - j),
+        qpoch(lam * (a2 * b2 * q ** (j - 1)), q, j)
+        * qpoch(lam * (a1 * a2 * b1 * b2 * q ** (N + j - 1)), q, N - j),
+        "D_A denominator") for j in range(N + 1))
+    return L @ D @ U
+
+
+@pytest.mark.parametrize("window", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
+def test_ito_A_equals_its_per_entry_form(window):
+    # the shared prefix runs in value and type, at a rational Lambda and
+    # at the Lambda-series of ITO_QKZ
+    p, jp = _params(3, *window)
+    for lam in (Rat(2, 9), LambdaSeries.variable(3)):
+        got, want = ito_A(jp, lam), _ito_A_per_entry(jp, lam)
+        assert _typed(got.entries) == _typed(want.entries)
 
 
 def test_gauss_factor_triangularity_shapes():
@@ -579,21 +623,43 @@ def test_table_and_per_point_forms_degenerate_at_the_same_cone(seed, m, n, lmax)
 
 
 @pytest.mark.parametrize("m,n,lmax", [(1, 0, 3), (2, 1, 3), (2, 2, 2)])
-def test_lattice_sum_calls_matsuo_e_once_per_cone_point(monkeypatch, m, n, lmax):
-    # the traced layer jackson.matsuo_e is the module global the sum reads
+def test_lattice_sum_takes_one_subset_sum_per_cone_point(monkeypatch, m, n, lmax):
+    # one subset sum per cone point, and one cross ratio per (i, j, e_j - e_i)
+    # that the cone uses, where the per-point form took N (N - 1) at every point
     import qkz.jackson as jackson
 
-    real = jackson.matsuo_e
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(jackson, "matsuo_e", counted)
+    calls = {"_subset_sums": 0, "_cross_ratio": 0}
+    for name in calls:
+        real = getattr(jackson, name)
+        monkeypatch.setattr(jackson, name, lambda *args, _real=real, _name=name: (
+            calls.__setitem__(_name, calls[_name] + 1) or _real(*args)))
     p, jp = _params(1, m, n)
     jackson.jackson_vector(jp, lmax)
-    assert len(calls) == len(list(cone_points(n, m, lmax))) > 0
+    points = list(cone_points(n, m, lmax))
+    N = m + n
+    gaps = sum(len({nu[j] - nu[i] for nu in points})
+               for i in range(N) for j in range(N) if i != j)
+    assert calls == {"_subset_sums": len(points), "_cross_ratio": gaps}
+    assert N == 1 or 0 < gaps < len(points) * N * (N - 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n,lmax", [(1, 0, 4), (0, 2, 3), (1, 1, 3), (2, 1, 3), (2, 2, 2)])
+def test_table_subset_sums_equal_matsuo_e_at_every_cone_point(monkeypatch, seed, m, n, lmax):
+    import qkz.jackson as jackson
+
+    real = jackson._subset_sums
+    sums = []
+    monkeypatch.setattr(jackson, "_subset_sums",
+                        lambda *args: sums.append(real(*args)) or sums[-1])
+    p, jp = _params(seed, m, n)
+    jackson.jackson_vector_raw(jp, lmax)
+    points = list(cone_points(n, m, lmax))
+    assert len(sums) == len(points)
+    monkeypatch.setattr(jackson, "_subset_sums", real)
+    for nu, got in zip(points, sums):
+        z = [x * jp.t ** e for x, e in zip(jp.cycle(), nu)]
+        assert _typed(got) == _typed(matsuo_e(jp.a2, jp.b1, z, jp.q)), nu
 
 
 @pytest.mark.parametrize("m,n,lmax", [(1, 0, 3), (2, 1, 3), (2, 2, 2)])

@@ -657,10 +657,10 @@ def test_truncated_sum_work_count(calls, lmax, pairs):
 
 def test_full_sum_work_count(calls):
     # the row-form kernel behind every factor of the sum: 4 matter factors
-    # and one diagonal factor per (slot, partition), 76 of them, and two
-    # off-diagonal factors per pair, 268 of them
+    # per (slot, partition), 76 of them, one diagonal vector factor per
+    # partition, 38 of them, and two off-diagonal factors per pair, 268 of them
     z_al(sample_generic_point(1, guard=8), 4, 4)
-    assert calls["_orb_pair"] == 916
+    assert calls["_orb_pair"] == 4 * 76 + 38 + 2 * 268 == 878
 
 
 def test_bracket_points_are_built_once_per_sum(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,10 +17,11 @@ from qkz.qseries import (
     qbracket_poch,
     qfactorial,
     qpoch,
+    qpoch_run,
     very_well_poised,
     w10_9,
 )
-from qkz.scalars import Rat, quotient
+from qkz.scalars import HJet, Rat, TruncatedSeries, quotient
 
 nonzero_rats = st.builds(Rat, st.integers(1, 30), st.integers(1, 30))
 
@@ -332,6 +335,46 @@ def test_phi_coeffs_equal_their_loop(q, inverted):
         for order in range(6):
             _agree(lambda: phi_coeffs(c, q, order, inverted),
                    lambda: _phi_coeffs_loop(c, q, order, inverted))
+
+
+def _typed(x):
+    """x with the type of every scalar in it, series coefficients included."""
+    if isinstance(x, TruncatedSeries):
+        return type(x), [_typed(c) for c in x.coeffs]
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return type(x), x
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + [Rat(-3, 2), 2, -1])
+def test_qpoch_run_equals_qpoch_per_length(q):
+    bases = [Rat(3), Rat(-2, 5), Rat(0), Rat(1), 1, 0, -4, Rat(1) / q,
+             LambdaSeries([Rat(2, 3), Rat(-1), 5]), HJet([1, Rat(1, 2)])]
+    for a in bases:
+        for n in range(7):
+            assert _typed(qpoch_run(a, q, n)) == _typed([qpoch(a, q, j) for j in range(n + 1)])
+    with pytest.raises(ValueError):
+        qpoch_run(Rat(2), q, -1)
+
+
+def _phi_coeffs_per_length(c, q, order, inverted):
+    """phi_coeffs with its own (q;q)_j at every j."""
+    return [quotient(c ** j if inverted else (-c) ** j * q ** (j * (j - 1) // 2),
+                     qpoch(q, q, j), f"(q;q)_{j}") for j in range(order + 1)]
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_phi_coeffs_equal_their_per_length_form(q, inverted):
+    for c in (Rat(3), Rat(-2, 5), Rat(0), 1, 0, LambdaSeries([Rat(2, 3), Rat(-1), Rat(5, 7)])):
+        for order in range(6):
+            try:
+                want = _phi_coeffs_per_length(c, q, order, inverted)
+            except DegenerateParameterError as exc:
+                with pytest.raises(DegenerateParameterError, match=re.escape(str(exc))):
+                    phi_coeffs(c, q, order, inverted)
+                continue
+            assert _typed(phi_coeffs(c, q, order, inverted)) == _typed(want)
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

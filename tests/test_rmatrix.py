@@ -20,8 +20,10 @@ from qkz.rmatrix import (
     r_via_linear_system,
     ruw_entry,
     rwv_entry,
+    transition_runs,
 )
-from qkz.scalars import HJet, Rat, exp_jet, quotient, sample_generic_point
+from qkz.scalars import (HJet, Rat, TruncatedSeries, exp_jet, product, quotient,
+                         sample_generic_point)
 
 P = sample_generic_point(5, guard=8)
 Q, D1, D4 = P.q, P.d1, P.d4
@@ -115,7 +117,8 @@ def test_hg_matrix_equals_its_entrywise_sum(window):
     for lam in (LAM, Rat(7, 2), Rat(-5, 13)):
         r = r_hg_matrix(m, n, D1, D4, lam, Q)
         want = _r_hg_entrywise(m, n, D1, D4, lam, Q)
-        assert [[r[I, J] for J in range(m + n + 1)] for I in range(m + n + 1)] == want
+        assert [[_typed(r[I, J]) for J in range(m + n + 1)] for I in range(m + n + 1)] == \
+            [[_typed(x) for x in row] for row in want]
 
 
 def _raises_degenerate(fn):
@@ -167,15 +170,73 @@ def test_closed_form_evaluates_each_transition_entry_once(monkeypatch):
 
 def test_transition_matrix_shapes():
     m, n = 2, 1
-    qq = [qpoch(Q, Q, j) for j in range(m + n + 1)]
+    runs = transition_runs(m, n, D1, D4, LAM, Q)
     for i in range(-n, m + 1):
         for k in range(-n, m + 1):
             if k < i:
-                assert ruw_entry(i, k, m, n, D1, D4, LAM, Q, qq) == 0
+                assert ruw_entry(i, k, m, n, D4, Q, runs) == 0
     for k in range(-n, m + 1):
         for j in range(-n, m + 1):
             if k + j < m - n:
-                assert rwv_entry(k, j, m, n, D4, LAM, Q, qq) == 0
+                assert rwv_entry(k, j, m, n, Q, runs) == 0
+
+
+def _ruw_per_entry(i, k, m, n, d1, d4, lam, q):
+    """r^UW with every q-Pochhammer factor evaluated on its own."""
+    if k < i:
+        return Rat(0)
+    num = (q ** (((i - k) * (2 * m + 1 + i - k)) // 2) * (-d4) ** (k - i) * qpoch(q, q, m - i)
+           * qpoch(d1 * lam * q ** (i - k - n), q, k - i)
+           * qpoch(d1 * d4 * lam * q ** (-m - n - 1), q, m - k))
+    den = qpoch(q, q, k - i) * qpoch(q, q, m - k) * qpoch(d4 * q ** (-m), q, m - i)
+    return quotient(num, den, "denominator of r^UW")
+
+
+def _rwv_per_entry(k, j, m, n, d4, lam, q):
+    """r^WV with every q-Pochhammer factor and the polynomial on its own."""
+    M = k + j - m + n
+    if M < 0:
+        return Rat(0)
+    num = (q ** (((j - k - m - n - 1) * (j + k - m + n)) // 2) * qpoch(q, q, k + n)
+           * product(q ** (m + 1 + s) / d4 - lam for s in range(M))
+           * qpoch(q ** (j + 1) / d4, q, m - j))
+    den = qpoch(q, q, M) * qpoch(q, q, m - j) * qpoch(lam * q ** (-k - n), q, k + n)
+    return quotient(num, den, "denominator of r^WV")
+
+
+def _typed(x):
+    """x with the type of every scalar in it, series coefficients included."""
+    if isinstance(x, TruncatedSeries):
+        return type(x), [_typed(c) for c in x.coeffs]
+    return type(x), x
+
+
+@pytest.mark.parametrize("window", [(1, 0), (0, 1), (2, 1), (1, 2), (3, 3)])
+def test_transition_entries_equal_their_per_entry_form(window):
+    # the prefix runs in value and type, at rational Lambda and at a
+    # Lambda-series with an invertible constant term
+    m, n = window
+    N = m + n
+    for lam in (LAM, Rat(-7, 2), LambdaSeries([LAM, 1, Rat(2, 9)])):
+        runs = transition_runs(m, n, D1, D4, lam, Q)
+        per_length = {
+            "qq": lambda j: qpoch(Q, Q, j),
+            "uw_gap": lambda j: qpoch(D1 * lam * Q ** (-n - j), Q, j),
+            "uw_col": lambda j: qpoch(D1 * D4 * lam * Q ** (-m - n - 1), Q, j),
+            "uw_row": lambda j: qpoch(D4 * Q ** (-m), Q, j),
+            "wv_gap": lambda j: product(Q ** (m + 1 + s) / D4 - lam for s in range(j)),
+            "wv_col": lambda j: qpoch(Q ** (m + 1 - j) / D4, Q, j),
+            "wv_row": lambda j: qpoch(lam * Q ** -j, Q, j)}
+        assert list(per_length) == list(runs._fields)
+        for name, form in per_length.items():
+            assert [_typed(x) for x in getattr(runs, name)] == \
+                [_typed(form(j)) for j in range(N + 1)], name
+        for i in range(-n, m + 1):
+            for k in range(-n, m + 1):
+                assert _typed(ruw_entry(i, k, m, n, D4, Q, runs)) == \
+                    _typed(_ruw_per_entry(i, k, m, n, D1, D4, lam, Q))
+                assert _typed(rwv_entry(i, k, m, n, Q, runs)) == \
+                    _typed(_rwv_per_entry(i, k, m, n, D4, lam, Q))
 
 
 def test_lambda_zero_triangularity():

@@ -608,6 +608,31 @@ def test_ito_qkz_window_3_2_at_order_3():
     assert _mismatch(chk_ito_qkz, seed=1, m=3, n=2, lmax=3) is None
 
 
+def test_ito_qkz_and_qkz_matrix_also_hold_at_order_lmax():
+    # both checks compute order lmax and compare through lmax - 1; the
+    # identities hold at order lmax too, at the checks' own points: 135
+    # ITO_QKZ pairs at lmax 3 and 45 QKZ_MATRIX pairs at lmax 4
+    from qkz.jackson import JacksonParams, ito_qkz_check
+    from qkz.rmatrix import qkz_residual
+    from qkz.suites import _coefficients, _rng_rationals
+
+    pairs = {"ito": [], "qkz": []}
+    for seed in range(1, 6):
+        for m, n in ((1, 0), (1, 1), (2, 1)):
+            p = sample_generic_point(seed, guard=8).with_overrides(m, n)
+            jp = JacksonParams.from_point(p, _rng_rationals(seed + 17, 1)[0])
+            for name, (left, right) in ito_qkz_check(jp, 3).items():
+                if name != "Lambda^0":
+                    pairs["ito"] += [(_coefficients(a, 3)[3], _coefficients(b, 3)[3])
+                                     for a, b in zip(left, right)]
+            pairs["qkz"] += [(_coefficients(a, 4)[4], _coefficients(b, 4)[4])
+                             for a, b in zip(*qkz_residual(p, 4))]
+    for name, count in (("ito", 135), ("qkz", 45)):
+        assert len(pairs[name]) == count
+        assert all(a == b for a, b in pairs[name])
+        assert sum(a != 0 for a, _ in pairs[name]) > count // 2
+
+
 def test_dual_qkz_window_2_2_at_order_4():
     assert _mismatch(chk_dual_qkz, seed=1, m=2, n=2, lmax=4) is None
 
@@ -636,19 +661,37 @@ def test_rmatrix_3way_solves_each_window_once(monkeypatch):
 def test_pentagon_builds_its_shared_prefixes_once(monkeypatch):
     # 1/(phi(a x) phi(b L/x)) and phi(a x) phi(b L/x) are built once (4
     # passes), then the main side (1) and the ten Borel pairs (1 + 3 each):
-    # 45 one-stage passes, where rebuilding the prefixes per side takes 63
+    # 45 one-stage passes, where rebuilding the prefixes per side takes 63.
+    # Each pass fills the levels k + l <= 6 that the check compares, 28 of
+    # the 49 cells, and every compared side is 0 above them
+    import qkz.cone as cone
     from qkz.cone import ConeSeries
 
-    stages = []
-    real = ConeSeries.apply
+    stages, levels, sides = [], [], []
+    real, real_fill, real_cone = ConeSeries.apply, cone._fill_level, Recorder.cone
 
-    def counted(self, pipeline):
-        stages.append(len(pipeline))
-        return real(self, pipeline)
+    def counted(self, pipeline, top=None):
+        stages.append((len(pipeline), top))
+        return real(self, pipeline, top)
+
+    def fill(pipeline, bufs, level):
+        levels.append(level)
+        return real_fill(pipeline, bufs, level)
+
+    def compared(self, left, right, order, *rest):
+        sides.extend((left, right))
+        return real_cone(self, left, right, order, *rest)
 
     monkeypatch.setattr(ConeSeries, "apply", counted)
+    monkeypatch.setattr(cone, "_fill_level", fill)
+    monkeypatch.setattr(Recorder, "cone", compared)
     assert _mismatch(chk_pentagon, seed=1) is None
-    assert stages == [1] * 45
+    assert stages == [(1, 6)] * 45
+    assert levels == list(range(7)) * 45
+    assert len(sides) == 22
+    for side in sides:
+        above = [side.c[k][l] for k in range(7) for l in range(7) if k + l > 6]
+        assert len(above) == 21 and all(v == 0 for v in above)
 
 
 # -- one mutation test for every suite -------------------------------------------
