@@ -156,7 +156,8 @@ def matsuo_e(a, b, z, q) -> list:
         s_k(a, b; z) = sum_{|J| = k} prod_{i in I} (1 - z_i/a) prod_{j in J} (1 - b z_j)
                        prod_{i in I, j in J} (z_j - z_i/q)/(z_j - z_i),
 
-    I the complement of J, at rational a, b, z and q.  The single factors
+    I the complement of J, at rational a, b, z and q (a series or jet
+    raises ``ValueError``, from `int_pairs`).  The single factors
     and cross ratios are built once, and `_subset_sums` sums each subset J
     once, into s_|J|.
     """

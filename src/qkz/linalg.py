@@ -10,7 +10,7 @@ fault of the caller, not of the point: it raises ``ValueError``.
 from __future__ import annotations
 
 from .errors import SingularMatrixError
-from .scalars import ONE, dot, int_pairs, invertible, pair_dot, reciprocal
+from .scalars import ONE, dot, invertible, reciprocal
 
 
 class ScalarMatrix:
@@ -75,35 +75,12 @@ class ScalarMatrix:
             [a - b for a, b in zip(self.entries, other.entries)])
 
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        """Each entry is the `dot` of a row and a column, in value and type.
-        With a diagonal operand that is one product per entry, and with
-        plain operands each entry's int pair is read once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         a, b, cols = self.entries, other.entries, other.cols
-        if other.is_diagonal():
-            d = b[::cols + 1]
-            return ScalarMatrix(self.rows, cols, [
-                dot(((x, d[at % cols]),)) for at, x in enumerate(a)])
-        if self.is_diagonal():
-            d = a[::self.cols + 1]
-            return ScalarMatrix(self.rows, cols, [
-                dot(((d[at // cols], x),)) for at, x in enumerate(b)])
-        pa, pb = int_pairs(a), int_pairs(b)
-        plain = pa is not None and pb is not None
-        if plain:
-            a, b = pa, pb
         rows = [a[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
-        columns = [b[j::cols] for j in range(cols)]
         return ScalarMatrix(self.rows, cols, [
-            pair_dot(row, column) if plain else dot(zip(row, column))
-            for row in rows for column in columns])
-
-    def is_diagonal(self) -> bool:
-        """Square, with every entry off the diagonal 0."""
-        n = self.cols
-        return self.rows == n and all(
-            x == 0 for at, x in enumerate(self.entries) if at % (n + 1))
+            dot(zip(row, b[j::cols])) for row in rows for j in range(cols)])
 
     def scale(self, c) -> "ScalarMatrix":
         return ScalarMatrix(self.rows, self.cols, [x * c for x in self.entries])

@@ -280,17 +280,13 @@ def dot(pairs):
 
 
 def int_pairs(values):
-    """The (numerator, denominator) of each value, or None when one of them
-    is not plain (int / Rat): the kernels below read each operand once."""
-    if _PLAIN_TYPES.issuperset(map(type, values)):
-        return [(v.numerator, v.denominator) for v in values]
-    return None
-
-
-def pair_dot(xs, ys):
-    """`dot(zip(x, y))` for the plain values x, y given by their int pairs
-    (`int_pairs`), in value and type."""
-    return pair_sum([(xn * yn, xd * yd) for (xn, xd), (yn, yd) in zip(xs, ys) if xn and yn])
+    """The (numerator, denominator) of each value in the list, all of them
+    plain (int / Rat); a value of another ring raises ``ValueError``."""
+    if not _PLAIN_TYPES.issuperset(map(type, values)):
+        raise ValueError("int pairs need int or rational values, not "
+                         + ", ".join(sorted({type(v).__name__ for v in values
+                                             if type(v) not in _PLAIN_TYPES})))
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def product(values):
@@ -377,10 +373,7 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        pa, pb = int_pairs(a), int_pairs(b)
-        if pa is None or pb is None:
-            return self._wrap(dot(zip(a, b[k::-1])) for k in range(len(a)))
-        return self._wrap(pair_dot(pa, pb[k::-1]) for k in range(len(a)))
+        return self._wrap(dot(zip(a, b[k::-1])) for k in range(len(a)))
 
     __rmul__ = __mul__
 

@@ -20,6 +20,8 @@ from qkz.errors import ResonanceError
 from qkz.qseries import dbl_qt_poch_series
 from qkz.scalars import ParamPoint, Rat, sample_generic_point, shakirov_eigenvalue
 
+from oracles import typed
+
 P = sample_generic_point(1, guard=8)
 Q = P.q
 
@@ -350,11 +352,6 @@ def test_stages_equal_their_cell_formulas(kmax, lmax):
 
 # -- oracles: the merged stages and the level cap ---------------------------------
 
-def _typed(grid):
-    """The cells of a grid with their types: int 0 and a Rat 0 differ."""
-    return [[(type(v), v) for v in row] for row in grid]
-
-
 def _unmerged_full_step(p, kmax, lmax):
     """The full step with every factor its own stage: the double shift, the
     five of T(K), phi(L), phi(d1 d2 d3 d4 L/q) and the five of K."""
@@ -382,7 +379,7 @@ def test_merged_full_step_equals_the_unmerged_list(seed, window):
     for kmax, lmax in ((0, 3), (3, 0), (3, 4), (5, 2)):
         s = _random_series(rng, kmax, lmax)
         merged = s.apply(_full_step_stages(p, kmax, lmax))
-        assert _typed(merged.c) == _typed(s.apply(_unmerged_full_step(p, kmax, lmax)).c)
+        assert typed(merged.c) == typed(s.apply(_unmerged_full_step(p, kmax, lmax)).c)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
@@ -394,7 +391,7 @@ def test_solver_on_the_merged_stages_equals_the_solver_on_the_unmerged(monkeypat
     merged = [solve_shakirov(p, kmax, lmax).c for kmax, lmax in shapes]
     monkeypatch.setattr(cone, "_full_step_stages", _unmerged_full_step)
     for (kmax, lmax), got in zip(shapes, merged):
-        assert _typed(got) == _typed(solve_shakirov(p, kmax, lmax).c)
+        assert typed(got) == typed(solve_shakirov(p, kmax, lmax).c)
 
 
 @pytest.mark.parametrize("kmax, lmax", [(0, 3), (3, 0), (3, 4), (6, 6)])
@@ -405,9 +402,9 @@ def test_apply_stopped_at_a_level_equals_the_full_apply_below_it(kmax, lmax):
     s = _random_series(rng, kmax, lmax)
     for stages in (_full_step_stages(P, kmax, lmax), _k_stages(P, kmax, lmax),
                    [_phi_stage(Rat(2, 3), Q, AXIS_L, kmax, lmax, inverted=True)]):
-        full = _typed(s.apply(stages).c)
+        full = typed(s.apply(stages).c)
         for top in range(kmax + lmax + 2):
-            got = _typed(s.apply(stages, top).c)
+            got = typed(s.apply(stages, top).c)
             for k in range(kmax + 1):
                 for l in range(lmax + 1):
                     assert got[k][l] == (full[k][l] if k + l <= top else (int, 0))

@@ -29,6 +29,8 @@ from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries, qbinom, qfactorial, qpoch
 from qkz.scalars import ONE, Rat, quotient, sample_generic_point
 
+from oracles import typed
+
 A2 = Rat(5, 7)
 
 
@@ -170,6 +172,13 @@ def test_matsuo_extreme_index_is_pure_product():
     assert full == want
 
 
+def test_matsuo_takes_rational_arguments_only():
+    q, a, b = Rat(3, 5), Rat(7, 3), Rat(2, 9)
+    z = [Rat(2, 7), LambdaSeries([Rat(5, 3), 1])]
+    with pytest.raises(ValueError, match="LambdaSeries"):
+        matsuo_e(a, b, z, q)
+
+
 def test_jackson_vector_pivot_and_leading_constants():
     p, jp = _params(31, 2, 1)
     raw = jackson_vector_raw(jp, 2)
@@ -200,15 +209,6 @@ def test_ito_matrix_shapes_and_base_case():
     assert R == ito_R_alt(jp)
     lam = Rat(2, 9)
     assert ito_A(jp, lam) == ito_A_via_R(jp, lam)
-
-
-def _typed(x):
-    """x with the type of every scalar in it, series coefficients included."""
-    if isinstance(x, LambdaSeries):
-        return type(x), [_typed(c) for c in x.coeffs]
-    if isinstance(x, list):
-        return [_typed(v) for v in x]
-    return type(x), x
 
 
 def _ito_A_per_entry(jp, lam):
@@ -243,7 +243,7 @@ def test_ito_A_equals_its_per_entry_form(window):
     p, jp = _params(3, *window)
     for lam in (Rat(2, 9), LambdaSeries.variable(3)):
         got, want = ito_A(jp, lam), _ito_A_per_entry(jp, lam)
-        assert _typed(got.entries) == _typed(want.entries)
+        assert typed(got.entries) == typed(want.entries)
 
 
 def test_gauss_factor_triangularity_shapes():
@@ -659,7 +659,7 @@ def test_table_subset_sums_equal_matsuo_e_at_every_cone_point(monkeypatch, seed,
     monkeypatch.setattr(jackson, "_subset_sums", real)
     for nu, got in zip(points, sums):
         z = [x * jp.t ** e for x, e in zip(jp.cycle(), nu)]
-        assert _typed(got) == _typed(matsuo_e(jp.a2, jp.b1, z, jp.q)), nu
+        assert typed(got) == typed(matsuo_e(jp.a2, jp.b1, z, jp.q)), nu
 
 
 @pytest.mark.parametrize("m,n,lmax", [(1, 0, 3), (2, 1, 3), (2, 2, 2)])

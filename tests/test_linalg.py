@@ -13,7 +13,7 @@ from qkz.errors import SingularMatrixError
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries
 from qkz.rmatrix import expansion_matrices
-from qkz.scalars import HJet, Rat, TruncatedSeries, dot, invertible, sample_generic_point
+from qkz.scalars import Rat, TruncatedSeries, invertible, sample_generic_point
 from qkz.suites import Recorder, _Mismatch
 
 ORDER = 2
@@ -222,56 +222,3 @@ def test_solve_inverts_each_pivot_once(monkeypatch):
     del calls[:]
     assert _solve_dividing_per_entry(a, b) == x
     assert len(calls) == 4 * 3 + 4 * 4
-
-
-# -- the product's shortcuts against one `dot` per entry -------------------------
-
-def _typed(x):
-    """x with the type of every scalar in it, series coefficients included."""
-    if isinstance(x, TruncatedSeries):
-        return type(x), [_typed(c) for c in x.coeffs]
-    return type(x), x
-
-
-def _dot_product(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    """Every entry the `dot` of its row and column, nothing skipped."""
-    return ScalarMatrix(a.rows, b.cols, [
-        dot((a[i, k], b[k, j]) for k in range(a.cols))
-        for i in range(a.rows) for j in range(b.cols)])
-
-
-def _ring_scalar(rng, ring):
-    """A random int, Rat, h-jet or Lambda-series, zero about one time in
-    four; a series may have int coefficients and zero ones."""
-    def plain():
-        if rng.random() < 0.25:
-            return rng.choice((0, Rat(0)))
-        n = rng.randint(-9, 9)
-        return n if rng.random() < 0.3 else Rat(n, rng.randint(1, 9))
-
-    if ring == "int":
-        return 0 if rng.random() < 0.25 else rng.randint(-9, 9)
-    if ring == "rat":
-        return plain()
-    if rng.random() < 0.2:
-        return 0
-    return ring([plain() for _ in range(ORDER + 1)])
-
-
-@pytest.mark.parametrize("ring", ["int", "rat", HJet, LambdaSeries])
-@pytest.mark.parametrize("seed", range(6))
-def test_diagonal_and_pair_products_equal_the_dot_products(ring, seed):
-    rng = random.Random(400 + seed)
-    square = ScalarMatrix(3, 3, [_ring_scalar(rng, ring) for _ in range(9)])
-    wide = ScalarMatrix(3, 4, [_ring_scalar(rng, ring) for _ in range(12)])
-    # a row and a column of zeros give entries with no nonzero term
-    square[1, 0], square[1, 1], square[1, 2] = 0, Rat(0), 0
-    wide[0, 3], wide[1, 3], wide[2, 3] = Rat(0), 0, Rat(0)
-    diag = ScalarMatrix.diagonal(_ring_scalar(rng, ring) for _ in range(3))
-    if ring in (HJet, LambdaSeries):
-        diag[0, 1] = ring.constant(0, ORDER)  # a zero series off the diagonal
-    assert diag.is_diagonal() and not wide.is_diagonal()
-    for a, b in ((square, wide), (diag, wide), (square, diag), (diag, diag),
-                 (diag, square), (wide.transpose(), diag)):
-        got, want = a @ b, _dot_product(a, b)
-        assert [_typed(x) for x in got.entries] == [_typed(x) for x in want.entries]

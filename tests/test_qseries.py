@@ -21,7 +21,9 @@ from qkz.qseries import (
     very_well_poised,
     w10_9,
 )
-from qkz.scalars import HJet, Rat, TruncatedSeries, quotient
+from qkz.scalars import HJet, Rat, quotient
+
+from oracles import typed
 
 nonzero_rats = st.builds(Rat, st.integers(1, 30), st.integers(1, 30))
 
@@ -337,22 +339,13 @@ def test_phi_coeffs_equal_their_loop(q, inverted):
                    lambda: _phi_coeffs_loop(c, q, order, inverted))
 
 
-def _typed(x):
-    """x with the type of every scalar in it, series coefficients included."""
-    if isinstance(x, TruncatedSeries):
-        return type(x), [_typed(c) for c in x.coeffs]
-    if isinstance(x, list):
-        return [_typed(v) for v in x]
-    return type(x), x
-
-
 @pytest.mark.parametrize("q", ORACLE_QS + [Rat(-3, 2), 2, -1])
 def test_qpoch_run_equals_qpoch_per_length(q):
     bases = [Rat(3), Rat(-2, 5), Rat(0), Rat(1), 1, 0, -4, Rat(1) / q,
              LambdaSeries([Rat(2, 3), Rat(-1), 5]), HJet([1, Rat(1, 2)])]
     for a in bases:
         for n in range(7):
-            assert _typed(qpoch_run(a, q, n)) == _typed([qpoch(a, q, j) for j in range(n + 1)])
+            assert typed(qpoch_run(a, q, n)) == typed([qpoch(a, q, j) for j in range(n + 1)])
     with pytest.raises(ValueError):
         qpoch_run(Rat(2), q, -1)
 
@@ -374,7 +367,7 @@ def test_phi_coeffs_equal_their_per_length_form(q, inverted):
                 with pytest.raises(DegenerateParameterError, match=re.escape(str(exc))):
                     phi_coeffs(c, q, order, inverted)
                 continue
-            assert _typed(phi_coeffs(c, q, order, inverted)) == _typed(want)
+            assert typed(phi_coeffs(c, q, order, inverted)) == typed(want)
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

@@ -22,8 +22,9 @@ from qkz.rmatrix import (
     rwv_entry,
     transition_runs,
 )
-from qkz.scalars import (HJet, Rat, TruncatedSeries, exp_jet, product, quotient,
-                         sample_generic_point)
+from qkz.scalars import HJet, Rat, exp_jet, product, quotient, sample_generic_point
+
+from oracles import typed
 
 P = sample_generic_point(5, guard=8)
 Q, D1, D4 = P.q, P.d1, P.d4
@@ -117,8 +118,8 @@ def test_hg_matrix_equals_its_entrywise_sum(window):
     for lam in (LAM, Rat(7, 2), Rat(-5, 13)):
         r = r_hg_matrix(m, n, D1, D4, lam, Q)
         want = _r_hg_entrywise(m, n, D1, D4, lam, Q)
-        assert [[_typed(r[I, J]) for J in range(m + n + 1)] for I in range(m + n + 1)] == \
-            [[_typed(x) for x in row] for row in want]
+        assert [[typed(r[I, J]) for J in range(m + n + 1)] for I in range(m + n + 1)] == \
+            [[typed(x) for x in row] for row in want]
 
 
 def _raises_degenerate(fn):
@@ -204,13 +205,6 @@ def _rwv_per_entry(k, j, m, n, d4, lam, q):
     return quotient(num, den, "denominator of r^WV")
 
 
-def _typed(x):
-    """x with the type of every scalar in it, series coefficients included."""
-    if isinstance(x, TruncatedSeries):
-        return type(x), [_typed(c) for c in x.coeffs]
-    return type(x), x
-
-
 @pytest.mark.parametrize("window", [(1, 0), (0, 1), (2, 1), (1, 2), (3, 3)])
 def test_transition_entries_equal_their_per_entry_form(window):
     # the prefix runs in value and type, at rational Lambda and at a
@@ -229,14 +223,14 @@ def test_transition_entries_equal_their_per_entry_form(window):
             "wv_row": lambda j: qpoch(lam * Q ** -j, Q, j)}
         assert list(per_length) == list(runs._fields)
         for name, form in per_length.items():
-            assert [_typed(x) for x in getattr(runs, name)] == \
-                [_typed(form(j)) for j in range(N + 1)], name
+            assert [typed(x) for x in getattr(runs, name)] == \
+                [typed(form(j)) for j in range(N + 1)], name
         for i in range(-n, m + 1):
             for k in range(-n, m + 1):
-                assert _typed(ruw_entry(i, k, m, n, D4, Q, runs)) == \
-                    _typed(_ruw_per_entry(i, k, m, n, D1, D4, lam, Q))
-                assert _typed(rwv_entry(i, k, m, n, Q, runs)) == \
-                    _typed(_rwv_per_entry(i, k, m, n, D4, lam, Q))
+                assert typed(ruw_entry(i, k, m, n, D4, Q, runs)) == \
+                    typed(_ruw_per_entry(i, k, m, n, D1, D4, lam, Q))
+                assert typed(rwv_entry(i, k, m, n, Q, runs)) == \
+                    typed(_rwv_per_entry(i, k, m, n, D4, lam, Q))
 
 
 def test_lambda_zero_triangularity():

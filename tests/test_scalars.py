@@ -25,7 +25,6 @@ from qkz.scalars import (
     Monomial,
     ParamPoint,
     Rat,
-    TruncatedSeries,
     _draw_root,
     _passes_guards,
     _reduced,
@@ -35,7 +34,6 @@ from qkz.scalars import (
     exponent_vector,
     int_pairs,
     is_plain,
-    pair_dot,
     product,
     quotient,
     sample_generic_point,
@@ -552,40 +550,6 @@ def test_dot_equals_the_sum_of_products(case):
         assert got == want and type(got) is _kernel_type(want)
 
 
-@pytest.mark.parametrize("case", ["rat", "int", "rat and int", "sparse"])
-def test_pair_dot_equals_dot(case):
-    pairs = _kernel_cases()[case]
-    xs, ys = (int_pairs([pair[side] for pair in pairs]) for side in (0, 1))
-    for got, want in ((pair_dot(xs, ys), dot(pairs)),
-                      (pair_dot(xs[:0], ys), dot([])),
-                      (pair_dot([(0, 1)] + xs, [(5, 3)] + ys), dot([(0, Rat(5, 3))] + pairs))):
-        assert got == want and type(got) is type(want)
-    assert int_pairs([Rat(1, 2), LambdaSeries([1, 2])]) is None
-
-
-def _typed(x):
-    """x with the type of every scalar in it, series coefficients included."""
-    if isinstance(x, TruncatedSeries):
-        return type(x), [_typed(c) for c in x.coeffs]
-    return type(x), x
-
-
-@pytest.mark.parametrize("cls", [LambdaSeries, HJet])
-def test_series_product_equals_its_dot_per_coefficient(cls):
-    # the int-pair product and the `dot` of each coefficient, in value and
-    # type: int 0 where no term is nonzero, else a Rat
-    rng = random.Random(9)
-    values = [0, 1, -3, Rat(0), Rat(2, 7), Rat(-5, 3)]
-    for _ in range(200):
-        a = cls([rng.choice(values) for _ in range(4)])
-        b = cls([rng.choice(values) for _ in range(4)])
-        want = cls(dot(zip(a.coeffs, b.coeffs[k::-1])) for k in range(4))
-        assert _typed(a * b) == _typed(want)
-    jets = cls([HJet([1, 2]), HJet([Rat(0), 3])])  # coefficients that are not plain
-    want = cls(dot(zip(jets.coeffs, jets.coeffs[k::-1])) for k in range(2))
-    assert _typed(jets * jets) == _typed(want)
-
-
 def test_dot_of_no_nonzero_term_is_the_int_zero():
     zero_lam = LambdaSeries.constant(0, 2)
     for pairs in ([], [(Rat(0), Rat(3))], [(0, 0), (Rat(2), 0)],
@@ -597,6 +561,12 @@ def test_dot_of_no_nonzero_term_is_the_int_zero():
     cancelled = dot([(Rat(1, 3), Rat(3)), (-1, 1)])
     assert cancelled == 0 and type(cancelled) is Rat
     assert type(dot([(2, 3)])) is Rat
+
+
+def test_int_pairs_take_plain_values_only():
+    assert int_pairs([3, Rat(-4, 6), True, Rat(0)]) == [(3, 1), (-2, 3), (1, 1), (0, 1)]
+    with pytest.raises(ValueError, match="LambdaSeries"):
+        int_pairs([Rat(1, 2), LambdaSeries([1, 2])])
 
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
