@@ -193,25 +193,18 @@ def _diagonal(stage: Stage, k: int, l: int):
     return stage.values[0] if stage.axis else stage.values[k][l]
 
 
-def _k_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
-    """K = 1/(phi(qx) phi(L/x)) . B . 1/(phi(-d1 x) phi(-d3 L/x))."""
-    q = p.q
-    return [_phi_stage(-p.d1, q, AXIS_X, kmax, lmax, inverted=True),
-            _phi_stage(-p.d3, q, AXIS_LX, kmax, lmax, inverted=True),
-            _borel_stage(q, kmax, lmax),
-            _phi_stage(q, q, AXIS_X, kmax, lmax, inverted=True),
-            _phi_stage(1, q, AXIS_LX, kmax, lmax, inverted=True)]
-
-
-def _tk_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
-    """The substitution transform of K:
+def _k_stages(p: ParamPoint, kmax: int, lmax: int, scale=(1, 1)) -> list:
+    """K = 1/(phi(qx) phi(L/x)) . B . 1/(phi(-d1 x) phi(-d3 L/x)) under
+    x -> sx x, L/x -> slx L/x for scale = (sx, slx).  B commutes with the
+    scaling, so at `_t_scale(p)` this is T(K) =
     1/(phi(-d2 x) phi(-d4 L/x)) . B . 1/(phi(d1 d2 x/q) phi(d3 d4 L/x))."""
     q = p.q
-    return [_phi_stage(p.d1 * p.d2 / q, q, AXIS_X, kmax, lmax, inverted=True),
-            _phi_stage(p.d3 * p.d4, q, AXIS_LX, kmax, lmax, inverted=True),
+    sx, slx = scale
+    return [_phi_stage(-p.d1 * sx, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(-p.d3 * slx, q, AXIS_LX, kmax, lmax, inverted=True),
             _borel_stage(q, kmax, lmax),
-            _phi_stage(-p.d2, q, AXIS_X, kmax, lmax, inverted=True),
-            _phi_stage(-p.d4, q, AXIS_LX, kmax, lmax, inverted=True)]
+            _phi_stage(q * sx, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(slx, q, AXIS_LX, kmax, lmax, inverted=True)]
 
 
 def _hs_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
@@ -228,7 +221,7 @@ def _hs_stages(p: ParamPoint, kmax: int, lmax: int) -> list:
     unit constant term and the Borel transformation fixes degree zero, so
     c00 is preserved."""
     q = p.q
-    tk, k = _tk_stages(p, kmax, lmax), _k_stages(p, kmax, lmax)
+    tk, k = _k_stages(p, kmax, lmax, _t_scale(p)), _k_stages(p, kmax, lmax)
     along_l = _merged(_phi_stage(1, q, AXIS_L, kmax, lmax),
                       _phi_stage(p.d1 * p.d2 * p.d3 * p.d4 / q, q, AXIS_L, kmax, lmax))
     # tk and k are each: along x, along L/x, the Borel map, along x, along L/x
@@ -285,6 +278,11 @@ def coupled_transform_point(p: ParamPoint) -> ParamPoint:
     return replace(p, rd2=p.rq / (p.rt * p.rQ * p.rd2), rd4=p.rq * p.rQ / p.rd4)
 
 
+def _t_scale(p: ParamPoint) -> tuple:
+    """Variable half of the substitution T: x -> -d2 x / q, L/x -> -d4 L/x."""
+    return -p.d2 / p.q, -p.d4
+
+
 def coupling_series(p: ParamPoint, order: int) -> tuple[LambdaSeries, LambdaSeries]:
     """(g, T(g)) with
 
@@ -310,7 +308,7 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
 
     where T^2 is the plain double shift (x -> x/(qtQ), L -> L/t).  chi is
     realized by re-solving at the transformed point and rescaling the series
-    variables (x -> -d2 x / q, L/x -> -d4 L / x exactly).
+    variables by `_t_scale`.
 
     Returns the two relations as ((psi, g K chi), (chi, T(g K chi))), each
     pair of sides expected equal on the whole truncation rectangle.
@@ -318,9 +316,9 @@ def coupled_step(p: ParamPoint, psi: ConeSeries):
     kmax, lmax = psi.kmax, psi.lmax
     p2 = coupled_transform_point(p)
     chi_raw = solve_shakirov(p2, kmax, lmax)
-    fx = -p.d2 / p.q
-    chi = chi_raw.shift(fx, fx * -p.d4)
+    sx, slx = scale = _t_scale(p)
+    chi = chi_raw.shift(sx, sx * slx)
     g, tg = coupling_series(p, min(kmax, lmax))
-    tk_t2 = [_double_shift_stage(p, kmax, lmax)] + _tk_stages(p, kmax, lmax)
+    tk_t2 = [_double_shift_stage(p, kmax, lmax)] + _k_stages(p, kmax, lmax, scale)
     return ((psi, chi.apply(_k_stages(p, kmax, lmax) + [Stage(g.coeffs, AXIS_L)])),
             (chi, psi.apply(tk_t2 + [Stage(tg.coeffs, AXIS_L)])))

@@ -92,10 +92,13 @@ def cone_points(n: int, m: int, max_degree: int):
 def _telescope_table(c, d, lo: int, hi: int, t, what: str) -> dict:
     """{k: (c t^k, d; t)_inf / (c, d t^k; t)_inf} for lo <= k <= hi, with
     lo <= 0 <= hi: (d; t)_k / (c; t)_k for k >= 0 and
-    (c t^k; t)_-k / (d t^k; t)_-k for k < 0, so the table divides by exactly
-    the factors of the finite products at its two ends."""
-    return {k: quotient(qpoch(d, t, k), qpoch(c, t, k), what) if k >= 0
-            else quotient(qpoch(c * t ** k, t, -k), qpoch(d * t ** k, t, -k), what)
+    (c t^k; t)_-k / (d t^k; t)_-k = (c/t; 1/t)_-k / (d/t; 1/t)_-k for k < 0,
+    read from four prefix runs, so the table divides by exactly the factors
+    of the finite products at its two ends."""
+    up_d, up_c = qpoch_run(d, t, hi), qpoch_run(c, t, hi)
+    down_c, down_d = qpoch_run(c / t, 1 / t, -lo), qpoch_run(d / t, 1 / t, -lo)
+    return {k: quotient(up_d[k], up_c[k], what) if k >= 0
+            else quotient(down_c[-k], down_d[-k], what)
             for k in range(lo, hi + 1)}
 
 

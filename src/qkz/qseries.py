@@ -17,35 +17,18 @@ class LambdaSeries(TruncatedSeries):
 
 
 def qpoch(a, q, n: int):
-    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0.
-
-    For rational a = an/ad and q = qn/qd it is one Rat built from the ints
-    prod_i (ad qd^i - an qn^i) and ad^n qd^(n(n-1)/2)."""
-    if n < 0:
-        raise ValueError("qpoch needs n >= 0")
-    if is_plain(a) and is_plain(q):
-        an, ad = a.numerator, a.denominator
-        qn, qd = q.numerator, q.denominator
-        num, den = 1, ad ** n * qd ** (n * (n - 1) // 2)
-        for _ in range(n):
-            num *= ad - an
-            an *= qn
-            ad *= qd
-        return _reduced(num, den)
-    out = ONE
-    aq = a
-    for _ in range(n):
-        out = out * (1 - aq)
-        aq = aq * q
-    return out
+    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0: the last entry of
+    `qpoch_run`, so for rational a and q one Rat."""
+    return qpoch_run(a, q, n)[n]
 
 
 def qpoch_run(a, q, n: int) -> list:
-    """[(a; q)_0, ..., (a; q)_n], each equal to `qpoch(a, q, j)` in value and
-    type, by the prefix rule (a; q)_(j+1) = (a; q)_j (1 - a q^j).  For
-    rational a and q the prefixes are int pairs, each reduced once."""
+    """[(a; q)_0, ..., (a; q)_n] by the prefix rule
+    (a; q)_(j+1) = (a; q)_j (1 - a q^j).  For rational a = an/ad and
+    q = qn/qd the prefixes are the int pairs prod_i (ad qd^i - an qn^i) and
+    ad^j qd^(j(j-1)/2), each reduced once into a Rat."""
     if n < 0:
-        raise ValueError("qpoch_run needs n >= 0")
+        raise ValueError("a q-Pochhammer length needs n >= 0")
     if is_plain(a) and is_plain(q):
         an, ad = a.numerator, a.denominator
         qn, qd = q.numerator, q.denominator

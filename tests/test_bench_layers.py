@@ -3,21 +3,15 @@
 is renamed, moved or folded away would silently drop out of the trace, so
 every entry must still resolve to a function defined in qkz."""
 
-import importlib.util
 from pathlib import Path
+
+from loader import load_module
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_layer_resolves_to_a_qkz_function():
-    tracer = _load_tracer()
+    tracer = load_module("perfbench_tracer", TRACER)
     assert tracer.LAYERS
     for module, path in tracer.LAYERS:
         found = tracer._resolve(module, path)

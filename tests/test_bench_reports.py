@@ -4,9 +4,7 @@ suite of every workload runs once at seed 1, through the command line with
 the workload's options, and each check must match its recorded digest: the
 reports are byte-identical to the recorded ones, timing aside."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,20 +12,13 @@ import pytest
 from qkz import cli
 from qkz.cli import main
 
+from loader import load_module
+
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 GATE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH = _load("perfbench_run", RUN)
+BENCH = load_module("perfbench_run", RUN)
 SUITES = [(workload, suite, options) for workload, spec in BENCH.WORKLOADS.items()
           for suite, options in spec.suites]
 
@@ -53,7 +44,7 @@ class _Built(Exception):
 def _gate_configs():
     """The SuiteConfig of each suite in the acceptance gate, collected by
     running its criteria with a `_run` that only records them."""
-    gate = _load("acceptance_gate", GATE)
+    gate = load_module("acceptance_gate", GATE)
     configs = {}
     gate._run = lambda tag, cfg, **budgets: configs.setdefault(cfg.suite, cfg)
     for name, criterion in vars(gate).items():

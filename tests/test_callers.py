@@ -12,10 +12,11 @@ package, apart from the few it quotes from elsewhere."""
 
 import ast
 import fractions
-import importlib.util
 import re
 import sys
 from pathlib import Path
+
+from loader import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qkz"
@@ -28,11 +29,7 @@ QUOTED_ELSEWHERE = {"_operator_fallbacks": Path(fractions.__file__),
 
 
 def _traced_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return set(module.LAYERS)
+    return set(load_module("perfbench_tracer", ROOT / "perfbench" / "tracer.py").LAYERS)
 
 
 def _definitions(tree):

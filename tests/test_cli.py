@@ -17,6 +17,8 @@ from qkz.suites import SuiteConfig, run_suite, write_report
 def test_unknown_suite_is_rejected_before_computation():
     with pytest.raises(ConfigError):
         SuiteConfig(suite="NO_SUCH_SUITE")
+    with pytest.raises(ConfigError, match="at least one seed"):
+        SuiteConfig(suite="BAILEY", seeds=())
     assert main(["verify", "NO_SUCH_SUITE"]) == 2
 
 
@@ -110,6 +112,30 @@ def test_solve_and_laumon_dumps(tmp_path):
     laumon_lines = out.read_text().strip().splitlines()
     # the two dumps agree coefficient by coefficient
     assert solver_lines == laumon_lines
+
+
+def test_mass_truncated_dumps_to_stdout_agree(capsys):
+    # with no --out the table goes to stdout; on window (m, n) = (2, 1) the
+    # cells with k - l > m or l - k > n are 0
+    texts = []
+    for command in ("solve", "laumon"):
+        assert main([command, "--kmax", "3", "--lmax", "3", "--seed", "1",
+                     "--m", "2", "--n", "1"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    rows = [line.split(",") for line in texts[0].splitlines()[1:]]
+    assert len(rows) == 16
+    zero = {(int(k), int(l)) for k, l, num, den in rows if (num, den) == ("0", "1")}
+    assert zero == {(k, l) for k in range(4) for l in range(4) if k - l > 2 or l - k > 1}
+
+
+def test_a_qkz_error_exits_3_with_one_error_line(capsys):
+    # Lambda = 1 zeroes Lambda - 1 in the small-h matrix
+    assert main(["rmatrix", "--m", "2", "--n", "1", "--seed", "1", "--lambda", "1",
+                 "--fourd"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Lambda - 1 in the 4d matrix vanishes"]
 
 
 def test_rmatrix_dump(tmp_path):

@@ -6,14 +6,17 @@ from qkz.cone import (
     AXIS_X,
     ConeSeries,
     Stage,
+    _borel_stage,
     _double_shift_stage,
     _full_step_stages,
     _hs_stages,
     _k_stages,
     _phi_stage,
-    _tk_stages,
+    _t_scale,
     apply_full_step,
     coupled_step,
+    coupled_transform_point,
+    coupling_series,
     solve_shakirov,
 )
 from qkz.errors import ResonanceError
@@ -202,11 +205,20 @@ def test_coupled_step_applies_each_relation_once(monkeypatch):
 
 
 def test_coupled_k_constant_term():
-    from qkz.cone import coupling_series
     one = ConeSeries.one(3, 3)
     assert one.apply(_k_stages(P, 3, 3)).c[0][0] == 1
     g, tg = coupling_series(P, 3)
     assert g.coeffs[0] == 1 and tg.coeffs[0] == 1
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_tg_is_g_at_the_transformed_point(seed):
+    # T(g): the parameters of T and Lambda -> sx slx Lambda = d2 d4 L / q
+    p = sample_generic_point(seed, guard=8)
+    sx, slx = _t_scale(p)
+    for order in (1, 3, 4, 6):
+        g_at_tp = coupling_series(coupled_transform_point(p), order)[0]
+        assert coupling_series(p, order)[1] == g_at_tp.shift_variable(sx * slx)
 
 
 def test_csv_dump_round_trip():
@@ -278,7 +290,6 @@ def _coupling_oracles(p, order):
 
 @pytest.mark.parametrize("seed,window", ORACLE_POINTS)
 def test_composites_equal_their_factor_lists(seed, window):
-    from qkz.cone import coupling_series
     p = _oracle_point(seed, window)
     for s in (ConeSeries.one(4, 4), solve_shakirov(sample_generic_point(seed, guard=8), 3, 4)):
         assert _apply_hs(s, p).c == _apply_hs_sandwich(s, p).c
@@ -351,6 +362,28 @@ def test_stages_equal_their_cell_formulas(kmax, lmax):
 
 
 # -- oracles: the merged stages and the level cap ---------------------------------
+
+def _tk_stages(p, kmax, lmax):
+    """T(K) = 1/(phi(-d2 x) phi(-d4 L/x)) . B . 1/(phi(d1 d2 x/q) phi(d3 d4 L/x)),
+    with the substituted constants written out."""
+    q = p.q
+    return [_phi_stage(p.d1 * p.d2 / q, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(p.d3 * p.d4, q, AXIS_LX, kmax, lmax, inverted=True),
+            _borel_stage(q, kmax, lmax),
+            _phi_stage(-p.d2, q, AXIS_X, kmax, lmax, inverted=True),
+            _phi_stage(-p.d4, q, AXIS_LX, kmax, lmax, inverted=True)]
+
+
+@pytest.mark.parametrize("seed,window", ORACLE_POINTS)
+def test_k_stages_at_the_t_scale_are_the_written_out_tk(seed, window):
+    p = _oracle_point(seed, window)
+    for kmax, lmax in ((0, 3), (3, 4), (5, 2)):
+        got = _k_stages(p, kmax, lmax, _t_scale(p))
+        want = _tk_stages(p, kmax, lmax)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.axis == b.axis and typed(a.values) == typed(b.values)
+
 
 def _unmerged_full_step(p, kmax, lmax):
     """The full step with every factor its own stage: the double shift, the

@@ -519,6 +519,13 @@ def _telescope_table_running(c, d, lo, hi, t, what):
     return table
 
 
+def _telescope_table_per_exponent(c, d, lo, hi, t, what):
+    """_telescope_table as one ratio of two fresh Pochhammer products per k."""
+    return {k: quotient(qpoch(d, t, k), qpoch(c, t, k), what) if k >= 0
+            else quotient(qpoch(c * t ** k, t, -k), qpoch(d * t ** k, t, -k), what)
+            for k in range(lo, hi + 1)}
+
+
 @pytest.mark.parametrize("t", [Rat(2, 3), Rat(-7, 5)])
 def test_telescope_table_equals_its_running_products(t):
     # c = 1, t^-2 zero 1 - c t^k at k = 0, 2 (upwards); c, d = t, t^3 zero
@@ -533,10 +540,14 @@ def test_telescope_table_equals_its_running_products(t):
                 want = _telescope_table_running(c, d, lo, hi, t, "factor")
             except DegenerateParameterError:
                 degenerate += 1
-                with pytest.raises(DegenerateParameterError, match="factor"):
-                    jackson._telescope_table(c, d, lo, hi, t, "factor")
+                for table in (jackson._telescope_table, _telescope_table_per_exponent):
+                    with pytest.raises(DegenerateParameterError, match="factor"):
+                        table(c, d, lo, hi, t, "factor")
                 continue
-            assert jackson._telescope_table(c, d, lo, hi, t, "factor") == want
+            got = jackson._telescope_table(c, d, lo, hi, t, "factor")
+            for oracle in (want, _telescope_table_per_exponent(c, d, lo, hi, t, "factor")):
+                assert sorted(got) == sorted(oracle)
+                assert typed([got[k] for k in got]) == typed([oracle[k] for k in got])
     assert 0 < degenerate < len(values) ** 2 * 16
 
 

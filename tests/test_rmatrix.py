@@ -1,6 +1,6 @@
 import pytest
 
-from qkz.errors import DegenerateParameterError
+from qkz.errors import DegenerateParameterError, QkzError
 from qkz.laumon import z_al_truncated
 from qkz.linalg import ScalarMatrix
 from qkz.qseries import LambdaSeries, qpoch
@@ -241,6 +241,9 @@ def test_lambda_zero_triangularity():
             if j < i:
                 assert r0[I, J] == 0
         assert r0[I, I] == Q ** ((I - 1) * I)  # q^(i(i+1)) at i = I-1
+    # the closed form's Lambda-monomial prefactors need Lambda invertible
+    with pytest.raises(DegenerateParameterError, match="invertible Lambda"):
+        r_closed_form(2, 1, D1, D4, Rat(0), Q)
 
 
 def _poly_mul(a, b):
@@ -424,8 +427,9 @@ def test_h4d_split_and_theta_column():
     assert A0[1, 1] == 0  # i = 0 row: theta(theta - kap - a) = 0
     r1 = r1_fourd((m1, -m, -n, m4), m, n, LAM)
     assert H == r1
-    with pytest.raises(DegenerateParameterError):
-        h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, Rat(1))
+    for lam in (Rat(1), Rat(0)):
+        with pytest.raises(DegenerateParameterError):
+            h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, lam)
 
 
 def test_kz_spin_dictionary_identity():
@@ -435,6 +439,19 @@ def test_kz_spin_dictionary_identity():
     _, A0, A1 = h4d_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
     kz = kz_form_matrix((m1, -m, -n, m4), (kap, ac), m, n, LAM)
     assert kz == A0 + A1.scale(LAM / (LAM - 1))
+
+
+def test_fourd_matrices_need_masses_that_truncate_the_window():
+    # r1 needs m1 or m2 = -m and m3 or m4 = -n
+    with pytest.raises(QkzError, match="window"):
+        r1_fourd((Rat(1, 3), Rat(2, 5), -1, Rat(3, 7)), 2, 1, LAM)
+    # the KZ operator on window (1, 1) reaches x^2 unless (1 + m1)(1 + m2) = 0,
+    # and x^-2 unless (1 + m3)(1 + m4) = 0
+    kappa_a = (Rat(2, 7), Rat(5, 9))
+    for mvec, where in (((Rat(1, 3), Rat(2, 5), -1, Rat(3, 7)), "above"),
+                        ((-1, Rat(2, 5), Rat(1, 3), Rat(3, 7)), "below")):
+        with pytest.raises(QkzError, match=f"leaks {where} the window"):
+            kz_form_matrix(mvec, kappa_a, 1, 1, LAM)
 
 
 def test_qkz_residual_series_scalars_match_rational_evaluation():

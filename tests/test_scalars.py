@@ -410,6 +410,13 @@ def test_derived_parameters_are_computed_once():
     assert copy == p and hash(copy) == hash(p) and copy.q == p.q
 
 
+def test_a_zero_fourth_root_is_degenerate():
+    roots = [Rat(2), Rat(3), Rat(5, 2), Rat(3, 2), Rat(5, 3), Rat(7, 3), Rat(9, 5)]
+    for i, name in enumerate(("rq", "rt", "rQ", "rd1", "rd2", "rd3", "rd4")):
+        with pytest.raises(DegenerateParameterError, match=f"fourth root {name} is zero"):
+            ParamPoint(*roots[:i], 0, *roots[i + 1:])
+
+
 def test_point_monomial_guard():
     p = sample_generic_point(2, guard=8)
     assert p.q ** 2 * p.t != 1
