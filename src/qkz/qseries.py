@@ -16,37 +16,41 @@ class LambdaSeries(TruncatedSeries):
     """Truncated univariate series in the instanton variable Lambda."""
 
 
-def qpoch(a, q, n: int):
-    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0: the last entry of
-    `qpoch_run`, so for rational a and q one Rat."""
-    return qpoch_run(a, q, n)[n]
-
-
-def qpoch_run(a, q, n: int) -> list:
+def _qpoch_prefixes(a, q, n: int, reduced: bool) -> list:
     """[(a; q)_0, ..., (a; q)_n] by the prefix rule
     (a; q)_(j+1) = (a; q)_j (1 - a q^j).  For rational a = an/ad and
-    q = qn/qd the prefixes are the int pairs prod_i (ad qd^i - an qn^i) and
-    ad^j qd^(j(j-1)/2), each reduced once into a Rat."""
+    q = qn/qd a prefix is the int pair prod_i (ad qd^i - an qn^i) and
+    ad^j qd^(j(j-1)/2), reduced into a Rat if `reduced`; otherwise it is a
+    ring value."""
     if n < 0:
         raise ValueError("a q-Pochhammer length needs n >= 0")
     if is_plain(a) and is_plain(q):
-        an, ad = a.numerator, a.denominator
-        qn, qd = q.numerator, q.denominator
+        an, ad, qn, qd = a.numerator, a.denominator, q.numerator, q.denominator
         num = den = 1
-        out = [_reduced(1, 1)]
+        out = [_reduced(num, den) if reduced else (num, den)]
         for _ in range(n):
             num *= ad - an
             den *= ad
             an *= qn
             ad *= qd
-            out.append(_reduced(num, den))
+            out.append(_reduced(num, den) if reduced else (num, den))
         return out
-    out = [ONE]
-    aq = a
+    out, aq = [ONE], a
     for _ in range(n):
         out.append(out[-1] * (1 - aq))
         aq = aq * q
     return out
+
+
+def qpoch(a, q, n: int):
+    """(a; q)_n = prod_{i<n} (1 - a q^i), n >= 0, reduced once at rational a, q."""
+    last = _qpoch_prefixes(a, q, n, reduced=False)[n]
+    return _reduced(*last) if is_plain(a) and is_plain(q) else last
+
+
+def qpoch_run(a, q, n: int) -> list:
+    """[(a; q)_0, ..., (a; q)_n], each reduced once at rational a, q."""
+    return _qpoch_prefixes(a, q, n, reduced=True)
 
 
 def qbracket_poch(sqrt_u, sqrt_q, n: int):

@@ -343,14 +343,15 @@ def test_phi_coeffs_equal_their_loop(q, inverted):
 def test_qpoch_run_equals_qpoch_per_length(q):
     bases = [Rat(3), Rat(-2, 5), Rat(0), Rat(1), 1, 0, -4, Rat(1) / q,
              LambdaSeries([Rat(2, 3), Rat(-1), 5]), HJet([1, Rat(1, 2)])]
-    # qpoch reads the run, so each entry is held to the one-factor product
+    # qpoch and the run share one loop, so each entry is held to the one-factor product
     for a in bases:
         for n in range(7):
             run = typed(qpoch_run(a, q, n))
             assert run == typed([_qpoch_one_factor_at_a_time(a, q, j) for j in range(n + 1)])
             assert run == typed([qpoch(a, q, j) for j in range(n + 1)])
-    with pytest.raises(ValueError):
-        qpoch_run(Rat(2), q, -1)
+    for length in (qpoch_run, qpoch):
+        with pytest.raises(ValueError):
+            length(Rat(2), q, -1)
 
 
 def _phi_coeffs_per_length(c, q, order, inverted):
