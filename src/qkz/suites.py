@@ -566,12 +566,13 @@ class Suite(NamedTuple):
     """A check (called with a Recorder, a seed and the options it reads),
     its name template (formatted with the check's arguments), the
     (low, high) bounds of each option the suite reads besides seeds and
-    points, and its sweep: option values, one check per entry, for a run
-    that leaves those options unset."""
+    points, its sweep: option values, one check per entry, for a run that
+    leaves those options unset, and its acceptance options (at DEFAULT_SEEDS)."""
     check: Callable
     name: str
     limits: dict = {}
     sweep: tuple = ()
+    acceptance: dict = {}
 
 
 def _window_sweep(windows):
@@ -582,27 +583,31 @@ _QKZ_WINDOWS = ((1, 0), (1, 1), (2, 1))
 _ALJ_WINDOWS = tuple((m, s - m) for s in range(4) for m in range(s + 1))
 
 SUITES = {
-    "SHAKIROV_EQ": Suite(chk_shakirov, "solver = partition sum, seed {seed}", SERIES_ORDERS),
+    "SHAKIROV_EQ": Suite(chk_shakirov, "solver = partition sum, seed {seed}", SERIES_ORDERS,
+                         acceptance={"kmax": 4, "lmax": 4}),
     "RMATRIX_3WAY": Suite(chk_rmatrix_3way, "three realizations agree, seed {seed}"),
     "QKZ_MATRIX": Suite(chk_qkz_matrix, "q-KZ window ({m},{n}), seed {seed}",
-                        WINDOWED, _window_sweep(_QKZ_WINDOWS)),
+                        WINDOWED, _window_sweep(_QKZ_WINDOWS), acceptance={"lmax": 4}),
     "DUAL_QKZ": Suite(chk_dual_qkz, "dual q-KZ window ({m},{n}), seed {seed}",
-                      WINDOWED, _window_sweep(_QKZ_WINDOWS[:2])),
+                      WINDOWED, _window_sweep(_QKZ_WINDOWS[:2]), acceptance={"lmax": 3}),
     "ITO_QKZ": Suite(chk_ito_qkz, "lattice-sum equations ({m},{n}), seed {seed}",
-                     WINDOWED, _window_sweep(_QKZ_WINDOWS)),
+                     WINDOWED, _window_sweep(_QKZ_WINDOWS), acceptance={"lmax": 3}),
     "COMMUTATIVITY": Suite(
         chk_commutativity, "R D2 A = A R D2 at N={N}, seed {seed}",
         {"N": (min(_COMM_WINDOWS), max(_COMM_WINDOWS))}, tuple({"N": N} for N in _COMM_WINDOWS)),
     "AL_EQ_JACKSON": Suite(
         chk_al_jackson, "partition sum = lattice sum ({m},{n}), seed {seed}",
-        WINDOWED, _window_sweep(_ALJ_WINDOWS)),
+        WINDOWED, _window_sweep(_ALJ_WINDOWS), acceptance={"lmax": 3}),
     "NEKRASOV_3WAY": Suite(chk_nekrasov_3way, "orbifolded factor forms, seed {seed}"),
     "PENTAGON": Suite(chk_pentagon, "dilogarithm expansion, seed {seed}"),
     "BAILEY": Suite(chk_bailey, "10W9 transformation, seed {seed}"),
     "SHUFFLE": Suite(chk_shuffle, "factorized antisymmetrization, seed {seed}"),
-    "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}", SERIES_ORDERS),
-    "FOURD_LIMIT": Suite(chk_fourd, "small-h limit, seed {seed}", {"jet_order": (1, math.inf)}),
-    "HEINE_EXAMPLE": Suite(chk_heine, "basic hypergeometric pair, seed {seed}", _LAMBDA_ORDER),
+    "COUPLED": Suite(chk_coupled, "coupled two-step system, seed {seed}", SERIES_ORDERS,
+                     acceptance={"kmax": 4, "lmax": 4}),
+    "FOURD_LIMIT": Suite(chk_fourd, "small-h limit, seed {seed}", {"jet_order": (1, math.inf)},
+                         acceptance={"jet_order": 2}),
+    "HEINE_EXAMPLE": Suite(chk_heine, "basic hypergeometric pair, seed {seed}", _LAMBDA_ORDER,
+                           acceptance={"lmax": 4}),
 }
 
 

@@ -11,20 +11,20 @@ import pytest
 
 from qkz import cli
 from qkz.cli import main
+from qkz.suites import SUITES, SuiteConfig
 
 from loader import load_module
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-GATE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 BENCH = load_module("perfbench_run", RUN)
-SUITES = [(workload, suite, options) for workload, spec in BENCH.WORKLOADS.items()
-          for suite, options in spec.suites]
+WORKLOAD_RUNS = [(workload, suite, options) for workload, spec in BENCH.WORKLOADS.items()
+                 for suite, options in spec.suites]
 
 
-@pytest.mark.parametrize("workload, suite, options", SUITES,
-                         ids=[suite for _, suite, _ in SUITES])
+@pytest.mark.parametrize("workload, suite, options", WORKLOAD_RUNS,
+                         ids=[suite for _, suite, _ in WORKLOAD_RUNS])
 def test_report_matches_the_recorded_digests(monkeypatch, tmp_path, workload, suite,
                                              options):
     monkeypatch.setenv("QKZ_THREADS", "1")
@@ -41,31 +41,17 @@ class _Built(Exception):
     """Carries the SuiteConfig that `qkz verify` built, before any check runs."""
 
 
-def _gate_configs():
-    """The SuiteConfig of each suite in the acceptance gate, collected by
-    running its criteria with a `_run` that only records them."""
-    gate = load_module("acceptance_gate", GATE)
-    configs = {}
-    gate._run = lambda tag, cfg, **budgets: configs.setdefault(cfg.suite, cfg)
-    for name, criterion in vars(gate).items():
-        if name.startswith("test_criterion_"):
-            criterion()
-    return configs
-
-
 def test_the_workloads_run_the_acceptance_configs(monkeypatch):
-    # WORKLOADS copies the gate's options by hand: each suite's command line
-    # must build the config its criterion runs, and the suites must be the same
-    gate = _gate_configs()
-    assert sorted(gate) == sorted(suite for _, suite, _ in SUITES)
+    # WORKLOADS copies the registry's acceptance options by hand: each suite's
+    # command line, at the default seeds, must build its acceptance config,
+    # and the suites must be the registry's
+    assert sorted(suite for _, suite, _ in WORKLOAD_RUNS) == sorted(SUITES)
 
     def built(cfg):
         raise _Built(cfg)
 
     monkeypatch.setattr(cli, "run_suite", built)
-    for _, suite, options in SUITES:
-        want = gate[suite]
-        seeds = [arg for seed in want.seeds for arg in ("--seed", str(seed))]
+    for _, suite, options in WORKLOAD_RUNS:
         with pytest.raises(_Built) as got:
-            main(["verify", suite, *options, *seeds])
-        assert got.value.args[0] == want, suite
+            main(["verify", suite, *options])
+        assert got.value.args[0] == SuiteConfig(suite=suite, **SUITES[suite].acceptance), suite

@@ -90,23 +90,29 @@ def test_every_definition_has_a_caller_in_the_package():
     assert [entry for entry in unreferenced() if entry not in exempt] == []
 
 
-def test_the_scan_reports_a_definition_without_a_caller():
+def _copy_with(tmp_path, monkeypatch, additions):
+    """Point the scan at a copy of the package with `additions` {file name:
+    text} appended to its files."""
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text() + additions.get(path.name, ""))
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+
+
+def test_the_scan_reports_a_definition_without_a_caller(tmp_path, monkeypatch):
     # the scan can fail: it reports the exempt definitions that no package
-    # code calls
+    # code calls, and a definition planted in a copy of the package
     found = unreferenced()
     assert ("cone", "apply_full_step") in found
     assert ("qseries", "qbracket_poch") in found
+    _copy_with(tmp_path, monkeypatch, {"laumon.py": "\n\ndef planted():\n    return 1\n"})
+    assert sorted(unreferenced()) == sorted(found + [("laumon", "planted")])
 
 
 def test_a_re_export_is_not_a_caller(tmp_path, monkeypatch):
     # a function that only ``__init__.py`` names is reported
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    with open(tmp_path / "scalars.py", "a") as fh:
-        fh.write("\n\ndef exported_only():\n    return 1\n")
-    with open(tmp_path / "__init__.py", "a") as fh:
-        fh.write("\nfrom .scalars import exported_only  # noqa: F401\n")
-    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+    _copy_with(tmp_path, monkeypatch, {
+        "scalars.py": "\n\ndef exported_only():\n    return 1\n",
+        "__init__.py": "\nfrom .scalars import exported_only  # noqa: F401\n"})
     assert ("scalars", "exported_only") in unreferenced()
 
 

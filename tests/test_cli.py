@@ -287,15 +287,19 @@ def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, tmp_path
 
 
 def test_readme_option_table_matches_the_registry():
-    # each `| `SUITE` | options | checks |` row names the flags its suite reads
+    # each `| `SUITE` | options | acceptance run | checks |` row names the
+    # flags its suite reads and the values its acceptance run sets
     from qkz.suites import SUITES
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `([A-Z0-9_]+)` \| ([^|]*) \|", readme, re.MULTILINE)
-    assert sorted(suite for suite, _ in rows) == sorted(SUITES) and len(SUITES) == 14
-    for suite, options in rows:
+    rows = re.findall(r"^\| `([A-Z0-9_]+)` \| ([^|]*) \| ([^|]*) \|", readme, re.MULTILINE)
+    assert sorted(suite for suite, _, _ in rows) == sorted(SUITES) and len(SUITES) == 14
+    for suite, options, acceptance in rows:
         flags = {flag.replace("-", "_") for flag in re.findall(r"--([A-Za-z][\w-]*)", options)}
         assert flags == set(SUITES[suite].limits), suite
+        values = re.findall(r"--([A-Za-z][\w-]*) (\d+)", acceptance)
+        got = {flag.replace("-", "_"): int(v) for flag, v in values}
+        assert got == SUITES[suite].acceptance, suite
 
 
 def test_readme_csv_header_is_the_report_header():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -481,6 +482,60 @@ def test_residue_bins_equal_the_floor_differences():
                             want.append((i - j - 1, l - hi + (k - l + hi) % n, c2))
                 got = _residue_bins(laumon._floor_runs(lam, mu), k, n)
                 assert sorted(got) == sorted(want), (lam, mu, n, k)
+
+
+def _run_keys(runs, step):
+    """The bracket keys (a, e) of runs (e_q, e_kap, n), each stepping (a, e)
+    by `step` from (e_q, e_kap), as `_kappa_groups` reads them."""
+    s_q, s_kap = step
+    return Counter((e_q + i * s_q, e_kap + i * s_kap) for e_q, e_kap, n in runs for i in range(n))
+
+
+def _pairs_up_to(size):
+    diagrams = [lam for k in range(size + 1) for lam in partitions_of(k)]
+    return [(lam, mu) for lam in diagrams for mu in diagrams]
+
+
+def test_the_three_factor_forms_list_one_multiset_of_bracket_keys():
+    # each form is a product of brackets [u q^a kappa^e] from one table, and
+    # residue k of order n keeps those with e = k (mod n): one multiset of
+    # keys (a, e) makes the forms agree at every point, u, n and k.  These
+    # are all the pairs NEKRASOV_3WAY draws (|lambda|, |mu| <= 8).
+    pairs = _pairs_up_to(8)
+    assert len(pairs) == 4489
+    for lam, mu in pairs:
+        box = Counter(laumon._box_keys(lam, mu))
+        assert _run_keys(laumon._row_runs(lam, mu), (1, 0)) == box, (lam, mu)
+        assert _run_keys(laumon._floor_runs(lam, mu), (0, 1)) == box, (lam, mu)
+
+
+def test_a_floor_run_moved_by_one_in_kappa_lists_other_keys():
+    # the comparison can fail: with its first floor run's kappa start moved
+    # by 1, every pair that has a floor run lists other keys than the box
+    moved = 0
+    for lam, mu in _pairs_up_to(4):
+        runs = laumon._floor_runs(lam, mu)
+        if runs:
+            (e_q, e, n), *rest = runs
+            got = _run_keys([(e_q, e + 1, n), *rest], (0, 1))
+            assert got != Counter(laumon._box_keys(lam, mu)), (lam, mu)
+            moved += 1
+    assert moved == 143
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m, n, lmax", [(1, 0, 6), (2, 1, 6), (2, 2, 6), (3, 3, 4)])
+def test_the_truncated_equation_holds_on_its_strip(seed, m, n, lmax):
+    # the paper's truncated Hamiltonian acts on finite Laurent polynomials:
+    # at a point tuned to the window (m, n) the solver equals the pruned
+    # partition sum on the (m + lmax) x lmax rectangle, and both vanish off
+    # the strip -n <= k - l <= m, on which no cell vanishes at these points
+    p = sample_generic_point(seed, max(8, m + lmax)).with_overrides(m, n)
+    solved, summed = solve_shakirov(p, m + lmax, lmax), z_al(p, m + lmax, lmax)
+    for k in range(m + lmax + 1):
+        for l in range(lmax + 1):
+            assert solved.c[k][l] == summed.c[k][l], (k, l)
+            assert (summed.c[k][l] != 0) == (-n <= k - l <= m), (k, l)
 
 
 # -- slow forms of the partition sum, kept as oracles ---------------------------
