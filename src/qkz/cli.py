@@ -1,14 +1,15 @@
 """Command-line front end.
 
-    qkz verify <SUITE_ID> [--seed S]... [--points P] [--kmax K] [--lmax L]
-               [--m M --n N] [--N N] [--jet-order J] [--out PATH] [--format json|csv]
+    qkz verify <SUITE_ID> [--seed S]... [--kmax K] [--lmax L] [--m M --n N]
+               [--N N] [--jet-order J] [--out PATH] [--format json|csv]
     qkz solve   --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
     qkz laumon  --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
     qkz rmatrix --m M --n N --seed S [--lambda p/s] [--fourd] [--out FILE]
     qkz jackson --m M --n N --lmax L --seed S [--a2 p/s] [--out FILE]
 
-Exit code 0 iff every check passes, 2 on an invalid configuration.
-QKZ_THREADS caps the worker pool.
+Exit code 0 iff every check passes (a dump: on success), 1 if a check
+fails, 2 on an invalid configuration, 3 when a dump command meets a
+QkzError such as a degenerate point.  QKZ_THREADS caps the worker pool.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          argument_default=argparse.SUPPRESS)
     ver.add_argument("suite", metavar="SUITE_ID")
     ver.add_argument("--seed", action="append", type=int, dest="seeds", metavar="SEED")
-    for name in ("points", *SUITE_OPTIONS):
+    for name in SUITE_OPTIONS:
         ver.add_argument("--" + name.replace("_", "-"), type=int)
     ver.add_argument("--out", default=None)
     ver.add_argument("--format", choices=("json", "csv"), default="json")

@@ -110,7 +110,7 @@ def transition_runs(m: int, n: int, d1, d4, lam, q) -> TransitionRuns:
         wv_row=qpoch_run(lam * qi, qi, N))
 
 
-def ruw_entry(i: int, k: int, m: int, n: int, d4, q, runs: TransitionRuns):
+def ruw_entry(i: int, k: int, m: int, d4, q, runs: TransitionRuns):
     """Upper-triangular transition coefficient (zero for k < i), its
     q-Pochhammer factors read from `runs`."""
     if k < i:
@@ -158,7 +158,7 @@ def r_closed_form(m: int, n: int, d1, d4, lam, q) -> ScalarMatrix:
     window = range(-n, m + 1)
     runs = transition_runs(m, n, d1, d4, lam, q)
     uw = ScalarMatrix.from_rows(
-        [[ruw_entry(i, k, m, n, d4, q, runs) for k in window] for i in window])
+        [[ruw_entry(i, k, m, d4, q, runs) for k in window] for i in window])
     wv = ScalarMatrix.from_rows(
         [[rwv_entry(k, j, m, n, q, runs) for j in window] for k in window])
     left = ScalarMatrix.diagonal([q ** (-i * n) * d4 ** (i + n) * lam ** i for i in window])

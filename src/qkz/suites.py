@@ -39,9 +39,8 @@ from .jackson import (
     ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
 
 DEFAULT_SEEDS = (1, 2, 3)
-SEED_STRIDE = 1_000_003
-# the options a suite may read besides seeds and points, each with the
-# value it takes when left unset
+# the options a suite may read besides seeds, each with the value it takes
+# when left unset
 SUITE_OPTIONS = {"kmax": 4, "lmax": 4, "m": None, "n": None, "N": None, "jet_order": 2}
 # (low, high) bounds of those options, shared by the suite registry and the
 # dump commands
@@ -55,11 +54,10 @@ WINDOWED = {**WINDOW, **_LAMBDA_ORDER}
 @dataclass
 class SuiteConfig:
     """A run's inputs, which its report gives as `config`: the suite, the
-    seeds with their point count, and the options in the suite's `limits`,
-    each set to its SUITE_OPTIONS value when left unset."""
+    seeds, one point each, and the options in the suite's `limits`, each
+    set to its SUITE_OPTIONS value when left unset."""
     suite: str
     seeds: tuple = DEFAULT_SEEDS
-    points: int = 1
     kmax: int | None = None
     lmax: int | None = None
     m: int | None = None
@@ -74,12 +72,8 @@ class SuiteConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.points < 1:
-            raise ConfigError(f"--points must be at least 1, got {self.points}")
-        seeds = self.expanded_seeds()
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError(f"a seed repeats in {seeds} (each --seed S checks "
-                              f"S + {SEED_STRIDE} k for k < --points)")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"a seed repeats in {list(self.seeds)}")
         check_limits(self.suite, spec.limits, self)
         for opt in spec.limits:
             if getattr(self, opt) is None:
@@ -88,10 +82,6 @@ class SuiteConfig:
     def options(self) -> dict:
         """The options its suite reads, by name; the others stay None."""
         return {opt: getattr(self, opt) for opt in SUITES[self.suite].limits}
-
-    def expanded_seeds(self) -> list:
-        """Every seed the run checks: each --seed S with its --points draws."""
-        return [s + SEED_STRIDE * k for s in self.seeds for k in range(self.points)]
 
 
 def check_limits(owner: str, limits: dict, options) -> None:
@@ -565,9 +555,9 @@ def chk_heine(rec: Recorder, seed: int, lmax: int):
 class Suite(NamedTuple):
     """A check (called with a Recorder, a seed and the options it reads),
     its name template (formatted with the check's arguments), the
-    (low, high) bounds of each option the suite reads besides seeds and
-    points, its sweep: option values, one check per entry, for a run that
-    leaves those options unset, and its acceptance options (at DEFAULT_SEEDS)."""
+    (low, high) bounds of each option the suite reads besides seeds, its
+    sweep: option values, one check per entry, for a run that leaves those
+    options unset, and its acceptance options (at DEFAULT_SEEDS)."""
     check: Callable
     name: str
     limits: dict = {}
@@ -619,7 +609,7 @@ def suite_tasks(cfg: SuiteConfig) -> list:
     sweep = [entry for entry in SUITES[cfg.suite].sweep
              if all(given[opt] is None for opt in entry)]
     return [(cfg.suite, {"seed": s, **given, **entry})
-            for s in cfg.expanded_seeds() for entry in sweep or [{}]]
+            for s in cfg.seeds for entry in sweep or [{}]]
 
 
 def _execute(task):
@@ -686,8 +676,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         "version": __version__,
         "env": {"backend": f"{Rat.__module__}.{Rat.__name__}",
                 "python": sys.version.split()[0], "workers": workers},
-        "config": {"suite": cfg.suite, "seeds": list(cfg.seeds), "points": cfg.points,
-                   **cfg.options()},
+        "config": {"suite": cfg.suite, "seeds": list(cfg.seeds), **cfg.options()},
         "checks": records,
     }
 

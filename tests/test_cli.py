@@ -64,7 +64,30 @@ def test_a_report_does_not_depend_on_where_it_is_written(monkeypatch, tmp_path):
         assert main(["verify", "BAILEY", "--seed", "1", "--out", str(out)]) == 0
         texts.append(re.sub(r'"time_ms": \d+', '"time_ms": 0', out.read_text()))
     assert texts[0] == texts[1]
-    assert json.loads(texts[0])["config"] == {"suite": "BAILEY", "seeds": [1], "points": 1}
+    assert json.loads(texts[0])["config"] == {"suite": "BAILEY", "seeds": [1]}
+
+
+def test_a_run_checks_exactly_the_seeds_it_names(monkeypatch, tmp_path):
+    monkeypatch.setenv("QKZ_THREADS", "1")
+    out = tmp_path / "r.json"
+    assert main(["verify", "BAILEY", "--seed", "1", "--seed", "1000004", "--out", str(out)]) == 0
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == [
+        "10W9 transformation, seed 1", "10W9 transformation, seed 1000004"]
+
+
+def test_a_point_count_option_is_rejected_by_the_parser(monkeypatch, capsys):
+    # the seeds a run names are the points it checks: there is no option
+    # that draws more
+    from qkz import suites
+
+    def no_check(task):
+        raise AssertionError(f"check ran: {task}")
+
+    monkeypatch.setattr(suites, "_execute", no_check)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "BAILEY", "--points", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --points 2" in capsys.readouterr().err
 
 
 def test_an_unknown_format_is_rejected_by_the_parser(capsys):
@@ -239,8 +262,8 @@ def test_jackson_dump(tmp_path):
 
 
 @pytest.mark.parametrize("argv, env", [
-    (["BAILEY", "--points", "0"], None),
-    (["BAILEY", "--points", "-1"], None),
+    (["COMMUTATIVITY", "--N", "-1"], None),
+    (["AL_EQ_JACKSON", "--m", "0", "--n", "-1"], None),
     (["QKZ_MATRIX", "--m", "1"], None),
     (["DUAL_QKZ", "--n", "1"], None),
     (["BAILEY", "--m", "1", "--n", "1"], None),
@@ -257,7 +280,7 @@ def test_jackson_dump(tmp_path):
     (["FOURD_LIMIT", "--jet-order", "0"], None),
     (["BAILEY"], "abc"),
     (["BAILEY", "--seed", "1", "--seed", "1"], None),
-    (["BAILEY", "--seed", "1", "--seed", "1000004", "--points", "2"], None),
+    (["BAILEY", "--seed", "2", "--seed", "3", "--seed", "2"], None),
     (["BAILEY", "--kmax", "-5"], None),
     (["PENTAGON", "--lmax", "9"], None),
     (["SHAKIROV_EQ", "--jet-order", "2"], None),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qkz.cone import (
@@ -20,7 +22,8 @@ from qkz.cone import (
     solve_shakirov,
 )
 from qkz.errors import ResonanceError
-from qkz.qseries import dbl_qt_poch_series
+from qkz.qseries import LambdaSeries, dbl_qt_poch_series
+from qkz.rmatrix import expansion_matrices, r_via_linear_system
 from qkz.scalars import ParamPoint, Rat, sample_generic_point, shakirov_eigenvalue
 
 from oracles import typed
@@ -164,6 +167,68 @@ def test_solver_mass_truncated_support():
         for l in range(4):
             if not 0 <= k - l <= 1:
                 assert psi.c[k][l] == 0
+
+
+# -- the first theorem: the tuned Hamiltonian acts on the strip by R -------------
+
+THEOREM_ORDER = 4
+
+
+def _strip_step(p, m, n, seed):
+    """(input, image): a series on x^k (Lambda/x)^l, k <= m + L, l <= L at
+    L = THEOREM_ORDER, with random rational cells on the strip
+    -n <= k - l <= m of window (m, n) and zeros elsewhere, and its full
+    step at p."""
+    L = THEOREM_ORDER
+    rng = random.Random(seed)
+    psi = ConeSeries(m + L, L)
+    for k in range(m + L + 1):
+        for l in range(L + 1):
+            if -n <= k - l <= m:
+                psi.c[k][l] = Rat(rng.randint(-9, 9), rng.randint(1, 9))
+    return psi, apply_full_step(psi, p)
+
+
+def _off_strip(s, m, n):
+    return [(k, l) for k in range(s.kmax + 1) for l in range(s.lmax + 1)
+            if not -n <= k - l <= m and s.c[k][l] != 0]
+
+
+def _component(s, j):
+    """psi_j(Lambda): the coefficients of x^j Lambda^b, b <= lmax, which sit
+    in cell (j + b, b), with 0 where j + b < 0."""
+    return LambdaSeries(s.c[j + b][b] if j + b >= 0 else 0 for b in range(s.lmax + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("window", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2)])
+def test_the_tuned_hamiltonian_acts_on_the_strip_by_r(seed, window):
+    # the paper's first theorem as an operator identity: at d2 = q^-m and
+    # d3 = q^-n, H_S T^-1_{qtQ,x} T^-1_{t,Lambda} keeps sum_i x^i psi_i(Lambda)
+    # on the strip and sends it to sum_j x^j psi'_j(Lambda) with
+    # psi'_j(L) = sum_i psi_i(L/t) (qtQ)^-i r_ij(L), through Lambda^L
+    m, n = window
+    L = THEOREM_ORDER
+    p = sample_generic_point(seed, max(8, m + L)).with_overrides(m, n)
+    psi, image = _strip_step(p, m, n, seed)
+    assert _off_strip(image, m, n) == []
+    r = r_via_linear_system(*expansion_matrices(m, n, p.d1, p.d4, LambdaSeries.variable(L), p.q))
+    qtQ = p.q * p.t * p.Q
+    shifted = [_component(psi, i).shift_variable(1 / p.t) * qtQ ** -i for i in range(-n, m + 1)]
+    for jj, j in enumerate(range(-n, m + 1)):
+        assert _component(image, j) == sum(
+            (row * r[ii, jj] for ii, row in enumerate(shifted)), LambdaSeries.constant(0, L)), j
+    assert any(cell != 0 for row in image.c for cell in row)
+
+
+@pytest.mark.parametrize("window", [(1, 0), (2, 1), (2, 2)])
+def test_a_hamiltonian_tuned_to_another_window_leaks_off_the_strip(window):
+    # the mutant: tuned to (m + 1, n), the step sends part of the (m, n)
+    # strip outside it
+    m, n = window
+    p = sample_generic_point(1, max(8, m + 1 + THEOREM_ORDER)).with_overrides(m + 1, n)
+    _, image = _strip_step(p, m, n, 1)
+    assert len(_off_strip(image, m, n)) == 4
 
 
 def test_solver_resonance_detection():

@@ -175,7 +175,7 @@ def test_transition_matrix_shapes():
     for i in range(-n, m + 1):
         for k in range(-n, m + 1):
             if k < i:
-                assert ruw_entry(i, k, m, n, D4, Q, runs) == 0
+                assert ruw_entry(i, k, m, D4, Q, runs) == 0
     for k in range(-n, m + 1):
         for j in range(-n, m + 1):
             if k + j < m - n:
@@ -227,7 +227,7 @@ def test_transition_entries_equal_their_per_entry_form(window):
                 [typed(form(j)) for j in range(N + 1)], name
         for i in range(-n, m + 1):
             for k in range(-n, m + 1):
-                assert typed(ruw_entry(i, k, m, n, D4, Q, runs)) == \
+                assert typed(ruw_entry(i, k, m, D4, Q, runs)) == \
                     typed(_ruw_per_entry(i, k, m, n, D1, D4, lam, Q))
                 assert typed(rwv_entry(i, k, m, n, Q, runs)) == \
                     typed(_rwv_per_entry(i, k, m, n, D4, lam, Q))
