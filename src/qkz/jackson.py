@@ -457,9 +457,11 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
 
     where rho_i Lambda^(block) are the exact base-point ratios and h0 the
     pivot constants -- no fitted quantities anywhere.  Returns a dict of
-    (left, right) pairs of series lists, each pair expected equal through
-    order lmax - 1; under "Lambda^0" the computed constant terms and their
+    (left, right) pairs of series lists, each pair equal through its full
+    order lmax; under "Lambda^0" the computed constant terms and their
     closed forms matsuo_leading_constant for k = 0..m (k = m is the pivot).
+    Every step is causal in Lambda, so coefficient L of a side is the same
+    at every order lmax >= L.
     """
     N = jp.N
     lam = LambdaSeries.variable(lmax)

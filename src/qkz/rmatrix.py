@@ -216,7 +216,9 @@ def qkz_residual(p: ParamPoint, lmax: int):
     The components come from the mass-truncated partition sum; the matrix is
     evaluated with Lambda as a truncated series scalar, and the right side is
     one row-times-matrix product.  Returns (left, right), two lists of
-    LambdaSeries indexed by j + n, expected equal through order lmax - 1.
+    LambdaSeries indexed by j + n, equal through their full order lmax.
+    Every step is causal in Lambda, so coefficient L of a side is the same
+    at every order lmax >= L.
     """
     m, n = p.window
     comps = z_al_truncated(p, lmax)

@@ -313,10 +313,13 @@ def chk_rmatrix_3way(rec: Recorder, seed: int):
 
 
 def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
-    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
-    left, right = qkz_residual(_sample_point(rec, seed, 8, (m, n)), lmax)
+    through = lmax - 1
+    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
+    # each compared coefficient is causal in Lambda, so the sides are built
+    # at the compared order (at least 1, which LambdaSeries.variable needs)
+    left, right = qkz_residual(_sample_point(rec, seed, 8, (m, n)), max(1, through))
     for J, (a, b) in enumerate(zip(left, right)):
-        rec.series(a, b, lmax - 1, {"component": J - n})
+        rec.series(a, b, through, {"component": J - n})
 
 
 def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
@@ -328,14 +331,16 @@ def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 
 
 def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
-    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": lmax - 1}
+    through = lmax - 1
+    rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
     a2 = _rng_rationals(seed + 17, 1)[0]
     jp = JacksonParams.from_point(_sample_point(rec, seed, 8, (m, n)), a2)
-    for name, (left, right) in ito_qkz_check(jp, lmax).items():
+    # built at the compared order, as in chk_qkz_matrix
+    for name, (left, right) in ito_qkz_check(jp, max(1, through)).items():
         # the Lambda^0 constants come as constant series: only order 0 can differ
-        through = 0 if name == "Lambda^0" else lmax - 1
         for index, (a, b) in enumerate(zip(left, right)):
-            rec.series(a, b, through, {"equation": name, "index": index})
+            rec.series(a, b, 0 if name == "Lambda^0" else through,
+                       {"equation": name, "index": index})
 
 
 _COMM_WINDOWS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (2, 1), 4: (2, 2)}

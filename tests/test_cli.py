@@ -262,36 +262,38 @@ def test_jackson_dump(tmp_path):
 
 
 @pytest.mark.parametrize("argv, env", [
-    (["COMMUTATIVITY", "--N", "-1"], None),
-    (["AL_EQ_JACKSON", "--m", "0", "--n", "-1"], None),
-    (["QKZ_MATRIX", "--m", "1"], None),
-    (["DUAL_QKZ", "--n", "1"], None),
-    (["BAILEY", "--m", "1", "--n", "1"], None),
-    (["QKZ_MATRIX", "--m", "-1", "--n", "0"], None),
-    (["QKZ_MATRIX", "--lmax", "0"], None),
-    (["HEINE_EXAMPLE", "--lmax", "0"], None),
-    (["ITO_QKZ", "--lmax", "0"], None),
-    (["DUAL_QKZ", "--lmax", "0"], None),
-    (["AL_EQ_JACKSON", "--lmax", "0"], None),
-    (["SHAKIROV_EQ", "--kmax", "-1"], None),
-    (["COUPLED", "--lmax", "-1"], None),
-    (["COMMUTATIVITY", "--N", "7"], None),
-    (["BAILEY", "--N", "1"], None),
-    (["FOURD_LIMIT", "--jet-order", "0"], None),
-    (["BAILEY"], "abc"),
-    (["BAILEY", "--seed", "1", "--seed", "1"], None),
-    (["BAILEY", "--seed", "2", "--seed", "3", "--seed", "2"], None),
-    (["BAILEY", "--kmax", "-5"], None),
-    (["PENTAGON", "--lmax", "9"], None),
-    (["SHAKIROV_EQ", "--jet-order", "2"], None),
-    (["FOURD_LIMIT", "--lmax", "3"], None),
-    (["BAILEY"], "0"),
-    (["BAILEY"], "-1"),
+    pytest.param(["COMMUTATIVITY", "--N", "-1"], None, id="argv0-None"),
+    pytest.param(["AL_EQ_JACKSON", "--m", "0", "--n", "-1"], None, id="argv1-None"),
+    pytest.param(["QKZ_MATRIX", "--m", "1"], None, id="argv2-None"),
+    pytest.param(["DUAL_QKZ", "--n", "1"], None, id="argv3-None"),
+    pytest.param(["BAILEY", "--m", "1", "--n", "1"], None, id="argv4-None"),
+    pytest.param(["QKZ_MATRIX", "--m", "-1", "--n", "0"], None, id="argv5-None"),
+    pytest.param(["QKZ_MATRIX", "--lmax", "0"], None, id="argv6-None"),
+    pytest.param(["HEINE_EXAMPLE", "--lmax", "0"], None, id="argv7-None"),
+    pytest.param(["ITO_QKZ", "--lmax", "0"], None, id="argv8-None"),
+    pytest.param(["DUAL_QKZ", "--lmax", "0"], None, id="argv9-None"),
+    pytest.param(["AL_EQ_JACKSON", "--lmax", "0"], None, id="argv10-None"),
+    pytest.param(["SHAKIROV_EQ", "--kmax", "-1"], None, id="argv11-None"),
+    pytest.param(["COUPLED", "--lmax", "-1"], None, id="argv12-None"),
+    pytest.param(["COMMUTATIVITY", "--N", "7"], None, id="argv13-None"),
+    pytest.param(["BAILEY", "--N", "1"], None, id="argv14-None"),
+    pytest.param(["FOURD_LIMIT", "--jet-order", "0"], None, id="argv15-None"),
+    pytest.param(["BAILEY"], "abc", id="argv16-abc"),
+    pytest.param(["BAILEY", "--seed", "1", "--seed", "1"], None, id="argv17-None"),
+    pytest.param(["BAILEY", "--seed", "2", "--seed", "3", "--seed", "2"], None, id="argv18-None"),
+    pytest.param(["BAILEY", "--kmax", "-5"], None, id="argv19-None"),
+    pytest.param(["PENTAGON", "--lmax", "9"], None, id="argv20-None"),
+    pytest.param(["SHAKIROV_EQ", "--jet-order", "2"], None, id="argv21-None"),
+    pytest.param(["FOURD_LIMIT", "--lmax", "3"], None, id="argv22-None"),
+    pytest.param(["BAILEY"], "0", id="argv23-0"),
+    pytest.param(["BAILEY"], "-1", id="argv24--1"),
     # an --out that cannot be written: {tmp} is an existing empty directory
-    (["BAILEY", "--out", "{tmp}/missing/r.json"], None),
-    (["NEKRASOV_3WAY", "--seed", "1", "--out", "{tmp}/missing/x.json"], None),
-    (["BAILEY", "--format", "csv", "--out", "{tmp}/missing/r.csv"], None),
-    (["BAILEY", "--out", "{tmp}"], None),
+    pytest.param(["BAILEY", "--out", "{tmp}/missing/r.json"], None, id="argv25-None"),
+    pytest.param(["NEKRASOV_3WAY", "--seed", "1", "--out", "{tmp}/missing/x.json"], None,
+                 id="argv26-None"),
+    pytest.param(["BAILEY", "--format", "csv", "--out", "{tmp}/missing/r.csv"], None,
+                 id="argv27-None"),
+    pytest.param(["BAILEY", "--out", "{tmp}"], None, id="argv28-None"),
 ])
 def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, tmp_path, argv, env):
     from qkz import suites
@@ -333,17 +335,20 @@ def test_readme_csv_header_is_the_report_header():
 
 
 @pytest.mark.parametrize("flag, argv", [
-    ("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "1/0"]),
-    ("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "abc"]),
-    ("--m", ["rmatrix", "--m", "-1", "--n", "0"]),
-    ("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "0"]),
-    ("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "x"]),
-    ("--m", ["jackson", "--m", "-1", "--n", "0"]),
-    ("--lmax", ["jackson", "--m", "1", "--n", "0", "--lmax", "0"]),
-    ("--kmax", ["solve", "--kmax", "-1"]),
-    ("--lmax", ["laumon", "--lmax", "-1"]),
-    ("--m", ["laumon", "--m", "1"]),
-    ("--out", ["laumon", "--kmax", "1", "--lmax", "1", "--out", "{tmp}/missing/x.csv"]),
+    pytest.param("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "1/0"],
+                 id="--lambda-argv0"),
+    pytest.param("--lambda", ["rmatrix", "--m", "1", "--n", "0", "--lambda", "abc"],
+                 id="--lambda-argv1"),
+    pytest.param("--m", ["rmatrix", "--m", "-1", "--n", "0"], id="--m-argv2"),
+    pytest.param("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "0"], id="--a2-argv3"),
+    pytest.param("--a2", ["jackson", "--m", "1", "--n", "0", "--a2", "x"], id="--a2-argv4"),
+    pytest.param("--m", ["jackson", "--m", "-1", "--n", "0"], id="--m-argv5"),
+    pytest.param("--lmax", ["jackson", "--m", "1", "--n", "0", "--lmax", "0"], id="--lmax-argv6"),
+    pytest.param("--kmax", ["solve", "--kmax", "-1"], id="--kmax-argv7"),
+    pytest.param("--lmax", ["laumon", "--lmax", "-1"], id="--lmax-argv8"),
+    pytest.param("--m", ["laumon", "--m", "1"], id="--m-argv9"),
+    pytest.param("--out", ["laumon", "--kmax", "1", "--lmax", "1", "--out", "{tmp}/missing/x.csv"],
+                 id="--out-argv10"),
 ])
 def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, tmp_path, flag, argv):
     import qkz.cli

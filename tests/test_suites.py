@@ -18,10 +18,12 @@ from qkz.scalars import (ONE, Rat, coprime_base, exponent_vector, is_plain, quot
                          sample_generic_point)
 from qkz import suites
 from qkz.suites import (
-    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _execute, _sample_point,
-    chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz, chk_nekrasov_3way,
-    chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle, run_suite,
-    suite_tasks)
+    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _coefficients, _execute,
+    _sample_point, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz,
+    chk_nekrasov_3way, chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle,
+    run_suite, suite_tasks)
+
+from oracles import typed
 
 ALJ = "partition sum = lattice sum"
 
@@ -607,12 +609,12 @@ def test_ito_qkz_window_3_2_at_order_3():
 
 
 def test_ito_qkz_and_qkz_matrix_also_hold_at_order_lmax():
-    # both checks compute order lmax and compare through lmax - 1; the
-    # identities hold at order lmax too, at the checks' own points: 135
-    # ITO_QKZ pairs at lmax 3 and 45 QKZ_MATRIX pairs at lmax 4
+    # both checks build and compare through lmax - 1; the identities hold
+    # one order higher too, at the checks' own points: 135 ITO_QKZ pairs
+    # at order 3 and 45 QKZ_MATRIX pairs at order 4
     from qkz.jackson import JacksonParams, ito_qkz_check
     from qkz.rmatrix import qkz_residual
-    from qkz.suites import _coefficients, _rng_rationals
+    from qkz.suites import _rng_rationals
 
     pairs = {"ito": [], "qkz": []}
     for seed in range(1, 6):
@@ -629,6 +631,56 @@ def test_ito_qkz_and_qkz_matrix_also_hold_at_order_lmax():
         assert len(pairs[name]) == count
         assert all(a == b for a, b in pairs[name])
         assert sum(a != 0 for a, _ in pairs[name]) > count // 2
+
+
+def _sides(built, order):
+    """Coefficients 0..order, typed, of every entry of the two sides of each
+    equation in `built`: {name: (left, right)}."""
+    return {name: [typed([list(_coefficients(x, order)) for x in side]) for side in sides]
+            for name, sides in built.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+def test_qkz_and_ito_sides_are_causal_in_lambda(seed, m, n):
+    # the oracle of building both checks at their compared order: the
+    # coefficients 0..L of each side built at order L equal, in value and
+    # type, those of the same side built at L + 1.  An entry may be an int 0
+    # at order L and a series at L + 1; its coefficients through L agree.
+    from qkz.jackson import JacksonParams, ito_qkz_check
+    from qkz.rmatrix import qkz_residual
+    from qkz.suites import _rng_rationals
+
+    p = sample_generic_point(seed, guard=8).with_overrides(m, n)
+    jp = JacksonParams.from_point(p, _rng_rationals(seed + 17, 1)[0])
+
+    def built(order):
+        return {"q-KZ": qkz_residual(p, order), **ito_qkz_check(jp, order)}
+
+    higher = built(1)
+    for order in (1, 2, 3):
+        lower, higher = higher, built(order + 1)
+        assert all(x.order == order for sides in lower.values() for side in sides
+                   for x in side if isinstance(x, LambdaSeries))
+        assert _sides(lower, order) == _sides(higher, order), order
+
+
+@pytest.mark.parametrize("check, builder", [(chk_qkz_matrix, "qkz_residual"),
+                                            (chk_ito_qkz, "ito_qkz_check")])
+def test_the_checks_build_their_sides_at_the_compared_order(monkeypatch, check, builder):
+    # checked_through is lmax - 1, and LambdaSeries.variable needs order >= 1
+    real, orders = getattr(suites, builder), []
+
+    def spy(point, lmax):
+        orders.append(lmax)
+        return real(point, lmax)
+
+    monkeypatch.setattr(suites, builder, spy)
+    for lmax in (1, 2, 3, 4):
+        record = _record(check, seed=1, m=1, n=0, lmax=lmax)
+        assert record["status"] == "pass", record["mismatch"]
+        assert record["orders"]["checked_through"] == lmax - 1
+    assert orders == [1, 1, 2, 3]
 
 
 def test_dual_qkz_window_2_2_at_order_4():
