@@ -2,14 +2,15 @@
 
     qkz verify <SUITE_ID> [--seed S]... [--kmax K] [--lmax L] [--m M --n N]
                [--N N] [--jet-order J] [--out PATH] [--format json|csv]
-    qkz solve   --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
-    qkz laumon  --kmax K --lmax L --seed S [--m M --n N] [--out FILE]
+    qkz solve   [--kmax K] [--lmax L] --seed S [--m M --n N] [--out FILE]
+    qkz laumon  [--kmax K] [--lmax L] --seed S [--m M --n N] [--out FILE]
     qkz rmatrix --m M --n N --seed S [--lambda p/s] [--fourd] [--out FILE]
-    qkz jackson --m M --n N --lmax L --seed S [--a2 p/s] [--out FILE]
+    qkz jackson --m M --n N [--lmax L] --seed S [--a2 p/s] [--out FILE]
 
 Exit code 0 iff every check passes (a dump: on success), 1 if a check
 fails, 2 on an invalid configuration, 3 when a dump command meets a
 QkzError such as a degenerate point.  QKZ_THREADS caps the worker pool.
+An option left out takes its suite's acceptance value (see the README).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import os
 import sys
 
 from .errors import ConfigError, QkzError
-from .scalars import Rat, sample_generic_point
+from .scalars import GUARD, Rat, sample_generic_point
 from .suites import (
-    SERIES_ORDERS, SUITE_OPTIONS, WINDOW, WINDOWED, SuiteConfig, check_limits, report_passed,
-    run_suite, write_report)
+    SERIES_ORDERS, SUITE_OPTIONS, SUITES, WINDOW, WINDOWED, SuiteConfig, check_limits,
+    report_passed, run_suite, write_report)
 
 # (low, high) bounds of the integer options of each dump command
 _DUMP_LIMITS = {"solve": {**SERIES_ORDERS, **WINDOW}, "laumon": {**SERIES_ORDERS, **WINDOW},
@@ -35,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the run's options left out of the command line take SuiteConfig's
-    # defaults; --out and --format belong to the command, not to the run
+    # options left out take the suite's acceptance values in SuiteConfig;
+    # --out and --format belong to the command, not to the run
     ver = sub.add_parser("verify", help="run a verification suite",
                          argument_default=argparse.SUPPRESS)
     ver.add_argument("suite", metavar="SUITE_ID")
@@ -48,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("solve", "laumon"):
         cmd = sub.add_parser(name, help="dump the series coefficient table")
-        cmd.add_argument("--kmax", type=int, default=4)
-        cmd.add_argument("--lmax", type=int, default=4)
+        cmd.add_argument("--kmax", type=int, default=SUITES["SHAKIROV_EQ"].acceptance["kmax"])
+        cmd.add_argument("--lmax", type=int, default=SUITES["SHAKIROV_EQ"].acceptance["lmax"])
         cmd.add_argument("--seed", type=int, required=True)
         cmd.add_argument("--m", type=int, default=None)
         cmd.add_argument("--n", type=int, default=None)
@@ -66,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     jck = sub.add_parser("jackson", help="dump the lattice-sum vector and residuals")
     jck.add_argument("--m", type=int, required=True)
     jck.add_argument("--n", type=int, required=True)
-    jck.add_argument("--lmax", type=int, default=3)
+    jck.add_argument("--lmax", type=int, default=SUITES["ITO_QKZ"].acceptance["lmax"])
     jck.add_argument("--seed", type=int, required=True)
-    jck.add_argument("--a2", default=None, metavar="p/s")
+    jck.add_argument("--a2", default="5/7", metavar="p/s")
     jck.add_argument("--out", default=None)
     return parser
 
@@ -107,7 +108,7 @@ def _check_dump_options(args) -> None:
     check_limits(args.command, _DUMP_LIMITS[args.command], args)
     if args.command == "rmatrix" and args.lam is not None:
         args.lam = _rational_option(args.lam, "--lambda")
-    if args.command == "jackson" and args.a2 is not None:
+    if args.command == "jackson":
         args.a2 = _rational_option(args.a2, "--a2")
         if args.a2 == 0:
             raise ConfigError("--a2 must be nonzero")
@@ -128,7 +129,7 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
     from .cone import solve_shakirov
     from .laumon import z_al
 
-    p = sample_generic_point(args.seed, guard=max(8, args.kmax, args.lmax))
+    p = sample_generic_point(args.seed, max(GUARD, args.kmax, args.lmax))
     if args.m is not None:
         p = p.with_overrides(args.m, args.n)
     series = z_al(p, args.kmax, args.lmax) if from_partition_sum \
@@ -140,9 +141,8 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
 def cmd_rmatrix(args) -> int:
     from .rmatrix import expansion_matrices, r1_fourd, r_via_linear_system
 
-    p = sample_generic_point(args.seed, guard=8)
-    lam = args.lam if args.lam is not None else sample_generic_point(
-        args.seed + 1, guard=8).rq
+    p = sample_generic_point(args.seed)
+    lam = args.lam if args.lam is not None else sample_generic_point(args.seed + 1).rq
     if args.fourd:
         import random
         rng = random.Random(args.seed)
@@ -169,14 +169,13 @@ def cmd_rmatrix(args) -> int:
 def cmd_jackson(args) -> int:
     from .jackson import JacksonParams, ito_qkz_check, jackson_vector
 
-    p = sample_generic_point(args.seed, guard=8).with_overrides(args.m, args.n)
-    a2 = args.a2 if args.a2 is not None else Rat(5, 7)
-    jp = JacksonParams.from_point(p, a2)
-    vec, pivot = jackson_vector(jp, args.lmax)
-    equations = ito_qkz_check(jp, args.lmax)
+    p = sample_generic_point(args.seed).with_overrides(args.m, args.n)
+    jp = JacksonParams.from_point(p, args.a2)
+    vec, pivot = vector = jackson_vector(jp, args.lmax)
+    equations = ito_qkz_check(jp, args.lmax, vector)
     obj = {
         "point": json.loads(p.to_json()),
-        "a2": str(a2),
+        "a2": str(args.a2),
         "m": args.m,
         "n": args.n,
         "lmax": args.lmax,

@@ -448,7 +448,7 @@ def al_jackson_compare(p: ParamPoint, a2, lmax: int):
     return z, psig, info, (pivot, matsuo_leading_constant(jp, jp.m))
 
 
-def ito_qkz_check(jp: JacksonParams, lmax: int):
+def ito_qkz_check(jp: JacksonParams, lmax: int, vector=None):
     """The three difference equations on the computed vector:
 
         T_alpha Psi = Psi K0 / prod(xi),   K0 = R^-1 A R = D2 A D2^-1,
@@ -461,11 +461,11 @@ def ito_qkz_check(jp: JacksonParams, lmax: int):
     order lmax; under "Lambda^0" the computed constant terms and their
     closed forms matsuo_leading_constant for k = 0..m (k = m is the pivot).
     Every step is causal in Lambda, so coefficient L of a side is the same
-    at every order lmax >= L.
+    at every order lmax >= L.  `vector`, if given, is jackson_vector(jp, lmax).
     """
     N = jp.N
     lam = LambdaSeries.variable(lmax)
-    psi, piv = jackson_vector(jp, lmax)
+    psi, piv = vector or jackson_vector(jp, lmax)
     R = ito_R(jp)
     K0 = R.solve(ito_A(jp, lam) @ R)
     xi_prod = product(jp.cycle())

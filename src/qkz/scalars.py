@@ -576,10 +576,11 @@ def shakirov_eigenvalue(p: ParamPoint, k: int, ell: int):
 
 
 MAX_RESAMPLES = 10_000
+GUARD = 8  # the least guard of a sampled point; a deeper computation asks for more
 
 
 @lru_cache(maxsize=256)
-def sample_generic_point(seed: int, guard: int = 8) -> ParamPoint:
+def sample_generic_point(seed: int, guard: int = GUARD) -> ParamPoint:
     """Deterministically sample a generic ParamPoint.
 
     Memoized: the result depends on (seed, guard) alone and ParamPoint is

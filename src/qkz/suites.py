@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError, QkzError
-from .scalars import (Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector,
+from .scalars import (GUARD, Rat, TruncatedSeries, coprime_base, exp_jet, exponent_vector,
                       sample_generic_point)
 from .qseries import bailey_check, qpoch_run
 from .cone import ConeSeries, solve_shakirov, coupled_step, AXIS_X, AXIS_LX, AXIS_L
@@ -39,9 +39,9 @@ from .jackson import (
     ito_qkz_check, matsuo_e, matsuo_e_brute, matsuo_prefactors)
 
 DEFAULT_SEEDS = (1, 2, 3)
-# the options a suite may read besides seeds, each with the value it takes
-# when left unset
-SUITE_OPTIONS = {"kmax": 4, "lmax": 4, "m": None, "n": None, "N": None, "jet_order": 2}
+# the options a suite may read besides seeds; a run that leaves one unset
+# takes its registry row's `acceptance` value, or None where the row sweeps it
+SUITE_OPTIONS = ("kmax", "lmax", "m", "n", "N", "jet_order")
 # (low, high) bounds of those options, shared by the suite registry and the
 # dump commands
 _NATURAL = (0, math.inf)
@@ -55,7 +55,7 @@ WINDOWED = {**WINDOW, **_LAMBDA_ORDER}
 class SuiteConfig:
     """A run's inputs, which its report gives as `config`: the suite, the
     seeds, one point each, and the options in the suite's `limits`, each
-    set to its SUITE_OPTIONS value when left unset."""
+    set to the row's `acceptance` value (None if swept) when left unset."""
     suite: str
     seeds: tuple = DEFAULT_SEEDS
     kmax: int | None = None
@@ -77,7 +77,7 @@ class SuiteConfig:
         check_limits(self.suite, spec.limits, self)
         for opt in spec.limits:
             if getattr(self, opt) is None:
-                setattr(self, opt, SUITE_OPTIONS[opt])
+                setattr(self, opt, spec.acceptance.get(opt))
 
     def options(self) -> dict:
         """The options its suite reads, by name; the others stay None."""
@@ -200,13 +200,13 @@ def _coefficients(s, through: int):
     return s.coeffs[:through + 1]
 
 
-def _sample_point(rec: Recorder, seed: int, guard: int, overrides=None):
-    """The check's one generic point at `seed`, on the window `overrides`
-    (m, n) if given, begun on `rec`.  The sampler's guard covers only a
-    finite window, so a denominator downstream may still vanish there; the
-    DegenerateParameterError that says so fails the check, whose report
+def _sample_point(rec: Recorder, seed: int, reach: int = 0, overrides=None):
+    """The check's one point at `seed`, guarded at max(GUARD, reach), on the
+    window `overrides` (m, n) if given, begun on `rec`.  The guard covers
+    only a finite window, so a denominator downstream may still vanish there;
+    the DegenerateParameterError that says so fails the check, whose report
     names this point: no check moves past a degenerate point."""
-    p = sample_generic_point(seed, guard)
+    p = sample_generic_point(seed, max(GUARD, reach))
     if overrides is not None:
         p = p.with_overrides(*overrides)
     rec.begin(p.to_json())
@@ -256,7 +256,7 @@ def _spectral_draws(rng: random.Random, p, bound: int):
 
 def chk_shakirov(rec: Recorder, seed: int, kmax: int, lmax: int):
     rec.orders = {"kmax": kmax, "lmax": lmax}
-    p = _sample_point(rec, seed, max(8, kmax, lmax))
+    p = _sample_point(rec, seed, max(kmax, lmax))
     rec.cone(z_al(p, kmax, lmax), solve_shakirov(p, kmax, lmax), kmax + lmax, {},
              ("laumon", "solver"))
 
@@ -292,7 +292,7 @@ def _display_matrix_3x3(d1, d4, lam, q):
 def chk_rmatrix_3way(rec: Recorder, seed: int):
     rec.orders = {"windows": list(_THREEWAY_WINDOWS)}
     lams = _rng_rationals(seed, 3)
-    p = _sample_point(rec, seed, 8)
+    p = _sample_point(rec, seed)
     q, d1, d4 = p.q, p.d1, p.d4
     for lam in lams:
         solved = {}
@@ -317,14 +317,14 @@ def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
     # each compared coefficient is causal in Lambda, so the sides are built
     # at the compared order (at least 1, which LambdaSeries.variable needs)
-    left, right = qkz_residual(_sample_point(rec, seed, 8, (m, n)), max(1, through))
+    left, right = qkz_residual(_sample_point(rec, seed, overrides=(m, n)), max(1, through))
     for J, (a, b) in enumerate(zip(left, right)):
         rec.series(a, b, through, {"component": J - n})
 
 
 def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
-    left, right = dual_qkz_residuals(_sample_point(rec, seed, 8, (m, n)), lmax)
+    left, right = dual_qkz_residuals(_sample_point(rec, seed, overrides=(m, n)), lmax)
     for index, (a, b) in enumerate(zip(left, right)):
         i, k = divmod(index, m + n + 1)
         rec.series(a, b, lmax, {"i": i - n, "k": k - n})
@@ -334,7 +334,7 @@ def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     through = lmax - 1
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
     a2 = _rng_rationals(seed + 17, 1)[0]
-    jp = JacksonParams.from_point(_sample_point(rec, seed, 8, (m, n)), a2)
+    jp = JacksonParams.from_point(_sample_point(rec, seed, overrides=(m, n)), a2)
     # built at the compared order, as in chk_qkz_matrix
     for name, (left, right) in ito_qkz_check(jp, max(1, through)).items():
         # the Lambda^0 constants come as constant series: only order 0 can differ
@@ -351,7 +351,7 @@ def chk_commutativity(rec: Recorder, seed: int, N: int):
     m, n = _COMM_WINDOWS[N]
     a2 = _rng_rationals(seed + 29, 1)[0]
     lam = _rng_rationals(seed + 31, 1)[0]
-    jp = JacksonParams.from_point(_sample_point(rec, seed, 8, (m, n)), a2)
+    jp = JacksonParams.from_point(_sample_point(rec, seed, overrides=(m, n)), a2)
     R, A, D2 = ito_R(jp), ito_A(jp, lam), d2_matrix(jp, lam)
     if N:
         # at N = 0 the three matrices are 1x1, and commute whatever they hold
@@ -364,7 +364,7 @@ def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
     a2 = _rng_rationals(seed + 43, 1)[0]
     laumon, jackson, info, pivot = al_jackson_compare(
-        _sample_point(rec, seed, 8, (m, n)), a2, lmax)
+        _sample_point(rec, seed, overrides=(m, n)), a2, lmax)
     sides = ("jackson", "laumon")
     for J, (vp, vz) in enumerate(info["leading_orders"]):
         if vp is None and vz is None:
@@ -383,7 +383,7 @@ def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
 
 def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size: int = 8):
     rec.orders = {"pairs": pair_count, "max_size": max_size, "orbifold_orders": [2, 3, 4]}
-    p = _sample_point(rec, seed, 8)
+    p = _sample_point(rec, seed)
     rng = random.Random(seed ^ 0xA11CE)
     draws = _spectral_draws(rng, p, 2 * max_size + 4)
     for trial in range(pair_count):
@@ -408,7 +408,7 @@ def chk_nekrasov_3way(rec: Recorder, seed: int, pair_count: int = 200, max_size:
 
 def chk_pentagon(rec: Recorder, seed: int, order: int = 6):
     rec.orders = {"total_order": order}
-    p = _sample_point(rec, seed, 8)
+    p = _sample_point(rec, seed)
     alpha, beta = _rng_rationals(seed + 3, 2)
     q = p.q
     K = L = order
@@ -471,7 +471,7 @@ def chk_shuffle(rec: Recorder, seed: int, nmax: int = 4):
 
 def chk_coupled(rec: Recorder, seed: int, kmax: int, lmax: int):
     rec.orders = {"kmax": kmax, "lmax": lmax, "total_order": min(kmax, lmax)}
-    p = _sample_point(rec, seed, max(8, kmax, lmax))
+    p = _sample_point(rec, seed, max(kmax, lmax))
     relations = coupled_step(p, solve_shakirov(p, kmax, lmax))
     for tag, (left, right) in zip(("psi = g K chi", "chi = T(g K chi)"), relations):
         rec.cone(left, right, kmax + lmax, {"relation": tag}, RESIDUAL)
@@ -538,7 +538,7 @@ def _fourd_table_m2_n1(m2, m4, lam):
 
 def chk_heine(rec: Recorder, seed: int, lmax: int):
     rec.orders = {"lmax": lmax}
-    p = _sample_point(rec, seed, 8, (1, 0))
+    p = _sample_point(rec, seed, overrides=(1, 0))
     comps = z_al_truncated(p, lmax)
     pair = heine_solution_pair(p, lmax)
     equations = heine_dual_residuals(p, pair)

@@ -5,13 +5,14 @@ import platform
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from qkz.cli import main
 from qkz.errors import ConfigError
-from qkz.suites import SuiteConfig, run_suite, write_report
+from qkz.suites import SUITE_OPTIONS, SUITES, SuiteConfig, run_suite, write_report
 
 
 def test_unknown_suite_is_rejected_before_computation():
@@ -261,6 +262,40 @@ def test_jackson_dump(tmp_path):
             assert all(c == "0" for c in series)
 
 
+def test_the_jackson_dump_builds_each_lattice_sum_once(monkeypatch, capsys):
+    # the dump prints the vector its equations read: one lattice sum at the
+    # point and one at each of its two shifted parameter sets
+    import qkz.jackson
+
+    real, built = qkz.jackson.jackson_vector, []
+
+    def counted(jp, lmax):
+        built.append(jp)
+        return real(jp, lmax)
+
+    monkeypatch.setattr(qkz.jackson, "jackson_vector", counted)
+    assert main(["jackson", "--m", "1", "--n", "0", "--lmax", "3", "--seed", "4"]) == 0
+    assert len(built) == len(set(built)) == 3
+    assert json.loads(capsys.readouterr().out)["lmax"] == 3
+
+
+class _Built(Exception):
+    """Carries the SuiteConfig that `qkz verify` built, before any check runs."""
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_bare_verify_runs_the_acceptance_config(monkeypatch, suite):
+    import qkz.cli
+
+    def built(cfg):
+        raise _Built(cfg)
+
+    monkeypatch.setattr(qkz.cli, "run_suite", built)
+    with pytest.raises(_Built) as got:
+        main(["verify", suite, "--seed", "1"])
+    assert got.value.args[0] == SuiteConfig(suite=suite, seeds=(1,), **SUITES[suite].acceptance)
+
+
 @pytest.mark.parametrize("argv, env", [
     pytest.param(["COMMUTATIVITY", "--N", "-1"], None, id="argv0-None"),
     pytest.param(["AL_EQ_JACKSON", "--m", "0", "--n", "-1"], None, id="argv1-None"),
@@ -311,11 +346,29 @@ def test_invalid_config_exits_2_before_computation(monkeypatch, capsys, tmp_path
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
+def _verify_synopsis(text: str) -> str:
+    """The `qkz verify` synopsis in `text`: its first line and the indented
+    lines of brackets that continue it, dedented."""
+    [block] = re.findall(r"^( *)(qkz verify .*\n(?:\1 +\[.*\n)*)", text, re.MULTILINE)
+    return textwrap.dedent(block[0] + block[1])
+
+
+def test_the_readme_and_the_help_give_one_verify_synopsis():
+    # the synopsis names --seed, each run option, --out and --format: an
+    # option cannot be added to or dropped from one of the two alone
+    import qkz.cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = _verify_synopsis(qkz.cli.__doc__)
+    assert _verify_synopsis(readme) == synopsis
+    flags = ["--" + opt.replace("_", "-") for opt in SUITE_OPTIONS]
+    assert sorted(set(re.findall(r"--[A-Za-z][\w-]*", synopsis))) == sorted(
+        ["--seed", *flags, "--out", "--format"])
+
+
 def test_readme_option_table_matches_the_registry():
     # each `| `SUITE` | options | acceptance run | checks |` row names the
     # flags its suite reads and the values its acceptance run sets
-    from qkz.suites import SUITES
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([A-Z0-9_]+)` \| ([^|]*) \| ([^|]*) \|", readme, re.MULTILINE)
     assert sorted(suite for suite, _, _ in rows) == sorted(SUITES) and len(SUITES) == 14
@@ -365,8 +418,6 @@ def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, tmp_pa
 
 
 def test_unexpected_exception_is_an_error_check(monkeypatch, tmp_path):
-    from qkz.suites import SUITES
-
     spec = SUITES["COMMUTATIVITY"]
 
     def flaky(rec, seed, N):

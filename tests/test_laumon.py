@@ -692,7 +692,7 @@ def test_vanishing_vector_factor_raises_as_the_oracle_does(rQ):
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"pair_weight": 0, "_orb_pair": 0}
+    counts = {"pair_weight": 0, "_orb_pair": 0, "_bracket_at": 0}
     for name in counts:
         fn = getattr(laumon, name)
 
@@ -716,6 +716,16 @@ def test_full_sum_work_count(calls):
     # partition, 38 of them, and two off-diagonal factors per pair, 268 of them
     z_al(sample_generic_point(1, guard=8), 4, 4)
     assert calls["_orb_pair"] == 4 * 76 + 38 + 2 * 268 == 878
+
+
+def test_qkz_matrix_check_work_count(calls):
+    # one QKZ_MATRIX check, window (2,1), seed 1, lmax 4 (its sides built
+    # through Lambda^3): the row-form kernel calls and bracket evaluations
+    # that the README quotes
+    from qkz.suites import _execute
+
+    assert _execute(("QKZ_MATRIX", {"seed": 1, "m": 2, "n": 1, "lmax": 4}))["status"] == "pass"
+    assert (calls["_orb_pair"], calls["_bracket_at"]) == (278, 79)
 
 
 def test_bracket_points_are_built_once_per_sum(monkeypatch):

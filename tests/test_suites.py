@@ -18,7 +18,7 @@ from qkz.scalars import (ONE, Rat, coprime_base, exponent_vector, is_plain, quot
                          sample_generic_point)
 from qkz import suites
 from qkz.suites import (
-    SUITE_OPTIONS, SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _coefficients, _execute,
+    SUITES, Recorder, SuiteConfig, _ALJ_WINDOWS, _Mismatch, _coefficients, _execute,
     _sample_point, chk_al_jackson, chk_coupled, chk_dual_qkz, chk_fourd, chk_heine, chk_ito_qkz,
     chk_nekrasov_3way, chk_pentagon, chk_qkz_matrix, chk_rmatrix_3way, chk_shakirov, chk_shuffle,
     run_suite, suite_tasks)
@@ -119,16 +119,34 @@ def test_report_config_is_what_the_checks_read(suite):
     # the suite, its seeds, and the options the suite's row bounds:
     # no option it does not read, and nothing about where or how the
     # report is written (the checks are stubs)
+    # and each option the run leaves unset at its row's acceptance value, or
+    # None where the row sweeps it
+    spec = SUITES[suite]
     report = run_suite(SuiteConfig(suite=suite, seeds=(1,)))
     config = report["config"]
-    assert set(config) == {"suite", "seeds", *SUITES[suite].limits}
-    assert (config["suite"], config["seeds"]) == (suite, [1])
-    assert all(config[opt] == SUITE_OPTIONS[opt] for opt in SUITES[suite].limits)
+    assert set(config) == {"suite", "seeds", *spec.limits}
+    swept = {opt: None for entry in spec.sweep for opt in entry}
+    assert config == {"suite": suite, "seeds": [1], **swept, **spec.acceptance}
+
+
+@pytest.mark.parametrize("suite", sorted(NAMES))
+def test_a_default_config_is_the_acceptance_config(suite):
+    assert SuiteConfig(suite=suite) == SuiteConfig(suite=suite, **SUITES[suite].acceptance)
+
+
+@pytest.mark.parametrize("suite", sorted(NAMES))
+def test_every_bounded_option_has_one_source(suite):
+    # an option the row bounds takes its value from the row's acceptance
+    # options or from its sweep, never from both and never from neither
+    spec = SUITES[suite]
+    swept = {opt for entry in spec.sweep for opt in entry}
+    assert sorted([*swept, *spec.acceptance]) == sorted(spec.limits)
 
 
 def test_registry_window_and_N_overrides(expand):
+    # an override leaves the other options at their acceptance values
     assert expand(suite="AL_EQ_JACKSON", seeds=(1,), m=2, n=1) == [
-        (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 4})]
+        (f"{ALJ} (2,1), seed 1", {"seed": 1, "m": 2, "n": 1, "lmax": 3})]
     assert expand(suite="COMMUTATIVITY", seeds=(1, 5), N=3) == [
         ("R D2 A = A R D2 at N=3, seed 1", {"seed": 1, "N": 3}),
         ("R D2 A = A R D2 at N=3, seed 5", {"seed": 5, "N": 3}),
@@ -141,9 +159,10 @@ def test_registry_rows_sweep_only_their_bounded_unset_options(suite):
     # only options that are unset by default (else the sweep never runs);
     # no two entries are the same check
     spec = SUITES[suite]
+    default = SuiteConfig(suite=suite).options()
     for entry in spec.sweep:
         for opt, value in entry.items():
-            assert opt in spec.limits and SUITE_OPTIONS[opt] is None, (opt, entry)
+            assert opt in spec.limits and default[opt] is None, (opt, entry)
             lo, hi = spec.limits[opt]
             assert lo <= value <= hi, (opt, entry)
     assert len({tuple(sorted(entry.items())) for entry in spec.sweep}) == len(spec.sweep)
@@ -772,6 +791,14 @@ def _comparisons(task):
         return seen, _execute(task)
 
 
+def _tasks_at_lmax_4(suite):
+    """The checks at seed 1 of the suite's default config, at lmax 4 where
+    the suite reads it: above the acceptance lmax 3 of DUAL_QKZ, ITO_QKZ and
+    AL_EQ_JACKSON."""
+    orders = {"lmax": 4} if "lmax" in SUITES[suite].limits else {}
+    return suite_tasks(SuiteConfig(suite=suite, seeds=(1,), **orders))
+
+
 def _with_doubled_left(task, k):
     """The record of `task` when its k-th comparison (counted from 0) sees
     twice its left side, and the number of comparisons made."""
@@ -799,7 +826,7 @@ def test_every_suite_fails_at_a_doubled_comparison(suite):
     # mutation testing: the first, middle and last comparison with a nonzero
     # side of each check at seed 1, each doubled in its own run, fails that
     # check at that comparison and nowhere else
-    for task in suite_tasks(SuiteConfig(suite=suite, seeds=(1,))):
+    for task in _tasks_at_lmax_4(suite):
         seen, record = _comparisons(task)
         assert record["status"] == "pass" and seen, record
         assert record["stats"]["nonzero"] == len(seen)
@@ -842,7 +869,7 @@ def test_no_check_moves_past_a_degenerate_point(monkeypatch, suite):
         raise DegenerateParameterError("injected")
 
     monkeypatch.setattr(Recorder, "begin", degenerate_begin)
-    for task in suite_tasks(SuiteConfig(suite=suite, seeds=(1,))):
+    for task in _tasks_at_lmax_4(suite):
         points.clear()
         begun.clear()
         record = _execute(task)
@@ -864,7 +891,7 @@ def test_a_mismatch_before_a_degenerate_stage_is_not_retried(monkeypatch):
 
     def check(rec, seed):
         rec.orders = {}
-        _sample_point(rec, seed, 8)
+        _sample_point(rec, seed)
         rec.compare(ONE, 2 * ONE, {"stage": "first"})
         raise DegenerateParameterError("a later stage is degenerate")
 
@@ -883,7 +910,7 @@ def test_a_rejected_point_is_a_retry_of_the_report(monkeypatch):
 
     def check(rec, seed):
         rec.orders = {"lmax": 3}
-        _sample_point(rec, seed, 8, (1, 0))
+        _sample_point(rec, seed, overrides=(1, 0))
         rec.compare(ONE, ONE, {})
         raise DegenerateParameterError("first point is degenerate")
 
@@ -904,7 +931,7 @@ def test_a_check_that_runs_out_of_points_reports_every_retry(monkeypatch):
 
     def check(rec, seed):
         rec.orders = {}
-        _sample_point(rec, seed, 8)
+        _sample_point(rec, seed)
         quotient(ONE, 0, "the pivot")
 
     record = _stub_record(monkeypatch, check)
@@ -976,7 +1003,7 @@ def test_only_a_singular_pivot_chain_moves_to_the_next_seed(monkeypatch):
     def check_with(matrix):
         def check(rec, seed):
             rec.orders = {}
-            _sample_point(rec, seed, 8)
+            _sample_point(rec, seed)
             matrix.solve(ScalarMatrix.identity(2))
             rec.compare(ONE, ONE, {})
         return check
