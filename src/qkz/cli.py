@@ -21,10 +21,10 @@ import os
 import sys
 
 from .errors import ConfigError, QkzError
-from .scalars import GUARD, Rat, sample_generic_point
+from .scalars import Rat
 from .suites import (
     SERIES_ORDERS, SUITE_OPTIONS, SUITES, WINDOW, WINDOWED, SuiteConfig, check_limits,
-    report_passed, run_suite, write_report)
+    report_passed, run_suite, sample_point, write_report)
 
 # (low, high) bounds of the integer options of each dump command
 _DUMP_LIMITS = {"solve": {**SERIES_ORDERS, **WINDOW}, "laumon": {**SERIES_ORDERS, **WINDOW},
@@ -129,9 +129,8 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
     from .cone import solve_shakirov
     from .laumon import z_al
 
-    p = sample_generic_point(args.seed, max(GUARD, args.kmax, args.lmax))
-    if args.m is not None:
-        p = p.with_overrides(args.m, args.n)
+    window = None if args.m is None else (args.m, args.n)
+    p = sample_point(args.seed, max(args.kmax, args.lmax), window)
     series = z_al(p, args.kmax, args.lmax) if from_partition_sum \
         else solve_shakirov(p, args.kmax, args.lmax)
     _emit(series.dump_csv(), args.out)
@@ -141,8 +140,8 @@ def cmd_series_dump(args, from_partition_sum: bool) -> int:
 def cmd_rmatrix(args) -> int:
     from .rmatrix import expansion_matrices, r1_fourd, r_via_linear_system
 
-    p = sample_generic_point(args.seed)
-    lam = args.lam if args.lam is not None else sample_generic_point(args.seed + 1).rq
+    p = sample_point(args.seed)
+    lam = args.lam if args.lam is not None else sample_point(args.seed + 1).rq
     if args.fourd:
         import random
         rng = random.Random(args.seed)
@@ -169,7 +168,7 @@ def cmd_rmatrix(args) -> int:
 def cmd_jackson(args) -> int:
     from .jackson import JacksonParams, ito_qkz_check, jackson_vector
 
-    p = sample_generic_point(args.seed).with_overrides(args.m, args.n)
+    p = sample_point(args.seed, window=(args.m, args.n))
     jp = JacksonParams.from_point(p, args.a2)
     vec, pivot = vector = jackson_vector(jp, args.lmax)
     equations = ito_qkz_check(jp, args.lmax, vector)

@@ -5,7 +5,8 @@ Three kinds of scalars circulate in this package:
 * ``Rat`` -- arbitrary-precision rationals (gmpy2.mpq when available,
   otherwise a ``fractions.Fraction`` subclass with fast same-type
   arithmetic).  All identities are certified by exact
-  equality of such numbers; nothing is ever rounded.
+  equality of such numbers; nothing is ever rounded.  An int, a ``Rat``
+  or a ``Fraction`` is a plain scalar (`is_plain`): any exact rational.
 * ``HJet`` -- truncated power series in a formal variable h, used to take
   the small-h (four-dimensional) limit order by order.
 * ``ParamPoint`` -- a rational point for the parameters (q, t, Q, d1..d4),
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -29,18 +31,12 @@ try:
     from gmpy2 import mpq as Rat
     _reduced = Rat
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction
-
     def _rat(n: int, d: int, _new=object.__new__):
         """The Rat n/d of a reduced pair with d > 0, built without checks."""
         r = _new(Rat)
         r._numerator = n
         r._denominator = d
         return r
-
-    def _lift(x):
-        """The result of a Fraction method, with a plain Fraction as a Rat."""
-        return _rat(x._numerator, x._denominator) if type(x) is Fraction else x
 
     def _reduced(n: int, d: int):
         """The Rat n/d of an int pair with d != 0, reduced by one gcd."""
@@ -53,13 +49,12 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
         For a Rat or int operand (bool included) +, -, *, /, negation,
         int powers, == and bool take the reductions of Fraction (Henrici's,
         Knuth TAOCP vol. 2 4.5.1) with none of its operand dispatch, and
-        build the result directly; unary + and abs build theirs from the
-        reduced parts.  Any other operand goes to the Fraction method,
-        whose Fraction result comes back as a Rat; for a series it is
-        NotImplemented, so the series' reflected operator runs.  A zero
-        divisor takes the Fraction path too, which raises ZeroDivisionError.
-        So do %, divmod, round and a Rat exponent, which qkz does not use.
-        Construction, str, hash, ordering and pickling are Fraction's."""
+        build the result directly.  Everything else is Fraction's own: any
+        other operand goes to the Fraction method, whose result is returned
+        as it is -- a Fraction, which is plain too, a float, or, for a
+        series, NotImplemented, so the series' reflected operator runs.  A
+        zero divisor takes the Fraction path too, which raises
+        ZeroDivisionError."""
 
         __slots__ = ()
 
@@ -78,7 +73,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                 return _rat(t // g2, s * (db // g2))
             if isinstance(b, int):
                 return _rat(a._numerator + a._denominator * b, a._denominator)
-            return _lift(Fraction.__add__(a, b))
+            return Fraction.__add__(a, b)
 
         __radd__ = __add__
 
@@ -97,12 +92,12 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                 return _rat(t // g2, s * (db // g2))
             if isinstance(b, int):
                 return _rat(a._numerator - a._denominator * b, a._denominator)
-            return _lift(Fraction.__sub__(a, b))
+            return Fraction.__sub__(a, b)
 
         def __rsub__(a, b):
             if isinstance(b, int):
                 return _rat(a._denominator * b - a._numerator, a._denominator)
-            return _lift(Fraction.__rsub__(a, b))
+            return Fraction.__rsub__(a, b)
 
         def __mul__(a, b):
             if type(b) is Rat:
@@ -123,7 +118,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                 if g > 1:
                     return _rat(a._numerator * (b // g), da // g)
                 return _rat(a._numerator * b, da)
-            return _lift(Fraction.__mul__(a, b))
+            return Fraction.__mul__(a, b)
 
         __rmul__ = __mul__
 
@@ -144,7 +139,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                 g = gcd(a._numerator, b)
                 n, d = a._numerator // g, a._denominator * (b // g)
             else:
-                return _lift(Fraction.__truediv__(a, b))
+                return Fraction.__truediv__(a, b)
             return _rat(-n, -d) if d < 0 else _rat(n, d)
 
         def __rtruediv__(a, b):
@@ -153,16 +148,10 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                 g = gcd(b, na)
                 n, d = (b // g) * a._denominator, na // g
                 return _rat(-n, -d) if d < 0 else _rat(n, d)
-            return _lift(Fraction.__rtruediv__(a, b))
+            return Fraction.__rtruediv__(a, b)
 
         def __neg__(a):
             return _rat(-a._numerator, a._denominator)
-
-        def __pos__(a):
-            return a
-
-        def __abs__(a):
-            return _rat(abs(a._numerator), a._denominator)
 
         def __pow__(a, b):
             if isinstance(b, int):
@@ -173,28 +162,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
                     return _rat(da ** -b, na ** -b)
                 if na < 0:
                     return _rat((-da) ** -b, (-na) ** -b)
-            return _lift(Fraction.__pow__(a, b))
-
-        def __rpow__(b, a):
-            # Fraction's own computes Fraction(a) ** b, which would come back here
-            return Rat(a) ** b if isinstance(a, (int, Fraction)) else Fraction.__rpow__(b, a)
-
-        def __mod__(a, b):
-            return _lift(Fraction.__mod__(a, b))
-
-        def __rmod__(a, b):
-            return _lift(Fraction.__rmod__(a, b))
-
-        def __divmod__(a, b):
-            got = Fraction.__divmod__(a, b)
-            return got if got is NotImplemented else (got[0], _lift(got[1]))
-
-        def __rdivmod__(a, b):
-            got = Fraction.__rdivmod__(a, b)
-            return got if got is NotImplemented else (got[0], _lift(got[1]))
-
-        def __round__(a, ndigits=None):
-            return _lift(Fraction.__round__(a, ndigits))
+            return Fraction.__pow__(a, b)
 
         def __eq__(a, b):
             if type(b) is Rat:
@@ -213,11 +181,12 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-_PLAIN_TYPES = frozenset({int, bool, type(ZERO)})
+_PLAIN_TYPES = frozenset({int, bool, type(ZERO), Fraction})
 
 
 def is_plain(x) -> bool:
-    """True for ground-ring scalars (int / Rat), False for jets and series."""
+    """True for ground-ring scalars, any exact rational (int / Rat /
+    Fraction), False for jets and series."""
     return type(x) in _PLAIN_TYPES
 
 
@@ -263,7 +232,7 @@ def dot(pairs):
     """sum(x * y for x, y in pairs), exactly; terms with a zero factor are
     skipped, and with none left the result is the int 0.
 
-    The plain terms (int / Rat) are summed as int pairs by `pair_sum`; the
+    The plain terms (exact rationals) are summed as int pairs by `pair_sum`; the
     others use their ring's + and *."""
     plain = []
     rest = None
@@ -281,7 +250,7 @@ def dot(pairs):
 
 def int_pairs(values):
     """The (numerator, denominator) of each value in the list, all of them
-    plain (int / Rat); a value of another ring raises ``ValueError``."""
+    plain (exact rationals); a value of another ring raises ``ValueError``."""
     if not _PLAIN_TYPES.issuperset(map(type, values)):
         raise ValueError("int pairs need int or rational values, not "
                          + ", ".join(sorted({type(v).__name__ for v in values
@@ -290,7 +259,7 @@ def int_pairs(values):
 
 
 def product(values):
-    """The exact product of the values: the plain ones (int / Rat) as one int
+    """The exact product of the values: the plain ones (rationals) as one int
     pair, reduced once into one Rat, times the others by their ring's *."""
     num = den = 1
     rest = None

@@ -200,15 +200,19 @@ def _coefficients(s, through: int):
     return s.coeffs[:through + 1]
 
 
-def _sample_point(rec: Recorder, seed: int, reach: int = 0, overrides=None):
-    """The check's one point at `seed`, guarded at max(GUARD, reach), on the
-    window `overrides` (m, n) if given, begun on `rec`.  The guard covers
+def sample_point(seed: int, reach: int = 0, window=None):
+    """The point at `seed`, guarded at max(GUARD, reach), on the window
+    (m, n) if given: the one point rule of the checks and the dumps."""
+    p = sample_generic_point(seed, max(GUARD, reach))
+    return p if window is None else p.with_overrides(*window)
+
+
+def _sample_point(rec: Recorder, seed: int, reach: int = 0, window=None):
+    """The check's one `sample_point`, begun on `rec`.  The guard covers
     only a finite window, so a denominator downstream may still vanish there;
     the DegenerateParameterError that says so fails the check, whose report
     names this point: no check moves past a degenerate point."""
-    p = sample_generic_point(seed, max(GUARD, reach))
-    if overrides is not None:
-        p = p.with_overrides(*overrides)
+    p = sample_point(seed, reach, window)
     rec.begin(p.to_json())
     return p
 
@@ -317,14 +321,14 @@ def chk_qkz_matrix(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
     # each compared coefficient is causal in Lambda, so the sides are built
     # at the compared order (at least 1, which LambdaSeries.variable needs)
-    left, right = qkz_residual(_sample_point(rec, seed, overrides=(m, n)), max(1, through))
+    left, right = qkz_residual(_sample_point(rec, seed, window=(m, n)), max(1, through))
     for J, (a, b) in enumerate(zip(left, right)):
         rec.series(a, b, through, {"component": J - n})
 
 
 def chk_dual_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
-    left, right = dual_qkz_residuals(_sample_point(rec, seed, overrides=(m, n)), lmax)
+    left, right = dual_qkz_residuals(_sample_point(rec, seed, window=(m, n)), lmax)
     for index, (a, b) in enumerate(zip(left, right)):
         i, k = divmod(index, m + n + 1)
         rec.series(a, b, lmax, {"i": i - n, "k": k - n})
@@ -334,7 +338,7 @@ def chk_ito_qkz(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     through = lmax - 1
     rec.orders = {"m": m, "n": n, "lmax": lmax, "checked_through": through}
     a2 = _rng_rationals(seed + 17, 1)[0]
-    jp = JacksonParams.from_point(_sample_point(rec, seed, overrides=(m, n)), a2)
+    jp = JacksonParams.from_point(_sample_point(rec, seed, window=(m, n)), a2)
     # built at the compared order, as in chk_qkz_matrix
     for name, (left, right) in ito_qkz_check(jp, max(1, through)).items():
         # the Lambda^0 constants come as constant series: only order 0 can differ
@@ -351,7 +355,7 @@ def chk_commutativity(rec: Recorder, seed: int, N: int):
     m, n = _COMM_WINDOWS[N]
     a2 = _rng_rationals(seed + 29, 1)[0]
     lam = _rng_rationals(seed + 31, 1)[0]
-    jp = JacksonParams.from_point(_sample_point(rec, seed, overrides=(m, n)), a2)
+    jp = JacksonParams.from_point(_sample_point(rec, seed, window=(m, n)), a2)
     R, A, D2 = ito_R(jp), ito_A(jp, lam), d2_matrix(jp, lam)
     if N:
         # at N = 0 the three matrices are 1x1, and commute whatever they hold
@@ -364,7 +368,7 @@ def chk_al_jackson(rec: Recorder, seed: int, m: int, n: int, lmax: int):
     rec.orders = {"m": m, "n": n, "lmax": lmax}
     a2 = _rng_rationals(seed + 43, 1)[0]
     laumon, jackson, info, pivot = al_jackson_compare(
-        _sample_point(rec, seed, overrides=(m, n)), a2, lmax)
+        _sample_point(rec, seed, window=(m, n)), a2, lmax)
     sides = ("jackson", "laumon")
     for J, (vp, vz) in enumerate(info["leading_orders"]):
         if vp is None and vz is None:
@@ -538,7 +542,7 @@ def _fourd_table_m2_n1(m2, m4, lam):
 
 def chk_heine(rec: Recorder, seed: int, lmax: int):
     rec.orders = {"lmax": lmax}
-    p = _sample_point(rec, seed, overrides=(1, 0))
+    p = _sample_point(rec, seed, window=(1, 0))
     comps = z_al_truncated(p, lmax)
     pair = heine_solution_pair(p, lmax)
     equations = heine_dual_residuals(p, pair)

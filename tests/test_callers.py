@@ -11,7 +11,6 @@ The README names no code that is gone: every backticked ``_name`` and
 package, apart from the few it quotes from elsewhere."""
 
 import ast
-import fractions
 import re
 import sys
 from pathlib import Path
@@ -22,10 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qkz"
 EXEMPT = {("cone", "apply_full_step")}
 # private names the README quotes from outside the package, each with the
-# file that defines it: Fraction's operator wrapper and the partition
-# sum's twelve-factor oracle
-QUOTED_ELSEWHERE = {"_operator_fallbacks": Path(fractions.__file__),
-                    "_weight_12": ROOT / "tests" / "test_laumon.py"}
+# file that defines it: the partition sum's twelve-factor oracle
+QUOTED_ELSEWHERE = {"_weight_12": ROOT / "tests" / "test_laumon.py"}
 
 
 def _traced_layers():

@@ -404,12 +404,12 @@ def test_readme_csv_header_is_the_report_header():
                  id="--out-argv10"),
 ])
 def test_invalid_dump_options_exit_2_before_sampling(monkeypatch, capsys, tmp_path, flag, argv):
-    import qkz.cli
+    import qkz.suites
 
     def no_point(*args, **kwargs):
         raise AssertionError("a point was sampled")
 
-    monkeypatch.setattr(qkz.cli, "sample_generic_point", no_point)
+    monkeypatch.setattr(qkz.suites, "sample_generic_point", no_point)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main([*argv, "--seed", "1"]) == 2
     err = capsys.readouterr().err

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkz.errors import DegenerateParameterError, QkzError, SingularMatrixError
+import qkz.scalars
+from qkz.cone import ConeSeries
+from qkz.errors import DegenerateParameterError, QkzError, SamplingError, SingularMatrixError
 from qkz.jackson import JacksonParams
 from qkz.laumon import z_al_truncated
 from qkz.linalg import ScalarMatrix
-from qkz.qseries import LambdaSeries
+from qkz.partitions import partitions_of
+from qkz.qseries import LambdaSeries, dbl_qt_poch_series, heine_2phi1, phi_coeffs, qpoch
 from qkz.rmatrix import dual_qkz_residuals, qkz_residual
 from qkz.scalars import (
     ONE,
@@ -36,6 +39,7 @@ from qkz.scalars import (
     is_plain,
     product,
     quotient,
+    reciprocal,
     sample_generic_point,
     series_exp,
     shakirov_eigenvalue,
@@ -73,9 +77,11 @@ def _as_fraction(x):
     return Fraction(x) if type(x) is Rat else x
 
 
-def _agrees_with_fraction(op, *args):
-    """op on Rat operands gives what it gives on their Fractions, as a Rat,
-    or raises the same exception."""
+def _agrees_with_fraction(op, *args, fast=False):
+    """op on Rat operands gives what it gives on their Fractions, or raises
+    the same exception.  A `fast` operator (Rat, int and bool operands only)
+    gives a Rat where Fraction gives a Fraction; any other result has the
+    type of Fraction's own."""
     try:
         want = op(*map(_as_fraction, args))
     except ArithmeticError as exc:
@@ -84,8 +90,8 @@ def _agrees_with_fraction(op, *args):
         assert str(got.value) == str(exc), args
         return
     got = op(*args)
-    assert got == want and type(got) is (Rat if type(want) is Fraction else type(want)), (
-        op, args, got, want)
+    assert got == want and type(got) is (
+        Rat if fast and type(want) is Fraction else type(want)), (op, args, got, want)
 
 
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne)
@@ -106,48 +112,57 @@ def test_rat_arithmetic_equals_fraction_arithmetic():
         x = _draw_operand(rng, Rat)
         y = _draw_operand(rng, rng.choice((Rat, Rat, int, bool)))
         for op in BINARY:
-            _agrees_with_fraction(op, x, y)
-            _agrees_with_fraction(op, y, x)
-        for unary in (operator.neg, operator.pos, operator.abs):
-            _agrees_with_fraction(unary, x)
-        _agrees_with_fraction(bool, x)
+            _agrees_with_fraction(op, x, y, fast=True)
+            _agrees_with_fraction(op, y, x, fast=True)
+        for unary in (operator.neg, bool):
+            _agrees_with_fraction(unary, x, fast=True)
         e = rng.randint(-4, 4)
-        for power in (e, Rat(e), e > 0):
-            _agrees_with_fraction(operator.pow, x, power)
+        for power in (e, e > 0):
+            _agrees_with_fraction(operator.pow, x, power, fast=True)
+        # Fraction's own: unary +, abs, remainders, round and Rat exponents
+        for unary in (operator.pos, operator.abs):
+            _agrees_with_fraction(unary, x)
+        _agrees_with_fraction(operator.pow, x, Rat(e))
         for op in REMAINDERS:
             _agrees_with_fraction(op, x, y)
             _agrees_with_fraction(op, y, x)
         for ndigits in (-2, 0, 3):
             _agrees_with_fraction(round, x, ndigits)
-
-
-@fraction_backend
-def test_an_int_to_a_rat_power_is_a_rat():
-    # Fraction keeps int ** Fraction an int for an exponent >= 0, and makes
-    # it a Fraction below 0 or a float off the integers
+    # int ** Rat: an int for an exponent >= 0, a Fraction below 0, a float
+    # or complex off the integers
     for base in range(-3, 4):
         for e in (-3, -1, 0, 1, 2, Rat(1, 2), Rat(-2, 3)):
-            try:
-                want = base ** Fraction(e)
-            except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    base ** Rat(e)
-                continue
-            got = base ** Rat(e)
-            assert got == want, (base, e)
-            assert type(got) is (type(want) if type(want) in (float, complex) else Rat), (base, e)
+            _agrees_with_fraction(operator.pow, base, Rat(e))
 
 
 @fraction_backend
 @pytest.mark.parametrize("x", [Rat(0), Rat(-3), Rat(-7, 3), Rat(2 ** 100 + 1, 3 ** 50)])
 def test_rat_with_a_foreign_operand_takes_the_fraction_path(x):
-    # a Fraction result comes back as a Rat; a float stays a float
+    # every result is Fraction's own: a Fraction stays a Fraction, a float a float
     for y in (Fraction(5, 4), Fraction(0), 0.5, -2.0):
         _agrees_with_fraction(operator.pow, x, y)
         _agrees_with_fraction(operator.pow, y, x)
         for op in BINARY + REMAINDERS:
             _agrees_with_fraction(op, x, y)
             _agrees_with_fraction(op, y, x)
+
+
+def test_a_fraction_is_a_plain_scalar():
+    # any exact rational is plain: Fraction inputs give the kernels' values
+    # for Rat inputs, and a series takes a Fraction as a constant
+    assert is_plain(Fraction(1, 3))
+    rats = [Rat(1, 3), Rat(-5, 7), Rat(2), Rat(9, 4)]
+    for values in ([Fraction(x) for x in rats], [Fraction(1, 3), Rat(-5, 7), 2, Fraction(9, 4)]):
+        assert dot(zip(values, values[1:])) == dot(zip(rats, rats[1:]))
+        assert product(values) == product(rats)
+        assert int_pairs(values) == int_pairs(rats)
+        assert quotient(values[0], values[1], "x") == quotient(rats[0], rats[1], "x")
+        assert reciprocal(values[1]) == reciprocal(rats[1])
+        assert qpoch(values[0], values[3], 3) == qpoch(rats[0], rats[3], 3)
+    s = LambdaSeries([Rat(1, 2), Rat(-3), Rat(2, 7)])
+    assert s * Fraction(1, 3) == Fraction(1, 3) * s == s * Rat(1, 3)
+    x = Rat(-3, 5)
+    assert s * abs(x) == abs(x) * s == s * Rat(3, 5)
 
 
 @fraction_backend
@@ -318,14 +333,17 @@ def _passes_guards_reference(p, guard):
             pw = pw * base
             if pw == 1:
                 return False
-    qa, tb, Qc = ({j: base ** j for j in range(-guard, guard + 1)}
-                  for base in (p.q, p.t, p.Q))
-    for a in range(-guard, guard + 1):
-        for b in range(-guard, guard + 1):
-            ab = qa[a] * tb[b]
-            for c in range(-guard, guard + 1):
-                if (a, b, c) != (0, 0, 0) and ab * Qc[c] == 1:
-                    return False
+    span = range(-guard, guard + 1)
+    qa, tb = ({j: base ** j for j in span} for base in (p.q, p.t))
+    # q^a t^b Q^c = 1 exactly when Q^c = 1/(q^a t^b): each value Q^c with
+    # all its exponents c, so that Q = 1 (every c) is still found
+    Q_exponents = {}
+    for c in span:
+        Q_exponents.setdefault(p.Q ** c, []).append(c)
+    for a in span:
+        for b in span:
+            if any((a, b, c) != (0, 0, 0) for c in Q_exponents.get(1 / (qa[a] * tb[b]), ())):
+                return False
     return all(_eigenvalue_unreduced(p, k, ell) != 1
                for k in range(guard + 1) for ell in range(guard + 1) if (k, ell) != (0, 0))
 
@@ -410,11 +428,13 @@ def test_derived_parameters_are_computed_once():
     assert copy == p and hash(copy) == hash(p) and copy.q == p.q
 
 
+_ROOTS = [Rat(2), Rat(3), Rat(5, 2), Rat(3, 2), Rat(5, 3), Rat(7, 3), Rat(9, 5)]
+
+
 def test_a_zero_fourth_root_is_degenerate():
-    roots = [Rat(2), Rat(3), Rat(5, 2), Rat(3, 2), Rat(5, 3), Rat(7, 3), Rat(9, 5)]
     for i, name in enumerate(("rq", "rt", "rQ", "rd1", "rd2", "rd3", "rd4")):
         with pytest.raises(DegenerateParameterError, match=f"fourth root {name} is zero"):
-            ParamPoint(*roots[:i], 0, *roots[i + 1:])
+            ParamPoint(*_ROOTS[:i], 0, *_ROOTS[i + 1:])
 
 
 def test_point_monomial_guard():
@@ -505,6 +525,40 @@ def test_mul_variable_power_keeps_the_order():
         shifted = s.mul_variable_power(power)
         assert shifted.order == 1
         assert shifted.coeffs == ((1, 2), (0, 1), (0, 0), (0, 0), (0, 0))[power]
+
+
+_R = Rat(1, 3)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: HJet([1, 2]) + LambdaSeries([1, 2]), TypeError, "cannot mix"),
+    (lambda: LambdaSeries([1, 2]) + LambdaSeries([1, 2, 3]), ValueError, "orders differ"),
+    (lambda: LambdaSeries.variable(0), ValueError, "order >= 1"),
+    (lambda: LambdaSeries([1, 2]).mul_variable_power(-1), ValueError, "negative powers"),
+    (lambda: series_exp(LambdaSeries([1, 2])), ValueError, "zero constant term"),
+    (lambda: exp_jet(_R, -1), ValueError, "order must be >= 0"),
+    (lambda: ParamPoint(*_ROOTS).with_overrides(-1, 0), ValueError, "m, n >= 0"),
+    (lambda: ScalarMatrix(2, 2, [0] * 3), ValueError, "does not match shape"),
+    (lambda: ScalarMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: ScalarMatrix.identity(2) @ ScalarMatrix.identity(3), ValueError, "shape mismatch"),
+    (lambda: ScalarMatrix.identity(2).solve(ScalarMatrix(3, 1, [1] * 3)), ValueError,
+     "row count mismatch"),
+    (lambda: phi_coeffs(_R, _R, -1), ValueError, "order must be >= 0"),
+    (lambda: dbl_qt_poch_series(_R, _R, _R, -1), ValueError, "order must be >= 0"),
+    (lambda: heine_2phi1(_R, _R, _R, _R, -1), ValueError, "z_order must be >= 0"),
+    (lambda: partitions_of(-1), ValueError, "n must be >= 0"),
+    (lambda: ConeSeries(1, 1, [[0]]), ValueError, "does not match truncation orders"),
+    (lambda: ConeSeries.one(1, 1).borel(_R, direction=2), ValueError, "+1 or -1"),
+    (lambda: JacksonParams(1, 2, 3, 4, 5, 6, 1, 0).shifted(3), ValueError, "1 or 2"),
+    (lambda: sample_generic_point.__wrapped__(1), SamplingError, "no generic point found"),
+])
+def test_argument_guards_raise(monkeypatch, call, error, fragment):
+    # a caller's bad argument, never the point; with no resamples allowed
+    # the sampler gives up at once
+    monkeypatch.setattr(qkz.scalars, "MAX_RESAMPLES", 0)
+    with pytest.raises(error) as raised:
+        call()
+    assert fragment in str(raised.value)
 
 
 # -- the exact kernels against their one-operation-at-a-time forms -------------

@@ -910,7 +910,7 @@ def test_a_rejected_point_is_a_retry_of_the_report(monkeypatch):
 
     def check(rec, seed):
         rec.orders = {"lmax": 3}
-        _sample_point(rec, seed, overrides=(1, 0))
+        _sample_point(rec, seed, window=(1, 0))
         rec.compare(ONE, ONE, {})
         raise DegenerateParameterError("first point is degenerate")
 
